@@ -4,6 +4,31 @@
 
 namespace xdeal {
 
+void DealVerdict::FillViolation() {
+  std::string v;
+  if (!safety_ok) v += "property1-safety ";
+  if (!weak_liveness_ok) v += "property2-weak-liveness ";
+  if (!strong_liveness_ok) v += "property3-strong-liveness ";
+  if (!atomic) v += "atomicity ";
+  if (!v.empty()) {
+    v.pop_back();
+    violation = v;
+  }
+}
+
+uint64_t DealVerdict::OutcomeBits() const {
+  return static_cast<uint64_t>(started) |
+         static_cast<uint64_t>(committed) << 1 |
+         static_cast<uint64_t>(aborted) << 2 |
+         static_cast<uint64_t>(mixed) << 3 |
+         static_cast<uint64_t>(all_settled) << 4 |
+         static_cast<uint64_t>(atomic) << 5 |
+         static_cast<uint64_t>(safety_ok) << 6 |
+         static_cast<uint64_t>(weak_liveness_ok) << 7 |
+         static_cast<uint64_t>(strong_liveness_ok) << 8 |
+         static_cast<uint64_t>(tainted) << 9;
+}
+
 LedgerSnapshot LedgerSnapshot::Capture(const World& world,
                                        const DealSpec& spec) {
   LedgerSnapshot snap;

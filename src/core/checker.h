@@ -43,6 +43,35 @@ struct LedgerSnapshot {
   static LedgerSnapshot Capture(const World& world, const DealSpec& spec);
 };
 
+/// The judged outcome of one deal execution: how it ended, and which of
+/// Properties 1-3 and CBC atomicity held. Traffic deal records, sweep
+/// scenarios and explored runs all extend it, so the violation string and
+/// the fingerprinted outcome word are built here and nowhere else.
+struct DealVerdict {
+  bool started = false;    // Deploy() succeeded
+  bool committed = false;  // every escrow released
+  bool aborted = false;    // nothing released
+  bool mixed = false;      // some released, some refunded
+  bool all_settled = false;
+  bool atomic = true;              // CBC: same outcome on every chain
+  bool safety_ok = true;           // Property 1 over compliant parties
+  bool weak_liveness_ok = true;    // Property 2 over compliant parties
+  bool strong_liveness_ok = true;  // Property 3 (all-compliant runs only)
+  /// Traffic only: the deal was touched by injection (or by deviation found
+  /// in on-chain evidence), so the deviating party is excluded from its
+  /// compliant set and Property 3 is not asserted. Always false elsewhere.
+  bool tainted = false;
+  std::string violation;  // empty = conformant
+
+  /// Sets `violation` to the failed properties, space-separated, when any
+  /// failed; leaves it untouched when all held.
+  void FillViolation();
+
+  /// Every outcome bit in one word (started = bit 0, ..., tainted = bit 9):
+  /// the value each report fingerprint folds per deal.
+  uint64_t OutcomeBits() const;
+};
+
 /// Per-party evaluation of the run.
 struct PartyVerdict {
   bool outgoing_transferred = false;  // paid something

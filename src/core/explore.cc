@@ -189,19 +189,6 @@ RunInstance BuildRun(const ExploreCell& cell) {
   return run;
 }
 
-/// Failed properties -> the run's violation string (empty = clean).
-void FillViolation(ExploreRunResult* out) {
-  std::string v;
-  if (!out->safety_ok) v += "property1-safety ";
-  if (!out->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!out->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!out->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    out->violation = v;
-  }
-}
-
 /// Validates a drained run against Properties 1-3 (mirrors ScenarioSweep's
 /// per-scenario validation) and fingerprints the outcome.
 ExploreRunResult ValidateRun(const ExploreCell& cell, RunInstance* run) {
@@ -236,20 +223,10 @@ ExploreRunResult ValidateRun(const ExploreCell& cell, RunInstance* run) {
             ? out.committed && run->checker->StrongLivenessHolds()
             : run->checker->StrongLivenessHolds();
   }
-  FillViolation(&out);
+  out.FillViolation();
 
   uint64_t fp = 0x9E3779B97F4A7C15ULL;
-  fp = MixFingerprint(fp, static_cast<uint64_t>(out.started) |
-                              static_cast<uint64_t>(out.committed) << 1 |
-                              static_cast<uint64_t>(out.aborted) << 2 |
-                              static_cast<uint64_t>(out.mixed) << 3 |
-                              static_cast<uint64_t>(out.all_settled) << 4 |
-                              static_cast<uint64_t>(out.atomic) << 5 |
-                              static_cast<uint64_t>(out.safety_ok) << 6 |
-                              static_cast<uint64_t>(out.weak_liveness_ok)
-                                  << 7 |
-                              static_cast<uint64_t>(out.strong_liveness_ok)
-                                  << 8);
+  fp = MixFingerprint(fp, out.OutcomeBits());
   fp = MixFingerprint(fp, out.total_gas);
   fp = MixFingerprint(fp, out.messages);
   fp = MixFingerprint(fp, out.settle_time);

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "core/deal_gen.h"
 #include "core/protocol_driver.h"
 #include "sim/scheduler.h"
@@ -99,20 +100,10 @@ struct ExploreOptions {
 
 /// Outcome + property verdicts of one terminal execution (the per-run
 /// analog of ScenarioOutcome, minus the sweep bookkeeping).
-struct ExploreRunResult {
-  bool started = false;    // Deploy() succeeded
-  bool committed = false;  // every escrow released
-  bool aborted = false;    // nothing released
-  bool mixed = false;      // some released, some refunded
-  bool all_settled = false;
-  bool atomic = true;
-  bool safety_ok = true;         // Property 1 over compliant parties
-  bool weak_liveness_ok = true;  // Property 2 over compliant parties
-  bool strong_liveness_ok = true;  // Property 3 (honest cells only)
+struct ExploreRunResult : DealVerdict {
   uint64_t total_gas = 0;
   uint64_t messages = 0;  // receipts across all chains
   Tick settle_time = 0;
-  std::string violation;  // empty = conformant
   /// Order-sensitive hash of the fields above; equal values mean
   /// bit-identical runs (the replay-fidelity invariant).
   uint64_t fingerprint = 0;

@@ -108,19 +108,6 @@ GenParams GenParamsFor(const ScenarioSpec& sc) {
   return gen;
 }
 
-/// Failed properties -> the scenario's violation string (empty = clean).
-void FillViolation(ScenarioOutcome* out) {
-  std::string v;
-  if (!out->safety_ok) v += "property1-safety ";
-  if (!out->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!out->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!out->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    out->violation = v;
-  }
-}
-
 /// One runner for both commit protocols: what used to be two parallel
 /// Run{Timelock,Cbc}Scenario functions is now a single path through the
 /// ProtocolDriver API, with the protocol differences confined to the driver
@@ -249,7 +236,7 @@ ScenarioOutcome RunDriverScenario(const ScenarioSpec& sc) {
             ? out.committed && checker.StrongLivenessHolds()
             : checker.StrongLivenessHolds();
   }
-  FillViolation(&out);
+  out.FillViolation();
   return out;
 }
 
@@ -310,7 +297,7 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
   out.safety_ok = !out.mixed;
   out.weak_liveness_ok = out.all_settled;
   out.strong_liveness_ok = out.committed;
-  FillViolation(&out);
+  out.FillViolation();
   return out;
 }
 
@@ -480,17 +467,7 @@ SweepReport AggregateOutcomes(const std::vector<ScenarioSpec>& specs,
 
     fp = MixFingerprint(fp, o.index);
     fp = MixFingerprint(fp, o.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(o.started) |
-                                static_cast<uint64_t>(o.committed) << 1 |
-                                static_cast<uint64_t>(o.aborted) << 2 |
-                                static_cast<uint64_t>(o.mixed) << 3 |
-                                static_cast<uint64_t>(o.all_settled) << 4 |
-                                static_cast<uint64_t>(o.atomic) << 5 |
-                                static_cast<uint64_t>(o.safety_ok) << 6 |
-                                static_cast<uint64_t>(o.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(o.strong_liveness_ok)
-                                    << 8);
+    fp = MixFingerprint(fp, o.OutcomeBits());
     fp = MixFingerprint(fp, o.total_gas);
     fp = MixFingerprint(fp, o.messages);
     fp = MixFingerprint(fp, o.settle_time);

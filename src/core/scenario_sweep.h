@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "core/explore.h"
 #include "core/protocol_driver.h"
 #include "sim/scheduler.h"
@@ -111,22 +112,12 @@ struct ScenarioSpec {
   uint64_t replicate = 0;
 };
 
-struct ScenarioOutcome {
+struct ScenarioOutcome : DealVerdict {
   size_t index = 0;
   uint64_t seed = 0;
-  bool started = false;    // Start() succeeded
-  bool committed = false;  // every asset released / every leg claimed
-  bool aborted = false;    // nothing released
-  bool mixed = false;      // some released, some refunded
-  bool all_settled = false;
-  bool atomic = true;      // CBC: same outcome on every chain
-  bool safety_ok = true;        // Property 1 over compliant parties
-  bool weak_liveness_ok = true; // Property 2 over compliant parties
-  bool strong_liveness_ok = true;  // Property 3 (honest benign runs only)
   uint64_t total_gas = 0;
   uint64_t messages = 0;   // transaction receipts across all chains
   Tick settle_time = 0;
-  std::string violation;   // empty = conformant
 };
 
 /// A caught property violation, with everything needed to replay it.

@@ -143,18 +143,6 @@ class HopCapitalSignal : public AdmissionSignal {
   bool gate_;
 };
 
-void FillViolation(TrafficDealRecord* rec) {
-  std::string v;
-  if (!rec->safety_ok) v += "property1-safety ";
-  if (!rec->weak_liveness_ok) v += "property2-weak-liveness ";
-  if (!rec->strong_liveness_ok) v += "property3-strong-liveness ";
-  if (!rec->atomic) v += "atomicity ";
-  if (!v.empty()) {
-    v.pop_back();
-    rec->violation = v;
-  }
-}
-
 std::vector<PartyId> CompliantPartiesOf(const DealSlot& slot) {
   std::vector<PartyId> compliant;
   for (PartyId p : slot.spec.parties) {
@@ -197,7 +185,7 @@ void ValidateDeal(DealSlot* slot) {
           rec.committed && slot->checker->StrongLivenessHolds();
     }
   }
-  FillViolation(&rec);
+  rec.FillViolation();
 }
 
 /// Builds the 2-party over-commit swap for an injected double-spend: the
@@ -901,18 +889,7 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
 
     fp = MixFingerprint(fp, rec.index);
     fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
-                                static_cast<uint64_t>(rec.committed) << 1 |
-                                static_cast<uint64_t>(rec.aborted) << 2 |
-                                static_cast<uint64_t>(rec.mixed) << 3 |
-                                static_cast<uint64_t>(rec.all_settled) << 4 |
-                                static_cast<uint64_t>(rec.atomic) << 5 |
-                                static_cast<uint64_t>(rec.safety_ok) << 6 |
-                                static_cast<uint64_t>(rec.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(rec.strong_liveness_ok)
-                                    << 8 |
-                                static_cast<uint64_t>(rec.tainted) << 9);
+    fp = MixFingerprint(fp, rec.OutcomeBits());
     fp = MixFingerprint(fp, rec.gas);
     fp = MixFingerprint(fp, rec.messages);
     fp = MixFingerprint(fp, rec.settle_time);
@@ -1718,18 +1695,7 @@ EpochReport TrafficService::Impl::RunEpoch() {
 
     fp = MixFingerprint(fp, rec.index);
     fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.started) |
-                                static_cast<uint64_t>(rec.committed) << 1 |
-                                static_cast<uint64_t>(rec.aborted) << 2 |
-                                static_cast<uint64_t>(rec.mixed) << 3 |
-                                static_cast<uint64_t>(rec.all_settled) << 4 |
-                                static_cast<uint64_t>(rec.atomic) << 5 |
-                                static_cast<uint64_t>(rec.safety_ok) << 6 |
-                                static_cast<uint64_t>(rec.weak_liveness_ok)
-                                    << 7 |
-                                static_cast<uint64_t>(rec.strong_liveness_ok)
-                                    << 8 |
-                                static_cast<uint64_t>(rec.tainted) << 9);
+    fp = MixFingerprint(fp, rec.OutcomeBits());
     fp = MixFingerprint(fp, rec.gas);
     fp = MixFingerprint(fp, rec.messages);
     fp = MixFingerprint(fp, rec.settle_time);

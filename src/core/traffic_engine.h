@@ -55,6 +55,7 @@
 
 #include "core/admission.h"
 #include "core/broker_pool.h"
+#include "core/checker.h"
 #include "core/protocol_driver.h"
 #include "sim/scheduler.h"
 #include "util/bytes.h"
@@ -211,8 +212,11 @@ struct TrafficOptions {
   Tick broker_recover_after = 0;
 };
 
-/// Per-deal outcome row (the unit the report fingerprint folds over).
-struct TrafficDealRecord {
+/// Per-deal outcome row (the unit the report fingerprint folds over). The
+/// DealVerdict base carries the outcome bits and Property 1-3 verdicts; its
+/// `tainted` bit marks deals touched by injection (double-spend, offline
+/// party, stale proof) or by an over-committed broker.
+struct TrafficDealRecord : DealVerdict {
   size_t index = 0;
   uint64_t seed = 0;
   Protocol protocol = Protocol::kTimelock;
@@ -227,10 +231,6 @@ struct TrafficDealRecord {
   /// (or shedding) it, and the total wait that cost.
   size_t admission_retries = 0;
   Tick admission_wait = 0;
-  /// True for deals touched by injection (double-spend or offline party):
-  /// the deviating party is excluded from their compliant sets, and
-  /// Property 3 — which assumes all parties compliant — is not asserted.
-  bool tainted = false;
   /// Broker hosting this deal, as index + 1 (0 = not a broker deal), plus
   /// the working capital / inventory the deal locks while in flight. For
   /// hop chains `broker` is the first hop and the capital need totals every
@@ -249,23 +249,12 @@ struct TrafficDealRecord {
   size_t assets = 0;
   size_t transfers = 0;
 
-  bool started = false;
-  bool committed = false;
-  bool aborted = false;
-  bool mixed = false;
-  bool all_settled = false;
-  bool atomic = true;
-  bool safety_ok = true;
-  bool weak_liveness_ok = true;
-  bool strong_liveness_ok = true;
-
   uint64_t gas = 0;       // receipts submitted by this deal, per deal_tag
   uint64_t messages = 0;  // transaction receipts carrying this deal's tag
   Tick settle_time = 0;   // absolute tick of the last settlement
   /// settle_time - arrival_at (0 if never settled): open-loop sojourn time,
   /// including any admission wait the controller imposed.
   Tick latency = 0;
-  std::string violation;  // empty = conformant
 };
 
 /// A property violation on some deal, with the reproducer: re-running
