@@ -9,8 +9,8 @@
 //                  workload is fully conformant.
 //
 //   shard sweep    CbcService shard count on a CBC-heavy D=1000 workload.
-//                  S>1 must beat S=1 (the O(D²) observation win); the gate
-//                  fails only below 0.8x to absorb noisy CI hosts.
+//                  Gated on full conformance at every S; wall time and
+//                  goodput per S are charted, not gated.
 //
 //   rate sweep     THE open-loop section: seeded Poisson arrivals at
 //                  λ ∈ --rates (deals per kilotick) against finite block
@@ -243,8 +243,6 @@ bool RunShardSweep(int argc, char** argv, uint64_t base_seed,
   std::printf("%7s %10s %10s %8s %10s %12s\n", "shards", "wall (ms)",
               "deals/s", "commit", "backlog", "deals/ktick");
   bool ok = true;
-  double single_shard_rate = 0.0;
-  double best_multi_rate = 0.0;
   for (size_t shards : shard_counts) {
     TrafficOptions options = OptionsFor(shard_deals, base_seed, 1);
     options.protocol_mix = {Protocol::kCbc};
@@ -262,11 +260,6 @@ bool RunShardSweep(int argc, char** argv, uint64_t base_seed,
                   report.Summary().c_str());
       ok = false;
     }
-    if (shards == 1) {
-      single_shard_rate = per_second;
-    } else {
-      best_multi_rate = std::max(best_multi_rate, per_second);
-    }
 
     bench::JsonReport::Labels labels = {
         {"shards", std::to_string(shards)},
@@ -277,27 +270,6 @@ bool RunShardSweep(int argc, char** argv, uint64_t base_seed,
                     static_cast<double>(report.committed), "", labels);
     json->AddMetric("shard_sweep_deals_per_ktick", report.deals_per_ktick,
                     "1/kt", labels);
-  }
-  if (single_shard_rate > 0.0 && best_multi_rate > 0.0) {
-    double speedup = best_multi_rate / single_shard_rate;
-    std::printf("best multi-shard speedup over S=1: %.2fx\n", speedup);
-    json->AddMetric("shard_speedup", speedup, "x",
-                    {{"deals", std::to_string(shard_deals)}});
-    // The O(D²/S) observation win must be visible: on a 1000-deal CBC-heavy
-    // workload it measures >2.5x locally. These are wall-clock timings of
-    // separate runs, so leave headroom for noisy CI neighbours: warn below
-    // 1x, and only fail the gate when sharding is a clear loss.
-    if (speedup <= 0.8) {
-      std::printf("SHARD SWEEP FAILURE: S>1 clearly slower than S=1 "
-                  "(%.0f vs %.0f deals/s)\n",
-                  best_multi_rate, single_shard_rate);
-      ok = false;
-    } else if (speedup <= 1.0) {
-      std::printf("SHARD SWEEP WARNING: S>1 did not beat S=1 this run "
-                  "(%.0f vs %.0f deals/s) — expected >2x; check for a "
-                  "noisy host before suspecting a regression\n",
-                  best_multi_rate, single_shard_rate);
-    }
   }
   return ok;
 }
@@ -999,7 +971,6 @@ bool RunBigD(int argc, char** argv, uint64_t base_seed,
     options.arrival = ArrivalProcess::kPoisson;
     options.mean_interarrival = 20.0;
     options.admission = StockController();
-    options.indexed_observation = true;
 
     auto start = std::chrono::steady_clock::now();
     TrafficReport report = RunTraffic(options);
@@ -1134,7 +1105,6 @@ TrafficOptions EpochOptions(uint64_t base_seed, size_t deals_per_epoch) {
   options.base_seed = base_seed;
   options.num_chains = 4;
   options.deals_per_epoch = deals_per_epoch;
-  options.indexed_observation = true;
   options.arrival = ArrivalProcess::kPoisson;
   options.mean_interarrival = 20.0;
   options.watchtower_every = 5;

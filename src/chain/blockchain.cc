@@ -170,26 +170,14 @@ void Blockchain::ScheduleDelivery(const ObserverRec& obs, Tick delay,
       });
 }
 
-void Blockchain::DeliverBroadcast(const std::vector<size_t>& receipt_indexes) {
-  // Legacy delivery, bit-for-bit: one delay draw from the World's RNG per
-  // (observer, block), every receipt to every observer — filtered consumers
-  // keep ignoring foreign receipts themselves, exactly as before the index
-  // existed. The golden fingerprints pin this path.
-  Endpoint self = world_->ChainEndpoint(id_);
-  for (const ObserverRec& obs : observers_) {
-    Tick delay = world_->SampleDelay(self, obs.who);
-    for (size_t idx : receipt_indexes) ScheduleDelivery(obs, delay, idx);
-  }
-}
-
 void Blockchain::DeliverIndexed(const std::vector<size_t>& receipt_indexes,
                                 uint64_t height) {
-  // Indexed delivery: each receipt reaches only the observers subscribed to
-  // its deal_tag (plus unfiltered observers), so per-block delivery is
-  // O(receipts × interested observers), not O(receipts × all observers).
-  // Delays come from a keyed per-(chain, observer, block) stream instead of
-  // the World's sequential RNG, so skipping uninterested observers draws
-  // nothing and cannot perturb anyone else's schedule.
+  // Each receipt reaches only the observers subscribed to its deal_tag (plus
+  // unfiltered observers), so per-block delivery is O(receipts × interested
+  // observers), not O(receipts × all observers). Delays come from a keyed
+  // per-(chain, observer, block) stream instead of the World's sequential
+  // RNG, so skipping uninterested observers draws nothing and cannot perturb
+  // anyone else's schedule.
   std::map<uint64_t, std::vector<size_t>> by_tag;
   for (size_t idx : receipt_indexes) {
     by_tag[receipts_[idx].deal_tag].push_back(idx);
@@ -377,11 +365,7 @@ void Blockchain::ProduceBlock(Tick boundary) {
                                   block.parent_hash, block.entries_root);
   blocks_.push_back(block);
 
-  if (world_->observation_delivery() == ObservationDelivery::kBroadcast) {
-    DeliverBroadcast(receipt_indexes);
-  } else {
-    DeliverIndexed(receipt_indexes, height);
-  }
+  DeliverIndexed(receipt_indexes, height);
 }
 
 }  // namespace xdeal

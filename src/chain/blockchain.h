@@ -203,12 +203,9 @@ class Blockchain {
   /// after an observation delay sampled from the network model.
   void Subscribe(Endpoint who, Observer cb);
 
-  /// Tag-filtered subscription. Under the World's default broadcast delivery
-  /// this behaves exactly like Subscribe (every receipt is delivered and the
-  /// consumer's own matching stays the filter — bit-compatible with the
-  /// legacy event stream); under indexed delivery only receipts whose
-  /// deal_tag matches are delivered, making per-block delivery O(interested
-  /// observers), not O(all observers).
+  /// Tag-filtered subscription: only receipts whose deal_tag matches are
+  /// delivered, making per-block delivery O(interested observers), not
+  /// O(all observers).
   void Subscribe(Endpoint who, uint64_t deal_tag, Observer cb);
 
   const std::vector<Block>& blocks() const { return blocks_; }
@@ -298,7 +295,6 @@ class Blockchain {
 
   XDEAL_DETERMINISTIC void ProduceBlock(Tick boundary);
   Receipt Execute(const PendingTx& tx, Tick now, uint64_t height);
-  void DeliverBroadcast(const std::vector<size_t>& receipt_indexes);
   void DeliverIndexed(const std::vector<size_t>& receipt_indexes,
                       uint64_t height);
   void ScheduleDelivery(const ObserverRec& obs, Tick delay,
@@ -324,7 +320,7 @@ class Blockchain {
       tag_contract_index_;
   std::vector<ObserverRec> observers_;
   // Observer positions by subscription tag (filtered subscriptions only) —
-  // lets indexed delivery fan a receipt out to exactly the observers that
+  // lets delivery fan a receipt out to exactly the observers that
   // asked for its deal, independent of how many others watch the chain.
   std::unordered_map<uint64_t, std::vector<size_t>> observers_by_tag_;
   std::vector<size_t> unfiltered_observers_;

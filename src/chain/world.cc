@@ -71,10 +71,6 @@ uint64_t World::TotalGas() const {
 }
 
 Status World::Checkpoint(ByteWriter* w) const {
-  if (observation_delivery_ != ObservationDelivery::kIndexed) {
-    return Status::FailedPrecondition(
-        "world checkpoint requires indexed observation delivery");
-  }
   if (scheduler_.pending() != scheduler_.pending_durable()) {
     return Status::FailedPrecondition(
         "world checkpoint requires a drained scheduler (" +
@@ -135,7 +131,6 @@ Status World::Restore(ByteReader& r,
     return Status::FailedPrecondition(
         "world restore requires a freshly constructed World");
   }
-  observation_delivery_ = ObservationDelivery::kIndexed;
   uint64_t rng_state[4];
   for (auto& s : rng_state) {
     auto v = r.U64();

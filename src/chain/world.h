@@ -23,23 +23,6 @@
 
 namespace xdeal {
 
-/// How chains deliver receipt observations to subscribers.
-///
-/// kBroadcast is the legacy mode and the default: every receipt goes to
-/// every observer of the chain (one delay draw from the World's sequential
-/// RNG per observer per block), and tag-filtered subscriptions behave like
-/// plain ones — consumers filter for themselves. Bit-compatible with every
-/// historical fingerprint.
-///
-/// kIndexed delivers each receipt only to the observers subscribed to its
-/// deal_tag (plus unfiltered observers), with observation delays drawn from
-/// a keyed per-(chain, observer, block) stream instead of the sequential
-/// RNG. Per-block delivery work becomes O(receipts × interested observers)
-/// — the mode that makes D=10^5 shared-chain workloads linear. Schedules
-/// (and thus fingerprints) differ from broadcast mode, but runs remain
-/// fully deterministic for a given seed.
-enum class ObservationDelivery { kBroadcast, kIndexed };
-
 class World {
  public:
   /// `seed` drives every random choice; `net` supplies message delays.
@@ -77,28 +60,17 @@ class World {
   XDEAL_DETERMINISTIC void Submit(PartyId from, ChainId chain_id, ContractId contract,
               CallData call, std::string tag = "", uint64_t deal_tag = 0);
 
-  /// Samples a one-way delay between two endpoints (exposed for components
-  /// like block observation that need the same model). Consumes the World's
+  /// Samples a one-way delay between two endpoints. Consumes the World's
   /// sequential RNG stream.
   XDEAL_DETERMINISTIC Tick SampleDelay(Endpoint from, Endpoint to);
 
-  /// Observation delay for kIndexed delivery: drawn through the network
+  /// Observation delay for receipt delivery: drawn through the network
   /// model from a private stream keyed on (world seed, chain, observer,
   /// block height). A pure function of its inputs — it consumes nothing
-  /// from the sequential RNG, so delivery may skip any subset of observers
-  /// without perturbing anyone else's draws.
+  /// from the sequential RNG, so delivery reaches only the interested
+  /// observers without perturbing anyone else's draws.
   XDEAL_DETERMINISTIC Tick KeyedObservationDelay(ChainId chain, Endpoint who,
                              uint64_t block_height);
-
-  /// Selects the observation delivery mode (see ObservationDelivery). Flip
-  /// before the first block is produced; mid-run switches would mix the two
-  /// delay streams.
-  void set_observation_delivery(ObservationDelivery mode) {
-    observation_delivery_ = mode;
-  }
-  ObservationDelivery observation_delivery() const {
-    return observation_delivery_;
-  }
 
   Endpoint PartyEndpoint(PartyId p) const { return Endpoint{p.v}; }
   Endpoint ChainEndpoint(ChainId c) const {
@@ -112,10 +84,7 @@ class World {
   /// scheduler clock + pending durable events, party registry, and every
   /// chain's Checkpoint. Only valid at a quiescent boundary — the scheduler
   /// may hold nothing but durable events (pending() == pending_durable())
-  /// and every mempool must be empty — and only under kIndexed delivery
-  /// (broadcast delivery draws the sequential RNG per subscribed observer,
-  /// including observers of long-settled deals that do not exist after a
-  /// restore, so broadcast runs cannot resume bit-identically).
+  /// and every mempool must be empty.
   XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
 
   /// Restores a freshly constructed World (same seed + network model) from
@@ -136,7 +105,6 @@ class World {
   std::unique_ptr<NetworkModel> network_;
   KeyDirectory key_directory_;
   std::vector<std::unique_ptr<Blockchain>> chains_;
-  ObservationDelivery observation_delivery_ = ObservationDelivery::kBroadcast;
 };
 
 }  // namespace xdeal

@@ -79,8 +79,8 @@ std::vector<Tick> BuildArrivalSchedule(ArrivalProcess process,
 /// signal"; with both at 0 the controller admits everything (but still
 /// records the congestion it sampled).
 struct AdmissionOptions {
-  /// Master switch: off = every deal is admitted at its arrival time on the
-  /// legacy pre-deployed path (bit-compatible with pre-admission reports).
+  /// Master switch: off = no admission events; every deal deploys inline
+  /// when it is generated, its schedule anchored at its arrival time.
   bool enabled = false;
   /// Shed/delay when the scheduler's pending-event queue is deeper.
   size_t max_scheduler_backlog = 0;

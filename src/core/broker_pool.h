@@ -39,7 +39,7 @@
 // then bit-identical to the legacy pool.
 //
 // With num_brokers = 0 the pool is inert: it creates no parties, tokens, or
-// state, so zero-broker traffic reproduces the legacy engine bit-for-bit.
+// state, and draws nothing from any RNG.
 
 #ifndef XDEAL_CORE_BROKER_POOL_H_
 #define XDEAL_CORE_BROKER_POOL_H_
@@ -60,7 +60,7 @@ namespace xdeal {
 class DealEscrowView;
 
 /// Workload knobs for the broker subsystem. num_brokers = 0 disables it
-/// entirely (no World mutation; legacy traffic fingerprints preserved).
+/// entirely (no World mutation).
 struct BrokerOptions {
   /// B: how many broker identities the pool creates and round-robins deals
   /// over. 0 = brokers disabled.

@@ -319,9 +319,9 @@ Status CbcRun::Start() {
       config_.ValidationTime(spec_.transfers.size());
   deployment_.vote_time = deployment_.validation_time;
 
-  // Every party watches the CBC — scoped to this deal's tag, so under
-  // indexed delivery a party on a shared CBC chain is woken only by its own
-  // deal's startDeal/vote receipts, not by every deal's. The decisive
+  // Every party watches the CBC — scoped to this deal's tag, so a party on
+  // a shared CBC chain is woken only by its own deal's startDeal/vote
+  // receipts, not by every deal's. The decisive
   // receipt of our deal (the vote that flips the log's outcome) always
   // carries our tag, so claim liveness is preserved.
   for (const auto& [pid, strategy] : parties_) {

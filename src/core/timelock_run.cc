@@ -242,9 +242,8 @@ Status TimelockRun::Start() {
   // Wire observation: each party subscribes to every chain hosting one of
   // its outgoing assets (and, for simplicity, incoming too — parties may
   // watch any public chain; strategies filter). The subscription is scoped
-  // to this deal's tag: under indexed delivery (chain/world.h) a party is
-  // only woken for its own deal's receipts instead of every receipt on a
-  // shared chain.
+  // to this deal's tag, so a party is only woken for its own deal's
+  // receipts instead of every receipt on a shared chain.
   for (const auto& [pid, strategy] : parties_) {
     std::set<ChainId> chains;
     for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {

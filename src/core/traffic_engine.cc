@@ -43,7 +43,7 @@ class TrafficPartyFactory : public PartyFactory {
   /// armed tower is killed `tower_crash_after` ticks after arming, and
   /// restarts `tower_recover_after` ticks later (0 = never). The shared
   /// counter spans the whole run so the k-th armed tower is the same tower
-  /// whether epochs or a batch armed it.
+  /// whichever batch armed it.
   size_t tower_crash_every = 0;
   Tick tower_crash_after = 0;
   Tick tower_recover_after = 0;
@@ -102,7 +102,7 @@ class TrafficPartyFactory : public PartyFactory {
 };
 
 /// One deal's full lifetime inside the shared World. The runtime and
-/// checker are arena-allocated (one run-scoped Arena owns all D of them);
+/// checker are arena-allocated (one batch-scoped Arena owns all of them);
 /// the slot holds non-owning pointers.
 struct DealSlot {
   TrafficDealRecord rec;
@@ -217,25 +217,43 @@ DealSpec BuildDoubleSpendSpec(DealEnv* env, const DealSlot& host,
   return spec;
 }
 
+/// (chain, escrow contract) -> (slot index, asset index), over the started
+/// deals that `keep` accepts. Receipt evidence is matched against these.
+template <typename Keep>
+std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>>
+EscrowSites(const std::vector<DealSlot>& slots, Keep keep) {
+  std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const DealSlot& slot = slots[i];
+    // A deal whose Deploy() failed may have deployed only a prefix of its
+    // escrow contracts; it submitted nothing, so it has no evidence to add.
+    if (!slot.rec.started || !keep(slot)) continue;
+    const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
+    for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
+      sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
+    }
+  }
+  return sites;
+}
+
+/// Calls `visit` on every receipt sealed since `cursor` (this batch's
+/// window), chain by chain.
+template <typename Visit>
+void ForEachNewReceipt(const World& world, const std::vector<size_t>& cursor,
+                       Visit visit) {
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
+    for (size_t ri = cursor[c]; ri < all.size(); ++ri) visit(all[ri]);
+  }
+}
+
 /// Cross-references escrow receipts between deals: a party whose escrow pull
 /// failed in one deal while the same token funded its escrow in another is
 /// a cross-deal double-spender. Evidence-based — independent of injection.
 std::vector<DoubleSpendIncident> DetectDoubleSpends(
     const World& world, const std::vector<DealSlot>& slots,
-    const std::vector<size_t>* receipt_start = nullptr) {
-  // (chain, escrow contract) -> (deal, asset index).
-  std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>>
-      escrow_site;
-  for (size_t d = 0; d < slots.size(); ++d) {
-    // A deal whose Deploy() failed may have deployed only a prefix of its
-    // escrow contracts; it submitted nothing, so it has no evidence to add.
-    if (!slots[d].rec.started) continue;
-    const std::vector<ContractId>& escrows =
-        slots[d].runtime->escrow_contracts();
-    for (uint32_t a = 0; a < slots[d].spec.NumAssets(); ++a) {
-      escrow_site[{slots[d].spec.assets[a].chain.v, escrows[a].v}] = {d, a};
-    }
-  }
+    const std::vector<size_t>& cursor) {
+  auto sites = EscrowSites(slots, [](const DealSlot&) { return true; });
 
   // (token chain, token contract, party) -> deals where its escrow pull
   // succeeded / failed.
@@ -244,20 +262,15 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
     std::vector<size_t> bounced;
   };
   std::map<std::tuple<uint32_t, uint32_t, uint32_t>, Evidence> by_token;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    size_t start = receipt_start != nullptr ? (*receipt_start)[c] : 0;
-    for (size_t ri = start; ri < all.size(); ++ri) {
-      const Receipt& r = all[ri];
-      if (r.tag != "escrow") continue;
-      auto site = escrow_site.find({r.chain.v, r.contract.v});
-      if (site == escrow_site.end()) continue;
-      auto [deal, asset] = site->second;
-      const AssetRef& token = slots[deal].spec.assets[asset];
-      Evidence& ev = by_token[{token.chain.v, token.token.v, r.sender.v}];
-      (r.status.ok() ? ev.funded : ev.bounced).push_back(deal);
-    }
-  }
+  ForEachNewReceipt(world, cursor, [&](const Receipt& r) {
+    if (r.tag != "escrow") return;
+    auto site = sites.find({r.chain.v, r.contract.v});
+    if (site == sites.end()) return;
+    auto [deal, asset] = site->second;
+    const AssetRef& token = slots[deal].spec.assets[asset];
+    Evidence& ev = by_token[{token.chain.v, token.token.v, r.sender.v}];
+    (r.status.ok() ? ev.funded : ev.bounced).push_back(deal);
+  });
 
   std::vector<DoubleSpendIncident> incidents;
   std::set<std::pair<size_t, size_t>> seen;
@@ -266,8 +279,6 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
       for (size_t winner : ev.funded) {
         if (winner == loser || !seen.insert({loser, winner}).second) continue;
         DoubleSpendIncident incident;
-        // Report GLOBAL deal indices (== the local slot index in batch mode,
-        // where rec.index == d; the epoch offset in service mode).
         incident.loser_deal = slots[loser].rec.index;
         incident.winner_deal = slots[winner].rec.index;
         incident.party = std::get<2>(key);
@@ -284,45 +295,89 @@ std::vector<DoubleSpendIncident> DetectDoubleSpends(
   return incidents;
 }
 
-/// Evidence-based taint of over-committed brokers: a broker whose escrow
-/// pull bounced in some deal promised the same finite capital/inventory to
-/// too many deals at once — she is that deal's deviating party (the bounced
-/// deal must abort cleanly; Property 3 is not asserted for it), exactly as
-/// an injected double-spender would be. Only possible when nothing gated
-/// admission on broker occupancy; derived from receipts, so any replay of
-/// the same seed taints the same deals.
-void TaintBouncedBrokerEscrows(const World& world,
-                               std::vector<DealSlot>* slots,
-                               const BrokerPool& pool,
-                               const std::vector<size_t>* receipt_start =
-                                   nullptr) {
-  // (chain, escrow contract) -> deal index, broker deals only.
-  std::map<std::pair<uint32_t, uint32_t>, size_t> site;
-  for (size_t d = 0; d < slots->size(); ++d) {
-    const DealSlot& slot = (*slots)[d];
-    if (slot.rec.broker == 0 || !slot.rec.started) continue;
-    const std::vector<ContractId>& escrows =
-        slot.runtime->escrow_contracts();
-    for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-      site[{slot.spec.assets[a].chain.v, escrows[a].v}] = d;
-    }
+/// Marks `slot` as touched by its deviating party `adversary`.
+void Taint(DealSlot* slot, PartyId adversary) {
+  slot->has_adversary = true;
+  slot->adversary = adversary;
+  slot->rec.tainted = true;
+}
+
+/// The fold every fingerprint in the engine starts from.
+constexpr uint64_t kFpInit = 0x452821E638D01377ULL;
+
+/// Snapshot envelope framing.
+constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
+constexpr uint32_t kSnapshotVersion = 1;
+
+Status ValidateServiceOptions(const TrafficOptions& options) {
+  if (options.deals_per_epoch == 0) {
+    return Status::InvalidArgument(
+        "service mode requires deals_per_epoch > 0");
   }
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    size_t start = receipt_start != nullptr ? (*receipt_start)[c] : 0;
-    for (size_t ri = start; ri < all.size(); ++ri) {
-      const Receipt& r = all[ri];
-      if (r.tag != "escrow" || r.status.ok()) continue;
-      auto it = site.find({r.chain.v, r.contract.v});
-      if (it == site.end()) continue;
-      DealSlot& slot = (*slots)[it->second];
-      PartyId broker = pool.BrokerParty(slot.rec.broker - 1);
-      if (!(r.sender == broker)) continue;
-      slot.has_adversary = true;
-      slot.adversary = broker;
-      slot.rec.tainted = true;
-    }
-  }
+  return Status::OK();
+}
+
+/// Order-sensitive fold over every workload-defining option. Stamped into
+/// the snapshot envelope so a restore under different options is rejected
+/// instead of silently diverging. num_threads is deliberately excluded:
+/// validation threading must not affect results, and restoring under a
+/// different thread count is a supported (and tested) configuration.
+uint64_t OptionsFingerprint(const TrafficOptions& o) {
+  uint64_t fp = 0x9E3779B97F4A7C15ULL;
+  auto mix = [&fp](uint64_t v) { fp = MixFingerprint(fp, v); };
+  mix(o.base_seed);
+  mix(o.num_deals);
+  mix(o.num_chains);
+  mix(o.cbc_shards);
+  mix(o.cbc_xshard_every);
+  mix(o.cbc_reconfig_times.size());
+  for (Tick t : o.cbc_reconfig_times) mix(t);
+  mix(o.stale_proof_deals.size());
+  for (size_t d : o.stale_proof_deals) mix(d);
+  mix(o.block_capacity);
+  mix(o.block_interval);
+  mix(o.admission_gap);
+  mix(o.delta);
+  mix(static_cast<uint64_t>(o.arrival));
+  mix(static_cast<uint64_t>(o.mean_interarrival * 1024.0));
+  mix(o.admission.enabled ? 1 : 0);
+  mix(o.admission.max_scheduler_backlog);
+  mix(o.admission.max_chain_occupancy);
+  mix(o.admission.retry_delay);
+  mix(o.admission.max_retries);
+  mix(o.admission.broker_gate ? 1 : 0);
+  mix(o.min_parties);
+  mix(o.max_parties);
+  mix(o.min_assets);
+  mix(o.max_assets);
+  mix(o.extra_transfers);
+  mix(o.nft_every);
+  mix(o.protocol_mix.size());
+  for (Protocol p : o.protocol_mix) mix(static_cast<uint64_t>(p));
+  mix(o.double_spend_deals.size());
+  for (size_t d : o.double_spend_deals) mix(d);
+  mix(o.offline_party_deals.size());
+  for (size_t d : o.offline_party_deals) mix(d);
+  mix(o.watchtower_every);
+  mix(o.brokers.num_brokers);
+  mix(o.brokers.broker_every);
+  mix(o.brokers.working_capital);
+  mix(o.brokers.inventory);
+  mix(o.brokers.min_units);
+  mix(o.brokers.max_units);
+  mix(o.brokers.unit_price);
+  mix(o.brokers.unit_margin);
+  mix(o.brokers.hop_depth);
+  mix(o.brokers.margin_slope);
+  mix(o.fullscan_oracle ? 1 : 0);
+  mix(o.deals_per_epoch);
+  mix(o.tower_crash_every);
+  mix(o.tower_crash_after);
+  mix(o.tower_recover_after);
+  mix(o.broker_crash_times.size());
+  for (Tick t : o.broker_crash_times) mix(t);
+  mix(o.broker_recover_after);
+  return fp;
 }
 
 }  // namespace
@@ -336,138 +391,260 @@ uint64_t TrafficDealSeed(uint64_t base_seed, uint64_t deal_index) {
   return seed == 0 ? 1 : seed;
 }
 
-TrafficReport RunTraffic(const TrafficOptions& options) {
-  const size_t num_deals = options.num_deals;
-  const size_t num_chains = std::max<size_t>(1, options.num_chains);
+/// The one traffic engine. It owns the World, the shared chain pool, the
+/// BrokerPool, the CbcService, the protocol drivers and the watchtowers, and
+/// runs deals in batches: RunTraffic is one batch of num_deals, and every
+/// TrafficService epoch is the next batch of deals_per_epoch.
+struct TrafficService::Impl {
+  /// What one batch produced beyond its EpochReport: the per-deal records,
+  /// incidents and congestion peaks that RunTraffic reports.
+  struct Batch {
+    EpochReport epoch;
+    std::vector<TrafficDealRecord> deals;
+    std::vector<DoubleSpendIncident> double_spends;
+    AdmissionStats admission;
+    size_t peak_backlog = 0;
+    Tick peak_backlog_at = 0;
+  };
 
+  /// Derives the option-only state and an empty World; BuildFresh or a
+  /// snapshot restore fills it.
+  explicit Impl(const TrafficOptions& o);
+
+  /// Populates a fresh World: pool chains, BrokerPool, CbcService and the
+  /// tower operator register in that order, then every validator
+  /// reconfiguration and broker crash is scheduled as a durable event, so
+  /// it survives a checkpoint and re-fires at its original (time, seq).
+  void BuildFresh();
+  void RegisterHandlers();
+  CbcService::Options CbcOptions() const;
+  void MakeCbcDriver();
+
+  /// Runs deals [next_deal, next_deal + count): generates them, deploys
+  /// them (inline, or through admission events when the controller is on),
+  /// drives the World to its quiescent boundary, scans this batch's
+  /// receipts for evidence, validates, and folds the epoch fingerprint.
+  Batch RunBatch(size_t count);
+  Result<Bytes> DoCheckpoint();
+  ServiceReport BuildFinal() const;
+
+  TrafficOptions options;
+  size_t num_chains = 1;
+  std::vector<Protocol> mix;
+  bool any_cbc = false;
+  std::set<size_t> double_spend;
+  std::set<size_t> offline;
+  std::set<size_t> stale_proof;
+
+  std::unique_ptr<DealEnv> env;
+  std::vector<ChainId> pool;
+  std::unique_ptr<BrokerPool> broker_pool;
+  std::unique_ptr<CbcService> cbc_service;
+  TimelockDriver timelock_driver;
+  std::unique_ptr<CbcDriver> cbc_driver;
+  /// Towers armed this session; old towers stay subscribed but are inert
+  /// (their tags never recur).
+  std::vector<std::unique_ptr<Watchtower>> towers;
+  PartyId tower_operator;
+
+  // --- cross-batch state (everything here lands in the checkpoint) ---
+  size_t next_deal = 0;
+  size_t epochs_run = 0;
+  uint64_t towers_armed = 0;
+  uint64_t cbc_seen = 0;
+  uint64_t cumulative_fp = kFpInit;
+  size_t total_committed = 0;
+  size_t total_aborted = 0;
+  size_t total_timelock = 0;
+  size_t total_cbc = 0;
+  size_t total_broker_deals = 0;
+  size_t total_cross_shard = 0;
+  size_t total_stale = 0;
+  size_t total_double_spends = 0;
+  uint64_t total_gas = 0;
+  uint64_t total_untagged = 0;
+  uint64_t total_messages = 0;
+  Tick makespan = 0;
+  std::vector<EpochReport> reports;
+  std::vector<TrafficViolation> violations;
+  std::vector<BrokerDealOutcome> outcomes;
+
+  /// Per-chain scan-start index: each seal scans only receipts its batch
+  /// produced. NOT serialized — a restored chain starts with an empty
+  /// receipt vector, so both paths scan exactly the new batch's receipts.
+  std::vector<size_t> receipt_cursor;
+};
+
+TrafficService::Impl::Impl(const TrafficOptions& o) : options(o) {
+  num_chains = std::max<size_t>(1, options.num_chains);
+  mix = options.protocol_mix.empty()
+            ? std::vector<Protocol>{Protocol::kTimelock}
+            : options.protocol_mix;
+  for (Protocol p : mix) any_cbc = any_cbc || p == Protocol::kCbc;
+  double_spend = std::set<size_t>(options.double_spend_deals.begin(),
+                                  options.double_spend_deals.end());
+  offline = std::set<size_t>(options.offline_party_deals.begin(),
+                             options.offline_party_deals.end());
+  stale_proof = std::set<size_t>(options.stale_proof_deals.begin(),
+                                 options.stale_proof_deals.end());
   EnvConfig env_config;
   env_config.seed = options.base_seed;
   env_config.block_interval = options.block_interval;
-  DealEnv env(std::move(env_config));
-  if (options.indexed_observation) {
-    // Must flip before any block is produced: delivery mode is part of the
-    // run's deterministic schedule (chain/world.h).
-    env.world().set_observation_delivery(ObservationDelivery::kIndexed);
-  }
+  env = std::make_unique<DealEnv>(std::move(env_config));
+}
 
-  // Every per-deal runtime and checker lives here — one bump allocation
-  // each instead of 2D heap round-trips at D = 10^5.
-  Arena arena;
-
+void TrafficService::Impl::BuildFresh() {
+  World& world = env->world();
   // The shared chain pool every deal's assets are multiplexed onto.
-  std::vector<ChainId> pool;
   for (size_t c = 0; c < num_chains; ++c) {
-    ChainId id = env.AddChain("pool-" + std::to_string(c));
-    env.world().chain(id)->set_max_txs_per_block(options.block_capacity);
+    ChainId id = env->AddChain("pool-" + std::to_string(c));
+    world.chain(id)->set_max_txs_per_block(options.block_capacity);
     pool.push_back(id);
   }
-
-  // The broker subsystem: B shared broker identities with finite working
-  // capital and commodity inventory, deals round-robined over them. Inert
-  // when num_brokers == 0 (no parties, tokens, or RNG draws), which is what
-  // keeps zero-broker runs bit-identical to the legacy engine.
-  BrokerPool broker_pool(&env, options.brokers, pool);
-
-  const std::vector<Protocol>& mix =
-      options.protocol_mix.empty()
-          ? std::vector<Protocol>{Protocol::kTimelock}
-          : options.protocol_mix;
-  bool any_cbc = false;
-  for (size_t d = 0; d < num_deals; ++d) {
-    any_cbc = any_cbc || mix[d % mix.size()] == Protocol::kCbc;
-  }
-
+  // B shared broker identities with finite working capital and commodity
+  // inventory, deals round-robined over them. Inert when num_brokers == 0
+  // (no parties, tokens, or RNG draws).
+  broker_pool = std::make_unique<BrokerPool>(env.get(), options.brokers, pool);
   // The certified backend all CBC deals execute against: S shards, each a
-  // chain + validator set of its own, deals hashed to shards by deal id.
-  // With S = 1 this is exactly §6's single shared CBC — one contention
-  // point, as the paper envisions it.
-  std::unique_ptr<CbcService> cbc_service;
+  // chain + validator set of its own. With S = 1 this is exactly §6's single
+  // shared CBC.
   if (any_cbc) {
-    CbcService::Options service_options;
-    service_options.num_shards = std::max<size_t>(1, options.cbc_shards);
-    service_options.f = 1;
-    service_options.chain_name = "cbc";
-    service_options.validator_seed =
-        "traffic-" + std::to_string(options.base_seed);
-    service_options.block_interval = options.block_interval;
-    service_options.block_capacity = options.block_capacity;
-    cbc_service = std::make_unique<CbcService>(&env.world(), service_options);
+    cbc_service = std::make_unique<CbcService>(&world, CbcOptions());
+    MakeCbcDriver();
   }
-  TimelockDriver timelock_driver;
-  std::unique_ptr<CbcDriver> cbc_driver;
-  if (any_cbc) {
-    // The schedule carries options.delta into both protocols; keep the §6
-    // "wait at least Δ before rescinding" precondition satisfied when the
-    // workload asks for a Δ above the stock patience.
-    CbcDriver::Options cbc_options;
-    cbc_options.abort_patience =
-        std::max(cbc_options.abort_patience, options.delta);
-    cbc_driver =
-        std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
-  }
-
-  // Watchtower infrastructure: one operator identity, one tower per guarded
-  // deal (towers must outlive the scheduler drain).
-  std::vector<std::unique_ptr<Watchtower>> towers;
-  uint64_t towers_armed = 0;
-  PartyId tower_operator;
+  // One operator identity for every watchtower.
   if (options.watchtower_every > 0) {
-    tower_operator = env.AddParty("watchtower");
+    tower_operator = env->AddParty("watchtower");
   }
+  receipt_cursor.assign(world.num_chains(), 0);
+  RegisterHandlers();
 
-  std::set<size_t> double_spend(options.double_spend_deals.begin(),
-                                options.double_spend_deals.end());
-  std::set<size_t> offline(options.offline_party_deals.begin(),
-                           options.offline_party_deals.end());
-  std::set<size_t> stale_proof(options.stale_proof_deals.begin(),
-                               options.stale_proof_deals.end());
+  Scheduler& sched = world.scheduler();
+  if (cbc_service != nullptr) {
+    for (Tick t : options.cbc_reconfig_times) {
+      for (size_t s = 0; s < cbc_service->num_shards(); ++s) {
+        sched.ScheduleDurableAt(t, EventLabel{}, "cbc-reconfig", s);
+      }
+    }
+  }
+  if (broker_pool->enabled() && !options.broker_crash_times.empty()) {
+    const size_t num_brokers = broker_pool->num_brokers();
+    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
+      const uint64_t b = i % num_brokers;
+      sched.ScheduleDurableAt(options.broker_crash_times[i], EventLabel{},
+                              "broker-crash", b);
+      if (options.broker_recover_after > 0) {
+        sched.ScheduleDurableAt(
+            options.broker_crash_times[i] + options.broker_recover_after,
+            EventLabel{}, "broker-recover", b);
+      }
+    }
+  }
+}
 
-  // Arrival schedule: a pure function of (process, base_seed, mean gap) —
-  // computed up front so it is identical whether deals deploy eagerly or
-  // through admission events, and across any thread count.
-  std::vector<Tick> arrivals = BuildArrivalSchedule(
-      options.arrival, num_deals, options.base_seed,
+void TrafficService::Impl::RegisterHandlers() {
+  Scheduler& sched = env->world().scheduler();
+  Impl* self = this;
+  // At each reconfiguration tick every shard rotates its validator set
+  // (epoch + 1). Deals escrowed before the boundary still settle: their
+  // decide proofs chain the new epochs' certificates through the service's
+  // reconfiguration history.
+  sched.RegisterDurableHandler("cbc-reconfig", [self](uint64_t shard) {
+    if (self->cbc_service != nullptr) {
+      self->cbc_service->Reconfigure(static_cast<size_t>(shard));
+    }
+  });
+  // A broker crash loses her in-memory book; a recovery rebuilds it from
+  // on-chain escrow evidence.
+  sched.RegisterDurableHandler("broker-crash", [self](uint64_t b) {
+    self->broker_pool->CrashBroker(static_cast<size_t>(b));
+  });
+  sched.RegisterDurableHandler("broker-recover", [self](uint64_t b) {
+    self->broker_pool->RecoverBroker(static_cast<size_t>(b));
+  });
+}
+
+CbcService::Options TrafficService::Impl::CbcOptions() const {
+  CbcService::Options service_options;
+  service_options.num_shards = std::max<size_t>(1, options.cbc_shards);
+  service_options.f = 1;
+  service_options.chain_name = "cbc";
+  service_options.validator_seed =
+      "traffic-" + std::to_string(options.base_seed);
+  service_options.block_interval = options.block_interval;
+  service_options.block_capacity = options.block_capacity;
+  return service_options;
+}
+
+void TrafficService::Impl::MakeCbcDriver() {
+  // The schedule carries options.delta into both protocols; keep the §6
+  // "wait at least Δ before rescinding" precondition satisfied when the
+  // workload asks for a Δ above the stock patience.
+  CbcDriver::Options cbc_options;
+  cbc_options.abort_patience =
+      std::max(cbc_options.abort_patience, options.delta);
+  cbc_driver = std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
+}
+
+TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
+  World& world = env->world();
+  Scheduler& sched = world.scheduler();
+  const size_t first = next_deal;
+  const Tick base = world.now();
+
+  // The global arrival schedule is a pure function of (process, base_seed)
+  // over the deal-index prefix. Each deal arrives its schedule offset from
+  // the previous deal's arrival (from 0 for deal 0) after the batch's start,
+  // so batch 0 keeps the schedule as built and a restored run re-derives
+  // the same offsets as one that ran straight through.
+  const std::vector<Tick> arrivals = BuildArrivalSchedule(
+      options.arrival, first + count, options.base_seed,
       options.arrival == ArrivalProcess::kFixedStagger
           ? static_cast<double>(options.admission_gap)
           : options.mean_interarrival);
+  const Tick anchor = first == 0 ? 0 : arrivals[first - 1];
 
-  std::vector<DealSlot> slots(num_deals);
+  // Runtimes and checkers live exactly as long as the batch: every deal in
+  // it settles before the seal, and the broker pool prunes every escrow-view
+  // pointer at the boundary, so nothing dangles into the next batch.
+  Arena arena;
+  std::vector<DealSlot> slots(count);
 
-  // Anchors slot d's schedule at `admit_time` and deploys it. On the legacy
-  // path this runs inline during generation (bit-compatible with the
-  // pre-admission engine); with the controller on it runs from an admission
-  // event mid-simulation.
-  auto deploy_deal = [&env, &slots, &options, &timelock_driver, &cbc_driver,
-                      &arena, &broker_pool](size_t d, Tick admit_time) {
-    DealSlot& slot = slots[d];
+  // Anchors slot i's schedule at `admit_time` and deploys it: inline during
+  // generation, or from an admission event when the controller is on.
+  auto deploy_deal = [this, &world, &slots, &arena, first](size_t i,
+                                                           Tick admit_time) {
+    DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
     rec.admitted_at = admit_time;
 
-    // One shifted schedule drives either protocol.
+    // One shifted schedule drives either protocol. Deal tags are GLOBAL
+    // (index + 1) so gas attribution and observation stay collision-free
+    // across the engine's lifetime.
     DealTimings timings = DealTimings::DefaultsFor(rec.protocol);
     timings.ShiftBy(admit_time);
     timings.delta = options.delta;
-    timings.deal_tag = static_cast<uint64_t>(d) + 1;
+    timings.deal_tag = static_cast<uint64_t>(first + i) + 1;
 
     ProtocolDriver& driver = rec.protocol == Protocol::kCbc
                                  ? static_cast<ProtocolDriver&>(*cbc_driver)
                                  : timelock_driver;
-    slot.runtime = driver.CreateDealIn(&arena, &env.world(), slot.spec,
-                                       timings, &slot.factory);
+    slot.runtime = driver.CreateDealIn(&arena, &world, slot.spec, timings,
+                                       &slot.factory);
     Status started = slot.runtime->Deploy();
     if (!started.ok()) {
       rec.violation = "start-failed: " + started.ToString();
       return;
     }
     slot.checker = arena.Create<DealChecker>(
-        &env.world(), slot.spec, slot.runtime->escrow_contracts(),
+        &world, slot.spec, slot.runtime->escrow_contracts(),
         timings.deal_tag);
     if (rec.broker != 0) {
       // The brokers' balances move with every concurrent deal they are in;
       // their per-deal token expectations are undefined. Solvency is
       // asserted across the whole deal set by the portfolio check — every
       // hop of a chain deal is such a shared party.
-      for (PartyId p : broker_pool.SharedPartiesOf(d)) {
+      for (PartyId p : broker_pool->SharedPartiesOf(first + i)) {
         slot.checker->MarkSharedParty(p);
       }
     }
@@ -475,67 +652,70 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
     rec.started = true;
   };
 
-  // Resolves where a CBC deal's assets landed (CbcService::PlaceAssets) and
-  // records whether they span shards — the same resolution the deal's own
-  // CbcRun performs at deploy time.
-  auto note_placement = [&slots, &cbc_service](size_t d) {
-    DealSlot& slot = slots[d];
-    if (slot.rec.protocol != Protocol::kCbc || cbc_service == nullptr ||
+  // Installs slot i's spec and records its shape. For a CBC deal it also
+  // resolves where the assets land (CbcService::PlaceAssets) and whether
+  // they span shards — the same resolution the deal's own CbcRun performs
+  // at deploy time.
+  auto set_spec = [this, &slots](size_t i, DealSpec spec) {
+    DealSlot& slot = slots[i];
+    TrafficDealRecord& rec = slot.rec;
+    slot.spec = std::move(spec);
+    rec.parties = slot.spec.NumParties();
+    rec.assets = slot.spec.NumAssets();
+    rec.transfers = slot.spec.NumTransfers();
+    if (rec.protocol != Protocol::kCbc || cbc_service == nullptr ||
         slot.spec.assets.empty()) {
       return;
     }
     std::vector<ChainId> asset_chains;
     asset_chains.reserve(slot.spec.assets.size());
-    for (const AssetRef& a : slot.spec.assets) {
-      asset_chains.push_back(a.chain);
-    }
-    slot.rec.cross_shard =
-        cbc_service->PlaceAssets(slot.spec.deal_id, asset_chains)
-            .cross_shard();
+    for (const AssetRef& a : slot.spec.assets) asset_chains.push_back(a.chain);
+    rec.cross_shard = cbc_service->PlaceAssets(slot.spec.deal_id, asset_chains)
+                          .cross_shard();
+  };
+  // A broker deal's spec, priced from the pool's live state.
+  auto set_broker_spec = [this, &slots, &set_spec](size_t i) {
+    TrafficDealRecord& rec = slots[i].rec;
+    set_spec(i, broker_pool->MakeDeal(rec.index, rec.seed));
+    rec.broker_capital_need = broker_pool->CapitalNeed(rec.index);
+    rec.broker_inventory_need = broker_pool->InventoryNeed(rec.index);
   };
 
   // Dynamic pricing defers broker spec generation to the admission event
   // (margins priced from live occupancy); without the controller there is
   // no admission event, so generation stays eager.
   const bool defer_broker =
-      broker_pool.DynamicPricing() && options.admission.enabled;
+      broker_pool->DynamicPricing() && options.admission.enabled;
 
-  // --- generation: sequential by construction (mutates the World), every
-  //     deal's randomness from its own derived seed ---
-  size_t cbc_seen = 0;  // CBC deals so far, for cross-shard placement
-  for (size_t d = 0; d < num_deals; ++d) {
-    DealSlot& slot = slots[d];
+  // --- generation: sequential by construction (mutates the World), indexed
+  //     globally so derived seeds, protocol mix, injections and broker
+  //     round-robin continue the stream every earlier batch drew from ---
+  for (size_t i = 0; i < count; ++i) {
+    const size_t d = first + i;
+    DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
     rec.index = d;
     rec.seed = TrafficDealSeed(options.base_seed, d);
     rec.protocol = mix[d % mix.size()];
-    rec.arrival_at = arrivals[d];
-    rec.admitted_at = arrivals[d];
+    rec.arrival_at = base + (arrivals[d] - anchor);
+    rec.admitted_at = rec.arrival_at;
     Rng rng(rec.seed);
 
-    const bool inject =
-        double_spend.count(d) > 0 && d > 0 && double_spend.count(d - 1) == 0;
+    // Double-spend hosts must live in the same batch (the injected swap
+    // re-promises the host's tokens; the host's slot must still be open).
+    const bool inject = double_spend.count(d) > 0 && i > 0 &&
+                        double_spend.count(d - 1) == 0;
     if (inject) {
-      slot.spec = BuildDoubleSpendSpec(&env, slots[d - 1], d, rec.seed,
-                                       num_chains, &rng);
-      PartyId adversary = slot.spec.parties[0];
-      slot.has_adversary = true;
-      slot.adversary = adversary;
-      rec.tainted = true;
-      slots[d - 1].has_adversary = true;
-      slots[d - 1].adversary = adversary;
-      slots[d - 1].rec.tainted = true;
-    } else if (broker_pool.IsBrokerDeal(d)) {
+      set_spec(i, BuildDoubleSpendSpec(env.get(), slots[i - 1], d, rec.seed,
+                                       num_chains, &rng));
+      Taint(&slot, slot.spec.parties[0]);
+      Taint(&slots[i - 1], slot.spec.parties[0]);
+    } else if (broker_pool->IsBrokerDeal(d)) {
       // Figure-1 shape: this deal's middle party is a shared broker (or a
       // chain of them) whose capital/inventory the deal locks in flight.
-      rec.broker = broker_pool.BrokerOf(d) + 1;
-      if (defer_broker) {
-        slot.deferred_broker = true;  // spec built at first admission
-      } else {
-        slot.spec = broker_pool.MakeDeal(d, rec.seed);
-        rec.broker_capital_need = broker_pool.CapitalNeed(d);
-        rec.broker_inventory_need = broker_pool.InventoryNeed(d);
-      }
+      rec.broker = broker_pool->BrokerOf(d) + 1;
+      slot.deferred_broker = defer_broker;  // spec built at first admission
+      if (!defer_broker) set_broker_spec(i);
     } else {
       GenParams gen;
       gen.n_parties = options.min_parties +
@@ -551,49 +731,35 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
                           options.cbc_xshard_every > 0 &&
                           cbc_service != nullptr &&
                           cbc_seen % options.cbc_xshard_every == 0;
-      if (xshard) {
-        // Cross-shard placement: assets land on a contiguous window of the
-        // service's SHARD chains, so they settle on shards other than the
-        // deal's home shard via portable DecideProofs.
-        const size_t num_shards = cbc_service->num_shards();
-        size_t span = std::min(gen.m_assets, num_shards);
-        size_t start = rng.Below(num_shards);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(
-              cbc_service->chain((start + j) % num_shards));
-        }
-        gen.num_chains = span;
-      } else {
-        // A contiguous window of the pool, so deals overlap on chains.
-        size_t span = std::min(gen.m_assets, num_chains);
-        size_t start = rng.Below(num_chains);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(pool[(start + j) % num_chains]);
-        }
-        gen.num_chains = span;  // everything placed on the shared pool
+      // Cross-shard placement draws a contiguous window of the service's
+      // SHARD chains, so assets settle on shards other than the deal's home
+      // shard via portable DecideProofs; otherwise a contiguous window of
+      // the pool, so deals overlap on chains.
+      const size_t width = xshard ? cbc_service->num_shards() : num_chains;
+      const size_t span = std::min(gen.m_assets, width);
+      const size_t start = rng.Below(width);
+      for (size_t j = 0; j < span; ++j) {
+        gen.use_chains.push_back(xshard
+                                     ? cbc_service->chain((start + j) % width)
+                                     : pool[(start + j) % width]);
       }
-      slot.spec = GenerateRandomDeal(&env, gen);
+      gen.num_chains = span;
+      set_spec(i, GenerateRandomDeal(env.get(), gen));
     }
     if (rec.protocol == Protocol::kCbc) ++cbc_seen;
-    note_placement(d);
-    rec.parties = slot.spec.NumParties();
-    rec.assets = slot.spec.NumAssets();
-    rec.transfers = slot.spec.NumTransfers();
 
     if (rec.protocol == Protocol::kHtlc) {
       rec.violation = "start-failed: htlc has no traffic driver";
       continue;
     }
 
-    // The per-deal factory: offline-party injection + watchtower arming.
+    // The per-deal factory: injections, watchtower arming, broker hooks.
     TrafficPartyFactory& factory = slot.factory;
     if (offline.count(d) > 0 && !inject &&
         rec.protocol == Protocol::kTimelock && !slot.spec.escrows.empty()) {
       factory.offline = true;
       factory.offline_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.offline_party;
-      rec.tainted = true;
+      Taint(&slot, factory.offline_party);
     }
     if (stale_proof.count(d) > 0 && !inject && rec.broker == 0 &&
         rec.protocol == Protocol::kCbc && !slot.spec.escrows.empty()) {
@@ -603,15 +769,13 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       // deviating party.
       factory.stale_proof = true;
       factory.stale_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.stale_party;
-      rec.tainted = true;
+      Taint(&slot, factory.stale_party);
     }
     if (options.watchtower_every > 0 &&
         d % options.watchtower_every == 0 &&
         rec.protocol == Protocol::kTimelock) {
       factory.arm_tower = true;
-      factory.world = &env.world();
+      factory.world = &world;
       factory.tower_operator = tower_operator;
       factory.towers = &towers;
       factory.tower_crash_every = options.tower_crash_every;
@@ -620,29 +784,24 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       factory.towers_armed = &towers_armed;
     }
     if (rec.broker != 0) {
-      factory.broker_pool = &broker_pool;
+      factory.broker_pool = broker_pool.get();
       factory.deal_index = d;
     }
-
-    // Legacy path: no controller, deploy up front at the arrival time —
-    // the exact call sequence of the pre-admission engine, so fingerprints
-    // are preserved bit-for-bit.
-    if (!options.admission.enabled) {
-      deploy_deal(d, rec.admitted_at);
-    }
+    if (!options.admission.enabled) deploy_deal(i, rec.admitted_at);
   }
 
   // --- admission events: with the controller on, deployment itself moves
   //     onto the scheduler. Each deal's arrival consults the controller
   //     against live backlog/occupancy; over-threshold deals retry after a
   //     delay quantum and are shed once out of retries. Events are created
-  //     in index order, so equal-time arrivals stay deterministic. ---
-  AdmissionController controller(options.admission, &env.world());
-  if (broker_pool.enabled() && broker_pool.ChainDepth() > 1) {
+  //     in index order, so equal-time arrivals stay deterministic, and all
+  //     of them fire before the seal, so nothing here is checkpointed. ---
+  AdmissionController controller(options.admission, &world);
+  if (broker_pool->enabled() && broker_pool->ChainDepth() > 1) {
     // Chain deals register the hop-capital extension signal instead of the
     // single-broker built-in: one short hop blocks the whole chain.
     controller.RegisterSignal(std::make_unique<HopCapitalSignal>(
-        &broker_pool, options.admission.broker_gate));
+        broker_pool.get(), options.admission.broker_gate));
   }
   std::function<void(size_t)> admission_event;
   // Arrival and retry events the engine itself has scheduled but that have
@@ -653,331 +812,175 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
   if (options.admission.enabled) {
     const Tick retry_delay =
         options.admission.retry_delay > 0 ? options.admission.retry_delay : 1;
-    admission_event = [&env, &slots, &controller, &admission_event,
-                       &deploy_deal, &own_admission_events, &broker_pool,
-                       &note_placement, retry_delay](size_t d) {
+    admission_event = [this, &sched, &slots, &controller, &admission_event,
+                       &deploy_deal, &own_admission_events, &set_broker_spec,
+                       first, retry_delay](size_t i) {
       --own_admission_events;  // this event just fired
-      DealSlot& slot = slots[d];
+      const size_t d = first + i;
+      DealSlot& slot = slots[i];
       TrafficDealRecord& rec = slot.rec;
       // Dynamic pricing: the deferred broker spec is built at the deal's
       // FIRST admission attempt, so each hop's margin is priced from live
       // capital occupancy; retries keep the first-arrival price.
       if (slot.deferred_broker && slot.spec.parties.empty()) {
-        slot.spec = broker_pool.MakeDeal(d, rec.seed);
-        rec.broker_capital_need = broker_pool.CapitalNeed(d);
-        rec.broker_inventory_need = broker_pool.InventoryNeed(d);
-        rec.parties = slot.spec.NumParties();
-        rec.assets = slot.spec.NumAssets();
-        rec.transfers = slot.spec.NumTransfers();
-        note_placement(d);
+        set_broker_spec(i);
       }
       // Broker deals carry the capital signal: single-hop deals pass this
       // broker's live free capital/inventory to the broker built-in; chain
       // deals are covered by the registered hop-capital signal instead.
-      const bool chain_deal = rec.broker != 0 && broker_pool.ChainDepth() > 1;
+      const bool chain_deal = rec.broker != 0 && broker_pool->ChainDepth() > 1;
       BrokerSignal broker_signal;
       const bool has_broker_signal = rec.broker != 0 && !chain_deal;
-      if (has_broker_signal) broker_signal = broker_pool.SignalFor(d);
+      if (has_broker_signal) broker_signal = broker_pool->SignalFor(d);
       AdmissionDecision decision =
           controller.Decide(rec.admission_retries, own_admission_events,
                             has_broker_signal ? &broker_signal : nullptr, d);
       if (decision == AdmissionDecision::kDelay) {
         ++rec.admission_retries;
         ++own_admission_events;
-        env.world().scheduler().ScheduleAfter(
-            retry_delay, [&admission_event, d] { admission_event(d); });
+        sched.ScheduleAfter(retry_delay,
+                            [&admission_event, i] { admission_event(i); });
         return;
       }
-      Tick now = env.world().now();
+      // The wait this deal's retries cost, whether it is admitted or the
+      // policy gave up on it.
+      rec.admission_wait = sched.now() - rec.arrival_at;
       if (decision == AdmissionDecision::kShed) {
         rec.shed = true;
-        // The wait this deal's retries cost before the policy gave up.
-        rec.admission_wait = now - rec.arrival_at;
         return;
       }
-      rec.admission_wait = now - rec.arrival_at;
-      deploy_deal(d, now);
+      deploy_deal(i, sched.now());
     };
-    for (size_t d = 0; d < num_deals; ++d) {
-      if (slots[d].rec.protocol == Protocol::kHtlc) continue;  // no driver
+    for (size_t i = 0; i < count; ++i) {
+      if (slots[i].rec.protocol == Protocol::kHtlc) continue;  // no driver
       ++own_admission_events;
-      env.world().scheduler().ScheduleAt(
-          arrivals[d], [&admission_event, d] { admission_event(d); });
+      sched.ScheduleAt(slots[i].rec.arrival_at,
+                       [&admission_event, i] { admission_event(i); });
     }
   }
 
-  // --- mid-run validator reconfiguration: at each listed tick every shard
-  //     rotates its validator set (epoch + 1). Deals escrowed before the
-  //     boundary still settle: their decide proofs chain the new epochs'
-  //     certificates through the service's reconfiguration history. ---
-  if (cbc_service != nullptr) {
-    CbcService* service = cbc_service.get();
-    for (Tick t : options.cbc_reconfig_times) {
-      env.world().scheduler().ScheduleAt(t, [service] {
-        for (size_t s = 0; s < service->num_shards(); ++s) {
-          service->Reconfigure(s);
-        }
-      });
+  // --- drive to the quiescent boundary: every non-durable event fires
+  //     (admission events, tower watches and crash closures included); only
+  //     future durable events may remain pending. Durable events whose time
+  //     falls inside the batch fire in time order like any other. The step
+  //     hook tracks when the backlog peaks. ---
+  Batch result;
+  sched.SetStepObserver([&result](Tick now, size_t pending) {
+    if (pending > result.peak_backlog) {
+      result.peak_backlog = pending;
+      result.peak_backlog_at = now;
     }
-  }
-
-  // --- crash injection: listed ticks kill a broker (round-robin over the
-  //     pool); a recovery delay, when set, brings it back after rebuilding
-  //     its reservations from on-chain escrow evidence. ---
-  if (broker_pool.enabled() && !options.broker_crash_times.empty()) {
-    const size_t num_brokers = broker_pool.num_brokers();
-    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
-      const size_t b = i % num_brokers;
-      env.world().scheduler().ScheduleAt(
-          options.broker_crash_times[i],
-          [&broker_pool, b] { broker_pool.CrashBroker(b); });
-      if (options.broker_recover_after > 0) {
-        env.world().scheduler().ScheduleAt(
-            options.broker_crash_times[i] + options.broker_recover_after,
-            [&broker_pool, b] { broker_pool.RecoverBroker(b); });
-      }
-    }
-  }
-
-  // --- drive: one deterministic scheduler interleaves every deal's phases.
-  //     The fairness hook tracks when the backlog peaks. ---
-  Tick peak_backlog_at = 0;
-  size_t peak_backlog = 0;
-  env.world().scheduler().SetStepObserver(
-      [&peak_backlog, &peak_backlog_at](Tick now, size_t pending) {
-        if (pending > peak_backlog) {
-          peak_backlog = pending;
-          peak_backlog_at = now;
-        }
-      });
-  env.world().scheduler().Run();
-  env.world().scheduler().SetStepObserver(nullptr);
+  });
+  while (sched.pending() > sched.pending_durable()) sched.Step();
+  sched.SetStepObserver(nullptr);
+  const Tick sealed_at = world.now();
+  receipt_cursor.resize(world.num_chains(), 0);
 
   // --- differential oracle: the incrementally built receipt indexes must
   //     agree with a from-scratch full scan on every chain ---
   std::vector<uint32_t> index_mismatch_chains;
   if (options.fullscan_oracle) {
-    for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-      if (!env.world().chain(ChainId{c})->TagIndexMatchesFullScan()) {
+    for (uint32_t c = 0; c < world.num_chains(); ++c) {
+      if (!world.chain(ChainId{c})->TagIndexMatchesFullScan()) {
         index_mismatch_chains.push_back(c);
       }
     }
   }
 
-  // --- broker over-commitment: identified from on-chain evidence (bounced
-  //     broker escrow pulls) and tainted before validation, so the bounced
-  //     deal's clean abort is judged as the defense it is ---
-  if (broker_pool.enabled()) {
-    TaintBouncedBrokerEscrows(env.world(), &slots, broker_pool);
+  // --- broker over-commitment: a broker whose escrow pull bounced promised
+  //     the same finite capital/inventory to too many deals at once. She is
+  //     that deal's deviating party, tainted before validation so its clean
+  //     abort is judged as the defense it is. Derived from receipts, so any
+  //     replay of the same seed taints the same deals. ---
+  if (broker_pool->enabled()) {
+    auto sites = EscrowSites(
+        slots, [](const DealSlot& slot) { return slot.rec.broker != 0; });
+    ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
+      if (r.tag != "escrow" || r.status.ok()) return;
+      auto it = sites.find({r.chain.v, r.contract.v});
+      if (it == sites.end()) return;
+      DealSlot& slot = slots[it->second.first];
+      PartyId broker = broker_pool->BrokerParty(slot.rec.broker - 1);
+      if (r.sender == broker) Taint(&slot, broker);
+    });
   }
 
   // --- cross-shard replay evidence: decide submissions rejected on the
   //     escrow's shard-binding check. The rejections are counted and the
-  //     replaying party's deal tainted from the receipts alone, so any
-  //     replay of the same seed taints the same deals — injected or not. ---
-  size_t stale_decide_rejections = 0;
+  //     replaying party's deal tainted from the receipts alone. ---
+  size_t stale = 0;
   if (cbc_service != nullptr) {
-    // (chain, escrow contract) -> deal index, CBC deals only.
-    std::map<std::pair<uint32_t, uint32_t>, size_t> site;
-    for (size_t d = 0; d < slots.size(); ++d) {
-      const DealSlot& slot = slots[d];
-      if (!slot.rec.started || slot.rec.protocol != Protocol::kCbc) continue;
-      const std::vector<ContractId>& escrows =
-          slot.runtime->escrow_contracts();
-      for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-        site[{slot.spec.assets[a].chain.v, escrows[a].v}] = d;
+    auto sites = EscrowSites(slots, [](const DealSlot& slot) {
+      return slot.rec.protocol == Protocol::kCbc;
+    });
+    ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
+      if (r.tag != "decide" || r.status.ok() ||
+          r.status.ToString().find("shard mismatch") == std::string::npos) {
+        return;
       }
-    }
-    for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-      for (const Receipt& r : env.world().chain(ChainId{c})->receipts()) {
-        if (r.tag != "decide" || r.status.ok()) continue;
-        if (r.status.ToString().find("shard mismatch") == std::string::npos) {
-          continue;
-        }
-        ++stale_decide_rejections;
-        auto it = site.find({r.chain.v, r.contract.v});
-        if (it == site.end()) continue;
-        DealSlot& slot = slots[it->second];
-        slot.has_adversary = true;
-        slot.adversary = r.sender;
-        slot.rec.tainted = true;
-      }
-    }
+      ++stale;
+      auto it = sites.find({r.chain.v, r.contract.v});
+      if (it != sites.end()) Taint(&slots[it->second.first], r.sender);
+    });
   }
 
-  // --- per-deal gas/receipt attribution: one sequential pass. Gas that
-  //     reaches no deal's tag is leakage in the accounting and is reported
-  //     (a conformant engine keeps it at zero). ---
-  std::vector<uint64_t> gas_by_deal(num_deals + 1, 0);
-  std::vector<uint64_t> messages_by_deal(num_deals + 1, 0);
-  uint64_t untagged_gas = 0;
-  for (uint32_t c = 0; c < env.world().num_chains(); ++c) {
-    for (const Receipt& r : env.world().chain(ChainId{c})->receipts()) {
-      if (r.deal_tag == 0 || r.deal_tag > num_deals) {
-        untagged_gas += r.gas_used;
-        continue;
-      }
-      gas_by_deal[r.deal_tag] += r.gas_used;
-      ++messages_by_deal[r.deal_tag];
+  // --- per-deal gas/receipt attribution: tags outside the batch's global
+  //     range are leakage (a conformant engine keeps it zero: every deal
+  //     settles before its batch seals) ---
+  uint64_t untagged = 0;
+  ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
+    if (r.deal_tag <= first || r.deal_tag > first + count) {
+      untagged += r.gas_used;
+      return;
     }
-  }
-  for (size_t d = 0; d < num_deals; ++d) {
-    slots[d].rec.gas = gas_by_deal[d + 1];
-    slots[d].rec.messages = messages_by_deal[d + 1];
-  }
+    TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
+    rec.gas += r.gas_used;
+    ++rec.messages;
+  });
 
   // --- validate: independent per deal, read-only on the World; workers
   //     write into their own slots, so any thread count folds identically ---
-  WorkerPool pool_workers(options.num_threads);
-  pool_workers.ParallelFor(num_deals,
-                           [&slots](size_t d) { ValidateDeal(&slots[d]); });
+  WorkerPool workers(options.num_threads);
+  workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
 
-  // --- aggregate: sequential, index-ordered ---
-  TrafficReport report;
-  report.num_deals = num_deals;
-  report.cbc_shards = std::max<size_t>(1, options.cbc_shards);
-  report.untagged_gas = untagged_gas;
-  report.events_executed = env.world().scheduler().stats().executed;
-  // Both backlog fields come from the same step-hook measurement so the
-  // (depth, tick) pair is coherent; the scheduler's own max_pending counter
-  // additionally counts the pre-run admission burst.
-  report.max_backlog = peak_backlog;
-  report.peak_backlog_at = peak_backlog_at;
+  result.double_spends = DetectDoubleSpends(world, slots, receipt_cursor);
 
-  // The legacy fold is kept byte-identical in legacy mode; open-loop /
-  // admission-controlled runs additionally fold every deal's admission fate
-  // so a changed schedule or policy can never alias an old fingerprint.
-  const bool open_loop_fp = options.arrival != ArrivalProcess::kFixedStagger ||
-                            options.admission.enabled;
-  const bool broker_fp = broker_pool.enabled();
-  // Hop chains / priced margins and cross-shard placement each fold their
-  // own per-deal facts, gated on their knobs so legacy configs keep their
-  // exact historical fingerprints.
-  const bool hopchain_fp =
-      broker_pool.enabled() &&
-      (broker_pool.ChainDepth() > 1 || broker_pool.DynamicPricing());
-  const bool xshard_fp = options.cbc_xshard_every > 0;
+  // --- seal: fold the epoch fingerprint (a batch header, then every
+  //     deal's record, then the batch's evidence), chain it into the
+  //     cumulative fold, accumulate totals ---
+  EpochReport& epoch = result.epoch;
+  epoch.index = epochs_run;
+  epoch.first_deal = first;
+  epoch.num_deals = count;
+  const size_t violations_before = violations.size();
+
   std::vector<Tick> latencies;
-  std::vector<uint64_t> gas_values;
-  uint64_t fp = 0x452821E638D01377ULL;
-  for (size_t d = 0; d < num_deals; ++d) {
-    TrafficDealRecord& rec = slots[d].rec;
-    if (rec.protocol == Protocol::kTimelock) {
-      ++report.timelock_deals;
-    } else {
-      ++report.cbc_deals;
-    }
-    if (rec.committed) ++report.committed;
-    if (rec.aborted) ++report.aborted;
-    if (rec.mixed) ++report.mixed;
-    if (rec.shed) ++report.shed;
-    if (rec.admitted_at > rec.arrival_at) ++report.delayed_deals;
-    report.admission_retries += rec.admission_retries;
-    report.max_admission_wait =
-        std::max(report.max_admission_wait, rec.admission_wait);
-    report.total_gas += rec.gas;
-    report.total_messages += rec.messages;
-    report.makespan = std::max(report.makespan, rec.settle_time);
+  uint64_t fp = kFpInit;
+  fp = MixFingerprint(fp, epochs_run);
+  fp = MixFingerprint(fp, first);
+  fp = MixFingerprint(fp, count);
+  fp = MixFingerprint(fp, base);
+  for (DealSlot& slot : slots) {
+    TrafficDealRecord& rec = slot.rec;
+    ++(rec.protocol == Protocol::kTimelock ? total_timelock : total_cbc);
+    epoch.committed += rec.committed ? 1 : 0;
+    epoch.aborted += rec.aborted ? 1 : 0;
+    epoch.gas += rec.gas;
+    total_messages += rec.messages;
+    makespan = std::max(makespan, rec.settle_time);
     if (rec.all_settled && rec.settle_time > 0) {
       latencies.push_back(rec.latency);
     }
-    gas_values.push_back(rec.gas);
     if (!rec.violation.empty()) {
-      report.violations.push_back(
-          TrafficViolation{d, rec.seed, rec.protocol, rec.violation});
+      violations.push_back(
+          TrafficViolation{rec.index, rec.seed, rec.protocol, rec.violation});
     }
-
-    fp = MixFingerprint(fp, rec.index);
-    fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, rec.OutcomeBits());
-    fp = MixFingerprint(fp, rec.gas);
-    fp = MixFingerprint(fp, rec.messages);
-    fp = MixFingerprint(fp, rec.settle_time);
-    fp = MixFingerprint(fp, FingerprintString(rec.violation));
-    if (open_loop_fp) {
-      fp = MixFingerprint(fp, rec.arrival_at);
-      fp = MixFingerprint(fp, rec.admitted_at);
-      fp = MixFingerprint(fp, static_cast<uint64_t>(rec.shed) |
-                                  static_cast<uint64_t>(rec.admission_retries)
-                                      << 1);
-      fp = MixFingerprint(fp, rec.admission_wait);
-    }
-    if (broker_fp) {
-      if (rec.broker != 0) ++report.broker_deals;
-      fp = MixFingerprint(fp, rec.broker);
-      fp = MixFingerprint(fp, rec.broker_capital_need);
-      fp = MixFingerprint(fp, rec.broker_inventory_need);
-    }
+    if (rec.cross_shard) ++total_cross_shard;
     if (rec.broker != 0) {
-      rec.price_points = broker_pool.PricePointsOf(d);
-    }
-    if (rec.cross_shard) ++report.cross_shard_deals;
-    if (hopchain_fp) {
-      fp = MixFingerprint(fp, rec.price_points.size());
-      for (const BrokerPool::PricePoint& pt : rec.price_points) {
-        fp = MixFingerprint(fp, pt.occupancy);
-        fp = MixFingerprint(fp, pt.margin);
-      }
-    }
-    if (xshard_fp) {
-      fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
-    }
-  }
-
-  report.latency_p50 = Percentile(latencies, 50);
-  report.latency_p90 = Percentile(latencies, 90);
-  report.latency_p99 = Percentile(latencies, 99);
-  report.gas_p50 = Percentile(gas_values, 50);
-  report.gas_p99 = Percentile(gas_values, 99);
-  if (report.makespan > 0) {
-    report.deals_per_ktick =
-        1000.0 * static_cast<double>(report.committed) /
-        static_cast<double>(report.makespan);
-  }
-  // Offered load: (D-1) inter-arrival gaps over the arrival window.
-  if (num_deals > 1 && arrivals.back() > arrivals.front()) {
-    report.offered_per_ktick =
-        1000.0 * static_cast<double>(num_deals - 1) /
-        static_cast<double>(arrivals.back() - arrivals.front());
-  }
-  if (options.admission.enabled) {
-    report.peak_backlog_seen = controller.stats().peak_backlog_seen;
-    report.peak_occupancy_seen = controller.stats().peak_occupancy_seen;
-  }
-
-  for (uint32_t c : index_mismatch_chains) {
-    report.violations.push_back(TrafficViolation{
-        0, options.base_seed, Protocol::kTimelock,
-        "receipt-index-mismatch: chain " + std::to_string(c) +
-            " tag index disagrees with full scan"});
-  }
-
-  report.stale_decide_rejections = stale_decide_rejections;
-  if (!options.stale_proof_deals.empty()) {
-    fp = MixFingerprint(fp, stale_decide_rejections);
-  }
-  report.broker_hop_depth =
-      broker_pool.enabled() ? broker_pool.ChainDepth() : 1;
-
-  fp = MixFingerprint(fp, untagged_gas);
-  report.double_spends = DetectDoubleSpends(env.world(), slots);
-  for (const DoubleSpendIncident& incident : report.double_spends) {
-    fp = MixFingerprint(fp, incident.loser_deal);
-    fp = MixFingerprint(fp, incident.winner_deal);
-    fp = MixFingerprint(fp, incident.party);
-  }
-
-  // --- per-broker aggregation: gas/latency attribution, occupancy
-  //     timelines, and the portfolio conformance check, folded into the
-  //     fingerprint so a changed broker fate can never alias a report ---
-  if (broker_pool.enabled()) {
-    std::vector<BrokerDealOutcome> outcomes;
-    outcomes.reserve(report.broker_deals);
-    for (size_t d = 0; d < num_deals; ++d) {
-      const TrafficDealRecord& rec = slots[d].rec;
-      if (rec.broker == 0) continue;
+      ++total_broker_deals;
+      rec.price_points = broker_pool->PricePointsOf(rec.index);
       BrokerDealOutcome outcome;
-      outcome.deal_index = d;
+      outcome.deal_index = rec.index;
       outcome.arrival_at = rec.arrival_at;
       outcome.admitted_at = rec.admitted_at;
       outcome.settle_time = rec.settle_time;
@@ -990,31 +993,149 @@ TrafficReport RunTraffic(const TrafficOptions& options) {
       outcome.gas = rec.gas;
       outcomes.push_back(outcome);
     }
-    report.brokers = broker_pool.BuildRecords(outcomes);
-    report.broker_blocked = controller.stats().broker_blocked;
-    for (const BrokerRecord& broker : report.brokers) {
-      if (!broker.portfolio_ok) ++report.broker_portfolio_violations;
-      fp = MixFingerprint(fp, broker.index);
-      fp = MixFingerprint(fp, broker.party);
-      fp = MixFingerprint(fp, broker.deals);
-      fp = MixFingerprint(fp, broker.committed);
-      fp = MixFingerprint(fp, broker.aborted);
-      fp = MixFingerprint(fp, broker.shed);
-      fp = MixFingerprint(fp, broker.delayed);
-      fp = MixFingerprint(fp, broker.gas);
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.coin_delta));
-      fp = MixFingerprint(fp, static_cast<uint64_t>(broker.inventory_delta));
-      fp = MixFingerprint(fp, broker.peak_capital_in_use);
-      fp = MixFingerprint(fp, broker.peak_inventory_in_use);
-      fp = MixFingerprint(fp, broker.portfolio_ok ? 1 : 0);
-    }
-  }
-  report.fingerprint = fp;
 
-  report.deals.reserve(num_deals);
-  for (DealSlot& slot : slots) {
-    report.deals.push_back(std::move(slot.rec));
+    fp = MixFingerprint(fp, rec.index);
+    fp = MixFingerprint(fp, rec.seed);
+    fp = MixFingerprint(fp, rec.OutcomeBits());
+    fp = MixFingerprint(fp, rec.gas);
+    fp = MixFingerprint(fp, rec.messages);
+    fp = MixFingerprint(fp, rec.settle_time);
+    fp = MixFingerprint(fp, FingerprintString(rec.violation));
+    fp = MixFingerprint(fp, rec.arrival_at);
+    fp = MixFingerprint(fp, rec.admitted_at);
+    fp = MixFingerprint(fp, static_cast<uint64_t>(rec.shed) |
+                                static_cast<uint64_t>(rec.admission_retries)
+                                    << 1);
+    fp = MixFingerprint(fp, rec.admission_wait);
+    fp = MixFingerprint(fp, rec.broker);
+    fp = MixFingerprint(fp, rec.broker_capital_need);
+    fp = MixFingerprint(fp, rec.broker_inventory_need);
+    fp = MixFingerprint(fp, rec.price_points.size());
+    for (const BrokerPool::PricePoint& pt : rec.price_points) {
+      fp = MixFingerprint(fp, pt.occupancy);
+      fp = MixFingerprint(fp, pt.margin);
+    }
+    fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
   }
+  fp = MixFingerprint(fp, stale);
+  fp = MixFingerprint(fp, untagged);
+  for (const DoubleSpendIncident& incident : result.double_spends) {
+    fp = MixFingerprint(fp, incident.loser_deal);
+    fp = MixFingerprint(fp, incident.winner_deal);
+    fp = MixFingerprint(fp, incident.party);
+  }
+  fp = MixFingerprint(fp, sealed_at);
+  for (uint32_t c : index_mismatch_chains) {
+    violations.push_back(TrafficViolation{
+        0, options.base_seed, Protocol::kTimelock,
+        "receipt-index-mismatch: chain " + std::to_string(c) +
+            " tag index disagrees with full scan"});
+  }
+
+  epoch.violations = violations.size() - violations_before;
+  epoch.double_spends = result.double_spends.size();
+  epoch.stale_decide_rejections = stale;
+  epoch.untagged_gas = untagged;
+  epoch.latency_p50 = Percentile(latencies, 50);
+  epoch.latency_p99 = Percentile(latencies, 99);
+  epoch.sealed_at = sealed_at;
+  epoch.events_executed = sched.stats().executed;
+  epoch.epoch_fingerprint = fp;
+  total_committed += epoch.committed;
+  total_aborted += epoch.aborted;
+  total_gas += epoch.gas;
+  total_stale += stale;
+  total_untagged += untagged;
+  total_double_spends += result.double_spends.size();
+  cumulative_fp = MixFingerprint(cumulative_fp, fp);
+  epoch.cumulative_fingerprint = cumulative_fp;
+  result.admission = controller.stats();
+
+  // --- boundary hygiene: every reservation's deposit has landed or settled
+  //     by quiescence, so the pool drops its runtime pointers before the
+  //     arena (and the batch's runtimes) die; cursors advance so the next
+  //     seal scans only its own window. ---
+  broker_pool->PruneAll();
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
+  }
+  ++epochs_run;
+  next_deal = first + count;
+  reports.push_back(epoch);
+
+  result.deals.reserve(count);
+  for (DealSlot& slot : slots) result.deals.push_back(std::move(slot.rec));
+  return result;
+}
+
+TrafficReport RunTraffic(const TrafficOptions& options) {
+  TrafficService::Impl engine(options);
+  engine.BuildFresh();
+  TrafficService::Impl::Batch batch = engine.RunBatch(options.num_deals);
+  ServiceReport sealed = engine.BuildFinal();
+
+  TrafficReport report;
+  report.num_deals = options.num_deals;
+  report.cbc_shards = std::max<size_t>(1, options.cbc_shards);
+  report.committed = sealed.committed;
+  report.aborted = sealed.aborted;
+  report.timelock_deals = sealed.timelock_deals;
+  report.cbc_deals = sealed.cbc_deals;
+  report.broker_deals = sealed.broker_deals;
+  report.broker_hop_depth =
+      engine.broker_pool->enabled() ? engine.broker_pool->ChainDepth() : 1;
+  report.cross_shard_deals = sealed.cross_shard_deals;
+  report.stale_decide_rejections = sealed.stale_decide_rejections;
+  report.broker_portfolio_violations = sealed.broker_portfolio_violations;
+  report.broker_blocked = batch.admission.broker_blocked;
+  report.peak_backlog_seen = batch.admission.peak_backlog_seen;
+  report.peak_occupancy_seen = batch.admission.peak_occupancy_seen;
+  report.total_gas = sealed.total_gas;
+  report.total_messages = sealed.total_messages;
+  report.untagged_gas = sealed.untagged_gas;
+  report.events_executed = batch.epoch.events_executed;
+  report.max_backlog = batch.peak_backlog;
+  report.peak_backlog_at = batch.peak_backlog_at;
+  report.makespan = sealed.makespan;
+
+  std::vector<Tick> latencies;
+  std::vector<uint64_t> gas_values;
+  gas_values.reserve(batch.deals.size());
+  for (const TrafficDealRecord& rec : batch.deals) {
+    if (rec.mixed) ++report.mixed;
+    if (rec.shed) ++report.shed;
+    if (rec.admitted_at > rec.arrival_at) ++report.delayed_deals;
+    report.admission_retries += rec.admission_retries;
+    report.max_admission_wait =
+        std::max(report.max_admission_wait, rec.admission_wait);
+    if (rec.all_settled && rec.settle_time > 0) {
+      latencies.push_back(rec.latency);
+    }
+    gas_values.push_back(rec.gas);
+  }
+  report.latency_p50 = Percentile(latencies, 50);
+  report.latency_p90 = Percentile(latencies, 90);
+  report.latency_p99 = Percentile(latencies, 99);
+  report.gas_p50 = Percentile(gas_values, 50);
+  report.gas_p99 = Percentile(gas_values, 99);
+  if (report.makespan > 0) {
+    report.deals_per_ktick = 1000.0 * static_cast<double>(report.committed) /
+                             static_cast<double>(report.makespan);
+  }
+  // Offered load: (D-1) inter-arrival gaps over the arrival window.
+  if (batch.deals.size() > 1 &&
+      batch.deals.back().arrival_at > batch.deals.front().arrival_at) {
+    report.offered_per_ktick =
+        1000.0 * static_cast<double>(batch.deals.size() - 1) /
+        static_cast<double>(batch.deals.back().arrival_at -
+                            batch.deals.front().arrival_at);
+  }
+
+  report.deals = std::move(batch.deals);
+  report.violations = std::move(sealed.violations);
+  report.double_spends = std::move(batch.double_spends);
+  report.brokers = std::move(sealed.brokers);
+  report.fingerprint = sealed.final_fingerprint;
   return report;
 }
 
@@ -1125,658 +1246,16 @@ std::string TrafficReport::Summary() const {
   return s;
 }
 
-// ===========================================================================
-// TrafficService: the engine as a long-lived process with epochs,
-// checkpoint/restore, and crash-recovery.
-// ===========================================================================
-
-namespace {
-
-/// The fold every fingerprint in the engine starts from (RunTraffic uses the
-/// same constant; service-mode fingerprints are a separate domain because
-/// the epoch header is folded before any deal).
-constexpr uint64_t kFpInit = 0x452821E638D01377ULL;
-
-/// Snapshot envelope framing.
-constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
-
-Status ValidateServiceOptions(const TrafficOptions& options) {
-  if (options.deals_per_epoch == 0) {
-    return Status::InvalidArgument(
-        "service mode requires deals_per_epoch > 0");
-  }
-  if (!options.indexed_observation) {
-    return Status::InvalidArgument(
-        "service mode requires indexed_observation: broadcast delivery "
-        "draws sequential RNG for observers of settled deals that do not "
-        "exist after a restore, so broadcast runs cannot resume "
-        "bit-identically");
-  }
-  if (options.admission.enabled) {
-    return Status::InvalidArgument(
-        "service mode does not support the admission controller "
-        "(controller state is not checkpointable)");
-  }
-  return Status::OK();
-}
-
-/// Order-sensitive fold over every workload-defining option. Stamped into
-/// the snapshot envelope so a restore under different options is rejected
-/// instead of silently diverging. num_threads is deliberately excluded:
-/// validation threading must not affect results, and restoring under a
-/// different thread count is a supported (and tested) configuration.
-uint64_t OptionsFingerprint(const TrafficOptions& o) {
-  uint64_t fp = 0x9E3779B97F4A7C15ULL;
-  auto mix = [&fp](uint64_t v) { fp = MixFingerprint(fp, v); };
-  mix(o.base_seed);
-  mix(o.num_deals);
-  mix(o.num_chains);
-  mix(o.cbc_shards);
-  mix(o.cbc_xshard_every);
-  mix(o.cbc_reconfig_times.size());
-  for (Tick t : o.cbc_reconfig_times) mix(t);
-  mix(o.stale_proof_deals.size());
-  for (size_t d : o.stale_proof_deals) mix(d);
-  mix(o.block_capacity);
-  mix(o.block_interval);
-  mix(o.admission_gap);
-  mix(o.delta);
-  mix(static_cast<uint64_t>(o.arrival));
-  mix(static_cast<uint64_t>(o.mean_interarrival * 1024.0));
-  mix(o.admission.enabled ? 1 : 0);
-  mix(o.min_parties);
-  mix(o.max_parties);
-  mix(o.min_assets);
-  mix(o.max_assets);
-  mix(o.extra_transfers);
-  mix(o.nft_every);
-  mix(o.protocol_mix.size());
-  for (Protocol p : o.protocol_mix) mix(static_cast<uint64_t>(p));
-  mix(o.double_spend_deals.size());
-  for (size_t d : o.double_spend_deals) mix(d);
-  mix(o.offline_party_deals.size());
-  for (size_t d : o.offline_party_deals) mix(d);
-  mix(o.watchtower_every);
-  mix(o.brokers.num_brokers);
-  mix(o.brokers.broker_every);
-  mix(o.brokers.working_capital);
-  mix(o.brokers.inventory);
-  mix(o.brokers.min_units);
-  mix(o.brokers.max_units);
-  mix(o.brokers.unit_price);
-  mix(o.brokers.unit_margin);
-  mix(o.brokers.hop_depth);
-  mix(o.brokers.margin_slope);
-  mix(o.indexed_observation ? 1 : 0);
-  mix(o.fullscan_oracle ? 1 : 0);
-  mix(o.deals_per_epoch);
-  mix(o.tower_crash_every);
-  mix(o.tower_crash_after);
-  mix(o.tower_recover_after);
-  mix(o.broker_crash_times.size());
-  for (Tick t : o.broker_crash_times) mix(t);
-  mix(o.broker_recover_after);
-  return fp;
-}
-
-}  // namespace
-
-struct TrafficService::Impl {
-  TrafficOptions options;
-  size_t num_chains = 1;
-  std::vector<Protocol> mix;
-  bool any_cbc = false;
-  std::set<size_t> double_spend;
-  std::set<size_t> offline;
-  std::set<size_t> stale_proof;
-
-  std::unique_ptr<DealEnv> env;
-  std::vector<ChainId> pool;
-  std::unique_ptr<BrokerPool> broker_pool;
-  std::unique_ptr<CbcService> cbc_service;
-  TimelockDriver timelock_driver;
-  std::unique_ptr<CbcDriver> cbc_driver;
-  /// Towers armed this session; old towers stay subscribed but are inert
-  /// (their tags never recur under indexed delivery).
-  std::vector<std::unique_ptr<Watchtower>> towers;
-  PartyId tower_operator;
-
-  // --- cross-epoch state (everything here lands in the checkpoint) ---
-  size_t next_deal = 0;
-  size_t epochs_run = 0;
-  uint64_t towers_armed = 0;
-  uint64_t cbc_seen = 0;
-  uint64_t cumulative_fp = kFpInit;
-  size_t total_committed = 0;
-  size_t total_aborted = 0;
-  size_t total_timelock = 0;
-  size_t total_cbc = 0;
-  size_t total_broker_deals = 0;
-  size_t total_cross_shard = 0;
-  size_t total_stale = 0;
-  size_t total_double_spends = 0;
-  uint64_t total_gas = 0;
-  uint64_t total_untagged = 0;
-  uint64_t total_messages = 0;
-  Tick makespan = 0;
-  std::vector<EpochReport> reports;
-  std::vector<TrafficViolation> violations;
-  std::vector<BrokerDealOutcome> outcomes;
-
-  /// Per-chain scan-start index: the epoch seal scans only receipts this
-  /// epoch produced. NOT serialized — a restored chain starts with an empty
-  /// receipt vector, so both paths scan exactly the new epoch's receipts.
-  std::vector<size_t> receipt_cursor;
-
-  void RegisterHandlers() {
-    Scheduler& sched = env->world().scheduler();
-    Impl* self = this;
-    sched.RegisterDurableHandler("cbc-reconfig", [self](uint64_t shard) {
-      if (self->cbc_service != nullptr) {
-        self->cbc_service->Reconfigure(static_cast<size_t>(shard));
-      }
-    });
-    sched.RegisterDurableHandler("broker-crash", [self](uint64_t b) {
-      self->broker_pool->CrashBroker(static_cast<size_t>(b));
-    });
-    sched.RegisterDurableHandler("broker-recover", [self](uint64_t b) {
-      self->broker_pool->RecoverBroker(static_cast<size_t>(b));
-    });
-  }
-
-  /// Shared construction tail of Create and FromSnapshot: the pieces that
-  /// are pure functions of the options.
-  void InitDerived() {
-    num_chains = std::max<size_t>(1, options.num_chains);
-    mix = options.protocol_mix.empty()
-              ? std::vector<Protocol>{Protocol::kTimelock}
-              : options.protocol_mix;
-    for (Protocol p : mix) any_cbc = any_cbc || p == Protocol::kCbc;
-    double_spend = std::set<size_t>(options.double_spend_deals.begin(),
-                                    options.double_spend_deals.end());
-    offline = std::set<size_t>(options.offline_party_deals.begin(),
-                               options.offline_party_deals.end());
-    stale_proof = std::set<size_t>(options.stale_proof_deals.begin(),
-                                   options.stale_proof_deals.end());
-  }
-
-  CbcService::Options CbcOptions() const {
-    CbcService::Options service_options;
-    service_options.num_shards = std::max<size_t>(1, options.cbc_shards);
-    service_options.f = 1;
-    service_options.chain_name = "cbc";
-    service_options.validator_seed =
-        "traffic-" + std::to_string(options.base_seed);
-    service_options.block_interval = options.block_interval;
-    service_options.block_capacity = options.block_capacity;
-    return service_options;
-  }
-
-  void MakeCbcDriver() {
-    CbcDriver::Options cbc_options;
-    cbc_options.abort_patience =
-        std::max(cbc_options.abort_patience, options.delta);
-    cbc_driver = std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
-  }
-
-  EpochReport RunEpoch();
-  Result<Bytes> DoCheckpoint();
-  ServiceReport BuildFinal() const;
-};
-
-TrafficService::TrafficService() : impl_(new Impl) {}
+TrafficService::TrafficService(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
 TrafficService::~TrafficService() = default;
 
 Result<std::unique_ptr<TrafficService>> TrafficService::Create(
     const TrafficOptions& options) {
-  Status valid = ValidateServiceOptions(options);
-  if (!valid.ok()) return valid;
-
-  auto service = std::unique_ptr<TrafficService>(new TrafficService());
-  Impl& im = *service->impl_;
-  im.options = options;
-  im.InitDerived();
-
-  EnvConfig env_config;
-  env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
-  im.env = std::make_unique<DealEnv>(std::move(env_config));
-  World& world = im.env->world();
-  world.set_observation_delivery(ObservationDelivery::kIndexed);
-
-  for (size_t c = 0; c < im.num_chains; ++c) {
-    ChainId id = im.env->AddChain("pool-" + std::to_string(c));
-    world.chain(id)->set_max_txs_per_block(options.block_capacity);
-    im.pool.push_back(id);
-  }
-  im.broker_pool =
-      std::make_unique<BrokerPool>(im.env.get(), options.brokers, im.pool);
-  if (im.any_cbc) {
-    im.cbc_service = std::make_unique<CbcService>(&world, im.CbcOptions());
-    im.MakeCbcDriver();
-  }
-  if (options.watchtower_every > 0) {
-    im.tower_operator = im.env->AddParty("watchtower");
-  }
-  im.receipt_cursor.assign(world.num_chains(), 0);
-  im.RegisterHandlers();
-
-  // Cross-epoch work is scheduled DURABLY so it survives a checkpoint: a
-  // validator rotation or broker kill three epochs out re-fires at the
-  // original (time, seq) position in a restored run.
-  Scheduler& sched = world.scheduler();
-  if (im.cbc_service != nullptr) {
-    for (Tick t : options.cbc_reconfig_times) {
-      for (size_t s = 0; s < im.cbc_service->num_shards(); ++s) {
-        sched.ScheduleDurableAt(t, EventLabel{}, "cbc-reconfig", s);
-      }
-    }
-  }
-  if (im.broker_pool->enabled() && !options.broker_crash_times.empty()) {
-    const size_t num_brokers = im.broker_pool->num_brokers();
-    for (size_t i = 0; i < options.broker_crash_times.size(); ++i) {
-      const uint64_t b = i % num_brokers;
-      sched.ScheduleDurableAt(options.broker_crash_times[i], EventLabel{},
-                              "broker-crash", b);
-      if (options.broker_recover_after > 0) {
-        sched.ScheduleDurableAt(
-            options.broker_crash_times[i] + options.broker_recover_after,
-            EventLabel{}, "broker-recover", b);
-      }
-    }
-  }
-  return service;
-}
-
-EpochReport TrafficService::Impl::RunEpoch() {
-  World& world = env->world();
-  Scheduler& sched = world.scheduler();
-  const size_t first = next_deal;
-  const size_t count = options.deals_per_epoch;
-  const Tick epoch_base = world.now();
-
-  // The global arrival schedule is a pure function of (process, base_seed)
-  // over the deal-index prefix; the epoch re-anchors its slice at the
-  // current clock. Offsets are identical whether the run was restored at
-  // this boundary or ran straight through.
-  std::vector<Tick> arrivals = BuildArrivalSchedule(
-      options.arrival, first + count, options.base_seed,
-      options.arrival == ArrivalProcess::kFixedStagger
-          ? static_cast<double>(options.admission_gap)
-          : options.mean_interarrival);
-
-  // Runtimes and checkers live exactly as long as the epoch: every deal in
-  // it settles before the seal, and the broker pool prunes every escrow-view
-  // pointer at the boundary, so nothing dangles into the next epoch.
-  Arena arena;
-  std::vector<DealSlot> slots(count);
-
-  auto deploy_deal = [this, &world, &slots, &arena, first](size_t i,
-                                                           Tick admit_time) {
-    DealSlot& slot = slots[i];
-    TrafficDealRecord& rec = slot.rec;
-    rec.admitted_at = admit_time;
-
-    DealTimings timings = DealTimings::DefaultsFor(rec.protocol);
-    timings.ShiftBy(admit_time);
-    timings.delta = options.delta;
-    // Deal tags are GLOBAL (index + 1) so gas attribution and indexed
-    // observation stay collision-free across the whole service lifetime.
-    timings.deal_tag = static_cast<uint64_t>(first + i) + 1;
-
-    ProtocolDriver& driver = rec.protocol == Protocol::kCbc
-                                 ? static_cast<ProtocolDriver&>(*cbc_driver)
-                                 : timelock_driver;
-    slot.runtime = driver.CreateDealIn(&arena, &world, slot.spec, timings,
-                                       &slot.factory);
-    Status started = slot.runtime->Deploy();
-    if (!started.ok()) {
-      rec.violation = "start-failed: " + started.ToString();
-      return;
-    }
-    slot.checker = arena.Create<DealChecker>(
-        &world, slot.spec, slot.runtime->escrow_contracts(),
-        timings.deal_tag);
-    if (rec.broker != 0) {
-      for (PartyId p : broker_pool->SharedPartiesOf(first + i)) {
-        slot.checker->MarkSharedParty(p);
-      }
-    }
-    slot.checker->CaptureInitial();
-    rec.started = true;
-  };
-
-  // --- generation: the same per-deal pipeline as RunTraffic, indexed
-  //     globally so derived seeds, protocol mix, injections, and broker
-  //     round-robin are continuations of the stream every prior epoch drew
-  //     from ---
-  for (size_t i = 0; i < count; ++i) {
-    const size_t d = first + i;
-    DealSlot& slot = slots[i];
-    TrafficDealRecord& rec = slot.rec;
-    rec.index = d;
-    rec.seed = TrafficDealSeed(options.base_seed, d);
-    rec.protocol = mix[d % mix.size()];
-    rec.arrival_at = epoch_base + (arrivals[d] - arrivals[first]);
-    rec.admitted_at = rec.arrival_at;
-    Rng rng(rec.seed);
-
-    // Double-spend hosts must live in the same epoch (the injected swap
-    // re-promises the host's tokens; the host's slot must still be open).
-    const bool inject = double_spend.count(d) > 0 && i > 0 &&
-                        double_spend.count(d - 1) == 0;
-    if (inject) {
-      slot.spec = BuildDoubleSpendSpec(env.get(), slots[i - 1], d, rec.seed,
-                                       num_chains, &rng);
-      PartyId adversary = slot.spec.parties[0];
-      slot.has_adversary = true;
-      slot.adversary = adversary;
-      rec.tainted = true;
-      slots[i - 1].has_adversary = true;
-      slots[i - 1].adversary = adversary;
-      slots[i - 1].rec.tainted = true;
-    } else if (broker_pool->IsBrokerDeal(d)) {
-      rec.broker = broker_pool->BrokerOf(d) + 1;
-      slot.spec = broker_pool->MakeDeal(d, rec.seed);
-      rec.broker_capital_need = broker_pool->CapitalNeed(d);
-      rec.broker_inventory_need = broker_pool->InventoryNeed(d);
-    } else {
-      GenParams gen;
-      gen.n_parties = options.min_parties +
-                      rng.Below(options.max_parties - options.min_parties + 1);
-      gen.m_assets = options.min_assets +
-                     rng.Below(options.max_assets - options.min_assets + 1);
-      gen.t_transfers = gen.n_parties + (gen.m_assets - 1) +
-                        rng.Below(options.extra_transfers + 1);
-      gen.nft_every = options.nft_every;
-      gen.seed = rec.seed;
-      gen.name_prefix = "d" + std::to_string(d) + "-";
-      const bool xshard = rec.protocol == Protocol::kCbc &&
-                          options.cbc_xshard_every > 0 &&
-                          cbc_service != nullptr &&
-                          cbc_seen % options.cbc_xshard_every == 0;
-      if (xshard) {
-        const size_t num_shards = cbc_service->num_shards();
-        size_t span = std::min(gen.m_assets, num_shards);
-        size_t start = rng.Below(num_shards);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(
-              cbc_service->chain((start + j) % num_shards));
-        }
-        gen.num_chains = span;
-      } else {
-        size_t span = std::min(gen.m_assets, num_chains);
-        size_t start = rng.Below(num_chains);
-        for (size_t j = 0; j < span; ++j) {
-          gen.use_chains.push_back(pool[(start + j) % num_chains]);
-        }
-        gen.num_chains = span;
-      }
-      slot.spec = GenerateRandomDeal(env.get(), gen);
-    }
-    if (rec.protocol == Protocol::kCbc) ++cbc_seen;
-    if (rec.protocol == Protocol::kCbc && cbc_service != nullptr &&
-        !slot.spec.assets.empty()) {
-      std::vector<ChainId> asset_chains;
-      asset_chains.reserve(slot.spec.assets.size());
-      for (const AssetRef& a : slot.spec.assets) {
-        asset_chains.push_back(a.chain);
-      }
-      rec.cross_shard =
-          cbc_service->PlaceAssets(slot.spec.deal_id, asset_chains)
-              .cross_shard();
-    }
-    rec.parties = slot.spec.NumParties();
-    rec.assets = slot.spec.NumAssets();
-    rec.transfers = slot.spec.NumTransfers();
-
-    if (rec.protocol == Protocol::kHtlc) {
-      rec.violation = "start-failed: htlc has no traffic driver";
-      continue;
-    }
-
-    TrafficPartyFactory& factory = slot.factory;
-    if (offline.count(d) > 0 && !inject &&
-        rec.protocol == Protocol::kTimelock && !slot.spec.escrows.empty()) {
-      factory.offline = true;
-      factory.offline_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.offline_party;
-      rec.tainted = true;
-    }
-    if (stale_proof.count(d) > 0 && !inject && rec.broker == 0 &&
-        rec.protocol == Protocol::kCbc && !slot.spec.escrows.empty()) {
-      factory.stale_proof = true;
-      factory.stale_party = slot.spec.escrows[0].party;
-      slot.has_adversary = true;
-      slot.adversary = factory.stale_party;
-      rec.tainted = true;
-    }
-    if (options.watchtower_every > 0 &&
-        d % options.watchtower_every == 0 &&
-        rec.protocol == Protocol::kTimelock) {
-      factory.arm_tower = true;
-      factory.world = &world;
-      factory.tower_operator = tower_operator;
-      factory.towers = &towers;
-      factory.tower_crash_every = options.tower_crash_every;
-      factory.tower_crash_after = options.tower_crash_after;
-      factory.tower_recover_after = options.tower_recover_after;
-      factory.towers_armed = &towers_armed;
-    }
-    if (rec.broker != 0) {
-      factory.broker_pool = broker_pool.get();
-      factory.deal_index = d;
-    }
-    deploy_deal(i, rec.admitted_at);
-  }
-
-  // --- drive to the quiescent boundary: every non-durable event fires
-  //     (tower refund watches and crash/recovery closures included); only
-  //     future durable events may remain pending. Durable events whose time
-  //     falls inside the epoch fire in time order like any other. ---
-  while (sched.pending() > sched.pending_durable()) sched.Step();
-  const Tick sealed_at = world.now();
-
-  // --- evidence scans, receipt-cursor-scoped to this epoch's window ---
-  if (broker_pool->enabled()) {
-    TaintBouncedBrokerEscrows(world, &slots, *broker_pool, &receipt_cursor);
-  }
-  size_t epoch_stale = 0;
-  if (cbc_service != nullptr) {
-    std::map<std::pair<uint32_t, uint32_t>, size_t> site;  // -> local slot
-    for (size_t i = 0; i < count; ++i) {
-      const DealSlot& slot = slots[i];
-      if (!slot.rec.started || slot.rec.protocol != Protocol::kCbc) continue;
-      const std::vector<ContractId>& escrows =
-          slot.runtime->escrow_contracts();
-      for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-        site[{slot.spec.assets[a].chain.v, escrows[a].v}] = i;
-      }
-    }
-    for (uint32_t c = 0; c < world.num_chains(); ++c) {
-      const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-      for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
-        const Receipt& r = all[ri];
-        if (r.tag != "decide" || r.status.ok()) continue;
-        if (r.status.ToString().find("shard mismatch") == std::string::npos) {
-          continue;
-        }
-        ++epoch_stale;
-        auto it = site.find({r.chain.v, r.contract.v});
-        if (it == site.end()) continue;
-        DealSlot& slot = slots[it->second];
-        slot.has_adversary = true;
-        slot.adversary = r.sender;
-        slot.rec.tainted = true;
-      }
-    }
-  }
-
-  // Gas/receipt attribution over this epoch's window. Tags outside the
-  // epoch's global range are leakage (a conformant engine keeps it zero:
-  // every old deal settled before its epoch sealed).
-  std::vector<uint64_t> gas_by(count, 0);
-  std::vector<uint64_t> messages_by(count, 0);
-  uint64_t epoch_untagged = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    for (size_t ri = receipt_cursor[c]; ri < all.size(); ++ri) {
-      const Receipt& r = all[ri];
-      if (r.deal_tag <= first || r.deal_tag > first + count) {
-        epoch_untagged += r.gas_used;
-        continue;
-      }
-      gas_by[r.deal_tag - first - 1] += r.gas_used;
-      ++messages_by[r.deal_tag - first - 1];
-    }
-  }
-  for (size_t i = 0; i < count; ++i) {
-    slots[i].rec.gas = gas_by[i];
-    slots[i].rec.messages = messages_by[i];
-  }
-
-  // --- validate: parallel, read-only, per-slot; identical across any
-  //     thread count ---
-  WorkerPool workers(options.num_threads);
-  workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
-
-  std::vector<DoubleSpendIncident> incidents =
-      DetectDoubleSpends(world, slots, &receipt_cursor);
-
-  // --- seal: fold the epoch fingerprint (same per-deal shape as RunTraffic,
-  //     with the open-loop fields always folded and an epoch header in
-  //     front), chain it into the cumulative fold, accumulate totals ---
-  const bool broker_fp = broker_pool->enabled();
-  const bool hopchain_fp =
-      broker_pool->enabled() &&
-      (broker_pool->ChainDepth() > 1 || broker_pool->DynamicPricing());
-  const bool xshard_fp = options.cbc_xshard_every > 0;
-
-  EpochReport epoch;
-  epoch.index = epochs_run;
-  epoch.first_deal = first;
-  epoch.num_deals = count;
-  const size_t violations_before = violations.size();
-
-  std::vector<Tick> latencies;
-  uint64_t fp = kFpInit;
-  fp = MixFingerprint(fp, epochs_run);
-  fp = MixFingerprint(fp, first);
-  fp = MixFingerprint(fp, count);
-  fp = MixFingerprint(fp, epoch_base);
-  for (size_t i = 0; i < count; ++i) {
-    TrafficDealRecord& rec = slots[i].rec;
-    if (rec.protocol == Protocol::kTimelock) {
-      ++total_timelock;
-    } else {
-      ++total_cbc;
-    }
-    if (rec.committed) {
-      ++epoch.committed;
-      ++total_committed;
-    }
-    if (rec.aborted) {
-      ++epoch.aborted;
-      ++total_aborted;
-    }
-    epoch.gas += rec.gas;
-    total_gas += rec.gas;
-    total_messages += rec.messages;
-    makespan = std::max(makespan, rec.settle_time);
-    if (rec.all_settled && rec.settle_time > 0) {
-      latencies.push_back(rec.latency);
-    }
-    if (!rec.violation.empty()) {
-      violations.push_back(
-          TrafficViolation{rec.index, rec.seed, rec.protocol, rec.violation});
-    }
-
-    fp = MixFingerprint(fp, rec.index);
-    fp = MixFingerprint(fp, rec.seed);
-    fp = MixFingerprint(fp, rec.OutcomeBits());
-    fp = MixFingerprint(fp, rec.gas);
-    fp = MixFingerprint(fp, rec.messages);
-    fp = MixFingerprint(fp, rec.settle_time);
-    fp = MixFingerprint(fp, FingerprintString(rec.violation));
-    fp = MixFingerprint(fp, rec.arrival_at);
-    fp = MixFingerprint(fp, rec.admitted_at);
-    if (broker_fp) {
-      if (rec.broker != 0) ++total_broker_deals;
-      fp = MixFingerprint(fp, rec.broker);
-      fp = MixFingerprint(fp, rec.broker_capital_need);
-      fp = MixFingerprint(fp, rec.broker_inventory_need);
-    }
-    if (rec.broker != 0) {
-      rec.price_points = broker_pool->PricePointsOf(rec.index);
-    }
-    if (rec.cross_shard) ++total_cross_shard;
-    if (hopchain_fp) {
-      fp = MixFingerprint(fp, rec.price_points.size());
-      for (const BrokerPool::PricePoint& pt : rec.price_points) {
-        fp = MixFingerprint(fp, pt.occupancy);
-        fp = MixFingerprint(fp, pt.margin);
-      }
-    }
-    if (xshard_fp) {
-      fp = MixFingerprint(fp, rec.cross_shard ? 1 : 0);
-    }
-
-    if (rec.broker != 0) {
-      BrokerDealOutcome outcome;
-      outcome.deal_index = rec.index;
-      outcome.arrival_at = rec.arrival_at;
-      outcome.admitted_at = rec.admitted_at;
-      outcome.settle_time = rec.settle_time;
-      outcome.latency = rec.latency;
-      outcome.started = rec.started;
-      outcome.committed = rec.committed;
-      outcome.aborted = rec.aborted;
-      outcome.shed = rec.shed;
-      outcome.all_settled = rec.all_settled;
-      outcome.gas = rec.gas;
-      outcomes.push_back(outcome);
-    }
-  }
-  fp = MixFingerprint(fp, epoch_stale);
-  fp = MixFingerprint(fp, epoch_untagged);
-  for (const DoubleSpendIncident& incident : incidents) {
-    fp = MixFingerprint(fp, incident.loser_deal);
-    fp = MixFingerprint(fp, incident.winner_deal);
-    fp = MixFingerprint(fp, incident.party);
-  }
-  fp = MixFingerprint(fp, sealed_at);
-
-  epoch.violations = violations.size() - violations_before;
-  epoch.double_spends = incidents.size();
-  epoch.stale_decide_rejections = epoch_stale;
-  epoch.untagged_gas = epoch_untagged;
-  epoch.latency_p50 = Percentile(latencies, 50);
-  epoch.latency_p99 = Percentile(latencies, 99);
-  epoch.sealed_at = sealed_at;
-  epoch.events_executed = sched.stats().executed;
-  epoch.epoch_fingerprint = fp;
-  total_stale += epoch_stale;
-  total_untagged += epoch_untagged;
-  total_double_spends += incidents.size();
-  cumulative_fp = MixFingerprint(cumulative_fp, fp);
-  epoch.cumulative_fingerprint = cumulative_fp;
-
-  // --- boundary hygiene: every reservation's deposit has landed or settled
-  //     by quiescence, so the pool drops its runtime pointers before the
-  //     arena (and the epoch's runtimes) die; cursors advance so the next
-  //     seal scans only its own window. ---
-  broker_pool->PruneAll();
-  receipt_cursor.resize(world.num_chains(), 0);
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
-  }
-
-  ++epochs_run;
-  next_deal = first + count;
-  reports.push_back(epoch);
-  return epoch;
+  XDEAL_RETURN_IF_ERROR(ValidateServiceOptions(options));
+  auto impl = std::make_unique<Impl>(options);
+  impl->BuildFresh();
+  return std::unique_ptr<TrafficService>(new TrafficService(std::move(impl)));
 }
 
 Result<Bytes> TrafficService::Impl::DoCheckpoint() {
@@ -1883,8 +1362,7 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
 
 Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     const TrafficOptions& options, const Bytes& snapshot) {
-  Status valid = ValidateServiceOptions(options);
-  if (!valid.ok()) return valid;
+  XDEAL_RETURN_IF_ERROR(ValidateServiceOptions(options));
 
   // --- envelope: every rejection is a distinct, versioned error; a
   //     corrupted snapshot must never restore into a silently diverging
@@ -1916,16 +1394,13 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     return Status::InvalidArgument(
         "snapshot rejected: payload digest mismatch (corrupted snapshot)");
   }
+  if (!envelope.AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot rejected: trailing bytes after the payload digest");
+  }
 
-  auto service = std::unique_ptr<TrafficService>(new TrafficService());
-  Impl& im = *service->impl_;
-  im.options = options;
-  im.InitDerived();
-
-  EnvConfig env_config;
-  env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
-  im.env = std::make_unique<DealEnv>(std::move(env_config));
+  auto owned = std::make_unique<Impl>(options);
+  Impl& im = *owned;
   World& world = im.env->world();
 
   ByteReader body(payload);
@@ -2054,6 +1529,15 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     std::vector<uint32_t> shard_epochs;
     for (uint32_t s = 0; s < num_shards; ++s) {
       XDEAL_ASSIGN_OR_RETURN(uint32_t epoch, body.U32());
+      // Every shard rotates once per configured reconfiguration, so a
+      // larger epoch cannot come from these options — and replaying it
+      // below would spin for up to 2^32 rotations.
+      if (epoch > options.cbc_reconfig_times.size()) {
+        return Status::InvalidArgument(
+            "snapshot rejected: shard epoch " + std::to_string(epoch) +
+            " exceeds the " + std::to_string(options.cbc_reconfig_times.size()) +
+            " configured reconfigurations");
+      }
       shard_epochs.push_back(epoch);
     }
     // Validator keys and reconfiguration certificates are pure functions of
@@ -2080,6 +1564,11 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
     Status pool_ok = im.broker_pool->Restore(pool_reader);
     if (!pool_ok.ok()) return pool_ok;
   }
+  if (!body.AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot rejected: " + std::to_string(body.remaining()) +
+        " unread payload bytes");
+  }
 
   // Cursors start at the restored chains' receipt counts (empty: restored
   // chains carry no receipt history), so the next epoch seal scans exactly
@@ -2091,7 +1580,7 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   // Durable events were re-imported by World::Restore at their original
   // (time, seq) positions; only their handlers need re-binding.
   im.RegisterHandlers();
-  return service;
+  return std::unique_ptr<TrafficService>(new TrafficService(std::move(owned)));
 }
 
 ServiceReport TrafficService::Impl::BuildFinal() const {
@@ -2137,7 +1626,9 @@ ServiceReport TrafficService::Impl::BuildFinal() const {
   return report;
 }
 
-EpochReport TrafficService::RunEpoch() { return impl_->RunEpoch(); }
+EpochReport TrafficService::RunEpoch() {
+  return impl_->RunBatch(impl_->options.deals_per_epoch).epoch;
+}
 Result<Bytes> TrafficService::Checkpoint() { return impl_->DoCheckpoint(); }
 ServiceReport TrafficService::Finish() const { return impl_->BuildFinal(); }
 size_t TrafficService::epochs_run() const { return impl_->epochs_run; }

@@ -3,7 +3,7 @@
 // Where ScenarioSweep runs every scenario in its own World, the traffic
 // engine generates D deals (mixed shapes and protocols via deal_gen) that
 // all live in ONE World, multiplexed over a shared pool of chains. Deals
-// arrive on a schedule — the legacy fixed stagger, or an open-loop seeded
+// arrive on a schedule — a fixed stagger, or an open-loop seeded
 // Poisson process (core/admission.h) — and their protocol phases interleave
 // on the single deterministic scheduler, so the engine sees cross-deal
 // interference a single-deal sweep cannot: many escrows contending on one
@@ -40,10 +40,13 @@
 // post-run per-deal validation, writing into per-deal slots that are folded
 // in index order. A TrafficReport is therefore bit-identical across thread
 // counts, and re-running the same options + base_seed replays every
-// violation and incident exactly. With cbc_shards = 1 the engine reproduces
-// the pre-sharding fingerprints bit-for-bit, and with the default
-// kFixedStagger arrivals + controller off it reproduces the pre-admission
-// fingerprints bit-for-bit (deals deploy up front exactly as before).
+// violation and incident exactly.
+//
+// One engine serves both entry points: RunTraffic is a single batch of
+// num_deals deals, and a TrafficService runs the same batch step once per
+// epoch on a World that persists between epochs. A TrafficReport's
+// fingerprint is therefore the final fingerprint of a one-epoch service
+// over the same options.
 
 #ifndef XDEAL_CORE_TRAFFIC_ENGINE_H_
 #define XDEAL_CORE_TRAFFIC_ENGINE_H_
@@ -81,7 +84,7 @@ struct TrafficOptions {
   /// chains from the CbcService's shard chains instead of the shared pool,
   /// so its assets land on shards other than its home shard and settle via
   /// portable DecideProofs (CbcService::PlaceAssets). 0 = all deal assets
-  /// live on pool chains (legacy, single-shard settlement).
+  /// live on pool chains (single-shard settlement).
   size_t cbc_xshard_every = 0;
   /// Mid-run validator reconfiguration: at each listed tick, every shard of
   /// the CbcService rotates its validator set (epoch + 1). Deals escrowed
@@ -108,9 +111,9 @@ struct TrafficOptions {
   Tick delta = 120;
 
   // --- open-loop arrivals + admission control ---
-  /// How arrival times are generated. The default reproduces the legacy
-  /// fixed stagger bit-for-bit; kPoisson turns the engine into an open-loop
-  /// load generator with seeded exponential inter-arrival times.
+  /// How arrival times are generated: the fixed admission_gap stagger, or
+  /// kPoisson, which turns the engine into an open-loop load generator with
+  /// seeded exponential inter-arrival times.
   ArrivalProcess arrival = ArrivalProcess::kFixedStagger;
   /// Mean inter-arrival gap in ticks for kPoisson (arrival rate λ =
   /// 1000 / mean_interarrival deals per kilotick).
@@ -119,7 +122,7 @@ struct TrafficOptions {
   /// scheduler: each deal's arrival fires an admission event that consults
   /// the controller against live scheduler backlog / chain occupancy and
   /// admits, delays, or sheds the deal. When disabled, every deal deploys
-  /// up front at its arrival time (the legacy bit-compatible path).
+  /// inline at generation, scheduled from its arrival time.
   AdmissionOptions admission;
 
   // --- per-deal shape ranges, drawn from the deal's derived seed ---
@@ -162,18 +165,9 @@ struct TrafficOptions {
   /// capital and inventory; broker occupancy feeds the admission controller
   /// as a third signal, and per-broker records (portfolio conformance,
   /// occupancy timelines, gas/latency attribution) land in the report.
-  /// Default (0 brokers) reproduces legacy traffic bit-for-bit.
+  /// 0 brokers (the default) disables the subsystem.
   BrokerOptions brokers;
 
-  /// Observation data path. Default (false) is legacy broadcast delivery —
-  /// every receipt to every subscribed observer, bit-compatible with the
-  /// pre-index fingerprints. True switches the World to indexed delivery
-  /// (chain/world.h): receipts fan out only to observers subscribed to
-  /// their deal tag, making per-block delivery O(deal's own receipts)
-  /// instead of O(receipts x all observers) — the knob that removes the
-  /// O(D^2) hot path on shared chains at D = 10^5. Indexed runs have their
-  /// own (deterministic, thread-count-independent) fingerprints.
-  bool indexed_observation = false;
   /// Differential-testing oracle: after the run, recompute every chain's
   /// per-tag receipt index by full scan and require it to match the
   /// incrementally built one; any mismatch is reported as a violation.
@@ -185,13 +179,13 @@ struct TrafficOptions {
 
   // --- long-lived service mode (TrafficService) + crash injection ---
   /// Deals generated per epoch by TrafficService::RunEpoch. Must be > 0 for
-  /// service mode; ignored by batch RunTraffic.
+  /// service mode; RunTraffic runs one batch of num_deals instead.
   size_t deals_per_epoch = 0;
 
   /// Watchtower crash injection: every k-th armed tower (k > 0) is killed
   /// `tower_crash_after` ticks after arming — it stops relaying/refunding
   /// and loses its in-memory dedup state, exactly like a process kill.
-  /// 0 = no tower ever crashes (default; preserves legacy fingerprints).
+  /// 0 = no tower ever crashes (default).
   size_t tower_crash_every = 0;
   Tick tower_crash_after = 0;
   /// Ticks after its crash at which a killed tower restarts and recovers
@@ -204,7 +198,9 @@ struct TrafficOptions {
   /// off-chain accounting process at the listed absolute tick
   /// (BrokerPool::CrashBroker — her in-memory reservation book is lost; her
   /// on-chain balances and escrows are untouched). Empty = no crashes
-  /// (default; preserves legacy fingerprints).
+  /// (default). Like cbc_reconfig_times, crashes and recoveries are durable
+  /// scheduler events: they fire only while deals are still running, and a
+  /// checkpoint carries the ones still pending.
   std::vector<Tick> broker_crash_times;
   /// Ticks after each crash at which the broker restarts and rebuilds her
   /// book from on-chain evidence (BrokerPool::RecoverBroker). 0 = she stays
@@ -347,8 +343,10 @@ struct TrafficReport {
   /// portfolio conformance verdict.
   std::vector<BrokerRecord> brokers;
 
-  /// Order-sensitive hash over every per-deal record; equal fingerprints
-  /// mean bit-identical reports (the thread-count-independence invariant).
+  /// Order-sensitive hash over every per-deal record, the run's evidence
+  /// and the broker records; equal fingerprints mean bit-identical reports
+  /// (the thread-count-independence invariant). Defined as the
+  /// final_fingerprint of a one-epoch TrafficService over the same options.
   uint64_t fingerprint = 0;
 
   /// Human-readable throughput/latency/conformance table.
@@ -443,20 +441,21 @@ struct ServiceReport {
 /// checkpoint tests prove it across thread counts, shard counts, brokers,
 /// and reconfigurations straddling the snapshot).
 ///
-/// Requirements: deals_per_epoch > 0, indexed_observation = true (broadcast
-/// delivery draws sequential RNG for observers of long-settled deals that
-/// do not exist after a restore), and the admission controller off.
+/// Requirement: deals_per_epoch > 0. The admission controller is rebuilt
+/// per epoch and every admission event fires before the seal, so it needs
+/// no snapshot state.
 class TrafficService {
  public:
   /// Builds a fresh service world (chain pool, brokers, CBC shards) from
-  /// the options. Fails on options service mode cannot honor.
+  /// the options. Fails when deals_per_epoch is 0.
   static Result<std::unique_ptr<TrafficService>> Create(
       const TrafficOptions& options);
 
   /// Restores a service from a Checkpoint snapshot taken under the SAME
   /// options. Rejects — with a distinct versioned error, never silent
   /// divergence — snapshots with a bad magic, an unsupported version, an
-  /// options fingerprint mismatch, or a corrupted payload digest.
+  /// options fingerprint mismatch, a corrupted payload digest, trailing or
+  /// unread bytes, or state these options cannot produce.
   static Result<std::unique_ptr<TrafficService>> FromSnapshot(
       const TrafficOptions& options, const Bytes& snapshot);
 
@@ -483,8 +482,9 @@ class TrafficService {
   const std::vector<EpochReport>& epoch_reports() const;
 
  private:
-  TrafficService();
   struct Impl;
+  friend TrafficReport RunTraffic(const TrafficOptions& options);
+  explicit TrafficService(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -23,7 +23,7 @@ void Watchtower::Arm() {
   for (const AssetRef& asset : spec_.assets) chains.insert(asset.chain);
   for (ChainId c : chains) {
     // Scoped to the guarded deal's tag: the tower only relays this deal's
-    // votes, so under indexed delivery it is woken only by them.
+    // votes, so it is woken only by them.
     world_->chain(c)->Subscribe(
         world_->PartyEndpoint(operator_id_), deal_tag_,
         [this](const Receipt& r) { OnObservedReceipt(r); });

