@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace xdeal {
@@ -100,6 +101,77 @@ TEST(SchnorrTest, ManyKeysManyMessages) {
       msg[0] ^= 0xFF;
       EXPECT_FALSE(Verify(kp.public_key(), msg, sig));
     }
+  }
+}
+
+// Known-answer vectors: the public key and serialized (r, s) for three
+// seeds and two messages, recorded from the Knuth-division arithmetic. Any
+// change to the field kernel that is not bit-identical moves them, and with
+// them every receipt, gas figure and fingerprint in the system.
+TEST(SchnorrTest, KnownAnswerVectors) {
+  struct Vector {
+    const char* seed;
+    const char* message;
+    const char* public_key;
+    const char* signature;
+  };
+  const Vector kVectors[] = {
+      {"alice", "transfer 100 coins to bob",
+       "25661e63638b62b68885b39b3d24041743a021444c8beca92ea2f47685ffcf71",
+       "0367ae82f39616675d30c93ba98b86b0825ebe71c510e5d60b48a560c10d4ed5"
+       "6eefd127d3947d773e8829ec31266b0d8f8f584d461e1ed4408bc3f2c82a5bf8"},
+      {"alice", "",
+       "25661e63638b62b68885b39b3d24041743a021444c8beca92ea2f47685ffcf71",
+       "35498efa0c24621776b0b218c4bb0c39e52c91c0431ca10ff0046dc284e24cd8"
+       "1f326379e0967a87d10cae8cb70893ca7b237783f02e50d26016b9db4275fad3"},
+      {"validator-3/epoch-0", "transfer 100 coins to bob",
+       "7b547cae86b7a0de8c7fb48c02b81b2a6a73e3f82b849ceba03ab24aa9584f1f",
+       "552131ca2fbcd7074897a7668f9770a3c992e708b6b8c7f66cae141c2783eaee"
+       "41362a55dab8ee2ef5ab3ad9c1f1f8219549559a196586d1aba8ebb5511ef0f8"},
+      {"validator-3/epoch-0", "",
+       "7b547cae86b7a0de8c7fb48c02b81b2a6a73e3f82b849ceba03ab24aa9584f1f",
+       "4c750c79cfc187c0bfafe30ace6e899e117c23deec4dad44af76b896027872e3"
+       "676de217abb3c4827cc59e633a5bc602ad7671802191e1d5cc249256ef0768fd"},
+      {"kat-seed-42", "transfer 100 coins to bob",
+       "28c5de727d5e6621a08d67dcfee8c0703c5c3fb190c1379caa4830e2f95bad51",
+       "45ef5e173fca4ecfafa57838fa5ce68fc81c29b810c4c450e3cc626eaefdc956"
+       "478e8695c1e1fcbbba75bed2cbd47cc8b2b343a8fc6ecfd62510998da920711d"},
+      {"kat-seed-42", "",
+       "28c5de727d5e6621a08d67dcfee8c0703c5c3fb190c1379caa4830e2f95bad51",
+       "24544825032b3449963bab6275aa81178acc52504b68902526b515a340da813c"
+       "0118521ca749dd56140a164fca15cfdf1149d763ed67c958d80180cec4bfae86"},
+  };
+  for (const Vector& v : kVectors) {
+    KeyPair kp = KeyPair::FromSeed(v.seed);
+    EXPECT_EQ(kp.public_key().y.ToHex(), v.public_key) << v.seed;
+    Signature sig = kp.Sign(std::string_view(v.message));
+    EXPECT_EQ(HexEncode(sig.Serialize()), v.signature)
+        << v.seed << " / '" << v.message << "'";
+    EXPECT_TRUE(Verify(kp.public_key(), std::string_view(v.message), sig));
+  }
+}
+
+TEST(SchnorrTest, VerifyReadsEveryExponentBitOfS) {
+  // g has order dividing n, so g^(s+n) == g^s: Verify must accept (r, s + n)
+  // exactly when it accepts (r, s). s + n sets bit 255 and carries through
+  // the top limbs, so an exponentiation that dropped high bits of an
+  // attacker-supplied, unreduced s would disagree here.
+  const U256& n = SchnorrGroup::N();
+  for (int i = 0; i < 4; ++i) {
+    KeyPair kp = KeyPair::FromSeed("upper-bits-" + std::to_string(i));
+    Bytes msg = ToBytes("vote " + std::to_string(i));
+    Signature good = kp.Sign(msg);
+    Signature bad = good;
+    bad.s = U256::AddMod(bad.s, U256(1), n);
+    for (const Signature& sig : {good, bad}) {
+      Signature lifted = sig;
+      lifted.s = sig.s.Add(n);  // s < n < 2^255: no wrap
+      ASSERT_GT(lifted.s, n);
+      EXPECT_EQ(Verify(kp.public_key(), msg, lifted),
+                Verify(kp.public_key(), msg, sig));
+    }
+    EXPECT_TRUE(Verify(kp.public_key(), msg, good));
+    EXPECT_FALSE(Verify(kp.public_key(), msg, bad));
   }
 }
 

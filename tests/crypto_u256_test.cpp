@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/schnorr.h"
 #include "util/rng.h"
 
@@ -184,6 +186,51 @@ TEST(U256Test, FermatOnSchnorrPrime) {
     U256 a = U256::Mod(RandomU256(&rng), p);
     if (a.IsZero()) a = U256(2);
     EXPECT_EQ(U256::PowMod(a, n, p), U256(1));
+  }
+}
+
+// Operands for the differential tests: uniform words, plus words built from
+// all-zero / all-one / random limbs so products land next to the carry and
+// bit-255 boundaries of the reduction.
+U256 EdgyU256(Rng* rng) {
+  uint64_t limbs[4];
+  for (uint64_t& limb : limbs) {
+    switch (rng->Below(4)) {
+      case 0: limb = 0; break;
+      case 1: limb = ~0ULL; break;
+      case 2: limb = rng->Below(1 << 8); break;
+      default: limb = rng->Next64(); break;
+    }
+  }
+  if (rng->Below(2) == 0) limbs[0] &= 0x7FFFFFFFFFFFFFFFULL;
+  return U256::FromLimbsBigEndian(limbs[0], limbs[1], limbs[2], limbs[3]);
+}
+
+// The Schnorr moduli p = 2^255 - 19 and n = p - 1 = 2^255 - 20 take the
+// fold reduction; U512::Mod (Knuth division) is the oracle for both.
+TEST(U256Test, FoldReductionMatchesKnuthDivision) {
+  const U256 two255 = U256(1).ShiftLeft(255);
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  for (const U256& m : {SchnorrGroup::P(), SchnorrGroup::N()}) {
+    std::vector<U256> edges = {U256(),        U256(1),      m.Sub(U256(1)),
+                               m,             m.Add(U256(1)), two255,
+                               two255.Sub(U256(1)), max,    max.Sub(m),
+                               m.Add(m).Sub(U256(1)), m.Add(m), U256(38)};
+    for (const U256& a : edges) {
+      EXPECT_EQ(U256::Mod(a, m), U512::Mul(a, U256(1)).Mod(m)) << a.ToHex();
+      for (const U256& b : edges) {
+        EXPECT_EQ(U256::MulMod(a, b, m), U512::Mul(a, b).Mod(m))
+            << a.ToHex() << " * " << b.ToHex();
+      }
+    }
+    Rng rng(m.Low64());
+    for (int i = 0; i < 100000; ++i) {
+      U256 a = (i % 2 == 0) ? RandomU256(&rng) : EdgyU256(&rng);
+      U256 b = (i % 3 == 0) ? RandomU256(&rng) : EdgyU256(&rng);
+      ASSERT_EQ(U256::MulMod(a, b, m), U512::Mul(a, b).Mod(m))
+          << a.ToHex() << " * " << b.ToHex();
+      ASSERT_EQ(U256::Mod(a, m), U512::Mul(a, U256(1)).Mod(m)) << a.ToHex();
+    }
   }
 }
 
