@@ -100,6 +100,36 @@ void CbcParty::SubmitDecideProof(uint32_t asset, const DecideProof& proof) {
                  deployment().escrow_contracts[asset],
                  CallData{"decide", w.Take()}, "decide",
                  run_->config().deal_tag);
+  // Under pre-GST asynchrony our own escrow into this asset can still be in
+  // flight. A decide that lands first is rejected ("unknown deal"), and once
+  // the deposit lands nobody would decide again, so decide once more after
+  // it does. A deposit already on chain precedes this decide: no retry.
+  if (escrowed_ && spec().Deposits(self_, asset) && !OwnEscrowLanded(asset)) {
+    RetryDecideAfterOwnEscrow(asset);
+  }
+}
+
+bool CbcParty::OwnEscrowLanded(uint32_t asset) const {
+  const Blockchain* chain = run_->world().chain(spec().assets[asset].chain);
+  for (const Receipt& r : chain->ContractReceipts(
+           run_->config().deal_tag, deployment().escrow_contracts[asset])) {
+    if (r.sender == self_ && r.function == "escrow") return true;
+  }
+  return false;
+}
+
+void CbcParty::RetryDecideAfterOwnEscrow(uint32_t asset) {
+  world().scheduler().ScheduleAfter(
+      run_->config().delta, EventLabel::Timer(self_.v), [this, asset] {
+        const CbcEscrowContract* esc = EscrowOfAsset(asset);
+        if (esc == nullptr || esc->settled()) return;
+        if (!OwnEscrowLanded(asset)) {
+          RetryDecideAfterOwnEscrow(asset);
+          return;
+        }
+        decided_assets_.erase(asset);
+        ClaimAll(Log()->OutcomeOf(deployment().deal_id));
+      });
 }
 
 bool CbcParty::RunValidationChecks() const {

@@ -203,5 +203,27 @@ TEST(ScenarioSweepTest, DefaultAxesMeetTheAcceptanceFloor) {
   EXPECT_GE(protocols.size(), 2u);
 }
 
+TEST(ScenarioSweepTest, CbcPreGstDecideBeforeOwnEscrowIsRetried) {
+  // Under pre-GST asynchrony a depositor's `decide` can land before its own
+  // escrow, which is still in flight; the escrow rejects the unknown deal.
+  // Weak liveness (Property 2) needs the decide retried once the deposit is
+  // on chain. Each (base seed, index) pair is a stock-matrix scenario that
+  // hit this, one of them with no deviating party at all.
+  const std::pair<uint64_t, size_t> kReproducers[] = {
+      {3, 776}, {5, 782}, {6, 369}, {6, 596}, {11, 595}, {12, 780}};
+  for (const auto& [base_seed, index] : kReproducers) {
+    std::vector<ScenarioSpec> specs =
+        BuildScenarioMatrix(DefaultSweepAxes(), base_seed);
+    ASSERT_LT(index, specs.size());
+    const ScenarioSpec& spec = specs[index];
+    ASSERT_EQ(spec.protocol, Protocol::kCbc);
+    ASSERT_EQ(spec.network, SweepNetwork::kPreGstAsync);
+    ScenarioOutcome outcome = RunScenario(spec);
+    EXPECT_TRUE(outcome.violation.empty())
+        << "base seed " << base_seed << ", scenario " << index << ", "
+        << ToString(spec.adversary) << ": " << outcome.violation;
+  }
+}
+
 }  // namespace
 }  // namespace xdeal
