@@ -1,5 +1,7 @@
 #include "crypto/schnorr.h"
 
+#include <array>
+
 #include "util/serialize.h"
 
 namespace xdeal {
@@ -30,6 +32,33 @@ U256 HashToExponent(const Bytes& data) {
   U256 e = U256::Mod(U256::FromHash(Sha256Digest(data)), SchnorrGroup::N());
   if (e.IsZero()) e = U256(1);
   return e;
+}
+
+/// g^k mod p from a fixed-base table T[i][j] = g^(j·16^i) mod p: g^k is the
+/// product of T[i][nibble i of k] over all 64 nibbles, at most 63 multiplies
+/// and no squarings. Every bit of k is read, so an unreduced k (Verify's
+/// attacker-supplied s may be >= n) gives exactly PowMod(g, k, p). The
+/// 32 KB table is built once, on first use; static initialisation is
+/// thread-safe.
+U256 PowG(const U256& k) {
+  using Table = std::array<std::array<U256, 16>, 64>;
+  const U256& p = SchnorrGroup::P();
+  static const Table table = [&p] {
+    Table t;
+    U256 base = SchnorrGroup::G();  // g^(16^i) for row i
+    for (auto& row : t) {
+      row[0] = U256(1);
+      for (int j = 1; j < 16; ++j) row[j] = U256::MulMod(row[j - 1], base, p);
+      base = U256::MulMod(row[15], base, p);
+    }
+    return t;
+  }();
+  U256 result = table[0][k.Low64() & 0xF];
+  for (int i = 1; i < 64; ++i) {
+    const unsigned nibble = (k.limb(i / 16) >> (4 * (i % 16))) & 0xF;
+    if (nibble != 0) result = U256::MulMod(result, table[i][nibble], p);
+  }
+  return result;
 }
 
 /// The challenge e = H(r || y || m) mod n.
@@ -72,7 +101,7 @@ KeyPair KeyPair::FromSeed(std::string_view seed) {
   w.Str("xdeal-keygen-v1");
   w.Str(seed);
   U256 x = HashToExponent(w.bytes());
-  PublicKey pk{U256::PowMod(SchnorrGroup::G(), x, SchnorrGroup::P())};
+  PublicKey pk{PowG(x)};
   return KeyPair(x, pk);
 }
 
@@ -84,9 +113,8 @@ Signature KeyPair::Sign(const Bytes& message) const {
   nonce_input.Blob(message);
   U256 k = HashToExponent(nonce_input.bytes());
 
-  const U256& p = SchnorrGroup::P();
   const U256& n = SchnorrGroup::N();
-  U256 r = U256::PowMod(SchnorrGroup::G(), k, p);
+  U256 r = PowG(k);
   U256 e = Challenge(r, public_key_, message);
   U256 s = U256::AddMod(k, U256::MulMod(e, x_, n), n);
   return Signature{r, s};
@@ -103,7 +131,7 @@ bool Verify(const PublicKey& key, const Bytes& message, const Signature& sig) {
   if (sig.r >= p || key.y >= p) return false;
 
   U256 e = Challenge(sig.r, key, message);
-  U256 lhs = U256::PowMod(SchnorrGroup::G(), sig.s, p);
+  U256 lhs = PowG(sig.s);
   U256 rhs = U256::MulMod(sig.r, U256::PowMod(key.y, e, p), p);
   return lhs == rhs;
 }
@@ -178,7 +206,7 @@ BatchVerifyResult BatchVerify(const std::vector<BatchItem>& items) {
     terms.emplace_back(item.sig.r, z);
     terms.emplace_back(item.key.y, U256::MulMod(z, e, n));
   }
-  U256 lhs = U256::PowMod(SchnorrGroup::G(), s_combined, p);
+  U256 lhs = PowG(s_combined);
   U256 rhs = U256::MultiExpMod(terms, p);
   if (lhs == rhs) {
     out.ok = true;

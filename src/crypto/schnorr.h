@@ -17,6 +17,11 @@
 //   sign:    k = H(x || m) mod n, r = g^k mod p,
 //            e = H(r || y || m) mod n, s = (k + e*x) mod n;  sig = (r, s)
 //   verify:  g^s  ==  r * y^e  (mod p)
+//
+// Both moduli, p = 2^255 - 19 and n = 2^255 - 20, take U256's fold
+// reduction (u256.h). Every g^k (keygen, sign, verify, batch verify) comes
+// from a fixed-base table of 64 x 16 powers of g, built once on first use;
+// the results are bit-identical to U256::PowMod.
 
 #ifndef XDEAL_CRYPTO_SCHNORR_H_
 #define XDEAL_CRYPTO_SCHNORR_H_
@@ -34,15 +39,15 @@ namespace xdeal {
 
 /// Group parameters for the signature scheme.
 struct SchnorrGroup {
-  /// The field prime p = 2^255 - 19.
+  /// The field prime p = 2^255 - 19 (fold path, c = 19).
   static const U256& P();
-  /// The exponent modulus n = p - 1.
+  /// The exponent modulus n = p - 1 = 2^255 - 20 (fold path, c = 20).
   static const U256& N();
   /// The generator g = 2.
   static const U256& G();
 };
 
-/// A public verification key (group element y = g^x).
+/// A public verification key (group element y = g^x, canonical in [1, p)).
 struct PublicKey {
   U256 y;
 
@@ -56,14 +61,18 @@ struct PublicKey {
   std::string Fingerprint() const;
 };
 
-/// A 64-byte signature (r, s).
+/// A 64-byte signature (r, s). Sign produces r canonical in [1, p) and s
+/// canonical in [0, n); a received signature may carry any values.
 struct Signature {
   U256 r;
   U256 s;
 
   bool operator==(const Signature& o) const { return r == o.r && s == o.s; }
 
+  /// r then s, each as 32 big-endian bytes.
   Bytes Serialize() const;
+  /// Parses exactly 64 bytes (else InvalidArgument). Any r and s parse,
+  /// including unreduced ones; Verify decides what they are worth.
   static Result<Signature> Deserialize(const Bytes& bytes);
 };
 
@@ -77,8 +86,10 @@ class KeyPair {
 
   const PublicKey& public_key() const { return public_key_; }
 
-  /// Signs a message (any byte string).
+  /// Signs a message (any byte string). Deterministic: the nonce is hashed
+  /// from the private key and the message.
   XDEAL_DETERMINISTIC Signature Sign(const Bytes& message) const;
+  /// Sign over the bytes of `message`.
   Signature Sign(std::string_view message) const;
 
  private:
@@ -89,9 +100,12 @@ class KeyPair {
 };
 
 /// Verifies that `sig` is a valid signature on `message` under `key`.
+/// Rejects r or y outside [1, p). s may be unreduced: g^s is taken over all
+/// 256 bits of s, so (r, s) and (r, s + n) verify alike.
 /// Counts as one "signature verification" for gas purposes (the caller,
 /// i.e. a contract, charges kGasSigVerify).
 XDEAL_DETERMINISTIC bool Verify(const PublicKey& key, const Bytes& message, const Signature& sig);
+/// Verify over the bytes of `message`.
 bool Verify(const PublicKey& key, std::string_view message,
             const Signature& sig);
 

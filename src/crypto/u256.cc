@@ -136,26 +136,49 @@ U256 ModDigits(const uint32_t* val_digits, int val_n, const U256& m) {
   return FromDigits(r, vn);
 }
 
-// Full division of two U256 values: a = q*b + r.
-void DivRem256(const U256& a, const U256& b, U256* q_out, U256* r_out) {
-  uint32_t ud[kMaxU];
-  uint32_t vd[kMaxV];
-  uint64_t al[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
-  uint64_t bl[4] = {b.limb(0), b.limb(1), b.limb(2), b.limb(3)};
-  ToDigits(al, 4, ud);
-  ToDigits(bl, 4, vd);
-  int un = SignificantDigits(ud, 8);
-  int vn = SignificantDigits(vd, 8);
-  if (un < vn) {
-    *q_out = U256();
-    *r_out = a;
-    return;
+// ---------------------------------------------------------------------------
+// Fold reduction for moduli of the form m = 2^255 - c, 0 < c < 2^32.
+//
+// 2^255 = c (mod m), so 2^256 = 2c: a 512-bit product H*2^256 + L reduces
+// to L + H*2c (< 2^290) with no division. Folding the bits at 255 and above
+// times c leaves less than 2^255 + 2^67 < 2m, so one conditional
+// subtraction makes it canonical. Both Schnorr moduli have this form:
+// p (c = 19) and n = p - 1 (c = 20).
+// ---------------------------------------------------------------------------
+
+// c when m = 2^255 - c with 0 < c < 2^32; 0 (use Knuth division) otherwise.
+uint64_t FoldConstant(const U256& m) {
+  if (m.limb(3) != 0x7FFFFFFFFFFFFFFFULL || m.limb(2) != ~0ULL ||
+      m.limb(1) != ~0ULL) {
+    return 0;
   }
-  uint32_t q[kMaxU] = {0};
-  uint32_t r[kMaxV] = {0};
-  DivRemDigits(ud, un, vd, vn, q, r);
-  *q_out = FromDigits(q, un - vn + 1);
-  *r_out = FromDigits(r, vn);
+  const uint64_t c = 0 - m.limb(0);
+  return c < (1ULL << 32) ? c : 0;
+}
+
+// t (8 limbs, little-endian) mod m, where m = 2^255 - c (see above).
+U256 FoldMod(const uint64_t* t, uint64_t c, const U256& m) {
+  constexpr uint64_t kLow63 = 0x7FFFFFFFFFFFFFFFULL;
+  uint64_t r[4];
+  uint64_t carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    __uint128_t cur = static_cast<__uint128_t>(t[i + 4]) * (2 * c) + t[i] +
+                      carry;
+    r[i] = static_cast<uint64_t>(cur);
+    carry = static_cast<uint64_t>(cur >> 64);
+  }
+  // Bits 255 and up: carry (< 2^34) above limb 3, plus limb 3's top bit.
+  const uint64_t high = (carry << 1) | (r[3] >> 63);
+  r[3] &= kLow63;
+  __uint128_t add = static_cast<__uint128_t>(high) * c;  // < 2^67
+  for (int i = 0; i < 4 && add != 0; ++i) {
+    add += r[i];
+    r[i] = static_cast<uint64_t>(add);
+    add >>= 64;
+  }
+  U256 out = U256::FromLimbsBigEndian(r[3], r[2], r[1], r[0]);
+  if (out >= m) out = out.Sub(m);
+  return out;
 }
 
 }  // namespace
@@ -321,6 +344,11 @@ U256 U512::Mod(const U256& m) const {
 }
 
 U256 U256::Mod(const U256& a, const U256& m) {
+  if (a < m) return a;
+  if (const uint64_t c = FoldConstant(m)) {
+    const uint64_t t[8] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
+    return FoldMod(t, c, m);
+  }
   uint32_t digits[8];
   uint64_t al[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
   ToDigits(al, 4, digits);
@@ -348,7 +376,11 @@ U256 U256::SubMod(const U256& a, const U256& b, const U256& m) {
 }
 
 U256 U256::MulMod(const U256& a, const U256& b, const U256& m) {
-  return U512::Mul(a, b).Mod(m);
+  const U512 product = U512::Mul(a, b);
+  if (const uint64_t c = FoldConstant(m)) {
+    return FoldMod(product.limbs.data(), c, m);
+  }
+  return product.Mod(m);
 }
 
 U256 U256::PowMod(const U256& base, const U256& exp, const U256& m) {
@@ -389,25 +421,6 @@ U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
     }
   }
   return result;
-}
-
-U256 U256::InvMod(const U256& a, const U256& m) {
-  // Extended Euclid, tracking the Bezout coefficient of `a` modulo m.
-  U256 r0 = m;
-  U256 r1 = Mod(a, m);
-  U256 t0;        // 0
-  U256 t1(1);
-  while (!r1.IsZero()) {
-    U256 q, r2;
-    DivRem256(r0, r1, &q, &r2);
-    U256 t2 = SubMod(t0, MulMod(Mod(q, m), t1, m), m);
-    r0 = r1;
-    r1 = r2;
-    t0 = t1;
-    t1 = t2;
-  }
-  if (r0 != U256(1)) return U256();  // not invertible
-  return t0;
 }
 
 }  // namespace xdeal

@@ -1,9 +1,16 @@
 // U256: fixed-width 256-bit unsigned integer arithmetic.
 //
 // Built from scratch on 64-bit limbs (little-endian limb order) with a
-// 512-bit intermediate for multiplication and Knuth Algorithm D division.
-// This is the numeric substrate for the Schnorr signature scheme
-// (schnorr.h): modular exponentiation over a 256-bit prime field.
+// 512-bit intermediate for multiplication. This is the numeric substrate of
+// the Schnorr signature scheme (schnorr.h): modular exponentiation over the
+// prime field of p = 2^255 - 19, with exponents mod n = p - 1.
+//
+// Reduction has two paths, chosen from the modulus alone and bit-identical
+// in their results. A modulus m = 2^255 - c with 0 < c < 2^32 (both p and
+// n) takes the fold path: 2^256 = 2c (mod m), so a product reduces with a
+// few word multiplies and one conditional subtraction. Every other modulus
+// takes Knuth Algorithm D division (U512::Mod), which is also the test
+// oracle for the fold path.
 
 #ifndef XDEAL_CRYPTO_U256_H_
 #define XDEAL_CRYPTO_U256_H_
@@ -52,15 +59,19 @@ class U256 {
   /// 64 hex digits, most significant first.
   std::string ToHex() const;
 
+  /// True for the value zero.
   bool IsZero() const {
     return (limbs_[0] | limbs_[1] | limbs_[2] | limbs_[3]) == 0;
   }
+  /// True when bit 0 is set.
   bool IsOdd() const { return limbs_[0] & 1; }
 
+  /// Limb `i` in 0..3; limb 0 is the least significant.
   uint64_t limb(int i) const { return limbs_[i]; }
+  /// The least significant 64 bits.
   uint64_t Low64() const { return limbs_[0]; }
 
-  /// Comparison.
+  /// Three-way comparison: negative, zero or positive as *this <, ==, > o.
   int Compare(const U256& o) const;
   bool operator==(const U256& o) const { return limbs_ == o.limbs_; }
   bool operator!=(const U256& o) const { return limbs_ != o.limbs_; }
@@ -69,24 +80,41 @@ class U256 {
   bool operator>(const U256& o) const { return Compare(o) > 0; }
   bool operator>=(const U256& o) const { return Compare(o) >= 0; }
 
-  /// Wrapping arithmetic mod 2^256. AddWithCarry reports the carry-out.
+  /// Wrapping sum mod 2^256.
   U256 Add(const U256& o) const;
+  /// Wrapping sum mod 2^256; `*carry_out` (if non-null) receives the carry
+  /// out of bit 255, 0 or 1.
   U256 AddWithCarry(const U256& o, uint64_t* carry_out) const;
-  U256 Sub(const U256& o) const;  // wraps on underflow
+  /// Wrapping difference mod 2^256 (wraps on underflow).
+  U256 Sub(const U256& o) const;
+  /// Logical shift left; bits shifted past 255 are lost, >= 256 gives zero.
   U256 ShiftLeft(unsigned bits) const;
+  /// Logical shift right; >= 256 gives zero.
   U256 ShiftRight(unsigned bits) const;
 
   /// Number of significant bits (0 for zero).
   int BitLength() const;
+  /// Bit `i` in 0..255; bit 0 is the least significant.
   bool Bit(int i) const {
     return (limbs_[i / 64] >> (i % 64)) & 1;
   }
 
-  /// Modular arithmetic. `m` must be nonzero.
+  // Modular arithmetic. In every function below `m` must be nonzero, the
+  // operands may be unreduced (any value below 2^256), and the result is
+  // canonical, in [0, m). A modulus m = 2^255 - c with 0 < c < 2^32 (the
+  // Schnorr p and n) reduces by folding; any other by Knuth division. The
+  // two give the same result.
+
+  /// (a + b) mod m. Both operands are reduced first.
   static U256 AddMod(const U256& a, const U256& b, const U256& m);
+  /// (a - b) mod m. Both operands are reduced first.
   static U256 SubMod(const U256& a, const U256& b, const U256& m);
+  /// (a * b) mod m, from the full 512-bit product.
   static U256 MulMod(const U256& a, const U256& b, const U256& m);
+  /// base^exp mod m by left-to-right square-and-multiply over every bit of
+  /// `exp`; exp = 0 gives 1 mod m.
   static U256 PowMod(const U256& base, const U256& exp, const U256& m);
+  /// a mod m; returns `a` unchanged when a < m.
   static U256 Mod(const U256& a, const U256& m);
 
   /// Simultaneous multi-exponentiation: Π base_i^{exp_i} mod m over all
@@ -95,27 +123,28 @@ class U256 {
   /// generalized to k bases). For k terms of b-bit exponents this costs
   /// b squarings + (set bits) multiplies instead of k·b squarings — the
   /// kernel behind batched Schnorr certificate verification. `m` must be
-  /// nonzero; an empty `terms` yields 1 mod m.
+  /// nonzero; bases may be unreduced; an empty `terms` yields 1 mod m. The
+  /// result is canonical, in [0, m).
   static U256 MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                           const U256& m);
-
-  /// Modular inverse via extended binary GCD; returns zero if gcd(a,m) != 1.
-  static U256 InvMod(const U256& a, const U256& m);
 
  private:
   // limbs_[0] is least significant.
   std::array<uint64_t, 4> limbs_;
 };
 
-/// 512-bit product of two U256 values plus remainder operations; exposed for
-/// testing the division kernel.
+/// 512-bit product of two U256 values and its remainder by Knuth division;
+/// exposed as the reference the fold path is tested against.
 struct U512 {
   std::array<uint64_t, 8> limbs{};  // little-endian
 
+  /// The exact 512-bit product a * b.
   static U512 Mul(const U256& a, const U256& b);
 
   /// Remainder of this 512-bit value modulo a nonzero 256-bit modulus,
-  /// via Knuth Algorithm D with 32-bit digits.
+  /// canonical in [0, m), via Knuth Algorithm D with 32-bit digits. Always
+  /// divides, whatever the form of `m`: this is the generic path and the
+  /// oracle for the fold reduction.
   U256 Mod(const U256& m) const;
 };
 

@@ -1,6 +1,7 @@
 // U256 arithmetic: hex round-trips, comparison, add/sub/mul/mod identities,
 // Knuth-division cross-checked against __int128 for small values and against
-// algebraic identities for full-width values.
+// algebraic identities for full-width values; Knuth division in turn is the
+// oracle for the fold reduction of the Schnorr moduli.
 
 #include "crypto/u256.h"
 
@@ -232,22 +233,6 @@ TEST(U256Test, FoldReductionMatchesKnuthDivision) {
       ASSERT_EQ(U256::Mod(a, m), U512::Mul(a, U256(1)).Mod(m)) << a.ToHex();
     }
   }
-}
-
-TEST(U256Test, InvModPrime) {
-  const U256& p = SchnorrGroup::P();
-  Rng rng(41);
-  for (int i = 0; i < 10; ++i) {
-    U256 a = U256::Mod(RandomU256(&rng), p);
-    if (a.IsZero()) a = U256(3);
-    U256 inv = U256::InvMod(a, p);
-    EXPECT_EQ(U256::MulMod(a, inv, p), U256(1));
-  }
-}
-
-TEST(U256Test, InvModNonInvertible) {
-  // gcd(6, 9) = 3, not invertible.
-  EXPECT_TRUE(U256::InvMod(U256(6), U256(9)).IsZero());
 }
 
 TEST(U256Test, U512MulMatchesInt128) {
