@@ -101,7 +101,7 @@ class CbcParty {
   bool RunValidationChecks() const;
   /// Claims every escrow this party cares about, given a decisive outcome.
   void ClaimAll(DealOutcome outcome);
-  /// Whether this party's own escrow call into asset `a` has a receipt.
+  /// Whether this party's own escrow call into `asset` has a receipt.
   bool OwnEscrowLanded(uint32_t asset) const;
   /// Every Δ until our own escrow into `asset` lands, then decides `asset`
   /// again unless it has settled meanwhile.
