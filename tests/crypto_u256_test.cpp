@@ -203,6 +203,7 @@ U256 EdgyU256(Rng* rng) {
       default: limb = rng->Next64(); break;
     }
   }
+  // limbs[0] is the most significant: half the time, clear bit 255.
   if (rng->Below(2) == 0) limbs[0] &= 0x7FFFFFFFFFFFFFFFULL;
   return U256::FromLimbsBigEndian(limbs[0], limbs[1], limbs[2], limbs[3]);
 }
@@ -213,10 +214,12 @@ TEST(U256Test, FoldReductionMatchesKnuthDivision) {
   const U256 two255 = U256(1).ShiftLeft(255);
   const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
   for (const U256& m : {SchnorrGroup::P(), SchnorrGroup::N()}) {
-    std::vector<U256> edges = {U256(),        U256(1),      m.Sub(U256(1)),
-                               m,             m.Add(U256(1)), two255,
-                               two255.Sub(U256(1)), max,    max.Sub(m),
-                               m.Add(m).Sub(U256(1)), m.Add(m), U256(38)};
+    const std::vector<U256> edges = {
+        U256(),   U256(1),          m.Sub(U256(1)),
+        m,        m.Add(U256(1)),   two255,
+        two255.Sub(U256(1)),        max,
+        max.Sub(m),                 m.Add(m).Sub(U256(1)),
+        m.Add(m), U256(38)};
     for (const U256& a : edges) {
       EXPECT_EQ(U256::Mod(a, m), U512::Mul(a, U256(1)).Mod(m)) << a.ToHex();
       for (const U256& b : edges) {
