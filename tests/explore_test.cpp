@@ -8,6 +8,7 @@
 
 #include "core/explore.h"
 #include "core/scenario_sweep.h"
+#include "golden_fps.h"
 
 namespace xdeal {
 namespace {
@@ -219,6 +220,22 @@ TEST(ExhaustiveSweepTest, CuratedMatrixProvesCellsAndCountsViolations) {
       EXPECT_EQ(cell.report.violation_count, 0u);
     }
   }
+}
+
+TEST(ExhaustiveSweepTest, BenchMatrixCountsArePinned) {
+  SweepOptions options;
+  options.base_seed = 1;
+  options.mode = SweepMode::kExhaustive;
+  options.num_threads = 4;
+  ExhaustiveSweepReport report =
+      RunExhaustiveSweep(GoldenExploreAxes(), options);
+
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.orders, kGoldenExploreOrders);
+  EXPECT_EQ(report.sleep_blocked, kGoldenExploreSleepBlocked);
+  EXPECT_EQ(report.executions, kGoldenExploreExecutions);
+  EXPECT_EQ(report.violations, kGoldenExploreViolations);
+  EXPECT_EQ(report.fingerprint, kGoldenExploreFp) << report.Summary();
 }
 
 TEST(ExhaustiveSweepTest, ExplorabilityPredicateFiltersTheMatrix) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scenario_sweep.h"
+#include "golden_fps.h"
 
 namespace xdeal {
 namespace {
@@ -185,6 +186,21 @@ TEST(ScenarioSweepTest, SeededDosViolationCaughtWithReproducerSeed) {
     }
   }
   EXPECT_TRUE(saw_safety) << report.Summary();
+}
+
+TEST(ScenarioSweepTest, DefaultAxesFingerprintsArePinned) {
+  // The stock matrix runs every single-deal path: timelock and CBC through
+  // the driver runner, HTLC through the baseline. Its fingerprint pins the
+  // outcome, gas, receipt count and settle time of all 804 scenarios.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SweepOptions opts;
+    opts.base_seed = seed;
+    opts.num_threads = 4;
+    SweepReport report = RunSweep(DefaultSweepAxes(), opts);
+    EXPECT_EQ(report.fingerprint, kGoldenSweepFp[seed - 1])
+        << "base seed " << seed << "\n" << report.Summary();
+    EXPECT_TRUE(report.violations.empty()) << report.Summary();
+  }
 }
 
 TEST(ScenarioSweepTest, DefaultAxesMeetTheAcceptanceFloor) {
