@@ -29,6 +29,7 @@
 #include "chain/world.h"
 #include "contracts/escrow_view.h"
 #include "core/deal_spec.h"
+#include "core/protocol_driver.h"
 #include "util/det.h"
 
 namespace xdeal {
@@ -40,6 +41,8 @@ struct LedgerSnapshot {
   // asset index -> ticket -> owner party (only tickets named in the spec).
   std::vector<std::map<uint64_t, uint32_t>> ticket_owners;
 
+  /// Reads every party's balance, and the owner of every ticket the spec
+  /// escrows, from the deal's asset contracts in `world` as they are now.
   static LedgerSnapshot Capture(const World& world, const DealSpec& spec);
 };
 
@@ -82,6 +85,9 @@ struct PartyVerdict {
   bool token_state_unchanged = false; // token ledger matches full abort
 };
 
+/// Judges one deal against Properties 1-3 from its escrow contracts, its
+/// receipts and the token ledgers before and after the run. Read-only on
+/// the World once CaptureInitial has run.
 class DealChecker {
  public:
   /// `escrows` maps asset index -> the deal's escrow contract on that
@@ -134,6 +140,37 @@ class DealChecker {
   LedgerSnapshot initial_;
   bool captured_ = false;
 };
+
+/// The one judgement of a finished deal, shared by the sampled sweep, the
+/// explorer and the traffic engine. Copies the outcome bits of `result`
+/// into `verdict`, ANDs a CBC deal's atomicity with checker.Atomic(), and
+/// evaluates Properties 1 and 2 over `compliant`. Property 3 is evaluated
+/// only when `assert_strong_liveness` is set (every party compliant and the
+/// network within its bound); a CBC deal must then also have committed.
+/// Finally fills `verdict->violation`. `settle_time` and the other
+/// bookkeeping stay with the caller.
+///
+/// Defined inline so that the checker calls it makes stay calls into
+/// checker.cc from the caller's object file, where a link-time wrapper
+/// (benchmark/shims.cc) can still attribute them to the checker layer.
+inline void JudgeDeal(const DealResult& result, const DealChecker& checker,
+                      const std::vector<PartyId>& compliant,
+                      bool assert_strong_liveness, DealVerdict* verdict) {
+  const bool cbc = result.protocol == Protocol::kCbc;
+  verdict->committed = result.committed;
+  verdict->aborted = result.aborted;
+  verdict->mixed = result.mixed;
+  verdict->all_settled = result.all_settled;
+  verdict->atomic = result.atomic && (!cbc || checker.Atomic());
+  verdict->safety_ok = checker.SafetyHolds(compliant);
+  verdict->weak_liveness_ok = checker.WeakLivenessHolds(compliant);
+  if (assert_strong_liveness) {
+    verdict->strong_liveness_ok =
+        cbc ? result.committed && checker.StrongLivenessHolds()
+            : checker.StrongLivenessHolds();
+  }
+  verdict->FillViolation();
+}
 
 }  // namespace xdeal
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
-#include "cbc/cbc_service.h"
-#include "core/checker.h"
-#include "core/deal_gen.h"
-#include "core/env.h"
-#include "sim/network.h"
+#include "core/scenario_sweep.h"
 #include "sim/worker_pool.h"
 #include "util/fingerprint.h"
 
@@ -82,173 +79,20 @@ bool FaultInjectionPolicy::ShouldDrop(const EnabledEvent& chosen) {
 
 namespace {
 
-/// Everything one execution of a cell needs kept alive, in construction
-/// order (the World must outlive the runtime and checker).
-struct RunInstance {
-  std::unique_ptr<DealEnv> env;
-  std::unique_ptr<CbcService> service;
-  std::unique_ptr<ProtocolDriver> driver;
-  std::unique_ptr<SingleDeviantFactory> factory;
-  std::unique_ptr<DealRuntime> runtime;
-  std::unique_ptr<DealChecker> checker;
-  DealSpec spec;
-  uint32_t deviant = 0;   // resolved deviant party id (if adversarial)
-  bool adversarial = false;
-  bool deploy_ok = false;
-};
-
-uint64_t CountReceipts(const World& world) {
-  uint64_t n = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    n += world.chain(ChainId{c})->receipts().size();
-  }
-  return n;
-}
-
-/// Builds a fresh, un-run instance of the cell's deal: fixed-delay network
-/// (optionally DoS-wrapped), generated spec, driver, deployed runtime, and
-/// an armed checker. Identical across calls — execution is then a pure
-/// function of the installed ChoicePolicy's decisions.
-RunInstance BuildRun(const ExploreCell& cell) {
-  RunInstance run;
-
-  std::unique_ptr<NetworkModel> net = std::make_unique<SynchronousNetwork>(
-      cell.fixed_delay, cell.fixed_delay);
-  TargetedDosNetwork* dos = nullptr;
-  if (cell.dos_window) {
-    // Same window derivation as ScenarioSweep's kDosWindow: open just after
-    // votes are cast at t0, close past every forwarding deadline. t0 depends
-    // only on the transfer count, learned from a scratch generation (the
-    // generator is deterministic in its params).
-    size_t steps = 0;
-    {
-      EnvConfig scratch_config;
-      scratch_config.seed = cell.gen.seed;
-      DealEnv scratch(std::move(scratch_config));
-      steps = GenerateRandomDeal(&scratch, cell.gen).NumTransfers();
-    }
-    Tick t0 = cell.timings.ValidationTime(steps);
-    Tick attack_start = t0 + 10;
-    Tick attack_end = t0 +
-                      static_cast<Tick>(cell.gen.n_parties + 2) *
-                          cell.timings.delta +
-                      1000;
-    auto dos_net = std::make_unique<TargetedDosNetwork>(
-        std::move(net), attack_start, attack_end);
-    dos = dos_net.get();
-    net = std::move(dos_net);
-  }
-
-  EnvConfig env_config;
-  env_config.seed = cell.gen.seed;
-  env_config.block_interval = cell.block_interval;
-  env_config.network = std::move(net);
-  run.env = std::make_unique<DealEnv>(std::move(env_config));
-  run.spec = GenerateRandomDeal(run.env.get(), cell.gen);
-
-  run.adversarial = cell.protocol == Protocol::kTimelock
-                        ? static_cast<bool>(cell.timelock_adversary)
-                        : static_cast<bool>(cell.cbc_adversary);
-  run.deviant =
-      run.spec.parties[cell.deviant_position % run.spec.parties.size()].v;
-
-  if (dos != nullptr) {
-    uint32_t beneficiary =
-        run.spec
-            .parties[cell.dos_beneficiary_position % run.spec.parties.size()]
-            .v;
-    for (PartyId p : run.spec.parties) {
-      if (p.v != beneficiary) {
-        dos->AddTarget(run.env->world().PartyEndpoint(p));
-      }
-    }
-  }
-
-  if (cell.protocol == Protocol::kCbc) {
-    CbcService::Options service_options;
-    service_options.validator_seed =
-        "explore-" + std::to_string(cell.gen.seed);
-    run.service =
-        std::make_unique<CbcService>(&run.env->world(), service_options);
-    run.driver = std::make_unique<CbcDriver>(run.service.get());
-  } else {
-    run.driver = std::make_unique<TimelockDriver>();
-  }
-
-  run.factory = std::make_unique<SingleDeviantFactory>(
-      run.adversarial ? run.deviant : 0xFFFFFFFFu, cell.timelock_adversary,
-      cell.cbc_adversary);
-  run.runtime = run.driver->CreateDeal(&run.env->world(), run.spec,
-                                       cell.timings, run.factory.get());
-  run.deploy_ok = run.runtime->Deploy().ok();
-  if (run.deploy_ok) {
-    run.checker = std::make_unique<DealChecker>(
-        &run.env->world(), run.spec, run.runtime->escrow_contracts());
-    run.checker->CaptureInitial();
-  }
-  return run;
-}
-
-/// Validates a drained run against Properties 1-3 (mirrors ScenarioSweep's
-/// per-scenario validation) and fingerprints the outcome.
-ExploreRunResult ValidateRun(const ExploreCell& cell, RunInstance* run) {
-  ExploreRunResult out;
-  if (!run->deploy_ok) {
-    out.violation = std::string(ToString(cell.protocol)) + "-start-failed";
-    return out;
-  }
-  out.started = true;
-  DealResult result = run->runtime->Collect();
-  out.committed = result.committed;
-  out.aborted = result.aborted;
-  out.mixed = result.mixed;
-  out.all_settled = result.all_settled;
-  out.atomic = result.atomic;
-  if (cell.protocol == Protocol::kCbc) {
-    out.atomic = out.atomic && run->checker->Atomic();
-  }
-  out.settle_time = result.settle_time;
-  out.total_gas = run->env->world().TotalGas();
-  out.messages = CountReceipts(run->env->world());
-
-  std::vector<PartyId> compliant;
-  for (PartyId p : run->spec.parties) {
-    if (!run->adversarial || p.v != run->deviant) compliant.push_back(p);
-  }
-  out.safety_ok = run->checker->SafetyHolds(compliant);
-  out.weak_liveness_ok = run->checker->WeakLivenessHolds(compliant);
-  if (!run->adversarial && !cell.dos_window) {
-    out.strong_liveness_ok =
-        cell.protocol == Protocol::kCbc
-            ? out.committed && run->checker->StrongLivenessHolds()
-            : run->checker->StrongLivenessHolds();
-  }
-  out.FillViolation();
-
-  uint64_t fp = 0x9E3779B97F4A7C15ULL;
-  fp = MixFingerprint(fp, out.OutcomeBits());
-  fp = MixFingerprint(fp, out.total_gas);
-  fp = MixFingerprint(fp, out.messages);
-  fp = MixFingerprint(fp, out.settle_time);
-  fp = MixFingerprint(fp, FingerprintString(out.violation));
-  out.fingerprint = fp;
-  return out;
-}
-
-/// Executes one run to completion (or sleep-block) under `policy`.
-/// Returns false if the policy aborted the run.
-template <typename AbortFn>
-bool DrainRun(RunInstance* run, ChoicePolicy* policy, AbortFn aborted) {
-  Scheduler& sched = run->env->world().scheduler();
+/// Steps `sched` under `policy` until it drains (true) or `abandon` says to
+/// stop (false, leaving the run unfinished).
+template <typename AbandonFn>
+bool Drain(Scheduler& sched, ChoicePolicy* policy, AbandonFn abandon) {
   sched.SetChoicePolicy(policy);
+  bool drained = true;
   while (sched.Step()) {
-    if (aborted()) {
-      sched.SetChoicePolicy(nullptr);
-      return false;
+    if (abandon()) {
+      drained = false;
+      break;
     }
   }
   sched.SetChoicePolicy(nullptr);
-  return true;
+  return drained;
 }
 
 /// One choose point on the DFS stack: the enabled snapshot, the sleep set
@@ -349,9 +193,9 @@ class ExplorerPolicy : public ChoicePolicy {
   uint64_t max_depth_ = 0;
 };
 
-/// Finds the width of the first multi-way choose point (0 if the cell is
+/// Finds the width of the first multi-way choose point (0 if the deal is
 /// branch-free and the default order is the only order).
-size_t ProbeRootWidth(const ExploreCell& cell) {
+size_t ProbeRootWidth(const ScenarioSpec& spec) {
   class Probe : public ChoicePolicy {
    public:
     size_t Choose(const std::vector<EnabledEvent>& enabled) override {
@@ -364,10 +208,11 @@ size_t ProbeRootWidth(const ExploreCell& cell) {
     size_t width = 0;
     bool done = false;
   };
-  RunInstance run = BuildRun(cell);
-  if (!run.deploy_ok) return 0;
   Probe probe;
-  DrainRun(&run, &probe, [&probe] { return probe.done; });
+  RunDeal(spec, DelayModel::kFixed, [&probe](Scheduler& sched) {
+    Drain(sched, &probe, [&probe] { return probe.done; });
+    return false;  // the probe only measures the root; nothing to judge
+  });
   return probe.width;
 }
 
@@ -393,7 +238,7 @@ ChoiceTrace ExtractTrace(const std::vector<Node>& stack) {
 
 /// Exhausts the subtree rooted at `root_branch` of the first branch point
 /// (or the whole tree if root_branch < 0) via stateless re-execution.
-BranchResult ExploreBranch(const ExploreCell& cell,
+BranchResult ExploreBranch(const ScenarioSpec& spec,
                            const ExploreOptions& options,
                            int64_t root_branch) {
   BranchResult res;
@@ -404,27 +249,27 @@ BranchResult ExploreBranch(const ExploreCell& cell,
       res.stats.complete = false;
       break;
     }
-    RunInstance run = BuildRun(cell);
     policy.BeginRun();
-    bool drained =
-        DrainRun(&run, &policy, [&policy] { return policy.aborted(); });
+    std::optional<ScenarioOutcome> r =
+        RunDeal(spec, DelayModel::kFixed, [&policy](Scheduler& sched) {
+          return Drain(sched, &policy, [&policy] { return policy.aborted(); });
+        });
     ++res.stats.executions;
-    if (!drained) {
+    if (!r.has_value()) {
       ++res.stats.sleep_blocked;
     } else {
       ++res.stats.orders;
-      ExploreRunResult r = ValidateRun(cell, &run);
-      if (r.committed) ++res.committed;
-      if (r.aborted) ++res.aborted;
-      if (r.mixed) ++res.mixed;
-      if (!r.violation.empty()) {
+      if (r->committed) ++res.committed;
+      if (r->aborted) ++res.aborted;
+      if (r->mixed) ++res.mixed;
+      if (!r->violation.empty()) {
         ++res.violation_count;
         if (res.violations.size() < options.max_violations) {
           res.violations.push_back(ExploreViolation{
-              r.violation, ExtractTrace(stack), res.stats.orders - 1});
+              r->violation, ExtractTrace(stack), res.stats.orders - 1});
         }
       }
-      res.fingerprint = MixFingerprint(res.fingerprint, r.fingerprint);
+      res.fingerprint = MixFingerprint(res.fingerprint, r->fingerprint);
     }
     // Backtrack: advance the deepest node with an unexplored branch, never
     // touching the pinned root (that branch belongs to another worker).
@@ -448,21 +293,21 @@ BranchResult ExploreBranch(const ExploreCell& cell,
 
 }  // namespace
 
-ExploreReport ExploreDeal(const ExploreCell& cell,
+ExploreReport ExploreDeal(const ScenarioSpec& spec,
                           const ExploreOptions& options) {
   ExploreReport report;
-  size_t width = ProbeRootWidth(cell);
+  size_t width = ProbeRootWidth(spec);
   report.stats.root_branches = width;
 
   std::vector<BranchResult> branches;
   if (width == 0) {
-    // Branch-free cell: the default order is the one and only order.
-    branches.push_back(ExploreBranch(cell, options, -1));
+    // Branch-free deal: the default order is the one and only order.
+    branches.push_back(ExploreBranch(spec, options, -1));
   } else {
     branches.resize(width);
     WorkerPool pool(options.num_threads);
     pool.ParallelFor(width, [&](size_t b) {
-      branches[b] = ExploreBranch(cell, options, static_cast<int64_t>(b));
+      branches[b] = ExploreBranch(spec, options, static_cast<int64_t>(b));
     });
   }
 
@@ -492,22 +337,17 @@ ExploreReport ExploreDeal(const ExploreCell& cell,
   return report;
 }
 
-ExploreRunResult RunCellWithPolicy(const ExploreCell& cell,
-                                   ChoicePolicy* policy) {
-  RunInstance run = BuildRun(cell);
-  if (!run.deploy_ok) {
-    ExploreRunResult out;
-    out.violation = std::string(ToString(cell.protocol)) + "-start-failed";
-    return out;
-  }
-  DrainRun(&run, policy, [] { return false; });
-  return ValidateRun(cell, &run);
+ScenarioOutcome RunCellWithPolicy(const ScenarioSpec& spec,
+                                  ChoicePolicy* policy) {
+  return *RunDeal(spec, DelayModel::kFixed, [policy](Scheduler& sched) {
+    return Drain(sched, policy, [] { return false; });
+  });
 }
 
-ExploreRunResult ReplayTrace(const ExploreCell& cell,
-                             const ChoiceTrace& trace) {
+ScenarioOutcome ReplayTrace(const ScenarioSpec& spec,
+                            const ChoiceTrace& trace) {
   ScriptedChoicePolicy policy(trace.choices);
-  return RunCellWithPolicy(cell, &policy);
+  return RunCellWithPolicy(spec, &policy);
 }
 
 std::string ExploreReport::Summary() const {

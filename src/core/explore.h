@@ -1,19 +1,22 @@
 // Exhaustive interleaving exploration (stateless model checking with
 // dynamic partial-order reduction) over ProtocolDriver deals.
 //
-// ScenarioSweep samples delivery orders by seed; this subsystem enumerates
-// them. A deal cell is executed under a fixed-delay network (the only
-// execution-phase RNG draw in the simulator is the network delay sample, and
-// SynchronousNetwork with min == max draws nothing), so a run's outcome is a
-// pure function of the choice sequence fed to the Scheduler's choose-point
-// seam (sim/scheduler.h). The explorer drives that seam with a sleep-set
-// DFS: at every same-tick choose point it either replays a recorded branch
-// or opens a new one, and events proven independent (commuting — see
+// The sweep samples and the explorer enumerates, over the same runner.
+// RunDeal (core/scenario_sweep.h) builds one ScenarioSpec's deal, drains it
+// and judges it with JudgeDeal. ScenarioSweep drains it once under the
+// scenario's seeded network; this subsystem drains it once per delivery
+// order under DelayModel::kFixed, where every message takes 3 ticks and no
+// delay is drawn. The network delay sample is the only execution-phase RNG
+// draw in the simulator, so a run's outcome is then a pure function of the
+// choice sequence fed to the Scheduler's choose-point seam
+// (sim/scheduler.h). The explorer drives that seam with a sleep-set DFS: at
+// every same-tick choose point it either replays a recorded branch or opens
+// a new one, and events proven independent (commuting — see
 // DependentEvents) of an already-explored sibling are put to sleep, so
 // exactly one execution per Mazurkiewicz trace class reaches a terminal
-// state. Every terminal state is validated with DealChecker against the
-// paper's Properties 1-3; a violation carries the exact ChoiceTrace that
-// reproduces it (the analog of a sweep seed, but bit-exact by construction).
+// state. Every terminal state is judged against the paper's Properties 1-3;
+// a violation carries the exact ChoiceTrace that reproduces it (the analog
+// of a sweep seed, but bit-exact by construction).
 //
 // Exploration is stateless: there is no World snapshot/restore, each path is
 // a full re-execution from deal construction. Parallelism is per root
@@ -27,21 +30,18 @@
 #define XDEAL_CORE_EXPLORE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/checker.h"
-#include "core/deal_gen.h"
-#include "core/protocol_driver.h"
 #include "sim/scheduler.h"
 #include "util/det.h"
 
 namespace xdeal {
 
-class CbcParty;
-class TimelockParty;
+// The deal to explore and the judged outcome of one run; both are defined
+// in core/scenario_sweep.h, which includes this header.
+struct ScenarioSpec;
+struct ScenarioOutcome;
 
 /// Whether two labeled events commute: executing them in either order from
 /// the same state yields the same state. Conservative: any kInternal label
@@ -53,38 +53,9 @@ bool DependentEvents(const EventLabel& a, const EventLabel& b);
 
 /// One fully-determined run: the index chosen at every scheduler choose
 /// point, in call order. Feeding it to a ScriptedChoicePolicy over the same
-/// ExploreCell replays the execution bit-for-bit.
+/// ScenarioSpec replays the execution bit-for-bit.
 struct ChoiceTrace {
   std::vector<uint32_t> choices;
-};
-
-/// One deal configuration to explore. The network is always fixed-delay
-/// (every message takes exactly `fixed_delay` ticks) so that execution is
-/// RNG-free; `gen.seed` still controls the pre-execution deal generation.
-struct ExploreCell {
-  /// Commit protocol under test (kTimelock or kCbc; no HTLC driver).
-  Protocol protocol = Protocol::kTimelock;
-  /// Deal shape + generation seed (see core/deal_gen.h).
-  GenParams gen;
-  /// Phase schedule; callers usually start from DealTimings::DefaultsFor.
-  DealTimings timings;
-  /// Every message's one-way delay, exactly.
-  Tick fixed_delay = 3;
-  /// Block production period of every chain.
-  Tick block_interval = 10;
-  /// Position (mod n_parties) of the deviating party; ignored when the
-  /// matching adversary maker below is null.
-  uint32_t deviant_position = 0;
-  /// Deviating strategy for timelock cells (null = all compliant).
-  std::function<std::unique_ptr<TimelockParty>()> timelock_adversary;
-  /// Deviating strategy for CBC cells (null = all compliant).
-  std::function<std::unique_ptr<CbcParty>()> cbc_adversary;
-  /// If true, wrap the network in the §5.3 targeted-DoS window: every party
-  /// except the beneficiary is cut off right after votes are cast (the
-  /// window is derived from `timings`, as in ScenarioSweep's kDosWindow).
-  bool dos_window = false;
-  /// Position (mod n_parties) of the untargeted beneficiary.
-  uint32_t dos_beneficiary_position = 0;
 };
 
 /// Exploration knobs.
@@ -98,22 +69,11 @@ struct ExploreOptions {
   size_t max_violations = 16;
 };
 
-/// Outcome + property verdicts of one terminal execution (the per-run
-/// analog of ScenarioOutcome, minus the sweep bookkeeping).
-struct ExploreRunResult : DealVerdict {
-  uint64_t total_gas = 0;
-  uint64_t messages = 0;  // receipts across all chains
-  Tick settle_time = 0;
-  /// Order-sensitive hash of the fields above; equal values mean
-  /// bit-identical runs (the replay-fidelity invariant).
-  uint64_t fingerprint = 0;
-};
-
 /// A property violation found during exploration, with its reproducer.
 struct ExploreViolation {
   /// Which failed properties (same encoding as SweepViolation::what).
   std::string what;
-  /// Replay with ReplayTrace(cell, trace) to reproduce bit-for-bit.
+  /// Replay with ReplayTrace(spec, trace) to reproduce bit-for-bit.
   ChoiceTrace trace;
   /// 0-based index of the violating execution in exploration order.
   uint64_t execution_index = 0;
@@ -131,7 +91,7 @@ struct ExploreStats {
   bool complete = true;        // no branch hit max_runs_per_branch
 };
 
-/// The folded result of exploring one cell.
+/// The folded result of exploring one scenario.
 struct ExploreReport {
   ExploreStats stats;
   uint64_t committed = 0;  // terminal runs where the deal committed
@@ -147,23 +107,24 @@ struct ExploreReport {
   std::string Summary() const;
 };
 
-/// Enumerates every inequivalent delivery order of `cell` and validates
-/// each terminal state against Properties 1-3.
+/// Enumerates every inequivalent delivery order of the timelock or CBC
+/// scenario `spec` under DelayModel::kFixed and judges each terminal state
+/// against Properties 1-3.
 XDEAL_DETERMINISTIC
-ExploreReport ExploreDeal(const ExploreCell& cell,
+ExploreReport ExploreDeal(const ScenarioSpec& spec,
                           const ExploreOptions& options);
 
-/// Re-executes `cell` under the recorded choice script and validates the
+/// Re-executes `spec` under the recorded choice script and judges the
 /// terminal state (the reproducer entry point for ExploreViolation traces).
 XDEAL_DETERMINISTIC
-ExploreRunResult ReplayTrace(const ExploreCell& cell,
-                             const ChoiceTrace& trace);
+ScenarioOutcome ReplayTrace(const ScenarioSpec& spec,
+                            const ChoiceTrace& trace);
 
-/// Runs `cell` once under an externally supplied policy (e.g. a
-/// FaultInjectionPolicy) and validates the terminal state. A null policy
-/// runs the scheduler's built-in FIFO order.
-ExploreRunResult RunCellWithPolicy(const ExploreCell& cell,
-                                   ChoicePolicy* policy);
+/// Runs `spec` once under DelayModel::kFixed and an externally supplied
+/// policy (e.g. a FaultInjectionPolicy), and judges the terminal state. A
+/// null policy runs the scheduler's built-in FIFO order.
+ScenarioOutcome RunCellWithPolicy(const ScenarioSpec& spec,
+                                  ChoicePolicy* policy);
 
 /// Matches scheduled events for targeted fault injection: kind plus
 /// optional chain/actor constraints (EventLabel::kNoId = wildcard).

@@ -40,10 +40,19 @@ bool BenignNetwork(SweepNetwork n) {
   return n == SweepNetwork::kSynchronous || n == SweepNetwork::kPostGstSync;
 }
 
-std::unique_ptr<NetworkModel> MakeBenignNetwork(SweepNetwork kind) {
+// Every message's one-way delay under DelayModel::kFixed.
+constexpr Tick kFixedDelay = 3;
+
+/// The network a run delays its messages with, before any §5.3 window is
+/// wrapped around it. Null means DealEnv's default, SynchronousNetwork(1, 10).
+std::unique_ptr<NetworkModel> BaseNetwork(SweepNetwork kind,
+                                          DelayModel delays) {
+  if (delays == DelayModel::kFixed) {
+    return std::make_unique<SynchronousNetwork>(kFixedDelay, kFixedDelay);
+  }
   switch (kind) {
     case SweepNetwork::kSynchronous:
-      return nullptr;  // DealEnv's default: SynchronousNetwork(1, 10)
+      return nullptr;
     case SweepNetwork::kPostGstSync:
       return std::make_unique<SemiSynchronousNetwork>(
           /*gst=*/0, /*pre_gst_max=*/3000, /*min_delay=*/1, /*max_delay=*/10);
@@ -52,7 +61,7 @@ std::unique_ptr<NetworkModel> MakeBenignNetwork(SweepNetwork kind) {
           /*gst=*/4000, /*pre_gst_max=*/3000, /*min_delay=*/1,
           /*max_delay=*/10);
     case SweepNetwork::kDosWindow:
-      return nullptr;  // built by the timelock runner (window depends on t0)
+      return std::make_unique<SynchronousNetwork>(1, 10);
   }
   return nullptr;
 }
@@ -108,136 +117,14 @@ GenParams GenParamsFor(const ScenarioSpec& sc) {
   return gen;
 }
 
-/// One runner for both commit protocols: what used to be two parallel
-/// Run{Timelock,Cbc}Scenario functions is now a single path through the
-/// ProtocolDriver API, with the protocol differences confined to the driver
-/// choice and the strong-liveness predicate.
-ScenarioOutcome RunDriverScenario(const ScenarioSpec& sc) {
-  ScenarioOutcome out;
-  out.index = sc.index;
-  out.seed = sc.seed;
-
-  GenParams gen = GenParamsFor(sc);
-  DealTimings timings = DealTimings::DefaultsFor(sc.protocol);
-  timings.delta =
-      sc.network == SweepNetwork::kDosWindow ? kDosDelta : kSweepDelta;
-
-  std::unique_ptr<NetworkModel> net;
-  TargetedDosNetwork* dos = nullptr;
-  if (sc.network == SweepNetwork::kDosWindow) {
-    // The attack window opens just after votes are cast at t0 and closes
-    // past every forwarding deadline and refund watchdog. t0 depends only on
-    // the transfer count, which we learn from a scratch generation (the
-    // generator is deterministic in its params, so the real run below
-    // produces the same spec).
-    size_t steps;
-    {
-      EnvConfig scratch_config;
-      scratch_config.seed = sc.seed;
-      DealEnv scratch(std::move(scratch_config));
-      steps = GenerateRandomDeal(&scratch, gen).NumTransfers();
-    }
-    Tick t0 = timings.ValidationTime(steps);
-    Tick attack_start = t0 + 10;
-    Tick attack_end =
-        t0 + static_cast<Tick>(sc.shape.n_parties + 2) * timings.delta + 1000;
-    auto dos_net = std::make_unique<TargetedDosNetwork>(
-        std::make_unique<SynchronousNetwork>(1, 10), attack_start, attack_end);
-    dos = dos_net.get();
-    net = std::move(dos_net);
-  } else {
-    net = MakeBenignNetwork(sc.network);
-  }
-
-  EnvConfig env_config;
-  env_config.seed = sc.seed;
-  env_config.network = std::move(net);
-  DealEnv env(std::move(env_config));
-  DealSpec spec = GenerateRandomDeal(&env, gen);
-
-  // The "special" party: the deviator for adversarial runs, the untargeted
-  // beneficiary for the DoS window.
-  uint32_t special = spec.parties[sc.position % spec.parties.size()].v;
-  if (dos != nullptr) {
-    for (PartyId p : spec.parties) {
-      if (p.v != special) dos->AddTarget(env.world().PartyEndpoint(p));
-    }
-  }
-
-  const bool adversarial = sc.adversary != SweepAdversary::kNone;
-  // A wiring mismatch (an adversary kind this protocol's factory does not
-  // know) must fail the scenario, not silently degrade into an honest run.
-  if (adversarial) {
-    const bool known = sc.protocol == Protocol::kTimelock
-                           ? MakeTimelockAdversary(sc.adversary) != nullptr
-                           : MakeCbcAdversary(sc.adversary) != nullptr;
-    if (!known) {
-      out.violation = "adversary-protocol-mismatch";
-      return out;
-    }
-  }
-
-  std::unique_ptr<CbcService> service;
-  std::unique_ptr<ProtocolDriver> driver;
-  if (sc.protocol == Protocol::kCbc) {
-    CbcService::Options service_options;
-    service_options.validator_seed = "sweep-" + std::to_string(sc.seed);
-    service =
-        std::make_unique<CbcService>(&env.world(), service_options);
-    driver = std::make_unique<CbcDriver>(service.get());
-  } else {
-    driver = std::make_unique<TimelockDriver>();
-  }
-
-  // One deviator at the special position, for either protocol.
-  SingleDeviantFactory factory(
-      special,
-      adversarial ? [&sc] { return MakeTimelockAdversary(sc.adversary); }
-                  : SingleDeviantFactory::TimelockMaker(nullptr),
-      adversarial ? [&sc] { return MakeCbcAdversary(sc.adversary); }
-                  : SingleDeviantFactory::CbcMaker(nullptr));
-  std::unique_ptr<DealRuntime> runtime =
-      driver->CreateDeal(&env.world(), spec, timings, &factory);
-  if (!runtime->Deploy().ok()) {
-    out.violation = std::string(ToString(sc.protocol)) + "-start-failed";
-    return out;
-  }
-  out.started = true;
-  DealChecker checker(&env.world(), spec, runtime->escrow_contracts());
-  checker.CaptureInitial();
-  env.world().scheduler().Run();
-  DealResult result = runtime->Collect();
-
-  out.committed = result.committed;
-  out.aborted = result.aborted;
-  out.mixed = result.mixed;
-  out.all_settled = result.all_settled;
-  out.atomic = result.atomic;
-  if (sc.protocol == Protocol::kCbc) {
-    out.atomic = out.atomic && checker.Atomic();
-  }
-  out.settle_time = result.settle_time;
-  out.total_gas = env.world().TotalGas();
-  out.messages = CountReceipts(env.world());
-
-  // Under the DoS window no *party* deviates, so everyone counts as
-  // compliant — which is exactly how the §5.3 mixed outcome surfaces as a
-  // Property 1 violation.
-  std::vector<PartyId> compliant;
-  for (PartyId p : spec.parties) {
-    if (!adversarial || p.v != special) compliant.push_back(p);
-  }
-  out.safety_ok = checker.SafetyHolds(compliant);
-  out.weak_liveness_ok = checker.WeakLivenessHolds(compliant);
-  if (!adversarial && BenignNetwork(sc.network)) {
-    // Under synchrony an all-compliant CBC deal must commit outright.
-    out.strong_liveness_ok =
-        sc.protocol == Protocol::kCbc
-            ? out.committed && checker.StrongLivenessHolds()
-            : checker.StrongLivenessHolds();
-  }
-  out.FillViolation();
-  return out;
+void SealFingerprint(ScenarioOutcome* out) {
+  uint64_t fp = 0x9E3779B97F4A7C15ULL;
+  fp = MixFingerprint(fp, out->OutcomeBits());
+  fp = MixFingerprint(fp, out->total_gas);
+  fp = MixFingerprint(fp, out->messages);
+  fp = MixFingerprint(fp, out->settle_time);
+  fp = MixFingerprint(fp, FingerprintString(out->violation));
+  out->fingerprint = fp;
 }
 
 ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
@@ -247,7 +134,7 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
 
   EnvConfig env_config;
   env_config.seed = sc.seed;
-  env_config.network = MakeBenignNetwork(sc.network);
+  env_config.network = BaseNetwork(sc.network, DelayModel::kSeeded);
   DealEnv env(std::move(env_config));
 
   // Swaps only express direct pairwise exchanges, so the baseline runs a
@@ -298,10 +185,130 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
   out.weak_liveness_ok = out.all_settled;
   out.strong_liveness_ok = out.committed;
   out.FillViolation();
+  SealFingerprint(&out);
   return out;
 }
 
 }  // namespace
+
+std::optional<ScenarioOutcome> RunDeal(
+    const ScenarioSpec& sc, DelayModel delays,
+    const std::function<bool(Scheduler&)>& drain) {
+  ScenarioOutcome out;
+  out.index = sc.index;
+  out.seed = sc.seed;
+
+  GenParams gen = GenParamsFor(sc);
+  DealTimings timings = DealTimings::DefaultsFor(sc.protocol);
+  timings.delta =
+      sc.network == SweepNetwork::kDosWindow ? kDosDelta : kSweepDelta;
+
+  std::unique_ptr<NetworkModel> net = BaseNetwork(sc.network, delays);
+  TargetedDosNetwork* dos = nullptr;
+  if (sc.network == SweepNetwork::kDosWindow) {
+    // The attack window opens just after votes are cast at t0 and closes
+    // past every forwarding deadline and refund watchdog. t0 depends only on
+    // the transfer count, which we learn from a scratch generation (the
+    // generator is deterministic in its params, so the real run below
+    // produces the same spec).
+    size_t steps;
+    {
+      EnvConfig scratch_config;
+      scratch_config.seed = sc.seed;
+      DealEnv scratch(std::move(scratch_config));
+      steps = GenerateRandomDeal(&scratch, gen).NumTransfers();
+    }
+    Tick t0 = timings.ValidationTime(steps);
+    Tick attack_start = t0 + 10;
+    Tick attack_end =
+        t0 + static_cast<Tick>(sc.shape.n_parties + 2) * timings.delta + 1000;
+    auto dos_net = std::make_unique<TargetedDosNetwork>(
+        std::move(net), attack_start, attack_end);
+    dos = dos_net.get();
+    net = std::move(dos_net);
+  }
+
+  EnvConfig env_config;
+  env_config.seed = sc.seed;
+  env_config.network = std::move(net);
+  DealEnv env(std::move(env_config));
+  DealSpec spec = GenerateRandomDeal(&env, gen);
+
+  // The "special" party: the deviator for adversarial runs, the untargeted
+  // beneficiary for the DoS window.
+  uint32_t special = spec.parties[sc.position % spec.parties.size()].v;
+  if (dos != nullptr) {
+    for (PartyId p : spec.parties) {
+      if (p.v != special) dos->AddTarget(env.world().PartyEndpoint(p));
+    }
+  }
+
+  const bool adversarial = sc.adversary != SweepAdversary::kNone;
+  // A wiring mismatch (an adversary kind this protocol's factory does not
+  // know) must fail the scenario, not silently degrade into an honest run.
+  if (adversarial) {
+    const bool known = sc.protocol == Protocol::kTimelock
+                           ? MakeTimelockAdversary(sc.adversary) != nullptr
+                           : MakeCbcAdversary(sc.adversary) != nullptr;
+    if (!known) {
+      out.violation = "adversary-protocol-mismatch";
+      SealFingerprint(&out);
+      return out;
+    }
+  }
+
+  std::unique_ptr<CbcService> service;
+  std::unique_ptr<ProtocolDriver> driver;
+  if (sc.protocol == Protocol::kCbc) {
+    CbcService::Options service_options;
+    service_options.validator_seed = "sweep-" + std::to_string(sc.seed);
+    service = std::make_unique<CbcService>(&env.world(), service_options);
+    driver = std::make_unique<CbcDriver>(service.get());
+  } else {
+    driver = std::make_unique<TimelockDriver>();
+  }
+
+  // One deviator at the special position, for either protocol.
+  SingleDeviantFactory factory(
+      special,
+      adversarial ? [&sc] { return MakeTimelockAdversary(sc.adversary); }
+                  : SingleDeviantFactory::TimelockMaker(nullptr),
+      adversarial ? [&sc] { return MakeCbcAdversary(sc.adversary); }
+                  : SingleDeviantFactory::CbcMaker(nullptr));
+  std::unique_ptr<DealRuntime> runtime =
+      driver->CreateDeal(&env.world(), spec, timings, &factory);
+  if (!runtime->Deploy().ok()) {
+    out.violation = std::string(ToString(sc.protocol)) + "-start-failed";
+    SealFingerprint(&out);
+    return out;
+  }
+  out.started = true;
+  DealChecker checker(&env.world(), spec, runtime->escrow_contracts());
+  checker.CaptureInitial();
+  if (!drain(env.world().scheduler())) return std::nullopt;
+
+  DealResult result = runtime->Collect();
+  out.settle_time = result.settle_time;
+  out.total_gas = env.world().TotalGas();
+  out.messages = CountReceipts(env.world());
+
+  // Under the DoS window no *party* deviates, so everyone counts as
+  // compliant — which is exactly how the §5.3 mixed outcome surfaces as a
+  // Property 1 violation.
+  std::vector<PartyId> compliant;
+  for (PartyId p : spec.parties) {
+    if (!adversarial || p.v != special) compliant.push_back(p);
+  }
+  // Property 3 is asserted only for honest runs on a network that kept its
+  // delay bound: never under the DoS window, and not under pre-GST
+  // asynchrony, which only the seeded network expresses.
+  const bool synchronous = delays == DelayModel::kFixed
+                               ? sc.network != SweepNetwork::kDosWindow
+                               : BenignNetwork(sc.network);
+  JudgeDeal(result, checker, compliant, !adversarial && synchronous, &out);
+  SealFingerprint(&out);
+  return out;
+}
 
 const char* ToString(SweepAdversary a) {
   switch (a) {
@@ -418,14 +425,11 @@ std::vector<ScenarioSpec> BuildScenarioMatrix(const SweepAxes& axes,
 }
 
 ScenarioOutcome RunScenario(const ScenarioSpec& spec) {
-  switch (spec.protocol) {
-    case Protocol::kTimelock:
-    case Protocol::kCbc:
-      return RunDriverScenario(spec);
-    case Protocol::kHtlc:
-      return RunHtlcScenario(spec);
-  }
-  return {};
+  if (spec.protocol == Protocol::kHtlc) return RunHtlcScenario(spec);
+  return *RunDeal(spec, DelayModel::kSeeded, [](Scheduler& sched) {
+    sched.Run();
+    return true;
+  });
 }
 
 SweepReport AggregateOutcomes(const std::vector<ScenarioSpec>& specs,
@@ -488,27 +492,6 @@ bool ExhaustivelyExplorable(const ScenarioSpec& sc) {
   return sc.shape.n_parties >= 2 && sc.shape.n_parties <= 4;
 }
 
-ExploreCell ToExploreCell(const ScenarioSpec& sc) {
-  ExploreCell cell;
-  cell.protocol = sc.protocol;
-  cell.gen = GenParamsFor(sc);
-  cell.timings = DealTimings::DefaultsFor(sc.protocol);
-  cell.timings.delta =
-      sc.network == SweepNetwork::kDosWindow ? kDosDelta : kSweepDelta;
-  cell.deviant_position = sc.position;
-  if (sc.adversary != SweepAdversary::kNone) {
-    const SweepAdversary kind = sc.adversary;
-    if (sc.protocol == Protocol::kTimelock) {
-      cell.timelock_adversary = [kind] { return MakeTimelockAdversary(kind); };
-    } else {
-      cell.cbc_adversary = [kind] { return MakeCbcAdversary(kind); };
-    }
-  }
-  cell.dos_window = sc.network == SweepNetwork::kDosWindow;
-  cell.dos_beneficiary_position = sc.position;
-  return cell;
-}
-
 ExhaustiveSweepReport RunExhaustiveSweep(const SweepAxes& axes,
                                          const SweepOptions& options) {
   ExhaustiveSweepReport report;
@@ -522,7 +505,7 @@ ExhaustiveSweepReport RunExhaustiveSweep(const SweepAxes& axes,
     if (!ExhaustivelyExplorable(sc)) continue;
     ExhaustiveCellOutcome cell;
     cell.spec = sc;
-    cell.report = ExploreDeal(ToExploreCell(sc), explore_options);
+    cell.report = ExploreDeal(sc, explore_options);
     report.orders += cell.report.stats.orders;
     report.executions += cell.report.stats.executions;
     report.sleep_blocked += cell.report.stats.sleep_blocked;

@@ -6,9 +6,14 @@
 // (timelock §5 / CBC §6 / HTLC §8), an optional deviating party from the
 // adversary gallery, and a network model (synchronous, eventually
 // synchronous pre/post GST, or the §5.3 targeted-DoS window). After the
-// scheduler drains, the outcome is validated with DealChecker against the
-// paper's properties; any failed property becomes a SweepViolation carrying
-// the scenario's reproducer seed.
+// scheduler drains, the outcome is judged by JudgeDeal (core/checker.h)
+// against the paper's properties; any failed property becomes a
+// SweepViolation carrying the scenario's reproducer seed.
+//
+// Timelock and CBC scenarios run through RunDeal, the one single-deal
+// runner: RunScenario drains it once under the scenario's seeded network,
+// and the DPOR explorer (core/explore.h) drains it once per delivery order
+// under a fixed-delay network.
 //
 // Determinism: scenario i runs with seed ScenarioSeed(base_seed, i),
 // regardless of which worker thread picks it up; workers write into
@@ -19,7 +24,9 @@
 #define XDEAL_CORE_SCENARIO_SWEEP_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +58,8 @@ enum class SweepAdversary : uint8_t {
   kCbcFakeProof,
 };
 
+/// The network a scenario runs under (see DelayModel for how the explorer
+/// replaces the sampled delays).
 enum class SweepNetwork : uint8_t {
   /// Uniform delays in [1, 10] — the timelock protocol's home turf.
   kSynchronous = 0,
@@ -66,7 +75,9 @@ enum class SweepNetwork : uint8_t {
   kDosWindow,
 };
 
+/// Stable short name of an adversary, as printed in reports.
 const char* ToString(SweepAdversary a);
+/// Stable short name of a network, as printed in reports.
 const char* ToString(SweepNetwork n);
 
 /// Whether this deviator strategy exists for this protocol.
@@ -112,12 +123,18 @@ struct ScenarioSpec {
   uint64_t replicate = 0;
 };
 
+/// The judged outcome of one run of one scenario: a sweep's per-scenario
+/// slot, or one explored delivery order.
 struct ScenarioOutcome : DealVerdict {
   size_t index = 0;
   uint64_t seed = 0;
   uint64_t total_gas = 0;
   uint64_t messages = 0;   // transaction receipts across all chains
   Tick settle_time = 0;
+  /// Order-sensitive hash of the outcome bits, gas, receipts, settle time
+  /// and violation (not index or seed); equal values mean bit-identical
+  /// runs. The explorer folds it per terminal run.
+  uint64_t fingerprint = 0;
 };
 
 /// A caught property violation, with everything needed to replay it.
@@ -130,13 +147,17 @@ struct SweepViolation {
   std::string what;
 };
 
+/// One cell of a sweep report: the scenarios sharing a protocol, an
+/// adversary and a network, across shapes, positions and replicates.
 struct SweepCellKey {
   Protocol protocol;
   SweepAdversary adversary;
   SweepNetwork network;
+  /// Orders cells by (protocol, adversary, network).
   bool operator<(const SweepCellKey& o) const;
 };
 
+/// Run, outcome, violation and cost counts of one sweep cell.
 struct SweepCellStats {
   size_t runs = 0;
   size_t committed = 0;
@@ -147,6 +168,7 @@ struct SweepCellStats {
   uint64_t messages = 0;
 };
 
+/// The folded result of a sampled sweep, in matrix order.
 struct SweepReport {
   size_t num_scenarios = 0;
   size_t honest_runs = 0;
@@ -174,6 +196,7 @@ enum class SweepMode : uint8_t {
   kExhaustive,
 };
 
+/// How RunSweep or RunExhaustiveSweep executes a matrix.
 struct SweepOptions {
   uint64_t base_seed = 1;
   /// 0 = hardware concurrency.
@@ -191,7 +214,32 @@ uint64_t ScenarioSeed(uint64_t base_seed, uint64_t scenario_index);
 std::vector<ScenarioSpec> BuildScenarioMatrix(const SweepAxes& axes,
                                               uint64_t base_seed);
 
-/// Runs one scenario in its own World and validates the outcome.
+/// How the single-deal runner delays messages. This is the one thing the
+/// sampled sweep and the explorer run differently.
+enum class DelayModel : uint8_t {
+  /// The scenario's seeded network: DealEnv's default
+  /// SynchronousNetwork(1, 10), post-GST or pre-GST (RunScenario).
+  kSeeded = 0,
+  /// Every message takes exactly 3 ticks. No delay is drawn from the RNG,
+  /// so a run is a pure function of its choose-point decisions
+  /// (exploration and replay). Pre-GST asynchrony is not modelled.
+  kFixed,
+};
+
+/// The single-deal runner for the driver protocols (timelock and CBC).
+/// Builds the scenario's deal in a fresh World under `delays` (wrapped in
+/// the §5.3 window for kDosWindow), deploys it with the scenario's
+/// deviator, arms a DealChecker, hands the World's scheduler to `drain`
+/// and judges the drained run with JudgeDeal. `drain` returns false to
+/// abandon the run, which then has no outcome. A deal that fails to deploy,
+/// or an adversary that does not fit the protocol, is judged as a violation
+/// without draining.
+std::optional<ScenarioOutcome> RunDeal(
+    const ScenarioSpec& spec, DelayModel delays,
+    const std::function<bool(Scheduler&)>& drain);
+
+/// Runs one scenario in its own World under its seeded network, in FIFO
+/// order, and judges the outcome (HTLC scenarios run the swap baseline).
 ScenarioOutcome RunScenario(const ScenarioSpec& spec);
 
 /// Sequential, index-ordered reduction of outcomes into a report.
@@ -207,12 +255,6 @@ SweepReport RunSweep(const SweepAxes& axes, const SweepOptions& options);
 /// can express (kSynchronous, or kDosWindow which wraps a fixed-delay
 /// base), and 2-4 parties (the state space grows factorially beyond that).
 bool ExhaustivelyExplorable(const ScenarioSpec& sc);
-
-/// Maps one matrix cell to the equivalent explorer cell: same shape, seed,
-/// timings, deviant position, and DoS window, under a fixed 3-tick
-/// per-message delay (the explorer enumerates orders instead of sampling
-/// delays).
-ExploreCell ToExploreCell(const ScenarioSpec& sc);
 
 /// Exhaustive verification result of one matrix cell.
 struct ExhaustiveCellOutcome {

@@ -158,34 +158,15 @@ void ValidateDeal(DealSlot* slot) {
   if (!rec.started) return;
 
   DealResult result = slot->runtime->Collect();
-  rec.committed = result.committed;
-  rec.aborted = result.aborted;
-  rec.mixed = result.mixed;
-  rec.all_settled = result.all_settled;
-  rec.atomic = result.atomic;
   rec.settle_time = result.settle_time;
   // Open-loop sojourn time: measured from arrival, so any admission wait
   // the controller imposed is part of the latency the workload observed.
   rec.latency =
       rec.settle_time > rec.arrival_at ? rec.settle_time - rec.arrival_at : 0;
-
-  std::vector<PartyId> compliant = CompliantPartiesOf(*slot);
-  rec.safety_ok = slot->checker->SafetyHolds(compliant);
-  rec.weak_liveness_ok = slot->checker->WeakLivenessHolds(compliant);
-  if (slot->runtime->protocol() == Protocol::kCbc) {
-    rec.atomic = rec.atomic && slot->checker->Atomic();
-  }
   // Property 3 presumes every party compliant; injection-touched deals are
   // exempt (their abort is the expected defense, not a liveness failure).
-  if (!rec.tainted) {
-    if (slot->runtime->protocol() == Protocol::kTimelock) {
-      rec.strong_liveness_ok = slot->checker->StrongLivenessHolds();
-    } else {
-      rec.strong_liveness_ok =
-          rec.committed && slot->checker->StrongLivenessHolds();
-    }
-  }
-  rec.FillViolation();
+  JudgeDeal(result, *slot->checker, CompliantPartiesOf(*slot), !rec.tainted,
+            &rec);
 }
 
 /// Builds the 2-party over-commit swap for an injected double-spend: the

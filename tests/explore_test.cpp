@@ -75,14 +75,14 @@ TEST(DependentEventsTest, PartyEventsConflictOnlyOnTheSameActor) {
 }
 
 TEST(ExploreRunTest, DefaultPolicyAndEmptyScriptMatchNoPolicy) {
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               11));
-  ExploreRunResult no_policy = RunCellWithPolicy(cell, nullptr);
+               11);
+  ScenarioOutcome no_policy = RunCellWithPolicy(cell, nullptr);
   DefaultChoicePolicy default_policy;
-  ExploreRunResult with_default = RunCellWithPolicy(cell, &default_policy);
+  ScenarioOutcome with_default = RunCellWithPolicy(cell, &default_policy);
   ScriptedChoicePolicy empty_script((std::vector<uint32_t>()));
-  ExploreRunResult with_script = RunCellWithPolicy(cell, &empty_script);
+  ScenarioOutcome with_script = RunCellWithPolicy(cell, &empty_script);
 
   EXPECT_TRUE(no_policy.started);
   EXPECT_EQ(no_policy.fingerprint, with_default.fingerprint);
@@ -91,9 +91,9 @@ TEST(ExploreRunTest, DefaultPolicyAndEmptyScriptMatchNoPolicy) {
 }
 
 TEST(ExploreDealTest, HonestTimelockCellConformsInEveryOrder) {
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               11));
+               11);
   ExploreOptions options;
   ExploreReport report = ExploreDeal(cell, options);
 
@@ -106,8 +106,8 @@ TEST(ExploreDealTest, HonestTimelockCellConformsInEveryOrder) {
 }
 
 TEST(ExploreDealTest, HonestCbcCellConformsInEveryOrder) {
-  ExploreCell cell = ToExploreCell(
-      MakeSpec(Protocol::kCbc, SweepNetwork::kSynchronous, kTinyShape, 11));
+  ScenarioSpec cell =
+      MakeSpec(Protocol::kCbc, SweepNetwork::kSynchronous, kTinyShape, 11);
   ExploreOptions options;
   ExploreReport report = ExploreDeal(cell, options);
 
@@ -118,9 +118,9 @@ TEST(ExploreDealTest, HonestCbcCellConformsInEveryOrder) {
 }
 
 TEST(ExploreDealTest, ExplorationIsDeterministic) {
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               23));
+               23);
   ExploreOptions options;
   ExploreReport a = ExploreDeal(cell, options);
   ExploreReport b = ExploreDeal(cell, options);
@@ -132,9 +132,9 @@ TEST(ExploreDealTest, ExplorationIsDeterministic) {
 }
 
 TEST(ExploreDealTest, ReportIsBitIdenticalAcrossThreadCounts) {
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               23));
+               23);
   ExploreOptions one;
   one.num_threads = 1;
   ExploreOptions four;
@@ -150,9 +150,9 @@ TEST(ExploreDealTest, ReportIsBitIdenticalAcrossThreadCounts) {
 TEST(ExploreDealTest, AdversarialCellNeverHurtsCompliantParties) {
   // A crash-at-commit deviator: the deal must abort (or settle safely) in
   // every inequivalent order, not just the sampled one.
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               31, SweepAdversary::kCrashAtCommit, 0));
+               31, SweepAdversary::kCrashAtCommit, 0);
   ExploreOptions options;
   ExploreReport report = ExploreDeal(cell, options);
 
@@ -172,9 +172,9 @@ TEST(ExploreDealTest, RediscoversSeededDosViolationWithReplayableTrace) {
   // Exhaustive enumeration proves the violation is not a sampling artifact —
   // every inequivalent order violates — and each violating order carries an
   // exact choice trace, replayable bit-for-bit.
-  ExploreCell cell = ToExploreCell(
+  ScenarioSpec cell =
       MakeSpec(Protocol::kTimelock, SweepNetwork::kDosWindow, kTwoChainShape,
-               97, SweepAdversary::kNone, /*position=*/1));
+               97, SweepAdversary::kNone, /*position=*/1);
   ExploreOptions options;
   options.num_threads = 4;
   ExploreReport report = ExploreDeal(cell, options);
@@ -187,9 +187,9 @@ TEST(ExploreDealTest, RediscoversSeededDosViolationWithReplayableTrace) {
   const ExploreViolation& v = report.violations.front();
   EXPECT_NE(v.what.find("property1-safety"), std::string::npos);
 
-  ExploreRunResult replay = ReplayTrace(cell, v.trace);
+  ScenarioOutcome replay = ReplayTrace(cell, v.trace);
   EXPECT_EQ(replay.violation, v.what);
-  ExploreRunResult replay2 = ReplayTrace(cell, v.trace);
+  ScenarioOutcome replay2 = ReplayTrace(cell, v.trace);
   EXPECT_EQ(replay.fingerprint, replay2.fingerprint);
 }
 
@@ -261,9 +261,9 @@ TEST(FaultInjectionTest, DroppedObservationsReachUnsampledFailures) {
   // The blinded party never observes its counterparty's vote on its outgoing
   // chain, so it cannot forward it (§5.1) and its own incoming chain times
   // out — the hand-built analog of the §5.3 DoS outcome.
-  ExploreCell cell = ToExploreCell(MakeSpec(
-      Protocol::kTimelock, SweepNetwork::kSynchronous, kTwoChainShape, 11));
-  ExploreRunResult clean = RunCellWithPolicy(cell, nullptr);
+  ScenarioSpec cell =MakeSpec(
+      Protocol::kTimelock, SweepNetwork::kSynchronous, kTwoChainShape, 11);
+  ScenarioOutcome clean = RunCellWithPolicy(cell, nullptr);
   ASSERT_EQ(clean.violation, "");
   ASSERT_TRUE(clean.committed);
 
@@ -271,7 +271,7 @@ TEST(FaultInjectionTest, DroppedObservationsReachUnsampledFailures) {
   rule.kind = EventKind::kObservation;
   rule.actor = 0;  // the first registered party
   FaultInjectionPolicy policy({rule});
-  ExploreRunResult faulty = RunCellWithPolicy(cell, &policy);
+  ScenarioOutcome faulty = RunCellWithPolicy(cell, &policy);
 
   EXPECT_GT(policy.dropped(), 0u);
   EXPECT_NE(faulty.fingerprint, clean.fingerprint);
@@ -282,7 +282,7 @@ TEST(FaultInjectionTest, DroppedObservationsReachUnsampledFailures) {
 
   // The same faults replay deterministically.
   FaultInjectionPolicy policy2({rule});
-  ExploreRunResult faulty2 = RunCellWithPolicy(cell, &policy2);
+  ScenarioOutcome faulty2 = RunCellWithPolicy(cell, &policy2);
   EXPECT_EQ(faulty.fingerprint, faulty2.fingerprint);
 }
 
