@@ -286,9 +286,21 @@ void Taint(DealSlot* slot, PartyId adversary) {
 /// The fold every fingerprint in the engine starts from.
 constexpr uint64_t kFpInit = 0x452821E638D01377ULL;
 
+/// Block production period of every chain, pool and CBC shards alike.
+constexpr Tick kBlockInterval = 10;
+/// Per-deal shape ranges, drawn from the deal's derived seed. The lower
+/// bound on assets is an option (TrafficOptions::min_assets).
+constexpr size_t kMinParties = 2;
+constexpr size_t kMaxParties = 4;
+constexpr size_t kMaxAssets = 3;
+/// Extra transfer hops beyond the n + (m-1) well-formedness floor.
+constexpr size_t kExtraTransfers = 2;
+
 /// Snapshot envelope framing.
 constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2: the service totals that are sums over the epoch reports are
+/// derived on restore instead of stored.
+constexpr uint32_t kSnapshotVersion = 2;
 
 Status ValidateServiceOptions(const TrafficOptions& options) {
   if (options.deals_per_epoch == 0) {
@@ -316,7 +328,6 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.stale_proof_deals.size());
   for (size_t d : o.stale_proof_deals) mix(d);
   mix(o.block_capacity);
-  mix(o.block_interval);
   mix(o.admission_gap);
   mix(o.delta);
   mix(static_cast<uint64_t>(o.arrival));
@@ -327,11 +338,7 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.admission.retry_delay);
   mix(o.admission.max_retries);
   mix(o.admission.broker_gate ? 1 : 0);
-  mix(o.min_parties);
-  mix(o.max_parties);
   mix(o.min_assets);
-  mix(o.max_assets);
-  mix(o.extra_transfers);
   mix(o.nft_every);
   mix(o.protocol_mix.size());
   for (Protocol p : o.protocol_mix) mix(static_cast<uint64_t>(p));
@@ -434,16 +441,10 @@ struct TrafficService::Impl {
   uint64_t towers_armed = 0;
   uint64_t cbc_seen = 0;
   uint64_t cumulative_fp = kFpInit;
-  size_t total_committed = 0;
-  size_t total_aborted = 0;
   size_t total_timelock = 0;
   size_t total_cbc = 0;
   size_t total_broker_deals = 0;
   size_t total_cross_shard = 0;
-  size_t total_stale = 0;
-  size_t total_double_spends = 0;
-  uint64_t total_gas = 0;
-  uint64_t total_untagged = 0;
   uint64_t total_messages = 0;
   Tick makespan = 0;
   std::vector<EpochReport> reports;
@@ -470,7 +471,7 @@ TrafficService::Impl::Impl(const TrafficOptions& o) : options(o) {
                                  options.stale_proof_deals.end());
   EnvConfig env_config;
   env_config.seed = options.base_seed;
-  env_config.block_interval = options.block_interval;
+  env_config.block_interval = kBlockInterval;
   env = std::make_unique<DealEnv>(std::move(env_config));
 }
 
@@ -552,7 +553,7 @@ CbcService::Options TrafficService::Impl::CbcOptions() const {
   service_options.chain_name = "cbc";
   service_options.validator_seed =
       "traffic-" + std::to_string(options.base_seed);
-  service_options.block_interval = options.block_interval;
+  service_options.block_interval = kBlockInterval;
   service_options.block_capacity = options.block_capacity;
   return service_options;
 }
@@ -699,12 +700,11 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       if (!defer_broker) set_broker_spec(i);
     } else {
       GenParams gen;
-      gen.n_parties = options.min_parties +
-                      rng.Below(options.max_parties - options.min_parties + 1);
-      gen.m_assets = options.min_assets +
-                     rng.Below(options.max_assets - options.min_assets + 1);
-      gen.t_transfers = gen.n_parties + (gen.m_assets - 1) +
-                        rng.Below(options.extra_transfers + 1);
+      gen.n_parties = kMinParties + rng.Below(kMaxParties - kMinParties + 1);
+      gen.m_assets =
+          options.min_assets + rng.Below(kMaxAssets - options.min_assets + 1);
+      gen.t_transfers =
+          gen.n_parties + (gen.m_assets - 1) + rng.Below(kExtraTransfers + 1);
       gen.nft_every = options.nft_every;
       gen.seed = rec.seed;
       gen.name_prefix = "d" + std::to_string(d) + "-";
@@ -1022,12 +1022,6 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   epoch.sealed_at = sealed_at;
   epoch.events_executed = sched.stats().executed;
   epoch.epoch_fingerprint = fp;
-  total_committed += epoch.committed;
-  total_aborted += epoch.aborted;
-  total_gas += epoch.gas;
-  total_stale += stale;
-  total_untagged += untagged;
-  total_double_spends += result.double_spends.size();
   cumulative_fp = MixFingerprint(cumulative_fp, fp);
   epoch.cumulative_fingerprint = cumulative_fp;
   result.admission = controller.stats();
@@ -1254,16 +1248,10 @@ Result<Bytes> TrafficService::Impl::DoCheckpoint() {
       .U64(towers_armed)
       .U64(cbc_seen)
       .U64(cumulative_fp)
-      .U64(total_committed)
-      .U64(total_aborted)
       .U64(total_timelock)
       .U64(total_cbc)
       .U64(total_broker_deals)
       .U64(total_cross_shard)
-      .U64(total_stale)
-      .U64(total_double_spends)
-      .U64(total_gas)
-      .U64(total_untagged)
       .U64(total_messages)
       .U64(makespan)
       .U32(tower_operator.v);
@@ -1407,24 +1395,14 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   XDEAL_ASSIGN_OR_RETURN(im.cumulative_fp, body.U64());
   im.next_deal = static_cast<size_t>(next_deal);
   im.epochs_run = static_cast<size_t>(epochs_run);
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_committed, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_aborted, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint64_t total_timelock, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint64_t total_cbc, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint64_t total_broker_deals, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint64_t total_cross_shard, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_stale, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_double_spends, body.U64());
-  im.total_committed = static_cast<size_t>(total_committed);
-  im.total_aborted = static_cast<size_t>(total_aborted);
   im.total_timelock = static_cast<size_t>(total_timelock);
   im.total_cbc = static_cast<size_t>(total_cbc);
   im.total_broker_deals = static_cast<size_t>(total_broker_deals);
   im.total_cross_shard = static_cast<size_t>(total_cross_shard);
-  im.total_stale = static_cast<size_t>(total_stale);
-  im.total_double_spends = static_cast<size_t>(total_double_spends);
-  XDEAL_ASSIGN_OR_RETURN(im.total_gas, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.total_untagged, body.U64());
   XDEAL_ASSIGN_OR_RETURN(im.total_messages, body.U64());
   XDEAL_ASSIGN_OR_RETURN(im.makespan, body.U64());
   XDEAL_ASSIGN_OR_RETURN(uint32_t tower_op, body.U32());
@@ -1568,20 +1546,24 @@ ServiceReport TrafficService::Impl::BuildFinal() const {
   ServiceReport report;
   report.epochs = epochs_run;
   report.deals = next_deal;
-  report.committed = total_committed;
-  report.aborted = total_aborted;
   report.timelock_deals = total_timelock;
   report.cbc_deals = total_cbc;
   report.broker_deals = total_broker_deals;
   report.cross_shard_deals = total_cross_shard;
-  report.stale_decide_rejections = total_stale;
-  report.double_spends = total_double_spends;
-  report.total_gas = total_gas;
-  report.untagged_gas = total_untagged;
   report.total_messages = total_messages;
   report.makespan = makespan;
   report.epoch_reports = reports;
   report.violations = violations;
+  // Totals that are plain sums over the epoch stream are derived here, so
+  // the snapshot stores them once (inside the epoch reports).
+  for (const EpochReport& e : reports) {
+    report.committed += e.committed;
+    report.aborted += e.aborted;
+    report.stale_decide_rejections += e.stale_decide_rejections;
+    report.double_spends += e.double_spends;
+    report.total_gas += e.gas;
+    report.untagged_gas += e.untagged_gas;
+  }
 
   uint64_t fp = cumulative_fp;
   if (broker_pool->enabled()) {

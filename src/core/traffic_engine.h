@@ -102,7 +102,6 @@ struct TrafficOptions {
   /// capacity turns heavy traffic into real queueing delay — tight enough
   /// values stretch timelock deadlines past Δ and the checker catches it.
   uint64_t block_capacity = 0;
-  Tick block_interval = 10;
   /// Deal i is admitted (its phase schedule shifted) at i * admission_gap.
   /// Under kFixedStagger this IS the arrival schedule; under kPoisson it is
   /// ignored in favour of mean_interarrival.
@@ -125,13 +124,10 @@ struct TrafficOptions {
   /// inline at generation, scheduled from its arrival time.
   AdmissionOptions admission;
 
-  // --- per-deal shape ranges, drawn from the deal's derived seed ---
-  size_t min_parties = 2;
-  size_t max_parties = 4;
+  // --- per-deal shape, drawn from the deal's derived seed: 2-4 parties,
+  //     min_assets-3 assets, up to 2 transfer hops beyond the minimum ---
+  /// Fewest assets a generated deal has (at most 3).
   size_t min_assets = 1;
-  size_t max_assets = 3;
-  /// Extra transfer hops beyond the n + (m-1) well-formedness floor.
-  size_t extra_transfers = 2;
   /// Every `nft_every`-th asset of a deal is an NFT (0 = fungible only).
   size_t nft_every = 0;
 

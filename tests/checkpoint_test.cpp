@@ -262,6 +262,17 @@ TEST_F(SnapshotRejectTest, UnsupportedVersion) {
             std::string::npos);
 }
 
+TEST_F(SnapshotRejectTest, Version1EnvelopeIsRejected) {
+  // Version 1 also stored six service totals that version 2 derives from
+  // the epoch reports; its payload would be misread, so it is refused.
+  Bytes old = snapshot_;
+  const uint8_t kVersion1[4] = {1, 0, 0, 0};  // little-endian U32 at [8,12)
+  std::copy(kVersion1, kVersion1 + 4, old.begin() + 8);
+  EXPECT_NE(
+      RestoreError(options_, old).find("unsupported snapshot version 1 "),
+      std::string::npos);
+}
+
 TEST_F(SnapshotRejectTest, OptionsMismatch) {
   TrafficOptions other = options_;
   other.base_seed += 1;
