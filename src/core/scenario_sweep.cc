@@ -117,6 +117,7 @@ GenParams GenParamsFor(const ScenarioSpec& sc) {
   return gen;
 }
 
+/// Sets ScenarioOutcome::fingerprint from the judged outcome.
 void SealFingerprint(ScenarioOutcome* out) {
   uint64_t fp = 0x9E3779B97F4A7C15ULL;
   fp = MixFingerprint(fp, out->OutcomeBits());
@@ -185,7 +186,6 @@ ScenarioOutcome RunHtlcScenario(const ScenarioSpec& sc) {
   out.weak_liveness_ok = out.all_settled;
   out.strong_liveness_ok = out.committed;
   out.FillViolation();
-  SealFingerprint(&out);
   return out;
 }
 

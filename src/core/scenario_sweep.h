@@ -110,8 +110,9 @@ struct SweepAxes {
   size_t seeds_per_cell = 1;
 };
 
-/// One fully-resolved scenario: everything RunScenario needs, plus the
-/// stable index that makes the sweep deterministic.
+/// One fully-resolved scenario: everything RunScenario, RunDeal and
+/// ExploreDeal need, plus the stable index that makes the sweep
+/// deterministic.
 struct ScenarioSpec {
   size_t index = 0;
   uint64_t seed = 0;  // ScenarioSeed(base_seed, index)
@@ -133,7 +134,8 @@ struct ScenarioOutcome : DealVerdict {
   Tick settle_time = 0;
   /// Order-sensitive hash of the outcome bits, gas, receipts, settle time
   /// and violation (not index or seed); equal values mean bit-identical
-  /// runs. The explorer folds it per terminal run.
+  /// runs. Set by RunDeal (0 for the HTLC baseline); the explorer folds it
+  /// per terminal run.
   uint64_t fingerprint = 0;
 };
 

@@ -298,8 +298,7 @@ constexpr size_t kExtraTransfers = 2;
 
 /// Snapshot envelope framing.
 constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
-/// Version 2: the service totals that are sums over the epoch reports are
-/// derived on restore instead of stored.
+/// Payload layout version; FromSnapshot rejects every other one.
 constexpr uint32_t kSnapshotVersion = 2;
 
 Status ValidateServiceOptions(const TrafficOptions& options) {
