@@ -224,7 +224,7 @@ struct BranchResult {
   uint64_t mixed = 0;
   uint64_t violation_count = 0;
   std::vector<ExploreViolation> violations;
-  uint64_t fingerprint = 0x243F6A8885A308D3ULL;
+  std::vector<uint64_t> run_fingerprints;  // one per terminal run
 };
 
 ChoiceTrace ExtractTrace(const std::vector<Node>& stack) {
@@ -269,7 +269,7 @@ BranchResult ExploreBranch(const ScenarioSpec& spec,
               r->violation, ExtractTrace(stack), res.stats.orders - 1});
         }
       }
-      res.fingerprint = MixFingerprint(res.fingerprint, r->fingerprint);
+      res.run_fingerprints.push_back(r->fingerprint);
     }
     // Backtrack: advance the deepest node with an unexplored branch, never
     // touching the pinned root (that branch belongs to another worker).
@@ -312,7 +312,7 @@ ExploreReport ExploreDeal(const ScenarioSpec& spec,
   }
 
   // Fold in branch order: bit-identical across thread counts.
-  uint64_t fp = 0x243F6A8885A308D3ULL;
+  std::vector<uint64_t> run_fingerprints;
   for (const BranchResult& b : branches) {
     report.stats.executions += b.stats.executions;
     report.stats.orders += b.stats.orders;
@@ -331,8 +331,14 @@ ExploreReport ExploreDeal(const ScenarioSpec& spec,
         report.violations.push_back(v);
       }
     }
-    fp = MixFingerprint(fp, b.fingerprint);
+    run_fingerprints.insert(run_fingerprints.end(), b.run_fingerprints.begin(),
+                            b.run_fingerprints.end());
   }
+  // Sorted, so the fold names the set of terminal runs, not the order in
+  // which the search reached them.
+  std::sort(run_fingerprints.begin(), run_fingerprints.end());
+  uint64_t fp = 0x243F6A8885A308D3ULL;
+  for (uint64_t run_fp : run_fingerprints) fp = MixFingerprint(fp, run_fp);
   report.fingerprint = fp;
   return report;
 }

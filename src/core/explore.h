@@ -99,8 +99,9 @@ struct ExploreReport {
   uint64_t mixed = 0;
   uint64_t violation_count = 0;  // terminal runs violating any property
   std::vector<ExploreViolation> violations;  // first max_violations of them
-  /// Fold of every terminal run's fingerprint in exploration order;
-  /// bit-identical across thread counts.
+  /// Fold of every terminal run's fingerprint, sorted ascending: it names
+  /// the multiset of runs, not the order the search reached them in, so it
+  /// is bit-identical across thread counts and exploration strategies.
   uint64_t fingerprint = 0;
 
   /// One-line human-readable summary.

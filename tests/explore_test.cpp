@@ -238,6 +238,22 @@ TEST(ExhaustiveSweepTest, BenchMatrixCountsArePinned) {
   EXPECT_EQ(report.fingerprint, kGoldenExploreFp) << report.Summary();
 }
 
+TEST(ExhaustiveSweepTest, WideAdversarialMatrixIsPinned) {
+  SweepOptions options;
+  options.base_seed = 1;
+  options.mode = SweepMode::kExhaustive;
+  options.num_threads = 4;
+  ExhaustiveSweepReport report =
+      RunExhaustiveSweep(GoldenWideExploreAxes(), options);
+
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.cells.size(), kGoldenWideExploreCells);
+  EXPECT_EQ(report.orders, kGoldenWideExploreOrders);
+  EXPECT_EQ(report.violations, kGoldenWideExploreViolations);
+  EXPECT_EQ(report.violation_cells, kGoldenWideExploreViolationCells);
+  EXPECT_EQ(report.fingerprint, kGoldenWideExploreFp) << report.Summary();
+}
+
 TEST(ExhaustiveSweepTest, ExplorabilityPredicateFiltersTheMatrix) {
   EXPECT_TRUE(ExhaustivelyExplorable(MakeSpec(
       Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape, 1)));

@@ -67,7 +67,34 @@ inline constexpr uint64_t kGoldenExploreOrders = 876;
 inline constexpr uint64_t kGoldenExploreSleepBlocked = 2225;
 inline constexpr uint64_t kGoldenExploreExecutions = 3101;
 inline constexpr uint64_t kGoldenExploreViolations = 576;
-inline constexpr uint64_t kGoldenExploreFp = 0x5b84d9590b4e6391ULL;
+inline constexpr uint64_t kGoldenExploreFp = 0x3b64f45388dc35a6ULL;
+
+/// A wider exhaustive matrix: the bench_explore shapes plus a 3-party
+/// single-chain one, every adversary, synchronous and §5.3 DoS window,
+/// deviator (or beneficiary) at positions 0 and 1.
+inline SweepAxes GoldenWideExploreAxes() {
+  SweepAxes axes;
+  axes.shapes = {{2, 1, 2, 1, 0}, {2, 2, 3, 2, 0}, {3, 1, 3, 1, 0}};
+  axes.protocols = {Protocol::kTimelock, Protocol::kCbc};
+  axes.adversaries = {
+      SweepAdversary::kNone,           SweepAdversary::kCrashAtEscrow,
+      SweepAdversary::kCrashAtTransfer, SweepAdversary::kCrashAtCommit,
+      SweepAdversary::kVoteWithholding, SweepAdversary::kNonForwarding,
+      SweepAdversary::kOfflineAfterVote, SweepAdversary::kDoubleSpend,
+      SweepAdversary::kShortTransfer,  SweepAdversary::kLateVote,
+      SweepAdversary::kCbcCrashBeforeVote, SweepAdversary::kCbcAlwaysAbort,
+      SweepAdversary::kCbcRescindRacer, SweepAdversary::kCbcFakeProof};
+  axes.networks = {SweepNetwork::kSynchronous, SweepNetwork::kDosWindow};
+  axes.positions = {0, 1};
+  axes.seeds_per_cell = 1;
+  return axes;
+}
+/// RunExhaustiveSweep(GoldenWideExploreAxes()) at base seed 1.
+inline constexpr uint64_t kGoldenWideExploreCells = 90;
+inline constexpr uint64_t kGoldenWideExploreOrders = 4617;
+inline constexpr uint64_t kGoldenWideExploreViolations = 576;
+inline constexpr uint64_t kGoldenWideExploreViolationCells = 1;
+inline constexpr uint64_t kGoldenWideExploreFp = 0xb395561890fe7da2ULL;
 
 }  // namespace xdeal
 
