@@ -1,16 +1,18 @@
-// Exhaustive interleaving verification bench: DPOR model checking over a
-// curated cell set (2-3-party timelock + CBC deals, synchronous and §5.3
-// DoS-window networks), via ScenarioSweep's kExhaustive mode.
+// Exhaustive interleaving verification bench: optimal-DPOR model checking
+// over a curated cell set (2-party timelock + CBC deals on one and two
+// chains, synchronous and §5.3 DoS-window networks), via ScenarioSweep's
+// kExhaustive mode.
 //
 // Unlike the sampled benches, every reported count is a property of the
-// deal itself, not of a seed: the number of inequivalent delivery orders,
-// the number of sleep-set-pruned re-executions, and the number of violating
-// orders are all deterministic, so CI exact-gates them in
-// BENCH_baseline.json. The bench also verifies the two explorer invariants
-// on every configuration:
+// deal itself, not of a seed: the number of inequivalent delivery orders
+// and the number of violating orders are deterministic, so CI exact-gates
+// them in BENCH_baseline.json. The bench also verifies the explorer
+// invariants on every configuration:
 //   - the exhaustive report fingerprint is identical at every thread count
-//     (per-root-branch parallelism folds in branch order), and
-//   - every cell completes (no branch hits the execution budget), honest
+//     (one search per cell, cells folded in matrix order);
+//   - every run is a new order: no cell has a blocked run (`pruned` is 0)
+//     and each cell's executions equal its orders;
+//   - every cell completes (no cell hits the execution budget), honest
 //     cells have zero violating orders, every cross-chain timelock
 //     DoS-window cell rediscovers the §5.3 safety violation exhaustively,
 //     and the single-chain DoS cell stays safe (no vote forwarding to
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
     opts.num_threads = threads;
     opts.mode = SweepMode::kExhaustive;
     if (max_runs_flag != nullptr) {
-      opts.max_runs_per_branch = std::strtoull(max_runs_flag, nullptr, 10);
+      opts.max_runs_per_cell = std::strtoull(max_runs_flag, nullptr, 10);
     }
     auto start = std::chrono::steady_clock::now();
     ExhaustiveSweepReport report = RunExhaustiveSweep(axes, opts);
@@ -159,6 +161,15 @@ int main(int argc, char** argv) {
     // vote *forwarding*, so the timelock DoS cell on two chains must
     // violate in every order, while the single-chain DoS cell (nothing to
     // forward) and all honest cells must be violation-free.
+    if (cell.report.stats.sleep_blocked != 0 ||
+        cell.report.stats.executions != cell.report.stats.orders) {
+      std::printf("  REDUNDANT RUNS in %s: %" PRIu64 " blocked, %" PRIu64
+                  " executions for %" PRIu64 " orders\n",
+                  CellLabel(cell.spec).c_str(),
+                  cell.report.stats.sleep_blocked,
+                  cell.report.stats.executions, cell.report.stats.orders);
+      ok = false;
+    }
     const bool dos = cell.spec.network == SweepNetwork::kDosWindow;
     const bool cross_chain = cell.spec.shape.num_chains >= 2;
     if (dos && cross_chain && cell.report.violation_count == 0) {
@@ -184,8 +195,8 @@ int main(int argc, char** argv) {
 
   if (json_path != nullptr && !json.WriteFile(json_path)) ok = false;
   if (!ok) {
-    std::printf("\nEXPLORE FAILED: violations, nondeterminism, or an "
-                "exhausted budget\n");
+    std::printf("\nEXPLORE FAILED: violations, nondeterminism, redundant "
+                "runs, or an exhausted budget\n");
     return 1;
   }
   std::printf("\nall thread counts agree bit-for-bit; every cell proved "

@@ -1,13 +1,11 @@
 #include "core/explore.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <optional>
 #include <utility>
 
 #include "core/scenario_sweep.h"
-#include "sim/worker_pool.h"
 #include "util/fingerprint.h"
 
 namespace xdeal {
@@ -95,245 +93,396 @@ bool Drain(Scheduler& sched, ChoicePolicy* policy, AbandonFn abandon) {
   return drained;
 }
 
-/// One choose point on the DFS stack: the enabled snapshot, the sleep set
-/// on entry, which enabled indices are explorable (not asleep), and which
-/// branch is currently being explored.
-struct Node {
-  std::vector<EnabledEvent> enabled;
-  std::vector<EnabledEvent> sleep_in;
-  std::vector<uint32_t> explorable;  // indices into `enabled`
-  size_t pos = 0;                    // current branch: explorable[pos]
+constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+/// An event as the search names it across runs: a stable id (see
+/// EventNames) and its dependence label.
+struct Event {
+  uint32_t id = 0;
+  EventLabel label;
 };
 
-bool SleepContains(const std::vector<EnabledEvent>& sleep, uint64_t seq) {
-  for (const EnabledEvent& s : sleep) {
-    if (s.seq == seq) return true;
-  }
-  return false;
+/// Same-tick events with equal non-internal labels share a FIFO channel,
+/// so the scheduler never lets one overtake the other.
+bool SameChannel(const EventLabel& a, const EventLabel& b) {
+  return a.kind != EventKind::kInternal && a.kind == b.kind &&
+         a.chain == b.chain && a.actor == b.actor;
 }
 
-/// The sleep-set DFS driver, usable three ways: as a probe (find the first
-/// real branch point and abort), as a frozen-root worker (explore exactly
-/// one root branch), and as a plain full-tree explorer (frozen_depth < 0).
-class ExplorerPolicy : public ChoicePolicy {
+/// Stable event ids for the runs of one cell. A seq depends on the
+/// interleaving that led to it, so it cannot name an event across runs. An
+/// event is named instead by (the event whose callback scheduled it, its
+/// index among that callback's children), and an event scheduled during
+/// set-up, before the first step, by its seq, which set-up fixes.
+class EventNames {
  public:
-  /// `stack` persists across the runs of one DFS; `root_branch` >= 0 pins
-  /// the first multi-way choose point to that branch index.
-  ExplorerPolicy(std::vector<Node>* stack, int64_t root_branch)
-      : stack_(stack), root_branch_(root_branch) {}
+  /// The id of the `index`-th event scheduled by event `parent`, or of the
+  /// set-up event with seq `index` when `parent` is kNone.
+  uint32_t Name(uint32_t parent, uint64_t index) {
+    std::vector<uint32_t>& slots =
+        parent == kNone ? setup_ : children_[parent];
+    if (slots.size() <= index) slots.resize(index + 1, kNone);
+    uint32_t id = slots[index];
+    if (id == kNone) {
+      id = static_cast<uint32_t>(parent_.size());
+      slots[index] = id;
+      parent_.push_back(parent);
+      children_.emplace_back();  // invalidates `slots`
+    }
+    return id;
+  }
+  /// The id of the event that scheduled `id` (kNone for set-up events).
+  uint32_t parent(uint32_t id) const { return parent_[id]; }
 
-  /// Resets per-run state; call before each execution.
-  void BeginRun() {
-    depth_ = 0;
-    sleep_.clear();
-    aborted_ = false;
+ private:
+  std::vector<uint32_t> setup_;                  // by seq
+  std::vector<std::vector<uint32_t>> children_;  // by parent id, then index
+  std::vector<uint32_t> parent_;                 // by id
+};
+
+/// A wakeup tree: ordered children, each a branch still to explore together
+/// with the continuation that must follow it (Abdulla et al., "Optimal
+/// Dynamic Partial Order Reduction", POPL 2014).
+struct WakeupNode {
+  Event event;
+  std::vector<WakeupNode> children;
+};
+
+/// One choose point on the current path.
+struct Node {
+  std::vector<Event> sleep;         // asleep on entry, then finished branches
+  WakeupNode branch;                // the branch being explored
+  std::vector<WakeupNode> pending;  // the branches after it, in order
+  uint32_t choice = kNone;  // branch's index in the enabled set; kNone
+                            // until the run reaching this point resolves it
+};
+
+/// One executed step of the current run.
+struct Step {
+  Event event;
+  Tick time = 0;
+  uint32_t creator = kNone;     // step whose callback scheduled it
+  uint64_t first_child_seq = 0;  // Scheduler::next_seq() when it was chosen
+};
+
+/// Optimal DPOR by stateless re-execution: every run replays the current
+/// path, then extends it, taking a node's inherited wakeup tree first and
+/// the lowest-seq enabled event that is not asleep otherwise. After a
+/// terminal run, each race of the run is reversed into the wakeup tree of
+/// the point before it; backtracking puts the finished branch to sleep and
+/// takes the next pending one. Exactly one run per Mazurkiewicz trace
+/// reaches a terminal state, and none is cut short.
+///
+/// Happens-before is per tick: time is a barrier under DelayModel::kFixed,
+/// so events at different ticks never race. Within a tick, its direct edges
+/// are the DependentEvents pairs in execution order and creator -> created.
+class DporSearch : public ChoicePolicy {
+ public:
+  /// Resets the per-run state; call before each run drains `sched`.
+  void BeginRun(const Scheduler& sched) {
+    sched_ = &sched;
+    steps_.clear();
+    seq_id_.clear();
+    seq_creator_.clear();
+    blocked_ = false;
   }
 
-  bool aborted() const { return aborted_; }
-  /// Depth of the pinned root node (-1 until a branch point was seen).
-  int64_t frozen_depth() const { return frozen_depth_; }
+  /// True once this run reached a wakeup event that is not enabled, or a
+  /// choose point where every enabled event is asleep. Optimal DPOR does
+  /// neither, so the caller abandons the run and counts it.
+  bool blocked() const { return blocked_; }
+
+  size_t Choose(const std::vector<EnabledEvent>& enabled) override {
+    if (blocked_) return 0;  // one stray call while the drain notices
+    NameNewEvents();
+    events_.clear();
+    for (const EnabledEvent& e : enabled) {
+      events_.push_back(Event{seq_id_[e.seq], e.label});
+    }
+    max_frontier_ = std::max<uint64_t>(max_frontier_, enabled.size());
+    if (root_width_ == 0 && enabled.size() > 1) root_width_ = enabled.size();
+
+    const size_t d = steps_.size();
+    if (d == stack_.size() && !OpenNode()) {
+      blocked_ = true;
+      return 0;
+    }
+    Node& node = stack_[d];
+    if (node.choice == kNone) {  // a wakeup event: find it among the enabled
+      for (uint32_t i = 0; i < events_.size() && node.choice == kNone; ++i) {
+        if (events_[i].id == node.branch.event.id) node.choice = i;
+      }
+      if (node.choice == kNone) {
+        blocked_ = true;
+        return 0;
+      }
+    }
+    const EnabledEvent& chosen = enabled[node.choice];
+    steps_.push_back(Step{events_[node.choice], chosen.time,
+                          seq_creator_[chosen.seq], sched_->next_seq()});
+    max_depth_ = std::max<uint64_t>(max_depth_, steps_.size());
+    return node.choice;
+  }
+
+  /// After a terminal run: inserts the reversal of each of its races into
+  /// the wakeup tree of the choose point before the race's first event.
+  void ReverseRaces() {
+    for (size_t a = 0; a < steps_.size();) {
+      size_t b = a + 1;
+      while (b < steps_.size() && steps_[b].time == steps_[a].time) ++b;
+      ReverseRacesInTick(a, b);
+      a = b;
+    }
+  }
+
+  /// Puts the deepest node's finished branch to sleep and moves to its next
+  /// pending one, popping exhausted nodes. False when the search is done.
+  bool Backtrack() {
+    while (!stack_.empty()) {
+      Node& node = stack_.back();
+      node.sleep.push_back(node.branch.event);
+      if (!node.pending.empty()) {
+        node.branch = std::move(node.pending.front());
+        node.pending.erase(node.pending.begin());
+        node.choice = kNone;
+        return true;
+      }
+      stack_.pop_back();
+    }
+    return false;
+  }
+
+  /// The choices of the current (terminal) run, as a replayable script.
+  ChoiceTrace Trace() const {
+    ChoiceTrace trace;
+    trace.choices.reserve(stack_.size());
+    for (const Node& n : stack_) trace.choices.push_back(n.choice);
+    return trace;
+  }
+
+  uint64_t root_width() const { return root_width_; }
   uint64_t max_frontier() const { return max_frontier_; }
   uint64_t max_depth() const { return max_depth_; }
 
-  size_t Choose(const std::vector<EnabledEvent>& enabled) override {
-    if (aborted_) return 0;  // one stray call while the executor notices
-    size_t d = depth_++;
-    max_frontier_ = std::max<uint64_t>(max_frontier_, enabled.size());
-    max_depth_ = std::max<uint64_t>(max_depth_, depth_);
-    if (d >= stack_->size()) {
-      Node node;
-      node.enabled = enabled;
-      node.sleep_in = sleep_;
-      for (uint32_t i = 0; i < enabled.size(); ++i) {
-        if (!SleepContains(sleep_, enabled[i].seq)) {
-          node.explorable.push_back(i);
-        }
+ private:
+  /// Names the seqs scheduled since the previous Choose call: by the step
+  /// taken then, or by set-up before the first step.
+  void NameNewEvents() {
+    const uint64_t next = sched_->next_seq();
+    for (uint64_t seq = seq_id_.size(); seq < next; ++seq) {
+      if (steps_.empty()) {
+        seq_id_.push_back(names_.Name(kNone, seq));
+        seq_creator_.push_back(kNone);
+      } else {
+        const Step& last = steps_.back();
+        seq_id_.push_back(
+            names_.Name(last.event.id, seq - last.first_child_seq));
+        seq_creator_.push_back(static_cast<uint32_t>(steps_.size() - 1));
       }
-      if (node.explorable.empty()) {
-        // Sleep-blocked: every enabled event commutes into an already
-        // explored subtree. This whole path is redundant — abort it.
-        aborted_ = true;
-        return 0;
-      }
-      if (root_branch_ >= 0 && frozen_depth_ < 0 &&
-          node.explorable.size() > 1) {
-        // First real branch point: pin this worker to its assigned branch.
-        node.pos = static_cast<size_t>(root_branch_);
-        frozen_depth_ = static_cast<int64_t>(d);
-      }
-      stack_->push_back(std::move(node));
     }
-    Node& node = (*stack_)[d];
-    assert(node.enabled.size() == enabled.size());
-    size_t choice = node.explorable[node.pos];
-    const EventLabel& chosen = enabled[choice].label;
-    // Sleep propagation (Godefroid): keep slept events independent of the
-    // chosen one, and put earlier-explored siblings to sleep for the rest
-    // of this path.
-    std::vector<EnabledEvent> next_sleep;
-    for (const EnabledEvent& s : node.sleep_in) {
-      if (!DependentEvents(s.label, chosen)) next_sleep.push_back(s);
-    }
-    for (size_t j = 0; j < node.pos; ++j) {
-      const EnabledEvent& sib = node.enabled[node.explorable[j]];
-      if (!DependentEvents(sib.label, chosen)) next_sleep.push_back(sib);
-    }
-    sleep_ = std::move(next_sleep);
-    return choice;
   }
 
- private:
-  std::vector<Node>* stack_;
-  int64_t root_branch_;       // -1 = explore the whole tree
-  int64_t frozen_depth_ = -1;
-  size_t depth_ = 0;
-  std::vector<EnabledEvent> sleep_;
-  bool aborted_ = false;
+  /// Pushes the node for the next choose point: it inherits the events
+  /// still asleep after its parent's branch and that branch's wakeup
+  /// subtree. False if it inherits no subtree and every enabled event is
+  /// asleep.
+  bool OpenNode() {
+    Node node;
+    if (!stack_.empty()) {
+      Node& parent = stack_.back();
+      for (const Event& q : parent.sleep) {
+        if (!DependentEvents(q.label, parent.branch.event.label)) {
+          node.sleep.push_back(q);
+        }
+      }
+      node.pending = std::move(parent.branch.children);
+      parent.branch.children.clear();
+    }
+    if (!node.pending.empty()) {
+      node.branch = std::move(node.pending.front());
+      node.pending.erase(node.pending.begin());
+    } else {
+      for (uint32_t i = 0; i < events_.size() && node.choice == kNone; ++i) {
+        if (!Asleep(node.sleep, events_[i].id)) {
+          node.branch.event = events_[i];
+          node.choice = i;
+        }
+      }
+      if (node.choice == kNone) return false;
+    }
+    stack_.push_back(std::move(node));
+    return true;
+  }
+
+  static bool Asleep(const std::vector<Event>& sleep, uint32_t id) {
+    for (const Event& q : sleep) {
+      if (q.id == id) return true;
+    }
+    return false;
+  }
+
+  /// Whether `p` is a weak initial of `w`: some run that starts with `w`
+  /// is equivalent to one that starts with `p`. Either `p` is in `w` and
+  /// nothing before it in `w` happens before it, or `p` is not in `w` and
+  /// commutes with all of it.
+  bool WeakInitial(const Event& p, const std::vector<Event>& w) const {
+    for (const Event& x : w) {
+      if (x.id == p.id) return true;
+      if (DependentEvents(x.label, p.label) || names_.parent(p.id) == x.id ||
+          names_.parent(x.id) == p.id) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Inserts `v` into the wakeup tree whose top-level children are
+  /// `*children`: descends into the first child that is a weak initial of
+  /// what remains of `v` (removing it from `v`), stops at a leaf, and
+  /// otherwise appends the rest of `v` as the last child.
+  void Insert(std::vector<WakeupNode>* children, std::vector<Event> v) const {
+    while (!v.empty()) {
+      WakeupNode* next = nullptr;
+      for (WakeupNode& c : *children) {
+        if (WeakInitial(c.event, v)) {
+          next = &c;
+          break;
+        }
+      }
+      if (next == nullptr) break;
+      if (next->children.empty()) return;
+      for (size_t i = 0; i < v.size(); ++i) {
+        if (v[i].id == next->event.id) {
+          v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        }
+      }
+      children = &next->children;
+    }
+    if (v.empty()) return;
+    WakeupNode chain{v.back(), {}};
+    for (size_t i = v.size() - 1; i-- > 0;) {
+      WakeupNode up{v[i], {}};
+      up.children.push_back(std::move(chain));
+      chain = std::move(up);
+    }
+    children->push_back(std::move(chain));
+  }
+
+  /// Reverses the races among steps [a, b), which share one tick. Step x
+  /// races step y (x < y) when they are dependent, not in one FIFO channel,
+  /// y was not created by x, and no step between them happens after x and
+  /// before y.
+  void ReverseRacesInTick(size_t a, size_t b) {
+    const size_t n = b - a;
+    if (n < 2) return;
+    // hb[x * n + y]: step a+x happens before step a+y.
+    hb_.assign(n * n, 0);
+    for (size_t y = 1; y < n; ++y) {
+      const Step& sy = steps_[a + y];
+      for (size_t x = 0; x < y; ++x) {
+        const Step& sx = steps_[a + x];
+        if (!DependentEvents(sx.event.label, sy.event.label) &&
+            sy.creator != a + x) {
+          continue;
+        }
+        hb_[x * n + y] = 1;
+        for (size_t z = 0; z < x; ++z) hb_[z * n + y] |= hb_[z * n + x];
+      }
+    }
+    for (size_t y = 1; y < n; ++y) {
+      const Step& sy = steps_[a + y];
+      for (size_t x = 0; x < y; ++x) {
+        const Step& sx = steps_[a + x];
+        if (!hb_[x * n + y] || sy.creator == a + x ||
+            !DependentEvents(sx.event.label, sy.event.label) ||
+            SameChannel(sx.event.label, sy.event.label)) {
+          continue;
+        }
+        bool immediate = true;
+        for (size_t z = x + 1; z < y && immediate; ++z) {
+          immediate = !(hb_[x * n + z] && hb_[z * n + y]);
+        }
+        if (!immediate) continue;
+        // v: the steps between x and y that x does not happen before,
+        // then y. The point before x must explore a run starting with v.
+        std::vector<Event> v;
+        for (size_t z = x + 1; z < y; ++z) {
+          if (!hb_[x * n + z]) v.push_back(steps_[a + z].event);
+        }
+        v.push_back(sy.event);
+        Node& node = stack_[a + x];
+        bool covered = false;
+        for (const Event& q : node.sleep) {
+          if (WeakInitial(q, v)) {
+            covered = true;
+            break;
+          }
+        }
+        if (!covered) Insert(&node.pending, std::move(v));
+      }
+    }
+  }
+
+  // Across runs.
+  EventNames names_;
+  std::vector<Node> stack_;  // one node per choose point of the current path
+  uint64_t root_width_ = 0;
   uint64_t max_frontier_ = 0;
   uint64_t max_depth_ = 0;
+  // Per run.
+  const Scheduler* sched_ = nullptr;
+  std::vector<Step> steps_;
+  std::vector<uint32_t> seq_id_;       // by seq
+  std::vector<uint32_t> seq_creator_;  // by seq: step that scheduled it
+  bool blocked_ = false;
+  // Scratch.
+  std::vector<Event> events_;  // the enabled set, named
+  std::vector<uint8_t> hb_;
 };
-
-/// Finds the width of the first multi-way choose point (0 if the deal is
-/// branch-free and the default order is the only order).
-size_t ProbeRootWidth(const ScenarioSpec& spec) {
-  class Probe : public ChoicePolicy {
-   public:
-    size_t Choose(const std::vector<EnabledEvent>& enabled) override {
-      if (enabled.size() > 1) {
-        width = enabled.size();
-        done = true;
-      }
-      return 0;
-    }
-    size_t width = 0;
-    bool done = false;
-  };
-  Probe probe;
-  RunDeal(spec, DelayModel::kFixed, [&probe](Scheduler& sched) {
-    Drain(sched, &probe, [&probe] { return probe.done; });
-    return false;  // the probe only measures the root; nothing to judge
-  });
-  return probe.width;
-}
-
-/// Per-root-branch partial report, folded in branch order by ExploreDeal.
-struct BranchResult {
-  ExploreStats stats;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t mixed = 0;
-  uint64_t violation_count = 0;
-  std::vector<ExploreViolation> violations;
-  std::vector<uint64_t> run_fingerprints;  // one per terminal run
-};
-
-ChoiceTrace ExtractTrace(const std::vector<Node>& stack) {
-  ChoiceTrace trace;
-  trace.choices.reserve(stack.size());
-  for (const Node& n : stack) {
-    trace.choices.push_back(n.explorable[n.pos]);
-  }
-  return trace;
-}
-
-/// Exhausts the subtree rooted at `root_branch` of the first branch point
-/// (or the whole tree if root_branch < 0) via stateless re-execution.
-BranchResult ExploreBranch(const ScenarioSpec& spec,
-                           const ExploreOptions& options,
-                           int64_t root_branch) {
-  BranchResult res;
-  std::vector<Node> stack;
-  ExplorerPolicy policy(&stack, root_branch);
-  while (true) {
-    if (res.stats.executions >= options.max_runs_per_branch) {
-      res.stats.complete = false;
-      break;
-    }
-    policy.BeginRun();
-    std::optional<ScenarioOutcome> r =
-        RunDeal(spec, DelayModel::kFixed, [&policy](Scheduler& sched) {
-          return Drain(sched, &policy, [&policy] { return policy.aborted(); });
-        });
-    ++res.stats.executions;
-    if (!r.has_value()) {
-      ++res.stats.sleep_blocked;
-    } else {
-      ++res.stats.orders;
-      if (r->committed) ++res.committed;
-      if (r->aborted) ++res.aborted;
-      if (r->mixed) ++res.mixed;
-      if (!r->violation.empty()) {
-        ++res.violation_count;
-        if (res.violations.size() < options.max_violations) {
-          res.violations.push_back(ExploreViolation{
-              r->violation, ExtractTrace(stack), res.stats.orders - 1});
-        }
-      }
-      res.run_fingerprints.push_back(r->fingerprint);
-    }
-    // Backtrack: advance the deepest node with an unexplored branch, never
-    // touching the pinned root (that branch belongs to another worker).
-    int64_t advance = -1;
-    for (int64_t i = static_cast<int64_t>(stack.size()) - 1;
-         i > policy.frozen_depth(); --i) {
-      const Node& n = stack[static_cast<size_t>(i)];
-      if (n.pos + 1 < n.explorable.size()) {
-        advance = i;
-        break;
-      }
-    }
-    if (advance < 0) break;  // subtree exhausted
-    stack.resize(static_cast<size_t>(advance) + 1);
-    ++stack[static_cast<size_t>(advance)].pos;
-  }
-  res.stats.max_frontier = policy.max_frontier();
-  res.stats.max_depth = policy.max_depth();
-  return res;
-}
 
 }  // namespace
 
 ExploreReport ExploreDeal(const ScenarioSpec& spec,
                           const ExploreOptions& options) {
   ExploreReport report;
-  size_t width = ProbeRootWidth(spec);
-  report.stats.root_branches = width;
-
-  std::vector<BranchResult> branches;
-  if (width == 0) {
-    // Branch-free deal: the default order is the one and only order.
-    branches.push_back(ExploreBranch(spec, options, -1));
-  } else {
-    branches.resize(width);
-    WorkerPool pool(options.num_threads);
-    pool.ParallelFor(width, [&](size_t b) {
-      branches[b] = ExploreBranch(spec, options, static_cast<int64_t>(b));
-    });
-  }
-
-  // Fold in branch order: bit-identical across thread counts.
   std::vector<uint64_t> run_fingerprints;
-  for (const BranchResult& b : branches) {
-    report.stats.executions += b.stats.executions;
-    report.stats.orders += b.stats.orders;
-    report.stats.sleep_blocked += b.stats.sleep_blocked;
-    report.stats.max_frontier =
-        std::max(report.stats.max_frontier, b.stats.max_frontier);
-    report.stats.max_depth =
-        std::max(report.stats.max_depth, b.stats.max_depth);
-    report.stats.complete = report.stats.complete && b.stats.complete;
-    report.committed += b.committed;
-    report.aborted += b.aborted;
-    report.mixed += b.mixed;
-    report.violation_count += b.violation_count;
-    for (const ExploreViolation& v : b.violations) {
+  DporSearch search;
+  do {
+    if (report.stats.executions >= options.max_runs_per_cell) {
+      report.stats.complete = false;
+      break;
+    }
+    std::optional<ScenarioOutcome> r =
+        RunDeal(spec, DelayModel::kFixed, [&search](Scheduler& sched) {
+          search.BeginRun(sched);
+          return Drain(sched, &search, [&search] { return search.blocked(); });
+        });
+    ++report.stats.executions;
+    if (!r.has_value()) {
+      // Never skipped silently: the cell is not proven.
+      ++report.stats.sleep_blocked;
+      report.stats.complete = false;
+      continue;
+    }
+    ++report.stats.orders;
+    if (r->committed) ++report.committed;
+    if (r->aborted) ++report.aborted;
+    if (r->mixed) ++report.mixed;
+    if (!r->violation.empty()) {
+      ++report.violation_count;
       if (report.violations.size() < options.max_violations) {
-        report.violations.push_back(v);
+        report.violations.push_back(ExploreViolation{
+            r->violation, search.Trace(), report.stats.orders - 1});
       }
     }
-    run_fingerprints.insert(run_fingerprints.end(), b.run_fingerprints.begin(),
-                            b.run_fingerprints.end());
-  }
+    run_fingerprints.push_back(r->fingerprint);
+    search.ReverseRaces();
+  } while (search.Backtrack());
+  report.stats.root_branches = search.root_width();
+  report.stats.max_frontier = search.max_frontier();
+  report.stats.max_depth = search.max_depth();
+
   // Sorted, so the fold names the set of terminal runs, not the order in
   // which the search reached them.
   std::sort(run_fingerprints.begin(), run_fingerprints.end());

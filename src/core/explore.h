@@ -1,5 +1,5 @@
 // Exhaustive interleaving exploration (stateless model checking with
-// dynamic partial-order reduction) over ProtocolDriver deals.
+// optimal dynamic partial-order reduction) over ProtocolDriver deals.
 //
 // The sweep samples and the explorer enumerates, over the same runner.
 // RunDeal (core/scenario_sweep.h) builds one ScenarioSpec's deal, drains it
@@ -9,22 +9,29 @@
 // delay is drawn. The network delay sample is the only execution-phase RNG
 // draw in the simulator, so a run's outcome is then a pure function of the
 // choice sequence fed to the Scheduler's choose-point seam
-// (sim/scheduler.h). The explorer drives that seam with a sleep-set DFS: at
-// every same-tick choose point it either replays a recorded branch or opens
-// a new one, and events proven independent (commuting — see
-// DependentEvents) of an already-explored sibling are put to sleep, so
-// exactly one execution per Mazurkiewicz trace class reaches a terminal
-// state. Every terminal state is judged against the paper's Properties 1-3;
-// a violation carries the exact ChoiceTrace that reproduces it (the analog
-// of a sweep seed, but bit-exact by construction).
+// (sim/scheduler.h).
 //
-// Exploration is stateless: there is no World snapshot/restore, each path is
-// a full re-execution from deal construction. Parallelism is per root
-// branch: the first choose point with more than one enabled event splits the
-// search tree into independent subtrees, one WorkerPool job each, and the
-// per-branch results are folded in branch order — reports are bit-identical
-// across thread counts. Because the reduced order/prune counts are
-// deterministic, bench_explore exact-gates them in BENCH_baseline.json.
+// The explorer drives that seam with optimal DPOR (source sets and wakeup
+// trees; Abdulla et al., "Optimal Dynamic Partial Order Reduction", POPL
+// 2014). After each terminal run it finds the run's races: same-tick pairs
+// of dependent events (see DependentEvents) with nothing ordered between
+// them. For each race it schedules the reversed order as a wakeup sequence
+// at the choose point before the race, unless a branch already explored
+// there covers it. Exactly one run per Mazurkiewicz trace class reaches a
+// terminal state, and no run is cut short (`sleep_blocked` stays 0; a
+// nonzero count marks the cell incomplete). Events are named across runs
+// by (the event that scheduled them, their index among its children),
+// because a seq depends on the interleaving that led to it. Every terminal
+// state is judged against the paper's Properties 1-3; a violation carries
+// the exact ChoiceTrace that reproduces it (the analog of a sweep seed, but
+// bit-exact by construction).
+//
+// Exploration is stateless: there is no World snapshot/restore, each run
+// is a full re-execution from deal construction. One cell is one
+// sequential search; RunExhaustiveSweep runs cells in parallel and folds
+// them in cell order, so reports are bit-identical across thread counts.
+// Because the reduced order counts are deterministic, bench_explore
+// exact-gates them in BENCH_baseline.json.
 
 #ifndef XDEAL_CORE_EXPLORE_H_
 #define XDEAL_CORE_EXPLORE_H_
@@ -60,11 +67,9 @@ struct ChoiceTrace {
 
 /// Exploration knobs.
 struct ExploreOptions {
-  /// Worker threads for per-root-branch parallelism (0 = hardware).
-  size_t num_threads = 1;
-  /// Safety valve: max executions per root branch before giving up (the
-  /// report's `complete` flag records whether any branch was truncated).
-  uint64_t max_runs_per_branch = 250000;
+  /// Safety valve: max executions per cell before giving up (the report's
+  /// `complete` flag records whether the search was truncated).
+  uint64_t max_runs_per_cell = 250000;
   /// Keep at most this many violation reproducers (all are still counted).
   size_t max_violations = 16;
 };
@@ -75,20 +80,23 @@ struct ExploreViolation {
   std::string what;
   /// Replay with ReplayTrace(spec, trace) to reproduce bit-for-bit.
   ChoiceTrace trace;
-  /// 0-based index of the violating execution in exploration order.
+  /// 0-based index of the violating run among the cell's terminal runs,
+  /// in exploration order.
   uint64_t execution_index = 0;
 };
 
 /// Deterministic exploration counters. `orders` is the DPOR-reduced number
 /// of inequivalent interleavings — the quantity the bench exact-gates.
 struct ExploreStats {
-  uint64_t executions = 0;     // total runs, including sleep-blocked ones
+  uint64_t executions = 0;     // total runs, including blocked ones
   uint64_t orders = 0;         // runs that reached a terminal state
-  uint64_t sleep_blocked = 0;  // runs pruned early (all enabled were asleep)
+  uint64_t sleep_blocked = 0;  // runs cut short: a wakeup event was not
+                               // enabled, or every enabled one was asleep
+                               // (0 unless the search is unsound here)
   uint64_t root_branches = 0;  // width of the first real choose point
   uint64_t max_frontier = 0;   // largest enabled set seen at a choose point
-  uint64_t max_depth = 0;      // deepest choose-point stack
-  bool complete = true;        // no branch hit max_runs_per_branch
+  uint64_t max_depth = 0;      // most choose points in one run
+  bool complete = true;        // no blocked run, under max_runs_per_cell
 };
 
 /// The folded result of exploring one scenario.

@@ -495,17 +495,18 @@ bool ExhaustivelyExplorable(const ScenarioSpec& sc) {
 ExhaustiveSweepReport RunExhaustiveSweep(const SweepAxes& axes,
                                          const SweepOptions& options) {
   ExhaustiveSweepReport report;
-  std::vector<ScenarioSpec> specs =
-      BuildScenarioMatrix(axes, options.base_seed);
+  for (const ScenarioSpec& sc : BuildScenarioMatrix(axes, options.base_seed)) {
+    if (ExhaustivelyExplorable(sc)) report.cells.push_back({sc, {}});
+  }
   ExploreOptions explore_options;
-  explore_options.num_threads = options.num_threads;
-  explore_options.max_runs_per_branch = options.max_runs_per_branch;
+  explore_options.max_runs_per_cell = options.max_runs_per_cell;
+  WorkerPool pool(options.num_threads);
+  pool.ParallelFor(report.cells.size(), [&](size_t i) {
+    report.cells[i].report = ExploreDeal(report.cells[i].spec,
+                                         explore_options);
+  });
   uint64_t fp = 0x243F6A8885A308D3ULL;
-  for (const ScenarioSpec& sc : specs) {
-    if (!ExhaustivelyExplorable(sc)) continue;
-    ExhaustiveCellOutcome cell;
-    cell.spec = sc;
-    cell.report = ExploreDeal(sc, explore_options);
+  for (const ExhaustiveCellOutcome& cell : report.cells) {
     report.orders += cell.report.stats.orders;
     report.executions += cell.report.stats.executions;
     report.sleep_blocked += cell.report.stats.sleep_blocked;
@@ -513,7 +514,6 @@ ExhaustiveSweepReport RunExhaustiveSweep(const SweepAxes& axes,
     if (cell.report.violation_count > 0) ++report.violation_cells;
     report.complete = report.complete && cell.report.stats.complete;
     fp = MixFingerprint(fp, cell.report.fingerprint);
-    report.cells.push_back(std::move(cell));
   }
   report.fingerprint = fp;
   return report;

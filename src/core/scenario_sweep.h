@@ -205,8 +205,8 @@ struct SweepOptions {
   size_t num_threads = 1;
   /// kSampled drives RunSweep; kExhaustive drives RunExhaustiveSweep.
   SweepMode mode = SweepMode::kSampled;
-  /// kExhaustive only: per-root-branch execution budget (safety valve).
-  uint64_t max_runs_per_branch = 250000;
+  /// kExhaustive only: per-cell execution budget (safety valve).
+  uint64_t max_runs_per_cell = 250000;
 };
 
 /// Per-scenario RNG seed: a SplitMix64 hash of (base_seed, index).
@@ -269,11 +269,11 @@ struct ExhaustiveCellOutcome {
 struct ExhaustiveSweepReport {
   std::vector<ExhaustiveCellOutcome> cells;
   uint64_t orders = 0;         // inequivalent interleavings, all cells
-  uint64_t executions = 0;     // including sleep-blocked re-executions
-  uint64_t sleep_blocked = 0;  // redundant paths pruned mid-run
+  uint64_t executions = 0;     // runs, blocked ones included
+  uint64_t sleep_blocked = 0;  // runs cut short (0 when every cell is sound)
   uint64_t violations = 0;       // violating orders, all cells
   uint64_t violation_cells = 0;  // cells with at least one violating order
-  bool complete = true;          // no cell hit max_runs_per_branch
+  bool complete = true;          // every cell finished unblocked, in budget
   /// Fold of per-cell fingerprints in matrix order; bit-identical across
   /// thread counts.
   uint64_t fingerprint = 0;
@@ -283,8 +283,9 @@ struct ExhaustiveSweepReport {
 };
 
 /// The kExhaustive mode: model-checks every matrix cell admitted by
-/// ExhaustivelyExplorable with ExploreDeal. Cells run sequentially, each
-/// parallelized per root branch over the worker pool.
+/// ExhaustivelyExplorable with ExploreDeal. Each cell is one sequential
+/// search; the cells run in parallel over the worker pool and are folded
+/// in matrix order.
 XDEAL_DETERMINISTIC
 ExhaustiveSweepReport RunExhaustiveSweep(const SweepAxes& axes,
                                          const SweepOptions& options);

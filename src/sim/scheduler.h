@@ -179,6 +179,10 @@ class Scheduler {
   Tick now() const { return now_; }
   size_t pending() const { return queue_.size(); }
   const SchedulerStats& stats() const { return stats_; }
+  /// The seq the next scheduled event will get. Seqs are handed out in
+  /// schedule order, so a ChoicePolicy that reads this at every Choose call
+  /// knows which seqs the event it chose at its previous call scheduled.
+  uint64_t next_seq() const { return next_seq_; }
 
   /// Installs (or clears, with nullptr) the per-step observation hook.
   void SetStepObserver(StepObserver observer) {

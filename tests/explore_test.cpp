@@ -101,6 +101,7 @@ TEST(ExploreDealTest, HonestTimelockCellConformsInEveryOrder) {
   EXPECT_GT(report.stats.orders, 1u);
   EXPECT_EQ(report.violation_count, 0u);
   EXPECT_EQ(report.committed, report.stats.orders);
+  EXPECT_EQ(report.stats.sleep_blocked, 0u);
   EXPECT_EQ(report.stats.executions,
             report.stats.orders + report.stats.sleep_blocked);
 }
@@ -115,6 +116,7 @@ TEST(ExploreDealTest, HonestCbcCellConformsInEveryOrder) {
   EXPECT_GT(report.stats.orders, 1u);
   EXPECT_EQ(report.violation_count, 0u);
   EXPECT_EQ(report.committed, report.stats.orders);
+  EXPECT_EQ(report.stats.sleep_blocked, 0u);
 }
 
 TEST(ExploreDealTest, ExplorationIsDeterministic) {
@@ -132,19 +134,26 @@ TEST(ExploreDealTest, ExplorationIsDeterministic) {
 }
 
 TEST(ExploreDealTest, ReportIsBitIdenticalAcrossThreadCounts) {
-  ScenarioSpec cell =
-      MakeSpec(Protocol::kTimelock, SweepNetwork::kSynchronous, kTinyShape,
-               23);
-  ExploreOptions one;
+  // One search per cell; the exhaustive sweep spreads the cells over its
+  // workers and folds them in matrix order.
+  SweepAxes axes;
+  axes.shapes = {kTinyShape};
+  axes.protocols = {Protocol::kTimelock, Protocol::kCbc};
+  axes.adversaries = {SweepAdversary::kNone, SweepAdversary::kCrashAtCommit};
+  axes.networks = {SweepNetwork::kSynchronous, SweepNetwork::kDosWindow};
+  axes.positions = {0, 1};
+  SweepOptions one;
+  one.base_seed = 23;
+  one.mode = SweepMode::kExhaustive;
   one.num_threads = 1;
-  ExploreOptions four;
+  SweepOptions four = one;
   four.num_threads = 4;
-  ExploreReport a = ExploreDeal(cell, one);
-  ExploreReport b = ExploreDeal(cell, four);
+  ExhaustiveSweepReport a = RunExhaustiveSweep(axes, one);
+  ExhaustiveSweepReport b = RunExhaustiveSweep(axes, four);
 
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.stats.orders, b.stats.orders);
-  EXPECT_EQ(a.stats.sleep_blocked, b.stats.sleep_blocked);
+  EXPECT_EQ(a.orders, b.orders);
+  EXPECT_EQ(a.sleep_blocked, b.sleep_blocked);
 }
 
 TEST(ExploreDealTest, AdversarialCellNeverHurtsCompliantParties) {
@@ -176,7 +185,6 @@ TEST(ExploreDealTest, RediscoversSeededDosViolationWithReplayableTrace) {
       MakeSpec(Protocol::kTimelock, SweepNetwork::kDosWindow, kTwoChainShape,
                97, SweepAdversary::kNone, /*position=*/1);
   ExploreOptions options;
-  options.num_threads = 4;
   ExploreReport report = ExploreDeal(cell, options);
 
   EXPECT_TRUE(report.stats.complete);
@@ -191,6 +199,29 @@ TEST(ExploreDealTest, RediscoversSeededDosViolationWithReplayableTrace) {
   EXPECT_EQ(replay.violation, v.what);
   ScenarioOutcome replay2 = ReplayTrace(cell, v.trace);
   EXPECT_EQ(replay.fingerprint, replay2.fingerprint);
+}
+
+TEST(ExploreDealTest, ViolationIndicesAreCellWideAndReplay) {
+  // Keep every reproducer of the §5.3 DoS cell, where every order violates:
+  // the indices count the cell's terminal runs in exploration order, and
+  // each trace replays to the violation it was recorded with.
+  ScenarioSpec cell =
+      MakeSpec(Protocol::kTimelock, SweepNetwork::kDosWindow, kTwoChainShape,
+               97, SweepAdversary::kNone, /*position=*/1);
+  ExploreOptions options;
+  options.max_violations = 1 << 20;
+  ExploreReport report = ExploreDeal(cell, options);
+
+  ASSERT_GT(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations.size(), report.violation_count);
+  for (size_t i = 0; i < report.violations.size(); ++i) {
+    const ExploreViolation& v = report.violations[i];
+    EXPECT_LT(v.execution_index, report.stats.orders);
+    if (i > 0) {
+      EXPECT_GT(v.execution_index, report.violations[i - 1].execution_index);
+    }
+    EXPECT_EQ(ReplayTrace(cell, v.trace).violation, v.what) << i;
+  }
 }
 
 TEST(ExhaustiveSweepTest, CuratedMatrixProvesCellsAndCountsViolations) {
