@@ -161,7 +161,6 @@ struct Node {
 struct Step {
   Event event;
   Tick time = 0;
-  uint32_t creator = kNone;     // step whose callback scheduled it
   uint64_t first_child_seq = 0;  // Scheduler::next_seq() when it was chosen
 };
 
@@ -183,7 +182,6 @@ class DporSearch : public ChoicePolicy {
     sched_ = &sched;
     steps_.clear();
     seq_id_.clear();
-    seq_creator_.clear();
     blocked_ = false;
   }
 
@@ -193,7 +191,6 @@ class DporSearch : public ChoicePolicy {
   bool blocked() const { return blocked_; }
 
   size_t Choose(const std::vector<EnabledEvent>& enabled) override {
-    if (blocked_) return 0;  // one stray call while the drain notices
     NameNewEvents();
     events_.clear();
     for (const EnabledEvent& e : enabled) {
@@ -218,8 +215,8 @@ class DporSearch : public ChoicePolicy {
       }
     }
     const EnabledEvent& chosen = enabled[node.choice];
-    steps_.push_back(Step{events_[node.choice], chosen.time,
-                          seq_creator_[chosen.seq], sched_->next_seq()});
+    steps_.push_back(
+        Step{events_[node.choice], chosen.time, sched_->next_seq()});
     max_depth_ = std::max<uint64_t>(max_depth_, steps_.size());
     return node.choice;
   }
@@ -272,12 +269,10 @@ class DporSearch : public ChoicePolicy {
     for (uint64_t seq = seq_id_.size(); seq < next; ++seq) {
       if (steps_.empty()) {
         seq_id_.push_back(names_.Name(kNone, seq));
-        seq_creator_.push_back(kNone);
       } else {
         const Step& last = steps_.back();
         seq_id_.push_back(
             names_.Name(last.event.id, seq - last.first_child_seq));
-        seq_creator_.push_back(static_cast<uint32_t>(steps_.size() - 1));
       }
     }
   }
@@ -321,17 +316,19 @@ class DporSearch : public ChoicePolicy {
     return false;
   }
 
-  /// Whether `p` is a weak initial of `w`: some run that starts with `w`
-  /// is equivalent to one that starts with `p`. Either `p` is in `w` and
-  /// nothing before it in `w` happens before it, or `p` is not in `w` and
-  /// commutes with all of it.
+  /// Whether `x`'s callback scheduled `y`.
+  bool Created(const Event& x, const Event& y) const {
+    return names_.parent(y.id) == x.id;
+  }
+
+  /// Whether `p` is a weak initial of `w`: `w` extends to a run that is
+  /// equivalent to one starting with `p`. Either `p` is in `w` and nothing
+  /// before it in `w` happens before it, or `p` is not in `w` and commutes
+  /// with all of it.
   bool WeakInitial(const Event& p, const std::vector<Event>& w) const {
     for (const Event& x : w) {
       if (x.id == p.id) return true;
-      if (DependentEvents(x.label, p.label) || names_.parent(p.id) == x.id ||
-          names_.parent(x.id) == p.id) {
-        return false;
-      }
+      if (DependentEvents(x.label, p.label) || Created(x, p)) return false;
     }
     return true;
   }
@@ -383,7 +380,7 @@ class DporSearch : public ChoicePolicy {
       for (size_t x = 0; x < y; ++x) {
         const Step& sx = steps_[a + x];
         if (!DependentEvents(sx.event.label, sy.event.label) &&
-            sy.creator != a + x) {
+            !Created(sx.event, sy.event)) {
           continue;
         }
         hb_[x * n + y] = 1;
@@ -394,9 +391,9 @@ class DporSearch : public ChoicePolicy {
       const Step& sy = steps_[a + y];
       for (size_t x = 0; x < y; ++x) {
         const Step& sx = steps_[a + x];
-        if (!hb_[x * n + y] || sy.creator == a + x ||
-            !DependentEvents(sx.event.label, sy.event.label) ||
-            SameChannel(sx.event.label, sy.event.label)) {
+        if (!DependentEvents(sx.event.label, sy.event.label) ||
+            SameChannel(sx.event.label, sy.event.label) ||
+            Created(sx.event, sy.event)) {
           continue;
         }
         bool immediate = true;
@@ -434,7 +431,6 @@ class DporSearch : public ChoicePolicy {
   const Scheduler* sched_ = nullptr;
   std::vector<Step> steps_;
   std::vector<uint32_t> seq_id_;       // by seq
-  std::vector<uint32_t> seq_creator_;  // by seq: step that scheduled it
   bool blocked_ = false;
   // Scratch.
   std::vector<Event> events_;  // the enabled set, named
