@@ -157,10 +157,6 @@ int main(int argc, char** argv) {
     json.AddMetric("explore_violations",
                    static_cast<double>(cell.report.violation_count), "",
                    labels);
-    // §5.3 needs a cross-chain dependency to break: the attack cuts off
-    // vote *forwarding*, so the timelock DoS cell on two chains must
-    // violate in every order, while the single-chain DoS cell (nothing to
-    // forward) and all honest cells must be violation-free.
     if (cell.report.stats.sleep_blocked != 0 ||
         cell.report.stats.executions != cell.report.stats.orders) {
       std::printf("  REDUNDANT RUNS in %s: %" PRIu64 " blocked, %" PRIu64
@@ -170,6 +166,10 @@ int main(int argc, char** argv) {
                   cell.report.stats.executions, cell.report.stats.orders);
       ok = false;
     }
+    // §5.3 needs a cross-chain dependency to break: the attack cuts off
+    // vote *forwarding*, so the timelock DoS cell on two chains must
+    // violate in every order, while the single-chain DoS cell (nothing to
+    // forward) and all honest cells must be violation-free.
     const bool dos = cell.spec.network == SweepNetwork::kDosWindow;
     const bool cross_chain = cell.spec.shape.num_chains >= 2;
     if (dos && cross_chain && cell.report.violation_count == 0) {
