@@ -49,6 +49,51 @@ TrafficOptions AdmissionServiceOptions() {
   return options;
 }
 
+/// The seal time of the first epoch under `options`: the reconfiguration
+/// and crash configurations below are timed from it.
+Tick FirstSealAt(const TrafficOptions& options) {
+  Result<std::unique_ptr<TrafficService>> probe =
+      TrafficService::Create(options);
+  EXPECT_TRUE(probe.ok()) << probe.status().ToString();
+  return probe.value()->RunEpoch().sealed_at;
+}
+
+/// ReconfigurationBeyondTheCheckpointSurvivesRestore's configuration: a
+/// validator rotation inside epoch 2.
+TrafficOptions ReconfigServiceOptions() {
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 80;
+  options.cbc_reconfig_times = {FirstSealAt(options) + 25};
+  return options;
+}
+
+/// CrashInjectionSurvivesRestore's configuration: tower kills, and broker
+/// crashes whose recoveries span the epoch-1 boundary.
+TrafficOptions CrashServiceOptions() {
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 81;
+  options.brokers.num_brokers = 2;
+  options.brokers.broker_every = 3;
+  Tick sealed_at = FirstSealAt(options);
+  options.tower_crash_every = 2;
+  options.tower_crash_after = 40;
+  options.tower_recover_after = 60;
+  options.broker_crash_times = {sealed_at / 2, sealed_at + 30};
+  options.broker_recover_after = sealed_at;
+  return options;
+}
+
+/// Checkpoint() of a fresh service after `epochs` epochs.
+Bytes SnapshotAfter(const TrafficOptions& options, size_t epochs) {
+  Result<std::unique_ptr<TrafficService>> service =
+      TrafficService::Create(options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  for (size_t e = 0; e < epochs; ++e) service.value()->RunEpoch();
+  Result<Bytes> snapshot = service.value()->Checkpoint();
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  return snapshot.ok() ? snapshot.value() : Bytes{};
+}
+
 /// Runs `epochs` epochs straight through and returns the final report.
 ServiceReport RunStraight(const TrafficOptions& options, size_t epochs) {
   Result<std::unique_ptr<TrafficService>> service =
@@ -213,6 +258,32 @@ TEST(CheckpointTest, CrashInjectionSurvivesRestore) {
   for (size_t boundary = 1; boundary < 3; ++boundary) {
     ExpectBitIdentical(RunWithRestore(options, options, boundary, 3),
                        straight);
+  }
+}
+
+// --- the wire format, byte for byte ---------------------------------------
+
+void ExpectPinned(const Bytes& snapshot, const SnapshotPin& pin,
+                  const std::string& what) {
+  EXPECT_EQ(snapshot.size(), pin.bytes) << what;
+  EXPECT_EQ(Sha256Digest(snapshot).ToHex(), pin.sha256) << what;
+}
+
+TEST(CheckpointTest, SnapshotBytesArePinned) {
+  ExpectPinned(SnapshotAfter(ServiceOptions(), 1), kGoldenServiceSnapshot[0],
+               "service, epoch 1");
+  ExpectPinned(SnapshotAfter(ServiceOptions(), 3), kGoldenServiceSnapshot[1],
+               "service, epoch 3");
+  ExpectPinned(SnapshotAfter(AdmissionServiceOptions(), 2),
+               kGoldenAdmissionSnapshot, "admission, epoch 2");
+  const TrafficOptions reconfig = ReconfigServiceOptions();
+  const TrafficOptions crash = CrashServiceOptions();
+  for (size_t boundary = 1; boundary <= 2; ++boundary) {
+    const std::string at = ", epoch " + std::to_string(boundary);
+    ExpectPinned(SnapshotAfter(reconfig, boundary),
+                 kGoldenReconfigSnapshot[boundary - 1], "reconfig" + at);
+    ExpectPinned(SnapshotAfter(crash, boundary),
+                 kGoldenCrashSnapshot[boundary - 1], "crash" + at);
   }
 }
 

@@ -7,7 +7,8 @@
 // checker and the report fold — so any change to the wire traffic or to
 // the fold moves them. The sweep and explore constants pin the single-deal
 // runner the same way: RunSweep over the stock matrix, and
-// RunExhaustiveSweep over the bench_explore matrix.
+// RunExhaustiveSweep over the bench_explore matrix. The snapshot pins fix
+// the checkpoint wire format byte for byte.
 //
 // If a change legitimately alters the fingerprint (i.e. the observable
 // wire traffic changed on purpose), update the constants HERE — once —
@@ -16,6 +17,7 @@
 #ifndef XDEAL_TESTS_GOLDEN_FPS_H_
 #define XDEAL_TESTS_GOLDEN_FPS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/scenario_sweep.h"
@@ -95,6 +97,30 @@ inline constexpr uint64_t kGoldenWideExploreOrders = 4617;
 inline constexpr uint64_t kGoldenWideExploreViolations = 576;
 inline constexpr uint64_t kGoldenWideExploreViolationCells = 1;
 inline constexpr uint64_t kGoldenWideExploreFp = 0xb395561890fe7da2ULL;
+
+/// Size and SHA-256 of one TrafficService::Checkpoint() snapshot.
+struct SnapshotPin {
+  size_t bytes;
+  const char* sha256;
+};
+/// checkpoint_test's ServiceOptions() after epochs 1 and 3.
+inline constexpr SnapshotPin kGoldenServiceSnapshot[] = {
+    {4331, "b611b3dd8a1c7dcc7492c52c46f2c54bd484552c0eb5edf024db68dd4d269e00"},
+    {10970,
+     "3a7cb722028715686e4aee541c0f183bab173b827969be6edebf19cb2c9c7a01"}};
+/// checkpoint_test's AdmissionServiceOptions() (brokers, 2-hop chains)
+/// after epoch 2.
+inline constexpr SnapshotPin kGoldenAdmissionSnapshot = {
+    10200, "e7cd1ed0239eecd2151fd91e48dadc661ed77e8e6606e721bdde4507932ec113"};
+/// The configuration of ReconfigurationBeyondTheCheckpointSurvivesRestore
+/// after epochs 1 and 2.
+inline constexpr SnapshotPin kGoldenReconfigSnapshot[] = {
+    {5384, "b7ca51ac2e0542667fc1bc399baed04ad6179b92bbfa301dbaa1ab33786b599d"},
+    {9542, "1f6e5788f6181be17c544efc35d63b707e970a42723269a95e0f0e87bf16afed"}};
+/// The configuration of CrashInjectionSurvivesRestore after epochs 1 and 2.
+inline constexpr SnapshotPin kGoldenCrashSnapshot[] = {
+    {4787, "e3c9ef1b663a2b282538c5d046a27808dd6515e5a68a1416dc9e0508caa72968"},
+    {8256, "3a2871a2720ad1ba98f3eb763608f24b8fbf01d8e8ef437a7e2de7954b4f95be"}};
 
 }  // namespace xdeal
 
