@@ -226,86 +226,68 @@ class RetiredContract : public Contract {
 
 }  // namespace
 
-Status Blockchain::Checkpoint(ByteWriter* w) const {
-  if (!mempool_.empty()) {
-    return Status::FailedPrecondition(
+void Blockchain::Transfer(SnapshotIO& io, const ContractFactory& factory) {
+  if (!io.reading() && !mempool_.empty()) {
+    io.Fail(Status::FailedPrecondition(
         "chain " + name_ + ": checkpoint requires an empty mempool (" +
-        std::to_string(pending_txs()) + " txs pending)");
+        std::to_string(pending_txs()) + " txs pending)"));
   }
-  w->U64(max_txs_per_block_);
-  w->U64(next_seq_);
-  w->U64(total_gas_);
-  w->U64(blocks_.size());
-  if (!blocks_.empty()) {
-    w->Raw(blocks_.back().hash.bytes.data(), blocks_.back().hash.bytes.size());
+  if (io.reading() && (!contracts_.empty() || !blocks_.empty() ||
+                       next_seq_ != 0)) {
+    io.Fail(Status::FailedPrecondition(
+        "chain " + name_ + ": restore requires a freshly constructed chain"));
   }
-  w->U32(static_cast<uint32_t>(contracts_.size()));
-  for (const auto& c : contracts_) {
-    w->Str(c->TypeName());
-    bool snap = c->SupportsSnapshot();
-    w->Bool(snap);
-    if (snap) {
-      ByteWriter state;
-      XDEAL_RETURN_IF_ERROR(c->SnapshotState(&state));
-      w->Blob(state.bytes());
-    }
+  io.U64(max_txs_per_block_);
+  io.U64(next_seq_);
+  io.U64(total_gas_);
+  // Blocks are sealed only at positive multiples of the interval, at most
+  // once each, and never past the clock.
+  uint64_t n_blocks = blocks_.size();
+  io.U64(n_blocks);
+  io.Check(n_blocks <= world_->now() / block_interval_,
+           "chain snapshot: more blocks than block boundaries so far");
+  Hash256 last_hash = blocks_.empty() ? Hash256{} : blocks_.back().hash;
+  if (n_blocks > 0) io.Raw(last_hash.bytes.data(), last_hash.bytes.size());
+  if (io.reading() && io.ok()) {
+    // Pad the block list with header-only placeholders so heights (which
+    // feed keyed observation delays) and the parent link of the next real
+    // block match the uninterrupted run; only the back() hash is
+    // load-bearing.
+    blocks_.resize(n_blocks);
+    for (uint64_t h = 0; h < n_blocks; ++h) blocks_[h].height = h;
+    if (!blocks_.empty()) blocks_.back().hash = last_hash;
   }
-  return Status::OK();
-}
 
-Status Blockchain::Restore(ByteReader& r, const ContractFactory& factory) {
-  if (!contracts_.empty() || !blocks_.empty() || next_seq_ != 0) {
-    return Status::FailedPrecondition(
-        "chain " + name_ + ": restore requires a freshly constructed chain");
-  }
-  auto cap = r.U64();
-  auto seq = r.U64();
-  auto gas = r.U64();
-  auto n_blocks = r.U64();
-  if (!cap.ok() || !seq.ok() || !gas.ok() || !n_blocks.ok()) {
-    return Status::InvalidArgument("chain snapshot: truncated header");
-  }
-  max_txs_per_block_ = cap.value();
-  next_seq_ = seq.value();
-  total_gas_ = gas.value();
-  Hash256 last_hash{};
-  if (n_blocks.value() > 0) {
-    auto raw = r.Raw(last_hash.bytes.size());
-    if (!raw.ok()) return raw.status();
-    std::copy(raw.value().begin(), raw.value().end(), last_hash.bytes.begin());
-  }
-  // Pad the block list with header-only placeholders so heights (which feed
-  // keyed observation delays) and the parent link of the next real block
-  // match the uninterrupted run; only the back() hash is load-bearing.
-  blocks_.resize(n_blocks.value());
-  for (uint64_t h = 0; h < n_blocks.value(); ++h) blocks_[h].height = h;
-  if (!blocks_.empty()) blocks_.back().hash = last_hash;
-
-  auto n_contracts = r.U32();
-  if (!n_contracts.ok()) return n_contracts.status();
-  for (uint32_t i = 0; i < n_contracts.value(); ++i) {
-    auto type_name = r.Str();
-    if (!type_name.ok()) return type_name.status();
-    auto snap = r.Bool();
-    if (!snap.ok()) return snap.status();
-    std::unique_ptr<Contract> contract;
-    if (snap.value()) {
-      auto state = r.Blob();
-      if (!state.ok()) return state.status();
-      contract = factory ? factory(type_name.value()) : nullptr;
-      if (contract == nullptr) {
-        return Status::InvalidArgument(
-            "chain snapshot: no factory for contract type " +
-            type_name.value());
+  size_t n_contracts = contracts_.size();
+  io.Count(n_contracts);
+  for (size_t i = 0; i < n_contracts && io.ok(); ++i) {
+    Contract* contract = io.reading() ? nullptr : contracts_[i].get();
+    std::string type_name = io.reading() ? "" : contract->TypeName();
+    bool snap = !io.reading() && contract->SupportsSnapshot();
+    io.Str(type_name);
+    io.Bool(snap);
+    if (!io.ok()) return;
+    std::unique_ptr<Contract> restored;
+    if (io.reading()) {
+      if (!snap) {
+        restored = std::make_unique<RetiredContract>(type_name);
+      } else if (factory) {
+        restored = factory(type_name);
       }
-      ByteReader state_reader(state.value());
-      XDEAL_RETURN_IF_ERROR(contract->RestoreState(state_reader));
-    } else {
-      contract = std::make_unique<RetiredContract>(type_name.value());
+      if (restored == nullptr) {
+        io.Fail(Status::InvalidArgument(
+            "chain snapshot: no factory for contract type " + type_name));
+        return;
+      }
+      contract = restored.get();
     }
-    Deploy(std::move(contract));
+    if (snap) {
+      io.Nested([contract](SnapshotIO& state) {
+        state.Fail(contract->TransferState(state));
+      });
+    }
+    if (restored != nullptr && io.ok()) Deploy(std::move(restored));
   }
-  return Status::OK();
 }
 
 void Blockchain::ProduceBlock(Tick boundary) {

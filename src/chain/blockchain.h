@@ -154,10 +154,10 @@ class ObservationCursor {
 class Blockchain {
  public:
   using Observer = std::function<void(const Receipt&)>;
-  /// Constructs an empty contract of the named type for Restore (layering:
-  /// the chain layer cannot name concrete contract types, so the caller —
-  /// who can — supplies the factory). Returning nullptr means "unknown
-  /// type"; Restore then installs an inert retired placeholder.
+  /// Constructs an empty contract of the named type for a snapshotted
+  /// contract being decoded (layering: the chain layer cannot name concrete
+  /// contract types, so the caller — who can — supplies the factory).
+  /// Returning nullptr means "unknown type" and rejects the snapshot.
   using ContractFactory =
       std::function<std::unique_ptr<Contract>(const std::string& type_name)>;
 
@@ -257,22 +257,20 @@ class Blockchain {
     return pending;
   }
 
-  /// Serializes the chain's durable state into `w`. Only valid at a
-  /// quiescent boundary: the mempool must be empty (every submitted tx
-  /// already sealed into a block), otherwise InvalidArgument. The snapshot
-  /// is slim by design: block headers are carried as (count, last-hash) so
-  /// heights and parent-chaining continue correctly; receipts are NOT
-  /// carried (the restored chain's receipt history restarts empty — every
-  /// deal that produced them has settled, and all cross-epoch accounting
-  /// lives in the engine's cumulative counters, not in the chain).
-  XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
-
-  /// Restores a freshly constructed chain (same name/id/interval) from a
-  /// Checkpoint. Contracts that snapshot their state are rebuilt via
-  /// `factory` + RestoreState; the rest become inert retired placeholders
-  /// that preserve ContractId numbering and reject invocation.
-  XDEAL_DETERMINISTIC Status Restore(ByteReader& r,
-                                     const ContractFactory& factory);
+  /// Lists the chain's durable state on `io` (see SnapshotIO). The
+  /// snapshot is slim by design: block headers are carried as (count,
+  /// last-hash) so heights and parent-chaining continue correctly; receipts
+  /// are NOT carried (the restored chain's receipt history restarts empty —
+  /// every deal that produced them has settled, and all cross-epoch
+  /// accounting lives in the engine's cumulative counters, not in the
+  /// chain). Encoding requires an empty mempool (every submitted tx already
+  /// sealed into a block). Decoding requires a freshly constructed chain
+  /// (same name/id/interval) and its World's restored clock: contracts that
+  /// snapshot their state are rebuilt via `factory` + TransferState, the
+  /// rest become inert retired placeholders that preserve ContractId
+  /// numbering and reject invocation.
+  XDEAL_DETERMINISTIC void Transfer(SnapshotIO& io,
+                                    const ContractFactory& factory);
 
  private:
   friend class ObservationCursor;

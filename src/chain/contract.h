@@ -54,22 +54,17 @@ class Contract {
   virtual Result<Bytes> Invoke(CallContext& ctx, const std::string& fn,
                                ByteReader& args) = 0;
 
-  /// True if this contract type implements SnapshotState/RestoreState.
-  /// Long-lived contracts (token ledgers) must; per-deal contracts whose
-  /// deals have settled by the checkpoint boundary need not — the
-  /// checkpointer retires them to inert placeholders instead.
+  /// True if this contract type implements TransferState. Long-lived
+  /// contracts (token ledgers) must; per-deal contracts whose deals have
+  /// settled by the checkpoint boundary need not — the checkpointer retires
+  /// them to inert placeholders instead.
   virtual bool SupportsSnapshot() const { return false; }
 
-  /// Serializes mutable contract state into `w` (canonical encoding).
-  virtual Status SnapshotState(ByteWriter* /*w*/) const {
+  /// Lists the mutable contract state on `io` (see SnapshotIO): encodes it
+  /// canonically, or decodes it into this freshly constructed contract.
+  virtual Status TransferState(SnapshotIO& /*io*/) {
     return Status::FailedPrecondition("contract type " + TypeName() +
-                                 " does not support snapshot");
-  }
-
-  /// Restores mutable contract state from `r` (inverse of SnapshotState).
-  virtual Status RestoreState(ByteReader& /*r*/) {
-    return Status::FailedPrecondition("contract type " + TypeName() +
-                                 " does not support restore");
+                                      " does not support snapshot");
   }
 
   /// The contract's own id on its chain (set at deployment). Escrow

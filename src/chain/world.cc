@@ -1,5 +1,6 @@
 #include "chain/world.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace xdeal {
@@ -70,144 +71,97 @@ uint64_t World::TotalGas() const {
   return sum;
 }
 
-Status World::Checkpoint(ByteWriter* w) const {
-  if (scheduler_.pending() != scheduler_.pending_durable()) {
-    return Status::FailedPrecondition(
+Status World::Checkpoint(ByteWriter* w) {
+  SnapshotIO io(w);
+  Transfer(io, nullptr);
+  return io.status();
+}
+
+Status World::Restore(const Bytes& snapshot,
+                      const Blockchain::ContractFactory& factory) {
+  SnapshotIO io(snapshot);
+  Transfer(io, factory);
+  if (io.ok() && io.remaining() != 0) {
+    return Status::InvalidArgument("world snapshot: " +
+                                   std::to_string(io.remaining()) +
+                                   " unread bytes");
+  }
+  return io.status();
+}
+
+void World::Transfer(SnapshotIO& io,
+                     const Blockchain::ContractFactory& factory) {
+  if (!io.reading() && scheduler_.pending() != scheduler_.pending_durable()) {
+    io.Fail(Status::FailedPrecondition(
         "world checkpoint requires a drained scheduler (" +
         std::to_string(scheduler_.pending() - scheduler_.pending_durable()) +
-        " non-durable events pending)");
+        " non-durable events pending)"));
   }
+  if (io.reading() && (key_directory_.size() != 0 || !chains_.empty() ||
+                       scheduler_.pending() != 0 || scheduler_.now() != 0)) {
+    io.Fail(Status::FailedPrecondition(
+        "world restore requires a freshly constructed World"));
+  }
+
   uint64_t rng_state[4];
   rng_.GetState(rng_state);
-  for (uint64_t s : rng_state) w->U64(s);
-  w->U64(scheduler_.now());
-  // next_seq is not directly readable; reconstruct it as max(imported seq)+1
-  // at restore. Write the stats block the engine's backlog probes read.
-  const SchedulerStats& stats = scheduler_.stats();
-  w->U64(stats.executed);
-  w->U64(stats.dropped);
-  w->U64(stats.max_pending);
-  w->U64(stats.max_pending_at);
-  std::vector<DurableEvent> durable = scheduler_.PendingDurable();
-  w->U32(static_cast<uint32_t>(durable.size()));
-  uint64_t max_seq = 0;
-  for (const DurableEvent& ev : durable) {
-    w->U64(ev.seq);
-    w->U64(ev.time);
-    w->U8(static_cast<uint8_t>(ev.label.kind));
-    w->U32(ev.label.chain);
-    w->U32(ev.label.actor);
-    w->Str(ev.handler);
-    w->U64(ev.payload);
-    if (ev.seq > max_seq) max_seq = ev.seq;
-  }
+  for (uint64_t& s : rng_state) io.U64(s);
+  Tick now = scheduler_.now();
+  io.U64(now);
+  SchedulerStats stats = scheduler_.stats();
+  io.U64(stats.executed);
+  io.U64(stats.dropped);
+  io.Size(stats.max_pending);
+  io.U64(stats.max_pending_at);
+  std::vector<DurableEvent> durable;
+  if (!io.reading()) durable = scheduler_.PendingDurable();
   // The restored scheduler's next_seq must be past every live seq; any
   // fresh value beyond the durable tail works because all non-durable
   // events have fired (their seqs are dead and never compared again).
-  w->U64(durable.empty() ? 0 : max_seq + 1);
+  uint64_t next_seq = 0;
+  for (const DurableEvent& ev : durable) {
+    next_seq = std::max(next_seq, ev.seq + 1);
+  }
+  io.List(durable, [&io](DurableEvent& ev) {
+    io.U64(ev.seq);
+    io.U64(ev.time);
+    io.Enum(ev.label.kind, EventKind::kTimer,
+            "world snapshot: durable event kind out of range");
+    io.U32(ev.label.chain);
+    io.U32(ev.label.actor);
+    io.Str(ev.handler);
+    io.U64(ev.payload);
+  });
+  io.U64(next_seq);
+  if (io.reading() && io.ok()) {
+    rng_.SetState(rng_state);
+    scheduler_.RestoreClock(now, next_seq, stats);
+    scheduler_.ImportDurable(durable);
+  }
 
-  w->U32(static_cast<uint32_t>(key_directory_.size()));
+  // Keys re-derive from (domain, name) as the names are registered.
+  std::vector<std::string> names;
   for (uint32_t i = 0; i < key_directory_.size(); ++i) {
-    auto name = key_directory_.NameOf(PartyId{i});
-    if (!name.ok()) return name.status();
-    w->Str(name.value());
+    names.push_back(key_directory_.NameOf(PartyId{i}).value());
+  }
+  io.List(names, [&io](std::string& name) { io.Str(name); });
+  if (io.reading() && io.ok()) {
+    for (const std::string& name : names) RegisterParty(name);
   }
 
-  w->U32(static_cast<uint32_t>(chains_.size()));
-  for (const auto& c : chains_) {
-    w->Str(c->name());
-    w->U64(c->block_interval());
-    ByteWriter body;
-    XDEAL_RETURN_IF_ERROR(c->Checkpoint(&body));
-    w->Blob(body.bytes());
+  size_t n_chains = chains_.size();
+  io.Count(n_chains);
+  for (size_t i = 0; i < n_chains && io.ok(); ++i) {
+    Blockchain* c = io.reading() ? nullptr : chains_[i].get();
+    std::string name = io.reading() ? "" : c->name();
+    Tick interval = io.reading() ? 0 : c->block_interval();
+    io.Str(name);
+    io.U64(interval);
+    io.Check(interval > 0, "world snapshot: chain block interval of 0");
+    if (!io.ok()) return;
+    if (io.reading()) c = CreateChain(name, interval);
+    io.Nested([c, &factory](SnapshotIO& body) { c->Transfer(body, factory); });
   }
-  return Status::OK();
-}
-
-Status World::Restore(ByteReader& r,
-                      const Blockchain::ContractFactory& factory) {
-  if (key_directory_.size() != 0 || !chains_.empty() ||
-      scheduler_.pending() != 0 || scheduler_.now() != 0) {
-    return Status::FailedPrecondition(
-        "world restore requires a freshly constructed World");
-  }
-  uint64_t rng_state[4];
-  for (auto& s : rng_state) {
-    auto v = r.U64();
-    if (!v.ok()) return v.status();
-    s = v.value();
-  }
-  rng_.SetState(rng_state);
-
-  auto now = r.U64();
-  auto executed = r.U64();
-  auto dropped = r.U64();
-  auto max_pending = r.U64();
-  auto max_pending_at = r.U64();
-  if (!now.ok() || !executed.ok() || !dropped.ok() || !max_pending.ok() ||
-      !max_pending_at.ok()) {
-    return Status::InvalidArgument("world snapshot: truncated scheduler state");
-  }
-  auto n_durable = r.U32();
-  if (!n_durable.ok()) return n_durable.status();
-  std::vector<DurableEvent> durable;
-  durable.reserve(n_durable.value());
-  for (uint32_t i = 0; i < n_durable.value(); ++i) {
-    DurableEvent ev;
-    auto seq = r.U64();
-    auto time = r.U64();
-    auto kind = r.U8();
-    auto chain = r.U32();
-    auto actor = r.U32();
-    auto handler = r.Str();
-    auto payload = r.U64();
-    if (!seq.ok() || !time.ok() || !kind.ok() || !chain.ok() || !actor.ok() ||
-        !handler.ok() || !payload.ok()) {
-      return Status::InvalidArgument("world snapshot: truncated durable event");
-    }
-    ev.seq = seq.value();
-    ev.time = time.value();
-    ev.label.kind = static_cast<EventKind>(kind.value());
-    ev.label.chain = chain.value();
-    ev.label.actor = actor.value();
-    ev.handler = handler.value();
-    ev.payload = payload.value();
-    durable.push_back(ev);
-  }
-  auto next_seq = r.U64();
-  if (!next_seq.ok()) return next_seq.status();
-
-  SchedulerStats stats;
-  stats.executed = executed.value();
-  stats.dropped = dropped.value();
-  stats.max_pending = static_cast<size_t>(max_pending.value());
-  stats.max_pending_at = max_pending_at.value();
-  scheduler_.RestoreClock(now.value(), next_seq.value(), stats);
-  scheduler_.ImportDurable(durable);
-
-  auto n_parties = r.U32();
-  if (!n_parties.ok()) return n_parties.status();
-  for (uint32_t i = 0; i < n_parties.value(); ++i) {
-    auto name = r.Str();
-    if (!name.ok()) return name.status();
-    RegisterParty(name.value());  // keys re-derive from (domain, name)
-  }
-
-  auto n_chains = r.U32();
-  if (!n_chains.ok()) return n_chains.status();
-  for (uint32_t i = 0; i < n_chains.value(); ++i) {
-    auto name = r.Str();
-    auto interval = r.U64();
-    if (!name.ok() || !interval.ok()) {
-      return Status::InvalidArgument("world snapshot: truncated chain header");
-    }
-    auto body = r.Blob();
-    if (!body.ok()) return body.status();
-    Blockchain* c = CreateChain(name.value(), interval.value());
-    ByteReader body_reader(body.value());
-    XDEAL_RETURN_IF_ERROR(c->Restore(body_reader, factory));
-  }
-  return Status::OK();
 }
 
 }  // namespace xdeal

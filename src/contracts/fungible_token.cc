@@ -102,69 +102,29 @@ Status FungibleToken::Approve(CallContext& ctx, const Holder& caller,
 
 namespace {
 
-void WriteHolder(ByteWriter* w, const Holder& h) {
-  w->U8(static_cast<uint8_t>(h.kind)).U32(h.id);
-}
-
-Result<Holder> ReadHolder(ByteReader& r) {
-  auto kind = r.U8();
-  if (!kind.ok()) return kind.status();
-  auto id = r.U32();
-  if (!id.ok()) return id.status();
-  return Holder{static_cast<Holder::Kind>(kind.value()), id.value()};
+void TransferHolder(SnapshotIO& io, Holder& h) {
+  io.Enum(h.kind, Holder::Kind::kContract,
+          "FungibleToken snapshot: holder kind out of range");
+  io.U32(h.id);
 }
 
 }  // namespace
 
-Status FungibleToken::SnapshotState(ByteWriter* w) const {
-  w->Str(symbol_).U32(issuer_.v).U64(total_supply_);
-  w->U32(static_cast<uint32_t>(balances_.size()));
-  for (const auto& [holder, amount] : balances_) {
-    WriteHolder(w, holder);
-    w->U64(amount);
-  }
-  w->U32(static_cast<uint32_t>(allowances_.size()));
-  for (const auto& [pair, amount] : allowances_) {
-    WriteHolder(w, pair.first);
-    WriteHolder(w, pair.second);
-    w->U64(amount);
-  }
-  return Status::OK();
-}
-
-Status FungibleToken::RestoreState(ByteReader& r) {
-  auto symbol = r.Str();
-  auto issuer = r.U32();
-  auto supply = r.U64();
-  if (!symbol.ok() || !issuer.ok() || !supply.ok()) {
-    return Status::InvalidArgument("FungibleToken snapshot: bad header");
-  }
-  symbol_ = symbol.value();
-  issuer_ = PartyId{issuer.value()};
-  total_supply_ = supply.value();
-  balances_.clear();
-  allowances_.clear();
-  auto n_bal = r.U32();
-  if (!n_bal.ok()) return n_bal.status();
-  for (uint32_t i = 0; i < n_bal.value(); ++i) {
-    auto holder = ReadHolder(r);
-    if (!holder.ok()) return holder.status();
-    auto amount = r.U64();
-    if (!amount.ok()) return amount.status();
-    balances_[holder.value()] = amount.value();
-  }
-  auto n_allow = r.U32();
-  if (!n_allow.ok()) return n_allow.status();
-  for (uint32_t i = 0; i < n_allow.value(); ++i) {
-    auto owner = ReadHolder(r);
-    if (!owner.ok()) return owner.status();
-    auto spender = ReadHolder(r);
-    if (!spender.ok()) return spender.status();
-    auto amount = r.U64();
-    if (!amount.ok()) return amount.status();
-    allowances_[{owner.value(), spender.value()}] = amount.value();
-  }
-  return Status::OK();
+Status FungibleToken::TransferState(SnapshotIO& io) {
+  io.Str(symbol_);
+  io.U32(issuer_.v);
+  io.U64(total_supply_);
+  io.Entries(balances_, [&io](Holder& holder, uint64_t& amount) {
+    TransferHolder(io, holder);
+    io.U64(amount);
+  });
+  io.Entries(allowances_, [&io](std::pair<Holder, Holder>& pair,
+                                uint64_t& amount) {
+    TransferHolder(io, pair.first);
+    TransferHolder(io, pair.second);
+    io.U64(amount);
+  });
+  return io.status();
 }
 
 }  // namespace xdeal

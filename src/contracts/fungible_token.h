@@ -36,8 +36,7 @@ class FungibleToken : public Contract {
   // them), so they are the one contract family a World checkpoint must
   // carry with full state: symbol, issuer, supply, balances, allowances.
   bool SupportsSnapshot() const override { return true; }
-  Status SnapshotState(ByteWriter* w) const override;
-  Status RestoreState(ByteReader& r) override;
+  Status TransferState(SnapshotIO& io) override;
 
   // --- off-chain reads (contract state is public, §3) ---
   uint64_t BalanceOf(const Holder& h) const;

@@ -349,127 +349,68 @@ void BrokerPool::OnDealDeployed(size_t deal_index, DealRuntime& runtime) {
   }
 }
 
-Status BrokerPool::Checkpoint(ByteWriter* w) const {
-  for (size_t b = 0; b < brokers_.size(); ++b) {
+void BrokerPool::Transfer(SnapshotIO& io) {
+  for (size_t b = 0; b < brokers_.size() && !io.reading(); ++b) {
     if (!reserved_[b].empty() || !evidence_[b].empty()) {
-      return Status::FailedPrecondition(
+      io.Fail(Status::FailedPrecondition(
           "broker pool checkpoint: broker " + std::to_string(b) +
           " still holds live reservations (PruneAll before checkpointing; a "
-          "compliant quiescent boundary leaves none)");
+          "compliant quiescent boundary leaves none)"));
     }
   }
-  auto write_asset = [w](const AssetRef& a) {
-    w->U32(a.chain.v).U32(a.token.v).U8(static_cast<uint8_t>(a.kind));
-    w->Str(a.label);
+  const World& world = env_->world();
+  auto transfer_asset = [&io, &world](AssetRef& a) {
+    io.U32(a.chain.v);
+    io.U32(a.token.v);
+    io.Enum(a.kind, AssetKind::kNft, "broker snapshot: asset kind out of range");
+    io.Str(a.label);
+    io.Check(a.chain.v < world.num_chains() &&
+                 world.chain(a.chain)->As<FungibleToken>(a.token) != nullptr,
+             "broker snapshot: asset is not a token ledger");
   };
-  w->U32(static_cast<uint32_t>(brokers_.size()));
-  for (PartyId b : brokers_) w->U32(b.v);
-  write_asset(coin_);
-  for (const AssetRef& c : commodities_) write_asset(c);
-  for (uint8_t c : crashed_) w->U8(c);
-  w->U64(plans_.size());
-  for (const auto& [deal_index, plan] : plans_) {
-    w->U64(deal_index);
-    w->U64(plan.broker);
-    w->Bool(plan.sell_side);
-    w->U64(plan.units).U64(plan.capital).U64(plan.inventory);
-    w->U64(plan.margin).U64(plan.occupancy);
-    w->U32(static_cast<uint32_t>(plan.hops.size()));
-    for (const Hop& hop : plan.hops) {
-      w->U64(hop.broker).U32(hop.asset);
-      w->U64(hop.capital).U64(hop.margin).U64(hop.occupancy);
+  const size_t n = options_.num_brokers;
+  auto transfer_broker = [&io, n](size_t& broker) {
+    io.Size(broker);
+    if (io.reading() && broker >= n) {
+      io.Fail(Status::InvalidArgument("broker snapshot: broker " +
+                                      std::to_string(broker) +
+                                      " out of range"));
     }
-  }
-  return Status::OK();
-}
+  };
 
-Status BrokerPool::Restore(ByteReader& r) {
-  auto read_asset = [&r](AssetRef* a) -> Status {
-    auto chain = r.U32();
-    auto token = r.U32();
-    auto kind = r.U8();
-    auto label = r.Str();
-    if (!chain.ok() || !token.ok() || !kind.ok() || !label.ok()) {
-      return Status::InvalidArgument("broker snapshot: truncated asset ref");
-    }
-    a->chain = ChainId{chain.value()};
-    a->token = ContractId{token.value()};
-    a->kind = static_cast<AssetKind>(kind.value());
-    a->label = label.value();
-    return Status::OK();
-  };
-  auto n_brokers = r.U32();
-  if (!n_brokers.ok()) return n_brokers.status();
-  if (n_brokers.value() != options_.num_brokers) {
-    return Status::InvalidArgument(
-        "broker snapshot: broker count mismatches options");
+  io.List(brokers_, [&io](PartyId& b) { io.U32(b.v); });
+  io.Check(brokers_.size() == n,
+           "broker snapshot: broker count mismatches options");
+  if (!io.ok()) return;
+  if (io.reading()) {
+    commodities_.assign(n, AssetRef{});
+    crashed_.assign(n, 0);
+    reserved_.assign(n, {});
+    evidence_.assign(n, {});
   }
-  brokers_.clear();
-  for (uint32_t b = 0; b < n_brokers.value(); ++b) {
-    auto id = r.U32();
-    if (!id.ok()) return id.status();
-    brokers_.push_back(PartyId{id.value()});
-  }
-  XDEAL_RETURN_IF_ERROR(read_asset(&coin_));
-  commodities_.assign(n_brokers.value(), AssetRef{});
-  for (uint32_t b = 0; b < n_brokers.value(); ++b) {
-    XDEAL_RETURN_IF_ERROR(read_asset(&commodities_[b]));
-  }
-  crashed_.assign(n_brokers.value(), 0);
-  for (uint32_t b = 0; b < n_brokers.value(); ++b) {
-    auto c = r.U8();
-    if (!c.ok()) return c.status();
-    crashed_[b] = c.value();
-  }
-  reserved_.assign(n_brokers.value(), {});
-  evidence_.assign(n_brokers.value(), {});
-  plans_.clear();
-  auto n_plans = r.U64();
-  if (!n_plans.ok()) return n_plans.status();
-  for (uint64_t i = 0; i < n_plans.value(); ++i) {
-    auto deal_index = r.U64();
-    auto broker = r.U64();
-    auto sell_side = r.Bool();
-    auto units = r.U64();
-    auto capital = r.U64();
-    auto inventory = r.U64();
-    auto margin = r.U64();
-    auto occupancy = r.U64();
-    auto n_hops = r.U32();
-    if (!deal_index.ok() || !broker.ok() || !sell_side.ok() || !units.ok() ||
-        !capital.ok() || !inventory.ok() || !margin.ok() || !occupancy.ok() ||
-        !n_hops.ok()) {
-      return Status::InvalidArgument("broker snapshot: truncated plan");
-    }
-    Plan plan;
-    plan.broker = static_cast<size_t>(broker.value());
-    plan.sell_side = sell_side.value();
-    plan.units = units.value();
-    plan.capital = capital.value();
-    plan.inventory = inventory.value();
-    plan.margin = margin.value();
-    plan.occupancy = occupancy.value();
-    for (uint32_t h = 0; h < n_hops.value(); ++h) {
-      auto hop_broker = r.U64();
-      auto hop_asset = r.U32();
-      auto hop_capital = r.U64();
-      auto hop_margin = r.U64();
-      auto hop_occupancy = r.U64();
-      if (!hop_broker.ok() || !hop_asset.ok() || !hop_capital.ok() ||
-          !hop_margin.ok() || !hop_occupancy.ok()) {
-        return Status::InvalidArgument("broker snapshot: truncated hop");
-      }
-      Hop hop;
-      hop.broker = static_cast<size_t>(hop_broker.value());
-      hop.asset = hop_asset.value();
-      hop.capital = hop_capital.value();
-      hop.margin = hop_margin.value();
-      hop.occupancy = hop_occupancy.value();
-      plan.hops.push_back(hop);
-    }
-    plans_[static_cast<size_t>(deal_index.value())] = std::move(plan);
-  }
-  return Status::OK();
+  transfer_asset(coin_);
+  for (AssetRef& c : commodities_) transfer_asset(c);
+  for (uint8_t& c : crashed_) io.U8(c);
+  io.Entries(
+      plans_,
+      [&io, &transfer_broker](size_t& deal_index, Plan& plan) {
+        io.Size(deal_index);
+        transfer_broker(plan.broker);
+        io.Bool(plan.sell_side);
+        io.U64(plan.units);
+        io.U64(plan.capital);
+        io.U64(plan.inventory);
+        io.U64(plan.margin);
+        io.U64(plan.occupancy);
+        io.List(plan.hops, [&io, &transfer_broker](Hop& hop) {
+          transfer_broker(hop.broker);
+          io.U32(hop.asset);
+          io.U64(hop.capital);
+          io.U64(hop.margin);
+          io.U64(hop.occupancy);
+        });
+      },
+      SnapshotIO::Prefix::kU64);
 }
 
 std::vector<BrokerRecord> BrokerPool::BuildRecords(

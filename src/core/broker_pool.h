@@ -280,16 +280,14 @@ class BrokerPool {
   /// prunes away.
   void PruneAll();
 
-  /// Serializes the pool's bindings (broker parties, token refs), crash
-  /// flags, and deal plans into `w`. Requires a reservation-free pool
-  /// (PruneAll leaves it so at any compliant quiescent boundary) — live
-  /// reservations hold pointers into chain contracts that a restore
-  /// retires, so they cannot cross a snapshot.
-  Status Checkpoint(ByteWriter* w) const;
-
-  /// Fills an attach-mode pool from a Checkpoint blob. The restored World
-  /// must already hold the parties and token contracts the bindings name.
-  Status Restore(ByteReader& r);
+  /// Lists the pool's bindings (broker parties, token refs), crash flags,
+  /// and deal plans on `io` (see SnapshotIO). Encoding requires a
+  /// reservation-free pool (PruneAll leaves it so at any compliant
+  /// quiescent boundary) — live reservations hold pointers into chain
+  /// contracts that a restore retires, so they cannot cross a snapshot.
+  /// Decoding fills an attach-mode pool; the restored World must already
+  /// hold the parties and token contracts the bindings name.
+  XDEAL_DETERMINISTIC void Transfer(SnapshotIO& io);
 
  private:
   /// One broker's stake in a hop chain, planned at MakeDeal time.

@@ -412,6 +412,11 @@ struct TrafficService::Impl {
   /// drives the World to its quiescent boundary, scans this batch's
   /// receipts for evidence, validates, and folds the epoch fingerprint.
   Batch RunBatch(size_t count);
+  /// Lists the whole service on `io`: the World, the cross-batch counters,
+  /// epoch reports, violations and broker outcomes, the CBC shard epochs
+  /// and the broker book. Decoding expects a World fresh from Impl's
+  /// constructor and an attach-mode broker pool.
+  void Transfer(SnapshotIO& io);
   Result<Bytes> DoCheckpoint();
   ServiceReport BuildFinal() const;
 
@@ -1232,89 +1237,134 @@ Result<std::unique_ptr<TrafficService>> TrafficService::Create(
   return std::unique_ptr<TrafficService>(new TrafficService(std::move(impl)));
 }
 
-Result<Bytes> TrafficService::Impl::DoCheckpoint() {
+void TrafficService::Impl::Transfer(SnapshotIO& io) {
   World& world = env->world();
+  // Layering: the chain library cannot name contract types, so the service
+  // supplies the factory. Only token ledgers snapshot full state; every
+  // other contract belonged to a settled deal and restores as a retired
+  // placeholder (preserving ContractId numbering).
+  io.Nested([&world](SnapshotIO& sub) {
+    world.Transfer(sub, [](const std::string& type) -> std::unique_ptr<Contract> {
+      if (type == "FungibleToken") {
+        return std::make_unique<FungibleToken>("", PartyId{});
+      }
+      return nullptr;
+    });
+  });
+
+  io.Size(next_deal);
+  io.Size(epochs_run);
+  io.U64(towers_armed);
+  io.U64(cbc_seen);
+  io.U64(cumulative_fp);
+  io.Size(total_timelock);
+  io.Size(total_cbc);
+  io.Size(total_broker_deals);
+  io.Size(total_cross_shard);
+  io.U64(total_messages);
+  io.U64(makespan);
+  io.U32(tower_operator.v);
+
+  io.List(pool, [&io, &world](ChainId& id) {
+    io.U32(id.v);
+    io.Check(id.v < world.num_chains(),
+             "snapshot rejected: pool chain id out of range");
+  });
+
+  io.List(reports, [&io](EpochReport& e) {
+    io.Size(e.index);
+    io.Size(e.first_deal);
+    io.Size(e.num_deals);
+    io.Size(e.committed);
+    io.Size(e.aborted);
+    io.Size(e.violations);
+    io.Size(e.double_spends);
+    io.Size(e.stale_decide_rejections);
+    io.U64(e.gas);
+    io.U64(e.untagged_gas);
+    io.U64(e.latency_p50);
+    io.U64(e.latency_p99);
+    io.U64(e.sealed_at);
+    io.U64(e.events_executed);
+    io.U64(e.epoch_fingerprint);
+    io.U64(e.cumulative_fingerprint);
+  });
+  // Every epoch seals one report over exactly deals_per_epoch deals; this
+  // also bounds the arrival schedule the next epoch builds.
+  io.Check(epochs_run == reports.size() &&
+               next_deal == epochs_run * options.deals_per_epoch,
+           "snapshot rejected: deal and epoch counters disagree with the "
+           "epoch reports");
+
+  io.List(violations, [&io](TrafficViolation& v) {
+    io.Size(v.deal_index);
+    io.U64(v.seed);
+    io.Enum(v.protocol, Protocol::kHtlc,
+            "snapshot rejected: violation protocol out of range");
+    io.Str(v.what);
+  });
+
+  io.List(outcomes, [&io](BrokerDealOutcome& o) {
+    io.Size(o.deal_index);
+    io.U64(o.arrival_at);
+    io.U64(o.admitted_at);
+    io.U64(o.settle_time);
+    io.U64(o.latency);
+    io.U64(o.gas);
+    io.Bool(o.started);
+    io.Bool(o.committed);
+    io.Bool(o.aborted);
+    io.Bool(o.shed);
+    io.Bool(o.all_settled);
+  });
+
+  bool has_cbc = cbc_service != nullptr;
+  io.Bool(has_cbc);
+  io.Check(has_cbc == any_cbc,
+           "snapshot rejected: CBC backend presence disagrees with options");
+  if (has_cbc) {
+    std::vector<uint32_t> shard_epochs;
+    if (!io.reading()) shard_epochs = cbc_service->ShardEpochs();
+    const size_t reconfigs = options.cbc_reconfig_times.size();
+    io.List(shard_epochs, [&io, reconfigs](uint32_t& epoch) {
+      io.U32(epoch);
+      // Every shard rotates once per configured reconfiguration, so a
+      // larger epoch cannot come from these options — and replaying it
+      // below would spin for up to 2^32 rotations.
+      if (io.reading() && epoch > reconfigs) {
+        io.Fail(Status::InvalidArgument(
+            "snapshot rejected: shard epoch " + std::to_string(epoch) +
+            " exceeds the " + std::to_string(reconfigs) +
+            " configured reconfigurations"));
+      }
+    });
+    if (io.reading() && io.ok()) {
+      // Validator keys and reconfiguration certificates are pure functions
+      // of (seed, epoch): Attach replays Reconfigure() per shard until the
+      // recorded epoch, rebuilding bit-identical sets and history.
+      cbc_service = CbcService::Attach(&world, CbcOptions(), shard_epochs);
+      io.Check(cbc_service != nullptr,
+               "snapshot rejected: restored world is missing CBC shard "
+               "chains");
+      if (cbc_service != nullptr) MakeCbcDriver();
+    }
+  }
+
+  bool has_brokers = broker_pool->enabled();
+  io.Bool(has_brokers);
+  io.Check(has_brokers == broker_pool->enabled(),
+           "snapshot rejected: broker pool presence disagrees with options");
+  if (has_brokers) {
+    io.Nested([this](SnapshotIO& sub) { broker_pool->Transfer(sub); });
+  }
+}
+
+Result<Bytes> TrafficService::Impl::DoCheckpoint() {
   broker_pool->PruneAll();
-
   ByteWriter body;
-  ByteWriter world_writer;
-  Status world_ok = world.Checkpoint(&world_writer);
-  if (!world_ok.ok()) return world_ok;
-  body.Blob(world_writer.Take());
-
-  body.U64(next_deal)
-      .U64(epochs_run)
-      .U64(towers_armed)
-      .U64(cbc_seen)
-      .U64(cumulative_fp)
-      .U64(total_timelock)
-      .U64(total_cbc)
-      .U64(total_broker_deals)
-      .U64(total_cross_shard)
-      .U64(total_messages)
-      .U64(makespan)
-      .U32(tower_operator.v);
-
-  body.U32(static_cast<uint32_t>(pool.size()));
-  for (ChainId id : pool) body.U32(id.v);
-
-  body.U32(static_cast<uint32_t>(reports.size()));
-  for (const EpochReport& e : reports) {
-    body.U64(e.index)
-        .U64(e.first_deal)
-        .U64(e.num_deals)
-        .U64(e.committed)
-        .U64(e.aborted)
-        .U64(e.violations)
-        .U64(e.double_spends)
-        .U64(e.stale_decide_rejections)
-        .U64(e.gas)
-        .U64(e.untagged_gas)
-        .U64(e.latency_p50)
-        .U64(e.latency_p99)
-        .U64(e.sealed_at)
-        .U64(e.events_executed)
-        .U64(e.epoch_fingerprint)
-        .U64(e.cumulative_fingerprint);
-  }
-
-  body.U32(static_cast<uint32_t>(violations.size()));
-  for (const TrafficViolation& v : violations) {
-    body.U64(v.deal_index)
-        .U64(v.seed)
-        .U8(static_cast<uint8_t>(v.protocol))
-        .Str(v.what);
-  }
-
-  body.U32(static_cast<uint32_t>(outcomes.size()));
-  for (const BrokerDealOutcome& o : outcomes) {
-    body.U64(o.deal_index)
-        .U64(o.arrival_at)
-        .U64(o.admitted_at)
-        .U64(o.settle_time)
-        .U64(o.latency)
-        .U64(o.gas)
-        .Bool(o.started)
-        .Bool(o.committed)
-        .Bool(o.aborted)
-        .Bool(o.shed)
-        .Bool(o.all_settled);
-  }
-
-  body.Bool(cbc_service != nullptr);
-  if (cbc_service != nullptr) {
-    std::vector<uint32_t> shard_epochs = cbc_service->ShardEpochs();
-    body.U32(static_cast<uint32_t>(shard_epochs.size()));
-    for (uint32_t e : shard_epochs) body.U32(e);
-  }
-
-  body.Bool(broker_pool->enabled());
-  if (broker_pool->enabled()) {
-    ByteWriter pool_writer;
-    Status pool_ok = broker_pool->Checkpoint(&pool_writer);
-    if (!pool_ok.ok()) return pool_ok;
-    body.Blob(pool_writer.Take());
-  }
+  SnapshotIO io(&body);
+  Transfer(io);
+  if (!io.ok()) return io.status();
 
   Bytes payload = body.Take();
   Hash256 digest = Sha256Digest(payload);
@@ -1369,164 +1419,17 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
 
   auto owned = std::make_unique<Impl>(options);
   Impl& im = *owned;
-  World& world = im.env->world();
-
-  ByteReader body(payload);
-  XDEAL_ASSIGN_OR_RETURN(Bytes world_blob, body.Blob());
-  ByteReader world_reader(world_blob);
-  // Layering: the chain library cannot name contract types, so the caller
-  // supplies the factory. Only token ledgers snapshot full state; every
-  // other contract belonged to a settled deal and restores as a retired
-  // placeholder (preserving ContractId numbering).
-  Status restored = world.Restore(
-      world_reader, [](const std::string& type) -> std::unique_ptr<Contract> {
-        if (type == "FungibleToken") {
-          return std::make_unique<FungibleToken>("", PartyId{});
-        }
-        return nullptr;
-      });
-  if (!restored.ok()) return restored;
-
-  XDEAL_ASSIGN_OR_RETURN(uint64_t next_deal, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t epochs_run, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.towers_armed, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.cbc_seen, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.cumulative_fp, body.U64());
-  im.next_deal = static_cast<size_t>(next_deal);
-  im.epochs_run = static_cast<size_t>(epochs_run);
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_timelock, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_cbc, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_broker_deals, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint64_t total_cross_shard, body.U64());
-  im.total_timelock = static_cast<size_t>(total_timelock);
-  im.total_cbc = static_cast<size_t>(total_cbc);
-  im.total_broker_deals = static_cast<size_t>(total_broker_deals);
-  im.total_cross_shard = static_cast<size_t>(total_cross_shard);
-  XDEAL_ASSIGN_OR_RETURN(im.total_messages, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(im.makespan, body.U64());
-  XDEAL_ASSIGN_OR_RETURN(uint32_t tower_op, body.U32());
-  im.tower_operator = PartyId{tower_op};
-
-  XDEAL_ASSIGN_OR_RETURN(uint32_t pool_size, body.U32());
-  for (uint32_t c = 0; c < pool_size; ++c) {
-    XDEAL_ASSIGN_OR_RETURN(uint32_t id, body.U32());
-    if (id >= world.num_chains()) {
-      return Status::InvalidArgument(
-          "snapshot rejected: pool chain id out of range");
-    }
-    im.pool.push_back(ChainId{id});
-  }
-
-  XDEAL_ASSIGN_OR_RETURN(uint32_t num_reports, body.U32());
-  for (uint32_t i = 0; i < num_reports; ++i) {
-    EpochReport e;
-    XDEAL_ASSIGN_OR_RETURN(uint64_t index, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t first_deal, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t num_deals, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t committed, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t aborted, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t num_violations, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t num_double_spends, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint64_t stale, body.U64());
-    e.index = static_cast<size_t>(index);
-    e.first_deal = static_cast<size_t>(first_deal);
-    e.num_deals = static_cast<size_t>(num_deals);
-    e.committed = static_cast<size_t>(committed);
-    e.aborted = static_cast<size_t>(aborted);
-    e.violations = static_cast<size_t>(num_violations);
-    e.double_spends = static_cast<size_t>(num_double_spends);
-    e.stale_decide_rejections = static_cast<size_t>(stale);
-    XDEAL_ASSIGN_OR_RETURN(e.gas, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.untagged_gas, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.latency_p50, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.latency_p99, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.sealed_at, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.events_executed, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.epoch_fingerprint, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(e.cumulative_fingerprint, body.U64());
-    im.reports.push_back(std::move(e));
-  }
-
-  XDEAL_ASSIGN_OR_RETURN(uint32_t num_violations, body.U32());
-  for (uint32_t i = 0; i < num_violations; ++i) {
-    TrafficViolation v;
-    XDEAL_ASSIGN_OR_RETURN(uint64_t deal_index, body.U64());
-    v.deal_index = static_cast<size_t>(deal_index);
-    XDEAL_ASSIGN_OR_RETURN(v.seed, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(uint8_t protocol, body.U8());
-    v.protocol = static_cast<Protocol>(protocol);
-    XDEAL_ASSIGN_OR_RETURN(v.what, body.Str());
-    im.violations.push_back(std::move(v));
-  }
-
-  XDEAL_ASSIGN_OR_RETURN(uint32_t num_outcomes, body.U32());
-  for (uint32_t i = 0; i < num_outcomes; ++i) {
-    BrokerDealOutcome o;
-    XDEAL_ASSIGN_OR_RETURN(uint64_t deal_index, body.U64());
-    o.deal_index = static_cast<size_t>(deal_index);
-    XDEAL_ASSIGN_OR_RETURN(o.arrival_at, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(o.admitted_at, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(o.settle_time, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(o.latency, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(o.gas, body.U64());
-    XDEAL_ASSIGN_OR_RETURN(o.started, body.Bool());
-    XDEAL_ASSIGN_OR_RETURN(o.committed, body.Bool());
-    XDEAL_ASSIGN_OR_RETURN(o.aborted, body.Bool());
-    XDEAL_ASSIGN_OR_RETURN(o.shed, body.Bool());
-    XDEAL_ASSIGN_OR_RETURN(o.all_settled, body.Bool());
-    im.outcomes.push_back(o);
-  }
-
-  XDEAL_ASSIGN_OR_RETURN(bool has_cbc, body.Bool());
-  if (has_cbc != im.any_cbc) {
-    return Status::InvalidArgument(
-        "snapshot rejected: CBC backend presence disagrees with options");
-  }
-  if (has_cbc) {
-    XDEAL_ASSIGN_OR_RETURN(uint32_t num_shards, body.U32());
-    std::vector<uint32_t> shard_epochs;
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      XDEAL_ASSIGN_OR_RETURN(uint32_t epoch, body.U32());
-      // Every shard rotates once per configured reconfiguration, so a
-      // larger epoch cannot come from these options — and replaying it
-      // below would spin for up to 2^32 rotations.
-      if (epoch > options.cbc_reconfig_times.size()) {
-        return Status::InvalidArgument(
-            "snapshot rejected: shard epoch " + std::to_string(epoch) +
-            " exceeds the " + std::to_string(options.cbc_reconfig_times.size()) +
-            " configured reconfigurations");
-      }
-      shard_epochs.push_back(epoch);
-    }
-    // Validator keys and reconfiguration certificates are pure functions of
-    // (seed, epoch): Attach replays Reconfigure() per shard until the
-    // recorded epoch, rebuilding bit-identical sets and history.
-    im.cbc_service = CbcService::Attach(&world, im.CbcOptions(), shard_epochs);
-    if (im.cbc_service == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot rejected: restored world is missing CBC shard chains");
-    }
-    im.MakeCbcDriver();
-  }
-
-  XDEAL_ASSIGN_OR_RETURN(bool has_brokers, body.Bool());
   im.broker_pool = std::make_unique<BrokerPool>(
       im.env.get(), options.brokers, BrokerPool::AttachTag{});
-  if (has_brokers != im.broker_pool->enabled()) {
-    return Status::InvalidArgument(
-        "snapshot rejected: broker pool presence disagrees with options");
-  }
-  if (has_brokers) {
-    XDEAL_ASSIGN_OR_RETURN(Bytes pool_blob, body.Blob());
-    ByteReader pool_reader(pool_blob);
-    Status pool_ok = im.broker_pool->Restore(pool_reader);
-    if (!pool_ok.ok()) return pool_ok;
-  }
-  if (!body.AtEnd()) {
+  SnapshotIO body(payload);
+  im.Transfer(body);
+  if (!body.ok()) return body.status();
+  if (body.remaining() != 0) {
     return Status::InvalidArgument(
         "snapshot rejected: " + std::to_string(body.remaining()) +
         " unread payload bytes");
   }
+  World& world = im.env->world();
 
   // Cursors start at the restored chains' receipt counts (empty: restored
   // chains carry no receipt history), so the next epoch seal scans exactly
@@ -1535,7 +1438,7 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   for (uint32_t c = 0; c < world.num_chains(); ++c) {
     im.receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
   }
-  // Durable events were re-imported by World::Restore at their original
+  // Durable events were re-imported by World::Transfer at their original
   // (time, seq) positions; only their handlers need re-binding.
   im.RegisterHandlers();
   return std::unique_ptr<TrafficService>(new TrafficService(std::move(owned)));

@@ -4,6 +4,10 @@
 // messages that get signed, block hashing, and proofs. Canonical encoding is
 // essential for the protocols: two parties must derive byte-identical
 // messages for signature verification to succeed.
+//
+// SnapshotIO lists a checkpointed record's fields once, for both
+// directions: the same Transfer(SnapshotIO&) call encodes a live object or
+// decodes a snapshot into a fresh one.
 
 #ifndef XDEAL_UTIL_SERIALIZE_H_
 #define XDEAL_UTIL_SERIALIZE_H_
@@ -12,6 +16,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/result.h"
@@ -23,6 +28,7 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  /// Fixed-width little-endian integers; a bool is one byte, 0 or 1.
   ByteWriter& U8(uint8_t v) {
     buf_.push_back(v);
     return *this;
@@ -76,6 +82,7 @@ class ByteReader {
  public:
   explicit ByteReader(const Bytes& buf) : buf_(buf) {}
 
+  /// Fixed-width little-endian integers; any nonzero bool byte is true.
   Result<uint8_t> U8() {
     if (pos_ + 1 > buf_.size()) return Truncated();
     return buf_[pos_++];
@@ -83,17 +90,20 @@ class ByteReader {
   Result<uint16_t> U16() { return ReadLe<uint16_t>(); }
   Result<uint32_t> U32() { return ReadLe<uint32_t>(); }
   Result<uint64_t> U64() { return ReadLe<uint64_t>(); }
+  /// A U64 reinterpreted as signed.
   Result<int64_t> I64() {
     auto r = ReadLe<uint64_t>();
     if (!r.ok()) return r.status();
     return static_cast<int64_t>(r.value());
   }
+  /// One byte; nonzero is true.
   Result<bool> Bool() {
     auto r = U8();
     if (!r.ok()) return r.status();
     return r.value() != 0;
   }
 
+  /// Length-prefixed (u32) string.
   Result<std::string> Str() {
     auto len = U32();
     if (!len.ok()) return len.status();
@@ -103,6 +113,7 @@ class ByteReader {
     return out;
   }
 
+  /// Length-prefixed (u32) byte blob.
   Result<Bytes> Blob() {
     auto len = U32();
     if (!len.ok()) return len.status();
@@ -141,6 +152,151 @@ class ByteReader {
 
   const Bytes& buf_;
   size_t pos_ = 0;
+};
+
+/// A direction-agnostic snapshot codec. A record lists its fields once as
+/// calls on a SnapshotIO, each taking the field by reference: an encoding
+/// SnapshotIO appends the field's bytes exactly as ByteWriter would; a
+/// decoding one overwrites the field from the input.
+///
+/// Decoding never trusts the input. The first failed read records a Status
+/// (sticky): every later call is then a no-op, so a listing checks ok()
+/// once, before its decoded values cause side effects, instead of after
+/// every field. Element counts are bounded by the bytes left before
+/// anything is allocated, and Check() rejects out-of-range values.
+class SnapshotIO {
+ public:
+  /// Width of an element-count prefix on the wire.
+  enum class Prefix { kU32, kU64 };
+
+  /// An encoder: every field call appends to `out`, which must outlive
+  /// this object.
+  explicit SnapshotIO(ByteWriter* out) : writer_(out) {}
+  /// A decoder over `in`, which must outlive this object.
+  explicit SnapshotIO(const Bytes& in) : SnapshotIO(in.data(), in.size()) {}
+
+  SnapshotIO(const SnapshotIO&) = delete;
+  SnapshotIO& operator=(const SnapshotIO&) = delete;
+
+  /// True when decoding, false when encoding.
+  bool reading() const { return writer_ == nullptr; }
+  /// False once any call has failed.
+  bool ok() const { return status_.ok(); }
+  /// The first failure, or OK.
+  const Status& status() const { return status_; }
+  /// Undecoded bytes left (0 when encoding).
+  size_t remaining() const { return size_ - pos_; }
+
+  /// One-byte field.
+  void U8(uint8_t& v);
+  /// Four-byte little-endian field.
+  void U32(uint32_t& v);
+  /// Eight-byte little-endian field.
+  void U64(uint64_t& v);
+  /// One byte, 0 or 1 when encoding; any nonzero byte decodes as true.
+  void Bool(bool& v);
+  /// A size_t carried as a U64.
+  void Size(size_t& v);
+  /// A u32-length-prefixed string.
+  void Str(std::string& s);
+  /// Exactly `len` raw bytes, no prefix (fixed-width fields like hashes).
+  void Raw(uint8_t* data, size_t len);
+
+  /// A one-byte enum. Decoding rejects a value above `max`.
+  template <typename E>
+  void Enum(E& e, E max, const char* what) {
+    uint8_t v = static_cast<uint8_t>(e);
+    U8(v);
+    Check(v <= static_cast<uint8_t>(max), what);
+    if (ok()) e = static_cast<E>(v);
+  }
+
+  /// An element count. Decoding rejects a count above the bytes left:
+  /// every element takes at least one byte, so the check bounds any
+  /// reserve or resize that follows.
+  void Count(size_t& n, Prefix prefix = Prefix::kU32);
+
+  /// A count, then `each(element)` per element. Decoding replaces `v` with
+  /// `count` value-initialised elements first.
+  template <typename T, typename Each>
+  void List(std::vector<T>& v, Each each, Prefix prefix = Prefix::kU32) {
+    size_t n = v.size();
+    Count(n, prefix);
+    if (!ok()) return;
+    if (reading()) v.assign(n, T{});
+    for (size_t i = 0; i < n && ok(); ++i) each(v[i]);
+  }
+
+  /// A count, then `each(key, value)` per entry in key order. Decoding
+  /// clears `m` and inserts each entry once it decoded cleanly.
+  template <typename Map, typename Each>
+  void Entries(Map& m, Each each, Prefix prefix = Prefix::kU32) {
+    size_t n = m.size();
+    Count(n, prefix);
+    if (!ok()) return;
+    if (!reading()) {
+      for (auto& [key, value] : m) {
+        typename Map::key_type k = key;
+        each(k, value);
+      }
+      return;
+    }
+    m.clear();
+    for (size_t i = 0; i < n; ++i) {
+      typename Map::key_type k{};
+      typename Map::mapped_type value{};
+      each(k, value);
+      if (!ok()) return;
+      m.insert_or_assign(std::move(k), std::move(value));
+    }
+  }
+
+  /// A sub-record in a u32-length-prefixed blob. `body(sub)` lists it on a
+  /// SnapshotIO of its own; when decoding, it must consume the blob
+  /// exactly. The sub-record's failure becomes this one's.
+  template <typename Body>
+  void Nested(Body body) {
+    if (!ok()) return;
+    if (!reading()) {
+      ByteWriter blob;
+      SnapshotIO sub(&blob);
+      body(sub);
+      Fail(sub.status());
+      writer_->Blob(blob.bytes());
+      return;
+    }
+    uint32_t len = 0;
+    U32(len);
+    if (!Need(len)) return;
+    SnapshotIO sub(data_ + pos_, len);
+    body(sub);
+    pos_ += len;
+    EndNested(sub);
+  }
+
+  /// Decode-side rejection: when decoding and `cond` is false, fails with
+  /// InvalidArgument(`what`). A no-op when encoding.
+  void Check(bool cond, const char* what);
+
+  /// Records `s` as the failure unless `s` is OK or a failure is already
+  /// recorded. Works in both directions.
+  void Fail(Status s);
+
+ private:
+  SnapshotIO(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+
+  /// True if `len` more bytes can be decoded; fails the codec otherwise.
+  bool Need(size_t len);
+  /// Adopts a decoded sub-record's failure, or rejects its unread bytes.
+  void EndNested(const SnapshotIO& sub);
+  template <typename T>
+  void Fixed(T& v);
+
+  ByteWriter* writer_ = nullptr;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+  size_t pos_ = 0;
+  Status status_;
 };
 
 }  // namespace xdeal

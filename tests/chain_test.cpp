@@ -1,7 +1,10 @@
 // Blockchain substrate: block production, receipts, gas accounting,
-// observation, and the World container.
+// observation, the World container, and World snapshots (which must reject
+// hostile bytes with a Status).
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "chain/blockchain.h"
 #include "chain/world.h"
@@ -187,6 +190,144 @@ TEST(WorldTest, EndpointsDisjoint) {
   PartyId p = world->RegisterParty("p");
   Blockchain* chain = world->CreateChain("c", 10);
   EXPECT_FALSE(world->PartyEndpoint(p) == world->ChainEndpoint(chain->id()));
+}
+
+// --- World snapshots -------------------------------------------------------
+
+std::unique_ptr<Contract> TokenFactory(const std::string& type) {
+  if (type == "FungibleToken") {
+    return std::make_unique<FungibleToken>("", PartyId{});
+  }
+  return nullptr;
+}
+
+Status RestoreFresh(const Bytes& snapshot) {
+  return MakeWorld()->Restore(snapshot, TokenFactory);
+}
+
+/// A hand-built World snapshot: clock at 100, zeroed scheduler stats, the
+/// durable-event section `durable` (count, then events), no parties, and
+/// one chain "c" with block interval `interval` and body `chain_body`.
+Bytes WorldSnapshot(const Bytes& durable, uint64_t interval,
+                    const Bytes& chain_body) {
+  ByteWriter w;
+  w.U64(1).U64(2).U64(3).U64(4);  // RNG state
+  w.U64(100);                     // now
+  w.U64(0).U64(0).U64(0).U64(0);  // scheduler stats
+  w.Raw(durable);
+  w.U64(0);  // next seq
+  w.U32(0);  // parties
+  w.U32(1).Str("c").U64(interval).Blob(chain_body);
+  return w.Take();
+}
+
+Bytes NoDurableEvents() { return ByteWriter().U32(0).Take(); }
+
+/// A chain body with `n_blocks` blocks and the contracts in `contracts`
+/// (count, then entries).
+Bytes ChainBody(uint64_t n_blocks, const Bytes& contracts) {
+  ByteWriter w;
+  w.U64(0).U64(0).U64(0).U64(n_blocks);  // capacity, next seq, gas, blocks
+  if (n_blocks > 0) w.Raw(Bytes(32, 0xAB));
+  w.Raw(contracts);
+  return w.Take();
+}
+
+Bytes NoContracts() { return ByteWriter().U32(0).Take(); }
+
+TEST(WorldSnapshotTest, HandBuiltSnapshotRestores) {
+  Status s = RestoreFresh(
+      WorldSnapshot(NoDurableEvents(), 10, ChainBody(10, NoContracts())));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(WorldSnapshotTest, RestoredWorldCheckpointsToTheSameBytes) {
+  auto world = MakeWorld();
+  PartyId alice = world->RegisterParty("alice");
+  PartyId bob = world->RegisterParty("bob");
+  Blockchain* chain = world->CreateChain("c", 10);
+  ContractId token =
+      chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
+  chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 50);
+  world->Submit(alice, chain->id(), token, TransferCall(Holder::Party(bob), 20));
+  world->scheduler().Run();
+  world->scheduler().ScheduleDurableAt(500, EventLabel::Timer(bob.v),
+                                       "wake", 7);
+  ByteWriter first;
+  ASSERT_TRUE(world->Checkpoint(&first).ok());
+
+  auto restored = MakeWorld();
+  Status s = restored->Restore(first.bytes(), TokenFactory);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ByteWriter second;
+  ASSERT_TRUE(restored->Checkpoint(&second).ok());
+  EXPECT_EQ(second.bytes(), first.bytes());
+  EXPECT_EQ(restored->chain(chain->id())
+                ->As<FungibleToken>(token)
+                ->BalanceOf(Holder::Party(bob)),
+            20u);
+}
+
+TEST(WorldSnapshotTest, RejectsZeroBlockInterval) {
+  // The chain would divide by its interval at the next boundary.
+  Status s = RestoreFresh(
+      WorldSnapshot(NoDurableEvents(), 0, ChainBody(0, NoContracts())));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("block interval of 0"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(WorldSnapshotTest, RejectsMoreBlocksThanBoundaries) {
+  // Blocks seal at positive multiples of the interval, up to the clock:
+  // at most 100 / 10 here. 2^40 would be a terabyte-sized resize.
+  for (uint64_t n_blocks : {uint64_t{11}, uint64_t{1} << 40}) {
+    Status s = RestoreFresh(WorldSnapshot(NoDurableEvents(), 10,
+                                          ChainBody(n_blocks, NoContracts())));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << n_blocks;
+    EXPECT_NE(s.ToString().find("more blocks than block boundaries"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(WorldSnapshotTest, RejectsDurableEventCountBeyondTheBytesLeft) {
+  Status s = RestoreFresh(WorldSnapshot(ByteWriter().U32(0xFFFFFFF0).Take(),
+                                        10, ChainBody(0, NoContracts())));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("snapshot count 4294967280 exceeds"),
+            std::string::npos)
+      << s.ToString();
+}
+
+TEST(WorldSnapshotTest, RejectsOutOfRangeEventKind) {
+  ByteWriter durable;
+  durable.U32(1).U64(0).U64(500).U8(9).U32(0).U32(0).Str("wake").U64(0);
+  Status s = RestoreFresh(
+      WorldSnapshot(durable.Take(), 10, ChainBody(0, NoContracts())));
+  EXPECT_NE(s.ToString().find("durable event kind out of range"),
+            std::string::npos)
+      << s.ToString();
+}
+
+TEST(WorldSnapshotTest, RejectsOutOfRangeHolderKind) {
+  ByteWriter state;
+  state.Str("TOK").U32(0).U64(5);
+  state.U32(1).U8(7).U32(0).U64(5);  // one balance, held by kind 7
+  state.U32(0);                      // no allowances
+  ByteWriter contracts;
+  contracts.U32(1).Str("FungibleToken").Bool(true).Blob(state.Take());
+  Status s = RestoreFresh(
+      WorldSnapshot(NoDurableEvents(), 10, ChainBody(0, contracts.Take())));
+  EXPECT_NE(s.ToString().find("holder kind out of range"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(WorldSnapshotTest, RejectsTrailingBytesInsideAChainBody) {
+  Bytes body = ChainBody(0, NoContracts());
+  body.push_back(0);
+  Status s = RestoreFresh(WorldSnapshot(NoDurableEvents(), 10, body));
+  EXPECT_NE(s.ToString().find("1 unread bytes"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

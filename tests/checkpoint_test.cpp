@@ -15,6 +15,8 @@
 #include "core/traffic_engine.h"
 #include "crypto/sha256.h"
 #include "golden_fps.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 
 namespace xdeal {
 namespace {
@@ -401,6 +403,119 @@ TEST_F(SnapshotRejectTest, AppendedByte) {
   bad.push_back(0);
   EXPECT_NE(RestoreError(options_, bad).find("trailing bytes"),
             std::string::npos);
+}
+
+// --- resealed hostile payloads -------------------------------------------
+
+/// Envelope layout: magic, version, options fingerprint, payload size.
+constexpr size_t kPayloadAt = 8 + 4 + 8 + 4;
+
+/// Re-seals the payload digest after an edit, as anyone who can write the
+/// file can, so the edit reaches the payload decoders.
+void Reseal(Bytes* snapshot) {
+  const size_t digest_at = snapshot->size() - 32;
+  Hash256 digest = Sha256Digest(Bytes(snapshot->begin() + kPayloadAt,
+                                      snapshot->begin() + digest_at));
+  std::copy(digest.bytes.begin(), digest.bytes.end(),
+            snapshot->begin() + digest_at);
+}
+
+/// Offset of the first plan's `broker` field inside a broker-enabled
+/// snapshot. The broker book is the last blob of the payload, right after
+/// its presence flag; it is walked up to the first plan.
+size_t FirstPlanBrokerAt(const Bytes& snapshot) {
+  const size_t end = snapshot.size() - 32;
+  size_t book = 0;
+  for (size_t at = kPayloadAt + 5; at < end && book == 0; ++at) {
+    uint32_t len = 0;
+    for (size_t i = 0; i < 4; ++i) len |= uint32_t{snapshot[at - 4 + i]} << (8 * i);
+    if (snapshot[at - 5] == 1 && len == end - at) book = at;
+  }
+  EXPECT_NE(book, 0u) << "no broker book in the snapshot";
+  Bytes blob(snapshot.begin() + book, snapshot.begin() + end);
+  ByteReader r(blob);
+  const uint32_t brokers = r.U32().value();
+  for (uint32_t b = 0; b < brokers; ++b) r.U32().value();
+  for (uint32_t a = 0; a <= brokers; ++a) {  // the coin, then commodities
+    r.U32().value();
+    r.U32().value();
+    r.U8().value();
+    r.Str().value();
+  }
+  for (uint32_t b = 0; b < brokers; ++b) r.U8().value();  // crash flags
+  EXPECT_GT(r.U64().value(), 0u) << "the book holds no plans";
+  r.U64().value();  // the plan's deal index
+  return end - r.remaining();
+}
+
+/// The broker-enabled service of RestoreWithBrokersIsBitIdentical
+/// (single-hop plans).
+TrafficOptions BrokerServiceOptions() {
+  TrafficOptions options = ServiceOptions();
+  options.base_seed = 79;
+  options.brokers.num_brokers = 2;
+  options.brokers.broker_every = 3;
+  return options;
+}
+
+void WriteU64At(Bytes* snapshot, size_t at, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) (*snapshot)[at + i] = uint8_t(v >> (8 * i));
+}
+
+TEST_F(SnapshotRejectTest, ResealedPlanBrokerOutOfRange) {
+  // A plan naming broker 99 in a 2-broker pool used to restore, and the
+  // final report then indexed the per-broker records out of bounds.
+  const TrafficOptions options = BrokerServiceOptions();
+  Bytes bad = SnapshotAfter(options, 1);
+  WriteU64At(&bad, FirstPlanBrokerAt(bad), 99);
+  Reseal(&bad);
+  EXPECT_NE(RestoreError(options, bad).find("broker 99 out of range"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotRejectTest, ResealedHopBrokerOutOfRange) {
+  // The same for a hop of a two-hop resale chain. The first hop's broker
+  // follows the plan's broker, side flag, five amounts and hop count.
+  const TrafficOptions options = AdmissionServiceOptions();
+  Bytes bad = SnapshotAfter(options, 2);
+  WriteU64At(&bad, FirstPlanBrokerAt(bad) + 8 + 1 + 5 * 8 + 4, 99);
+  Reseal(&bad);
+  EXPECT_NE(RestoreError(options, bad).find("broker 99 out of range"),
+            std::string::npos);
+}
+
+TEST(SnapshotMutationTest, ResealedByteMutationsAreRejectedOrRestoreCleanly) {
+  // Seeded single-byte mutations anywhere in the payload, resealed so each
+  // reaches the decoders. Each must be refused with a Status, or restore a
+  // service whose Finish() and Checkpoint() both complete: no crash, no
+  // hang, no length-driven huge allocation.
+  const size_t kMutations = 1000;
+  struct Case {
+    TrafficOptions options;
+    size_t epochs;
+  };
+  for (const Case& c : {Case{ServiceOptions(), 1},
+                        Case{AdmissionServiceOptions(), 2}}) {
+    const Bytes snapshot = SnapshotAfter(c.options, c.epochs);
+    const size_t payload_size = snapshot.size() - 32 - kPayloadAt;
+    Rng rng(0x6d757461);
+    size_t rejected = 0;
+    for (size_t m = 0; m < kMutations; ++m) {
+      Bytes bad = snapshot;
+      const size_t at = kPayloadAt + rng.Below(payload_size);
+      bad[at] ^= static_cast<uint8_t>(rng.Between(1, 255));
+      Reseal(&bad);
+      Result<std::unique_ptr<TrafficService>> restored =
+          TrafficService::FromSnapshot(c.options, bad);
+      if (!restored.ok()) {
+        ++rejected;
+        continue;
+      }
+      restored.value()->Finish();
+      restored.value()->Checkpoint();
+    }
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 // --- service-mode preconditions ------------------------------------------
