@@ -229,26 +229,12 @@ std::unique_ptr<DealRuntime> TimelockDriver::CreateDeal(
                                            options_, factory);
 }
 
-DealRuntime* TimelockDriver::CreateDealIn(Arena* arena, World* world,
-                                          DealSpec spec, DealTimings timings,
-                                          PartyFactory* factory) {
-  return arena->Create<TimelockRuntime>(world, std::move(spec), timings,
-                                        options_, factory);
-}
-
 std::unique_ptr<DealRuntime> CbcDriver::CreateDeal(World* world,
                                                    DealSpec spec,
                                                    DealTimings timings,
                                                    PartyFactory* factory) {
   return std::make_unique<CbcRuntime>(world, std::move(spec), timings,
                                       service_, options_, factory);
-}
-
-DealRuntime* CbcDriver::CreateDealIn(Arena* arena, World* world,
-                                     DealSpec spec, DealTimings timings,
-                                     PartyFactory* factory) {
-  return arena->Create<CbcRuntime>(world, std::move(spec), timings, service_,
-                                   options_, factory);
 }
 
 }  // namespace xdeal

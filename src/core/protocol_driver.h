@@ -37,7 +37,6 @@
 #include "cbc/types.h"
 #include "chain/world.h"
 #include "core/deal_spec.h"
-#include "util/arena.h"
 
 namespace xdeal {
 
@@ -205,14 +204,6 @@ class ProtocolDriver {
   virtual std::unique_ptr<DealRuntime> CreateDeal(
       World* world, DealSpec spec, DealTimings timings,
       PartyFactory* factory = nullptr) = 0;
-
-  /// Arena-allocating variant for mass-deal harnesses (the traffic engine
-  /// creates one runtime per deal, D of them per run): the runtime lives in
-  /// `arena` and dies with it, so 10^5 runtimes cost pointer bumps instead
-  /// of 10^5 heap round-trips. Semantics otherwise identical to CreateDeal.
-  virtual DealRuntime* CreateDealIn(Arena* arena, World* world, DealSpec spec,
-                                    DealTimings timings,
-                                    PartyFactory* factory = nullptr) = 0;
 };
 
 /// Driver for the §5 timelock commit protocol (self-contained: the votes
@@ -232,9 +223,6 @@ class TimelockDriver : public ProtocolDriver {
   std::unique_ptr<DealRuntime> CreateDeal(
       World* world, DealSpec spec, DealTimings timings,
       PartyFactory* factory = nullptr) override;
-  DealRuntime* CreateDealIn(Arena* arena, World* world, DealSpec spec,
-                            DealTimings timings,
-                            PartyFactory* factory = nullptr) override;
 
  private:
   Options options_;
@@ -262,9 +250,6 @@ class CbcDriver : public ProtocolDriver {
   std::unique_ptr<DealRuntime> CreateDeal(
       World* world, DealSpec spec, DealTimings timings,
       PartyFactory* factory = nullptr) override;
-  DealRuntime* CreateDealIn(Arena* arena, World* world, DealSpec spec,
-                            DealTimings timings,
-                            PartyFactory* factory = nullptr) override;
 
   CbcService& service() { return *service_; }
 

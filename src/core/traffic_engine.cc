@@ -101,16 +101,15 @@ class TrafficPartyFactory : public PartyFactory {
   }
 };
 
-/// One deal's full lifetime inside the shared World. The runtime and
-/// checker are arena-allocated (one batch-scoped Arena owns all of them);
-/// the slot holds non-owning pointers.
+/// One deal's full lifetime inside the shared World.
 struct DealSlot {
   TrafficDealRecord rec;
   DealSpec spec;
-  DealRuntime* runtime = nullptr;
-  DealChecker* checker = nullptr;
+  std::unique_ptr<DealRuntime> runtime;
+  std::unique_ptr<DealChecker> checker;
   /// Configured at generation time; must outlive Deploy, which may fire from
-  /// an admission event mid-run, so it lives in the slot.
+  /// an admission event mid-run, so it lives in the slot. Declared after
+  /// the runtime and checker, so it is destroyed before them.
   TrafficPartyFactory factory;
   /// Set on deals touched by injection (double-spend or offline party): the
   /// deviating party, excluded from this deal's compliant set.
@@ -593,13 +592,12 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   // Runtimes and checkers live exactly as long as the batch: every deal in
   // it settles before the seal, and the broker pool prunes every escrow-view
   // pointer at the boundary, so nothing dangles into the next batch.
-  Arena arena;
   std::vector<DealSlot> slots(count);
 
   // Anchors slot i's schedule at `admit_time` and deploys it: inline during
   // generation, or from an admission event when the controller is on.
-  auto deploy_deal = [this, &world, &slots, &arena, first](size_t i,
-                                                           Tick admit_time) {
+  auto deploy_deal = [this, &world, &slots, first](size_t i,
+                                                   Tick admit_time) {
     DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
     rec.admitted_at = admit_time;
@@ -615,14 +613,14 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
     ProtocolDriver& driver = rec.protocol == Protocol::kCbc
                                  ? static_cast<ProtocolDriver&>(*cbc_driver)
                                  : timelock_driver;
-    slot.runtime = driver.CreateDealIn(&arena, &world, slot.spec, timings,
-                                       &slot.factory);
+    slot.runtime =
+        driver.CreateDeal(&world, slot.spec, timings, &slot.factory);
     Status started = slot.runtime->Deploy();
     if (!started.ok()) {
       rec.violation = "start-failed: " + started.ToString();
       return;
     }
-    slot.checker = arena.Create<DealChecker>(
+    slot.checker = std::make_unique<DealChecker>(
         &world, slot.spec, slot.runtime->escrow_contracts(),
         timings.deal_tag);
     if (rec.broker != 0) {
@@ -1032,7 +1030,7 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
 
   // --- boundary hygiene: every reservation's deposit has landed or settled
   //     by quiescence, so the pool drops its runtime pointers before the
-  //     arena (and the batch's runtimes) die; cursors advance so the next
+  //     batch's slots (and their runtimes) die; cursors advance so the next
   //     seal scans only its own window. ---
   broker_pool->PruneAll();
   for (uint32_t c = 0; c < world.num_chains(); ++c) {
