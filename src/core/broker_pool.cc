@@ -362,7 +362,8 @@ void BrokerPool::Transfer(SnapshotIO& io) {
   auto transfer_asset = [&io, &world](AssetRef& a) {
     io.U32(a.chain.v);
     io.U32(a.token.v);
-    io.Enum(a.kind, AssetKind::kNft, "broker snapshot: asset kind out of range");
+    io.Enum(a.kind, AssetKind::kNft,
+            "broker snapshot: asset kind out of range");
     io.Str(a.label);
     io.Check(a.chain.v < world.num_chains() &&
                  world.chain(a.chain)->As<FungibleToken>(a.token) != nullptr,

@@ -101,6 +101,18 @@ class TrafficPartyFactory : public PartyFactory {
   }
 };
 
+/// The contract factory of a service restore. Layering: the chain library
+/// cannot name contract types, so the service supplies it. Only token
+/// ledgers snapshot full state; every other contract belonged to a settled
+/// deal and restores as a retired placeholder (preserving ContractId
+/// numbering).
+std::unique_ptr<Contract> RestoredContract(const std::string& type) {
+  if (type == "FungibleToken") {
+    return std::make_unique<FungibleToken>("", PartyId{});
+  }
+  return nullptr;
+}
+
 /// One deal's full lifetime inside the shared World.
 struct DealSlot {
   TrafficDealRecord rec;
@@ -1237,17 +1249,8 @@ Result<std::unique_ptr<TrafficService>> TrafficService::Create(
 
 void TrafficService::Impl::Transfer(SnapshotIO& io) {
   World& world = env->world();
-  // Layering: the chain library cannot name contract types, so the service
-  // supplies the factory. Only token ledgers snapshot full state; every
-  // other contract belonged to a settled deal and restores as a retired
-  // placeholder (preserving ContractId numbering).
   io.Nested([&world](SnapshotIO& sub) {
-    world.Transfer(sub, [](const std::string& type) -> std::unique_ptr<Contract> {
-      if (type == "FungibleToken") {
-        return std::make_unique<FungibleToken>("", PartyId{});
-      }
-      return nullptr;
-    });
+    world.Transfer(sub, RestoredContract);
   });
 
   io.Size(next_deal);

@@ -249,7 +249,8 @@ TEST(WorldSnapshotTest, RestoredWorldCheckpointsToTheSameBytes) {
   ContractId token =
       chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
   chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 50);
-  world->Submit(alice, chain->id(), token, TransferCall(Holder::Party(bob), 20));
+  world->Submit(alice, chain->id(), token,
+                TransferCall(Holder::Party(bob), 20));
   world->scheduler().Run();
   world->scheduler().ScheduleDurableAt(500, EventLabel::Timer(bob.v),
                                        "wake", 7);

@@ -428,7 +428,9 @@ size_t FirstPlanBrokerAt(const Bytes& snapshot) {
   size_t book = 0;
   for (size_t at = kPayloadAt + 5; at < end && book == 0; ++at) {
     uint32_t len = 0;
-    for (size_t i = 0; i < 4; ++i) len |= uint32_t{snapshot[at - 4 + i]} << (8 * i);
+    for (size_t i = 0; i < 4; ++i) {
+      len |= uint32_t{snapshot[at - 4 + i]} << (8 * i);
+    }
     if (snapshot[at - 5] == 1 && len == end - at) book = at;
   }
   EXPECT_NE(book, 0u) << "no broker book in the snapshot";
