@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "chain/world.h"
 
@@ -226,49 +227,68 @@ class RetiredContract : public Contract {
 
 }  // namespace
 
-void Blockchain::Transfer(SnapshotIO& io, const ContractFactory& factory) {
-  if (!io.reading() && !mempool_.empty()) {
+Status Blockchain::Checkpoint(ByteWriter* w) const {
+  SnapshotIO io(w);
+  Transfer(*this, io, nullptr);
+  return io.status();
+}
+
+Status Blockchain::Restore(ByteReader& r, const ContractFactory& factory) {
+  SnapshotIO io(r);
+  Transfer(*this, io, factory);
+  return io.status();
+}
+
+template <typename Self>
+void Blockchain::Transfer(Self& self, SnapshotIO& io,
+                          const ContractFactory& factory) {
+  constexpr bool kDecode = !std::is_const_v<Self>;
+  if (!kDecode && !self.mempool_.empty()) {
     io.Fail(Status::FailedPrecondition(
-        "chain " + name_ + ": checkpoint requires an empty mempool (" +
-        std::to_string(pending_txs()) + " txs pending)"));
+        "chain " + self.name_ + ": checkpoint requires an empty mempool (" +
+        std::to_string(self.pending_txs()) + " txs pending)"));
   }
-  if (io.reading() && (!contracts_.empty() || !blocks_.empty() ||
-                       next_seq_ != 0)) {
+  if (kDecode && (!self.contracts_.empty() || !self.blocks_.empty() ||
+                  self.next_seq_ != 0)) {
     io.Fail(Status::FailedPrecondition(
-        "chain " + name_ + ": restore requires a freshly constructed chain"));
+        "chain " + self.name_ +
+        ": restore requires a freshly constructed chain"));
   }
-  io.U64(max_txs_per_block_);
-  io.U64(next_seq_);
-  io.U64(total_gas_);
+  io.U64(self.max_txs_per_block_);
+  io.U64(self.next_seq_);
+  io.U64(self.total_gas_);
   // Blocks are sealed only at positive multiples of the interval, at most
   // once each, and never past the clock.
-  uint64_t n_blocks = blocks_.size();
+  uint64_t n_blocks = self.blocks_.size();
   io.U64(n_blocks);
-  io.Check(n_blocks <= world_->now() / block_interval_,
+  io.Check(n_blocks <= self.world_->now() / self.block_interval_,
            "chain snapshot: more blocks than block boundaries so far");
-  Hash256 last_hash = blocks_.empty() ? Hash256{} : blocks_.back().hash;
+  Hash256 last_hash =
+      self.blocks_.empty() ? Hash256{} : self.blocks_.back().hash;
   if (n_blocks > 0) io.Raw(last_hash.bytes.data(), last_hash.bytes.size());
-  if (io.reading() && io.ok()) {
-    // Pad the block list with header-only placeholders so heights (which
-    // feed keyed observation delays) and the parent link of the next real
-    // block match the uninterrupted run; only the back() hash is
-    // load-bearing.
-    blocks_.resize(n_blocks);
-    for (uint64_t h = 0; h < n_blocks; ++h) blocks_[h].height = h;
-    if (!blocks_.empty()) blocks_.back().hash = last_hash;
+  if constexpr (kDecode) {
+    if (io.ok()) {
+      // Pad the block list with header-only placeholders so heights (which
+      // feed keyed observation delays) and the parent link of the next
+      // real block match the uninterrupted run; only the back() hash is
+      // load-bearing.
+      self.blocks_.resize(n_blocks);
+      for (uint64_t h = 0; h < n_blocks; ++h) self.blocks_[h].height = h;
+      if (!self.blocks_.empty()) self.blocks_.back().hash = last_hash;
+    }
   }
 
-  size_t n_contracts = contracts_.size();
+  size_t n_contracts = self.contracts_.size();
   io.Count(n_contracts);
   for (size_t i = 0; i < n_contracts && io.ok(); ++i) {
-    Contract* contract = io.reading() ? nullptr : contracts_[i].get();
-    std::string type_name = io.reading() ? "" : contract->TypeName();
-    bool snap = !io.reading() && contract->SupportsSnapshot();
+    Contract* contract = kDecode ? nullptr : self.contracts_[i].get();
+    std::string type_name = kDecode ? "" : contract->TypeName();
+    bool snap = !kDecode && contract->SupportsSnapshot();
     io.Str(type_name);
     io.Bool(snap);
     if (!io.ok()) return;
     std::unique_ptr<Contract> restored;
-    if (io.reading()) {
+    if (kDecode) {
       if (!snap) {
         restored = std::make_unique<RetiredContract>(type_name);
       } else if (factory) {
@@ -282,11 +302,19 @@ void Blockchain::Transfer(SnapshotIO& io, const ContractFactory& factory) {
       contract = restored.get();
     }
     if (snap) {
-      io.Nested([contract](SnapshotIO& state) {
-        state.Fail(contract->TransferState(state));
-      });
+      io.Nested(
+          [contract](ByteWriter* w) {
+            SnapshotIO state(w);
+            return contract->TransferState(state);
+          },
+          [contract](ByteReader& r) {
+            SnapshotIO state(r);
+            return contract->TransferState(state);
+          });
     }
-    if (restored != nullptr && io.ok()) Deploy(std::move(restored));
+    if constexpr (kDecode) {
+      if (io.ok()) self.Deploy(std::move(restored));
+    }
   }
 }
 

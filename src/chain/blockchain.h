@@ -257,23 +257,33 @@ class Blockchain {
     return pending;
   }
 
-  /// Lists the chain's durable state on `io` (see SnapshotIO). The
+  /// Serializes the chain's durable state into `w`. Only valid at a
+  /// quiescent boundary: the mempool must be empty (every submitted tx
+  /// already sealed into a block), otherwise FailedPrecondition. The
   /// snapshot is slim by design: block headers are carried as (count,
   /// last-hash) so heights and parent-chaining continue correctly; receipts
   /// are NOT carried (the restored chain's receipt history restarts empty —
   /// every deal that produced them has settled, and all cross-epoch
   /// accounting lives in the engine's cumulative counters, not in the
-  /// chain). Encoding requires an empty mempool (every submitted tx already
-  /// sealed into a block). Decoding requires a freshly constructed chain
-  /// (same name/id/interval) and its World's restored clock: contracts that
-  /// snapshot their state are rebuilt via `factory` + TransferState, the
+  /// chain).
+  XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
+
+  /// Restores a freshly constructed chain (same name/id/interval, its
+  /// World's clock already restored) from a Checkpoint. Contracts that
+  /// snapshot their state are rebuilt via `factory` + TransferState; the
   /// rest become inert retired placeholders that preserve ContractId
   /// numbering and reject invocation.
-  XDEAL_DETERMINISTIC void Transfer(SnapshotIO& io,
-                                    const ContractFactory& factory);
+  XDEAL_DETERMINISTIC Status Restore(ByteReader& r,
+                                     const ContractFactory& factory);
 
  private:
   friend class ObservationCursor;
+
+  /// The one listing of the chain's snapshot (see SnapshotIO): Checkpoint
+  /// runs it on a const chain to encode, Restore on a fresh one to decode.
+  template <typename Self>
+  static void Transfer(Self& self, SnapshotIO& io,
+                       const ContractFactory& factory);
 
   struct PendingTx {
     uint64_t seq;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace xdeal {
 
@@ -71,50 +72,48 @@ uint64_t World::TotalGas() const {
   return sum;
 }
 
-Status World::Checkpoint(ByteWriter* w) {
+Status World::Checkpoint(ByteWriter* w) const {
   SnapshotIO io(w);
-  Transfer(io, nullptr);
+  Transfer(*this, io, nullptr);
   return io.status();
 }
 
-Status World::Restore(const Bytes& snapshot,
+Status World::Restore(ByteReader& r,
                       const Blockchain::ContractFactory& factory) {
-  SnapshotIO io(snapshot);
-  Transfer(io, factory);
-  if (io.ok() && io.remaining() != 0) {
-    return Status::InvalidArgument("world snapshot: " +
-                                   std::to_string(io.remaining()) +
-                                   " unread bytes");
-  }
+  SnapshotIO io(r);
+  Transfer(*this, io, factory);
   return io.status();
 }
 
-void World::Transfer(SnapshotIO& io,
+template <typename Self>
+void World::Transfer(Self& self, SnapshotIO& io,
                      const Blockchain::ContractFactory& factory) {
-  if (!io.reading() && scheduler_.pending() != scheduler_.pending_durable()) {
+  constexpr bool kDecode = !std::is_const_v<Self>;
+  const Scheduler& scheduler = self.scheduler_;
+  if (!kDecode && scheduler.pending() != scheduler.pending_durable()) {
     io.Fail(Status::FailedPrecondition(
         "world checkpoint requires a drained scheduler (" +
-        std::to_string(scheduler_.pending() - scheduler_.pending_durable()) +
+        std::to_string(scheduler.pending() - scheduler.pending_durable()) +
         " non-durable events pending)"));
   }
-  if (io.reading() && (key_directory_.size() != 0 || !chains_.empty() ||
-                       scheduler_.pending() != 0 || scheduler_.now() != 0)) {
+  if (kDecode && (self.key_directory_.size() != 0 || !self.chains_.empty() ||
+                  scheduler.pending() != 0 || scheduler.now() != 0)) {
     io.Fail(Status::FailedPrecondition(
         "world restore requires a freshly constructed World"));
   }
 
   uint64_t rng_state[4];
-  rng_.GetState(rng_state);
+  self.rng_.GetState(rng_state);
   for (uint64_t& s : rng_state) io.U64(s);
-  Tick now = scheduler_.now();
+  Tick now = scheduler.now();
   io.U64(now);
-  SchedulerStats stats = scheduler_.stats();
+  SchedulerStats stats = scheduler.stats();
   io.U64(stats.executed);
   io.U64(stats.dropped);
   io.Size(stats.max_pending);
   io.U64(stats.max_pending_at);
   std::vector<DurableEvent> durable;
-  if (!io.reading()) durable = scheduler_.PendingDurable();
+  if (!kDecode) durable = scheduler.PendingDurable();
   // The restored scheduler's next_seq must be past every live seq; any
   // fresh value beyond the durable tail works because all non-durable
   // events have fired (their seqs are dead and never compared again).
@@ -133,34 +132,39 @@ void World::Transfer(SnapshotIO& io,
     io.U64(ev.payload);
   });
   io.U64(next_seq);
-  if (io.reading() && io.ok()) {
-    rng_.SetState(rng_state);
-    scheduler_.RestoreClock(now, next_seq, stats);
-    scheduler_.ImportDurable(durable);
+  if constexpr (kDecode) {
+    if (io.ok()) {
+      self.rng_.SetState(rng_state);
+      self.scheduler_.RestoreClock(now, next_seq, stats);
+      self.scheduler_.ImportDurable(durable);
+    }
   }
 
   // Keys re-derive from (domain, name) as the names are registered.
   std::vector<std::string> names;
-  for (uint32_t i = 0; i < key_directory_.size(); ++i) {
-    names.push_back(key_directory_.NameOf(PartyId{i}).value());
+  for (uint32_t i = 0; i < self.key_directory_.size(); ++i) {
+    names.push_back(self.key_directory_.NameOf(PartyId{i}).value());
   }
   io.List(names, [&io](std::string& name) { io.Str(name); });
-  if (io.reading() && io.ok()) {
-    for (const std::string& name : names) RegisterParty(name);
+  if constexpr (kDecode) {
+    if (io.ok()) {
+      for (const std::string& name : names) self.RegisterParty(name);
+    }
   }
 
-  size_t n_chains = chains_.size();
+  size_t n_chains = self.chains_.size();
   io.Count(n_chains);
   for (size_t i = 0; i < n_chains && io.ok(); ++i) {
-    Blockchain* c = io.reading() ? nullptr : chains_[i].get();
-    std::string name = io.reading() ? "" : c->name();
-    Tick interval = io.reading() ? 0 : c->block_interval();
+    Blockchain* c = kDecode ? nullptr : self.chains_[i].get();
+    std::string name = kDecode ? "" : c->name();
+    Tick interval = kDecode ? 0 : c->block_interval();
     io.Str(name);
     io.U64(interval);
     io.Check(interval > 0, "world snapshot: chain block interval of 0");
     if (!io.ok()) return;
-    if (io.reading()) c = CreateChain(name, interval);
-    io.Nested([c, &factory](SnapshotIO& body) { c->Transfer(body, factory); });
+    if constexpr (kDecode) c = self.CreateChain(name, interval);
+    io.Nested([c](ByteWriter* w) { return c->Checkpoint(w); },
+              [c, &factory](ByteReader& r) { return c->Restore(r, factory); });
   }
 }
 

@@ -80,32 +80,31 @@ class World {
   /// Sum of gas across all chains (global cost, Figure 4 rows).
   uint64_t TotalGas() const;
 
-  /// Serializes the World's durable state into `w` (see Transfer). Only
-  /// valid at a quiescent boundary — the scheduler may hold nothing but
-  /// durable events (pending() == pending_durable()) and every mempool must
-  /// be empty.
-  XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w);
+  /// Serializes the World's durable state into `w`: RNG stream position,
+  /// scheduler clock + pending durable events, party registry, and every
+  /// chain's Checkpoint in its own blob. Only valid at a quiescent
+  /// boundary — the scheduler may hold nothing but durable events
+  /// (pending() == pending_durable()) and every mempool must be empty.
+  XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
 
   /// Restores a freshly constructed World (same seed + network model) from
-  /// a Checkpoint, which it must consume exactly: re-registers parties by
-  /// name (keys re-derive deterministically), recreates chains and their
-  /// contracts via `factory`, re-imports durable events at their original
-  /// (time, seq) positions, and fast-forwards the RNG/clock. After Restore
-  /// the next scheduled event fires bit-identically to the uninterrupted
-  /// run. Hostile bytes are rejected with a Status.
-  XDEAL_DETERMINISTIC Status Restore(
-      const Bytes& snapshot, const Blockchain::ContractFactory& factory);
-
-  /// Lists the World's durable state on `io` (see SnapshotIO): RNG stream
-  /// position, scheduler clock + pending durable events, party registry,
-  /// and every chain's Transfer in its own blob. Checkpoint and Restore
-  /// wrap it; a caller embedding the World in a larger snapshot calls it
-  /// directly.
-  XDEAL_DETERMINISTIC void Transfer(
-      SnapshotIO& io, const Blockchain::ContractFactory& factory);
+  /// a Checkpoint: re-registers parties by name (keys re-derive
+  /// deterministically), recreates chains and their contracts via
+  /// `factory`, re-imports durable events at their original (time, seq)
+  /// positions, and fast-forwards the RNG/clock. After Restore the next
+  /// scheduled event fires bit-identically to the uninterrupted run.
+  /// Hostile bytes are rejected with a Status.
+  XDEAL_DETERMINISTIC Status Restore(ByteReader& r,
+                                     const Blockchain::ContractFactory& factory);
 
  private:
   static constexpr uint32_t kChainEndpointBase = 1u << 24;
+
+  /// The one listing of the World's snapshot (see SnapshotIO): Checkpoint
+  /// runs it on a const World to encode, Restore on a fresh one to decode.
+  template <typename Self>
+  static void Transfer(Self& self, SnapshotIO& io,
+                       const Blockchain::ContractFactory& factory);
 
   Scheduler scheduler_;
   uint64_t seed_;

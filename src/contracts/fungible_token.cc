@@ -100,28 +100,22 @@ Status FungibleToken::Approve(CallContext& ctx, const Holder& caller,
   return Status::OK();
 }
 
-namespace {
-
-void TransferHolder(SnapshotIO& io, Holder& h) {
-  io.Enum(h.kind, Holder::Kind::kContract,
-          "FungibleToken snapshot: holder kind out of range");
-  io.U32(h.id);
-}
-
-}  // namespace
-
 Status FungibleToken::TransferState(SnapshotIO& io) {
+  auto transfer_holder = [&io](auto& holder) {
+    io.Enum(holder.kind, Holder::Kind::kContract,
+            "FungibleToken snapshot: holder kind out of range");
+    io.U32(holder.id);
+  };
   io.Str(symbol_);
   io.U32(issuer_.v);
   io.U64(total_supply_);
-  io.Entries(balances_, [&io](Holder& holder, uint64_t& amount) {
-    TransferHolder(io, holder);
+  io.Entries(balances_, [&](auto& holder, auto& amount) {
+    transfer_holder(holder);
     io.U64(amount);
   });
-  io.Entries(allowances_, [&io](std::pair<Holder, Holder>& pair,
-                                uint64_t& amount) {
-    TransferHolder(io, pair.first);
-    TransferHolder(io, pair.second);
+  io.Entries(allowances_, [&](auto& pair, auto& amount) {
+    transfer_holder(pair.first);
+    transfer_holder(pair.second);
     io.U64(amount);
   });
   return io.status();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "contracts/escrow_view.h"
 #include "contracts/fungible_token.h"
@@ -349,28 +350,44 @@ void BrokerPool::OnDealDeployed(size_t deal_index, DealRuntime& runtime) {
   }
 }
 
-void BrokerPool::Transfer(SnapshotIO& io) {
-  for (size_t b = 0; b < brokers_.size() && !io.reading(); ++b) {
-    if (!reserved_[b].empty() || !evidence_[b].empty()) {
+Status BrokerPool::Checkpoint(ByteWriter* w) const {
+  SnapshotIO io(w);
+  Transfer(*this, io);
+  return io.status();
+}
+
+Status BrokerPool::Restore(ByteReader& r) {
+  SnapshotIO io(r);
+  Transfer(*this, io);
+  return io.status();
+}
+
+template <typename Self>
+void BrokerPool::Transfer(Self& self, SnapshotIO& io) {
+  constexpr bool kDecode = !std::is_const_v<Self>;
+  for (size_t b = 0; b < self.brokers_.size() && !kDecode; ++b) {
+    if (!self.reserved_[b].empty() || !self.evidence_[b].empty()) {
       io.Fail(Status::FailedPrecondition(
           "broker pool checkpoint: broker " + std::to_string(b) +
           " still holds live reservations (PruneAll before checkpointing; a "
           "compliant quiescent boundary leaves none)"));
     }
   }
-  const World& world = env_->world();
-  auto transfer_asset = [&io, &world](AssetRef& a) {
+  const World& world = self.env_->world();
+  auto is_ledger = [&world](const AssetRef& a) {
+    return a.chain.v < world.num_chains() &&
+           world.chain(a.chain)->As<FungibleToken>(a.token) != nullptr;
+  };
+  auto transfer_asset = [&io, &is_ledger](auto& a) {
     io.U32(a.chain.v);
     io.U32(a.token.v);
     io.Enum(a.kind, AssetKind::kNft,
             "broker snapshot: asset kind out of range");
     io.Str(a.label);
-    io.Check(a.chain.v < world.num_chains() &&
-                 world.chain(a.chain)->As<FungibleToken>(a.token) != nullptr,
-             "broker snapshot: asset is not a token ledger");
+    io.Check(is_ledger(a), "broker snapshot: asset is not a token ledger");
   };
-  const size_t n = options_.num_brokers;
-  auto transfer_broker = [&io, n](size_t& broker) {
+  const size_t n = self.options_.num_brokers;
+  auto transfer_broker = [&io, n](auto& broker) {
     io.Size(broker);
     if (io.reading() && broker >= n) {
       io.Fail(Status::InvalidArgument("broker snapshot: broker " +
@@ -379,22 +396,22 @@ void BrokerPool::Transfer(SnapshotIO& io) {
     }
   };
 
-  io.List(brokers_, [&io](PartyId& b) { io.U32(b.v); });
-  io.Check(brokers_.size() == n,
+  io.List(self.brokers_, [&io](auto& b) { io.U32(b.v); });
+  io.Check(self.brokers_.size() == n,
            "broker snapshot: broker count mismatches options");
   if (!io.ok()) return;
-  if (io.reading()) {
-    commodities_.assign(n, AssetRef{});
-    crashed_.assign(n, 0);
-    reserved_.assign(n, {});
-    evidence_.assign(n, {});
+  if constexpr (kDecode) {
+    self.commodities_.assign(n, AssetRef{});
+    self.crashed_.assign(n, 0);
+    self.reserved_.assign(n, {});
+    self.evidence_.assign(n, {});
   }
-  transfer_asset(coin_);
-  for (AssetRef& c : commodities_) transfer_asset(c);
-  for (uint8_t& c : crashed_) io.U8(c);
+  transfer_asset(self.coin_);
+  for (auto& c : self.commodities_) transfer_asset(c);
+  for (auto& c : self.crashed_) io.U8(c);
   io.Entries(
-      plans_,
-      [&io, &transfer_broker](size_t& deal_index, Plan& plan) {
+      self.plans_,
+      [&io, &transfer_broker](auto& deal_index, auto& plan) {
         io.Size(deal_index);
         transfer_broker(plan.broker);
         io.Bool(plan.sell_side);
@@ -403,7 +420,7 @@ void BrokerPool::Transfer(SnapshotIO& io) {
         io.U64(plan.inventory);
         io.U64(plan.margin);
         io.U64(plan.occupancy);
-        io.List(plan.hops, [&io, &transfer_broker](Hop& hop) {
+        io.List(plan.hops, [&io, &transfer_broker](auto& hop) {
           transfer_broker(hop.broker);
           io.U32(hop.asset);
           io.U64(hop.capital);

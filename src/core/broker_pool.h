@@ -280,16 +280,25 @@ class BrokerPool {
   /// prunes away.
   void PruneAll();
 
-  /// Lists the pool's bindings (broker parties, token refs), crash flags,
-  /// and deal plans on `io` (see SnapshotIO). Encoding requires a
-  /// reservation-free pool (PruneAll leaves it so at any compliant
-  /// quiescent boundary) — live reservations hold pointers into chain
-  /// contracts that a restore retires, so they cannot cross a snapshot.
-  /// Decoding fills an attach-mode pool; the restored World must already
-  /// hold the parties and token contracts the bindings name.
-  XDEAL_DETERMINISTIC void Transfer(SnapshotIO& io);
+  /// Serializes the pool's bindings (broker parties, token refs), crash
+  /// flags, and deal plans into `w`. Requires a reservation-free pool
+  /// (PruneAll leaves it so at any compliant quiescent boundary) — live
+  /// reservations hold pointers into chain contracts that a restore
+  /// retires, so they cannot cross a snapshot.
+  XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
+
+  /// Fills an attach-mode pool from a Checkpoint blob. The restored World
+  /// must already hold the parties and token contracts the bindings name;
+  /// plans naming a broker beyond the pool are rejected.
+  XDEAL_DETERMINISTIC Status Restore(ByteReader& r);
 
  private:
+  /// The one listing of the pool's snapshot (see SnapshotIO): Checkpoint
+  /// runs it on a const pool to encode, Restore on an attach-mode one to
+  /// decode.
+  template <typename Self>
+  static void Transfer(Self& self, SnapshotIO& io);
+
   /// One broker's stake in a hop chain, planned at MakeDeal time.
   struct Hop {
     size_t broker = 0;

@@ -1249,9 +1249,10 @@ Result<std::unique_ptr<TrafficService>> TrafficService::Create(
 
 void TrafficService::Impl::Transfer(SnapshotIO& io) {
   World& world = env->world();
-  io.Nested([&world](SnapshotIO& sub) {
-    world.Transfer(sub, RestoredContract);
-  });
+  io.Nested([&world](ByteWriter* w) { return world.Checkpoint(w); },
+            [&world](ByteReader& r) {
+              return world.Restore(r, RestoredContract);
+            });
 
   io.Size(next_deal);
   io.Size(epochs_run);
@@ -1356,7 +1357,8 @@ void TrafficService::Impl::Transfer(SnapshotIO& io) {
   io.Check(has_brokers == broker_pool->enabled(),
            "snapshot rejected: broker pool presence disagrees with options");
   if (has_brokers) {
-    io.Nested([this](SnapshotIO& sub) { broker_pool->Transfer(sub); });
+    io.Nested([this](ByteWriter* w) { return broker_pool->Checkpoint(w); },
+              [this](ByteReader& r) { return broker_pool->Restore(r); });
   }
 }
 
@@ -1422,10 +1424,11 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   Impl& im = *owned;
   im.broker_pool = std::make_unique<BrokerPool>(
       im.env.get(), options.brokers, BrokerPool::AttachTag{});
-  SnapshotIO body(payload);
-  im.Transfer(body);
-  if (!body.ok()) return body.status();
-  if (body.remaining() != 0) {
+  ByteReader body(payload);
+  SnapshotIO io(body);
+  im.Transfer(io);
+  if (!io.ok()) return io.status();
+  if (!body.AtEnd()) {
     return Status::InvalidArgument(
         "snapshot rejected: " + std::to_string(body.remaining()) +
         " unread payload bytes");
@@ -1439,7 +1442,7 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
   for (uint32_t c = 0; c < world.num_chains(); ++c) {
     im.receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
   }
-  // Durable events were re-imported by World::Transfer at their original
+  // Durable events were re-imported by World::Restore at their original
   // (time, seq) positions; only their handlers need re-binding.
   im.RegisterHandlers();
   return std::unique_ptr<TrafficService>(new TrafficService(std::move(owned)));

@@ -2,50 +2,35 @@
 
 namespace xdeal {
 
+namespace {
+
 template <typename T>
-void SnapshotIO::Fixed(T& v) {
-  if (!ok()) return;
-  if (!reading()) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      writer_->U8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-    return;
-  }
-  if (!Need(sizeof(T))) return;
-  T out = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out |= static_cast<T>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += sizeof(T);
-  v = out;
+Result<uint64_t> Widen(Result<T> r) {
+  if (!r.ok()) return r.status();
+  return static_cast<uint64_t>(r.value());
 }
 
-void SnapshotIO::U8(uint8_t& v) { Fixed(v); }
-void SnapshotIO::U32(uint32_t& v) { Fixed(v); }
-void SnapshotIO::U64(uint64_t& v) { Fixed(v); }
+}  // namespace
 
-void SnapshotIO::Bool(bool& v) {
-  uint8_t b = v ? 1 : 0;
-  Fixed(b);
-  v = b != 0;
-}
-
-void SnapshotIO::Size(size_t& v) {
-  uint64_t wide = v;
-  Fixed(wide);
-  v = static_cast<size_t>(wide);
-}
-
-void SnapshotIO::Str(std::string& s) {
-  size_t len = s.size();
-  Count(len);
-  if (!ok()) return;
-  if (!reading()) {
-    writer_->Raw(reinterpret_cast<const uint8_t*>(s.data()), len);
-    return;
+void SnapshotIO::Put(uint64_t v, size_t width) {
+  if (width == 1) {
+    writer_->U8(static_cast<uint8_t>(v));
+  } else if (width == 4) {
+    writer_->U32(static_cast<uint32_t>(v));
+  } else {
+    writer_->U64(v);
   }
-  s.assign(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += len;
+}
+
+uint64_t SnapshotIO::Get(size_t width) {
+  Result<uint64_t> v = width == 1   ? Widen(reader_->U8())
+                       : width == 4 ? Widen(reader_->U32())
+                                    : reader_->U64();
+  if (!v.ok()) {
+    Fail(v.status());
+    return 0;
+  }
+  return v.value();
 }
 
 void SnapshotIO::Raw(uint8_t* data, size_t len) {
@@ -54,23 +39,23 @@ void SnapshotIO::Raw(uint8_t* data, size_t len) {
     writer_->Raw(data, len);
     return;
   }
-  if (!Need(len)) return;
-  std::memcpy(data, data_ + pos_, len);
-  pos_ += len;
+  Result<Bytes> r = reader_->Raw(len);
+  if (r.ok()) std::memcpy(data, r.value().data(), len);
+  Fail(r.status());
 }
 
 void SnapshotIO::Count(size_t& n, Prefix prefix) {
   if (prefix == Prefix::kU32) {
     uint32_t narrow = static_cast<uint32_t>(n);
-    Fixed(narrow);
+    U32(narrow);
     n = narrow;
   } else {
     Size(n);
   }
-  if (reading() && ok() && n > remaining()) {
+  if (reading() && ok() && n > reader_->remaining()) {
     Fail(Status::InvalidArgument(
         "snapshot count " + std::to_string(n) + " exceeds the " +
-        std::to_string(remaining()) + " bytes left"));
+        std::to_string(reader_->remaining()) + " bytes left"));
   }
 }
 
@@ -82,24 +67,13 @@ void SnapshotIO::Fail(Status s) {
   if (ok() && !s.ok()) status_ = std::move(s);
 }
 
-bool SnapshotIO::Need(size_t len) {
-  if (!ok()) return false;
-  if (len > remaining()) {
-    Fail(Status::InvalidArgument("snapshot truncated: " + std::to_string(len) +
-                                 " bytes needed, " +
-                                 std::to_string(remaining()) + " left"));
-    return false;
-  }
-  return true;
+void SnapshotIO::FailConst() {
+  Fail(Status::Internal("snapshot: decoding into a const field"));
 }
 
-void SnapshotIO::EndNested(const SnapshotIO& sub) {
-  Fail(sub.status());
-  if (ok() && sub.remaining() != 0) {
-    Fail(Status::InvalidArgument("snapshot sub-record has " +
-                                 std::to_string(sub.remaining()) +
-                                 " unread bytes"));
-  }
+void SnapshotIO::FailUnread(size_t bytes) {
+  Fail(Status::InvalidArgument("snapshot sub-record has " +
+                               std::to_string(bytes) + " unread bytes"));
 }
 
 }  // namespace xdeal

@@ -6,8 +6,9 @@
 // messages for signature verification to succeed.
 //
 // SnapshotIO lists a checkpointed record's fields once, for both
-// directions: the same Transfer(SnapshotIO&) call encodes a live object or
-// decodes a snapshot into a fresh one.
+// directions: the record's Checkpoint and Restore run the same listing, one
+// to encode the live record, the other to decode a snapshot into a fresh
+// one.
 
 #ifndef XDEAL_UTIL_SERIALIZE_H_
 #define XDEAL_UTIL_SERIALIZE_H_
@@ -16,6 +17,8 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/bytes.h"
@@ -157,7 +160,9 @@ class ByteReader {
 /// A direction-agnostic snapshot codec. A record lists its fields once as
 /// calls on a SnapshotIO, each taking the field by reference: an encoding
 /// SnapshotIO appends the field's bytes exactly as ByteWriter would; a
-/// decoding one overwrites the field from the input.
+/// decoding one overwrites the field from a ByteReader. A listing may run
+/// on a const record to encode (a record's Checkpoint is const); decoding
+/// into a const field fails with kInternal.
 ///
 /// Decoding never trusts the input. The first failed read records a Status
 /// (sticky): every later call is then a no-op, so a listing checks ok()
@@ -172,43 +177,64 @@ class SnapshotIO {
   /// An encoder: every field call appends to `out`, which must outlive
   /// this object.
   explicit SnapshotIO(ByteWriter* out) : writer_(out) {}
-  /// A decoder over `in`, which must outlive this object.
-  explicit SnapshotIO(const Bytes& in) : SnapshotIO(in.data(), in.size()) {}
+  /// A decoder reading from `in`'s position on; `in` must outlive this
+  /// object and advances as fields are read.
+  explicit SnapshotIO(ByteReader& in) : reader_(&in) {}
 
   SnapshotIO(const SnapshotIO&) = delete;
   SnapshotIO& operator=(const SnapshotIO&) = delete;
 
   /// True when decoding, false when encoding.
-  bool reading() const { return writer_ == nullptr; }
+  bool reading() const { return reader_ != nullptr; }
   /// False once any call has failed.
   bool ok() const { return status_.ok(); }
   /// The first failure, or OK.
   const Status& status() const { return status_; }
-  /// Undecoded bytes left (0 when encoding).
-  size_t remaining() const { return size_ - pos_; }
 
-  /// One-byte field.
-  void U8(uint8_t& v);
-  /// Four-byte little-endian field.
-  void U32(uint32_t& v);
-  /// Eight-byte little-endian field.
-  void U64(uint64_t& v);
-  /// One byte, 0 or 1 when encoding; any nonzero byte decodes as true.
-  void Bool(bool& v);
+  /// One-byte field (uint8_t).
+  template <typename T>
+  void U8(T& v) { Fixed<uint8_t>(v, 1); }
+  /// Four-byte little-endian field (uint32_t).
+  template <typename T>
+  void U32(T& v) { Fixed<uint32_t>(v, 4); }
+  /// Eight-byte little-endian field (uint64_t).
+  template <typename T>
+  void U64(T& v) { Fixed<uint64_t>(v, 8); }
   /// A size_t carried as a U64.
-  void Size(size_t& v);
+  template <typename T>
+  void Size(T& v) { Fixed<size_t>(v, 8); }
+  /// One byte, 0 or 1 when encoding; any nonzero byte decodes as true.
+  template <typename T>
+  void Bool(T& v) { Fixed<bool>(v, 1); }
+
   /// A u32-length-prefixed string.
-  void Str(std::string& s);
+  template <typename T>
+  void Str(T& s) {
+    static_assert(std::is_same_v<std::remove_const_t<T>, std::string>);
+    if (!ok()) return;
+    if (!reading()) {
+      writer_->Str(s);
+    } else if constexpr (std::is_const_v<T>) {
+      FailConst();
+    } else {
+      Result<std::string> r = reader_->Str();
+      if (r.ok()) s = std::move(r.value());
+      Fail(r.status());
+    }
+  }
+
   /// Exactly `len` raw bytes, no prefix (fixed-width fields like hashes).
   void Raw(uint8_t* data, size_t len);
 
   /// A one-byte enum. Decoding rejects a value above `max`.
   template <typename E>
-  void Enum(E& e, E max, const char* what) {
+  void Enum(E& e, std::remove_const_t<E> max, const char* what) {
     uint8_t v = static_cast<uint8_t>(e);
     U8(v);
     Check(v <= static_cast<uint8_t>(max), what);
-    if (ok()) e = static_cast<E>(v);
+    if constexpr (!std::is_const_v<E>) {
+      if (reading() && ok()) e = static_cast<E>(v);
+    }
   }
 
   /// An element count. Decoding rejects a count above the bytes left:
@@ -218,13 +244,22 @@ class SnapshotIO {
 
   /// A count, then `each(element)` per element. Decoding replaces `v` with
   /// `count` value-initialised elements first.
-  template <typename T, typename Each>
-  void List(std::vector<T>& v, Each each, Prefix prefix = Prefix::kU32) {
+  template <typename Vec, typename Each>
+  void List(Vec& v, Each each, Prefix prefix = Prefix::kU32) {
     size_t n = v.size();
     Count(n, prefix);
     if (!ok()) return;
-    if (reading()) v.assign(n, T{});
-    for (size_t i = 0; i < n && ok(); ++i) each(v[i]);
+    if (reading()) {
+      if constexpr (std::is_const_v<Vec>) {
+        return FailConst();
+      } else {
+        v.assign(n, typename Vec::value_type{});
+      }
+    }
+    for (auto& element : v) {
+      each(element);
+      if (!ok()) return;
+    }
   }
 
   /// A count, then `each(key, value)` per entry in key order. Decoding
@@ -235,43 +270,39 @@ class SnapshotIO {
     Count(n, prefix);
     if (!ok()) return;
     if (!reading()) {
-      for (auto& [key, value] : m) {
-        typename Map::key_type k = key;
-        each(k, value);
+      for (auto& [key, value] : m) each(key, value);
+    } else if constexpr (std::is_const_v<Map>) {
+      FailConst();
+    } else {
+      m.clear();
+      for (size_t i = 0; i < n; ++i) {
+        typename Map::key_type key{};
+        typename Map::mapped_type value{};
+        each(key, value);
+        if (!ok()) return;
+        m.insert_or_assign(std::move(key), std::move(value));
       }
-      return;
-    }
-    m.clear();
-    for (size_t i = 0; i < n; ++i) {
-      typename Map::key_type k{};
-      typename Map::mapped_type value{};
-      each(k, value);
-      if (!ok()) return;
-      m.insert_or_assign(std::move(k), std::move(value));
     }
   }
 
-  /// A sub-record in a u32-length-prefixed blob. `body(sub)` lists it on a
-  /// SnapshotIO of its own; when decoding, it must consume the blob
-  /// exactly. The sub-record's failure becomes this one's.
-  template <typename Body>
-  void Nested(Body body) {
+  /// A sub-record in a u32-length-prefixed blob. Encoding calls
+  /// `encode(ByteWriter*)` on a fresh writer; decoding calls
+  /// `decode(ByteReader&)` on a reader over exactly the blob, which it must
+  /// consume. Both return a Status, which becomes this codec's failure.
+  template <typename Encode, typename Decode>
+  void Nested(Encode encode, Decode decode) {
     if (!ok()) return;
     if (!reading()) {
       ByteWriter blob;
-      SnapshotIO sub(&blob);
-      body(sub);
-      Fail(sub.status());
+      Fail(encode(&blob));
       writer_->Blob(blob.bytes());
       return;
     }
-    uint32_t len = 0;
-    U32(len);
-    if (!Need(len)) return;
-    SnapshotIO sub(data_ + pos_, len);
-    body(sub);
-    pos_ += len;
-    EndNested(sub);
+    Result<Bytes> blob = reader_->Blob();
+    if (!blob.ok()) return Fail(blob.status());
+    ByteReader sub(blob.value());
+    Fail(decode(sub));
+    if (ok() && !sub.AtEnd()) FailUnread(sub.remaining());
   }
 
   /// Decode-side rejection: when decoding and `cond` is false, fails with
@@ -283,19 +314,28 @@ class SnapshotIO {
   void Fail(Status s);
 
  private:
-  SnapshotIO(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  /// Encodes `v` in `width` little-endian bytes, or decodes it.
+  template <typename Field, typename T>
+  void Fixed(T& v, size_t width) {
+    static_assert(std::is_same_v<std::remove_const_t<T>, Field>);
+    if (!ok()) return;
+    if (!reading()) {
+      Put(static_cast<uint64_t>(v), width);
+    } else if constexpr (std::is_const_v<T>) {
+      FailConst();
+    } else {
+      uint64_t x = Get(width);
+      if (ok()) v = static_cast<Field>(x);
+    }
+  }
 
-  /// True if `len` more bytes can be decoded; fails the codec otherwise.
-  bool Need(size_t len);
-  /// Adopts a decoded sub-record's failure, or rejects its unread bytes.
-  void EndNested(const SnapshotIO& sub);
-  template <typename T>
-  void Fixed(T& v);
+  void Put(uint64_t v, size_t width);
+  uint64_t Get(size_t width);
+  void FailConst();
+  void FailUnread(size_t bytes);
 
   ByteWriter* writer_ = nullptr;
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  size_t pos_ = 0;
+  ByteReader* reader_ = nullptr;
   Status status_;
 };
 

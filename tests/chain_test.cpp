@@ -202,7 +202,8 @@ std::unique_ptr<Contract> TokenFactory(const std::string& type) {
 }
 
 Status RestoreFresh(const Bytes& snapshot) {
-  return MakeWorld()->Restore(snapshot, TokenFactory);
+  ByteReader r(snapshot);
+  return MakeWorld()->Restore(r, TokenFactory);
 }
 
 /// A hand-built World snapshot: clock at 100, zeroed scheduler stats, the
@@ -258,7 +259,8 @@ TEST(WorldSnapshotTest, RestoredWorldCheckpointsToTheSameBytes) {
   ASSERT_TRUE(world->Checkpoint(&first).ok());
 
   auto restored = MakeWorld();
-  Status s = restored->Restore(first.bytes(), TokenFactory);
+  ByteReader r(first.bytes());
+  Status s = restored->Restore(r, TokenFactory);
   ASSERT_TRUE(s.ok()) << s.ToString();
   ByteWriter second;
   ASSERT_TRUE(restored->Checkpoint(&second).ok());
