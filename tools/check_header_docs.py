@@ -18,8 +18,8 @@ Deliberately pragmatic (regex, not a C++ parser). Skipped, by policy:
     one line),
   - forward declarations (`class Foo;`),
   - continuation lines of a multi-line declaration,
-  - annotation macros (`XDEAL_DETERMINISTIC`) / attributes on their own
-    line between the doc comment and the declaration.
+  - annotation macros (`XDEAL_DETERMINISTIC`) / attributes / template
+    heads on their own line between the doc comment and the declaration.
 
 Exit status 1 lists every undocumented declaration as file:line.
 """
@@ -152,9 +152,11 @@ def check_file(path):
         for j in range(i - 1, -1, -1):
             if not lines[j].strip():
                 break
-            # Annotation macros / attributes on their own line sit between
-            # the doc comment and the declaration — look through them.
-            if re.match(r"^\s*(XDEAL_\w+|\[\[.*\]\])\s*$", lines[j]):
+            # Annotation macros / attributes / template heads on their own
+            # line sit between the doc comment and the declaration — look
+            # through them.
+            if re.match(r"^\s*(XDEAL_\w+|\[\[.*\]\]|template\s*<.*>)\s*$",
+                        lines[j]):
                 continue
             if is_comment(lines[j]):
                 documented = True
