@@ -365,8 +365,9 @@ Status BrokerPool::Restore(ByteReader& r) {
 template <typename Self>
 void BrokerPool::Transfer(Self& self, SnapshotIO& io) {
   constexpr bool kDecode = !std::is_const_v<Self>;
-  for (size_t b = 0; b < self.brokers_.size() && !kDecode; ++b) {
-    if (!self.reserved_[b].empty() || !self.evidence_[b].empty()) {
+  for (size_t b = 0; b < self.brokers_.size(); ++b) {
+    if (!kDecode &&
+        (!self.reserved_[b].empty() || !self.evidence_[b].empty())) {
       io.Fail(Status::FailedPrecondition(
           "broker pool checkpoint: broker " + std::to_string(b) +
           " still holds live reservations (PruneAll before checkpointing; a "
