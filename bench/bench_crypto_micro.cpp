@@ -13,9 +13,14 @@
 // JSON family (crypto_* metrics; wall-clock, so never baseline-gated — the
 // conformance_ok bit is the exact-gated part).
 //
+// It also measures SHA-256 throughput on 64-byte and 1 MiB messages, through
+// the portable compress and through the dispatched one (the SHA-NI kernel
+// where the CPU has it), and fails if the two paths ever disagree.
+//
 // Usage:  bench_crypto_micro [--fs=1,2,4] [--certs=200]
 //                            [--json=BENCH_crypto_micro.json] [--seed=1]
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -25,6 +30,7 @@
 
 #include "bench/bench_util.h"
 #include "crypto/schnorr.h"
+#include "crypto/sha256.h"
 
 namespace xdeal {
 namespace {
@@ -140,6 +146,60 @@ bool RunMicro(size_t f, size_t num_certs, uint64_t seed,
   return ok;
 }
 
+/// SHA-256 MB/s on the portable and the dispatched compress, for 64-byte
+/// and 1 MiB messages. Each digest is written into the next message, so
+/// equal final digests mean the two paths agreed on every message.
+bool RunSha256(bench::JsonReport* json) {
+  namespace internal = sha256_internal;
+  struct Case {
+    size_t bytes;
+    size_t reps;
+  };
+  const Case cases[] = {{64, 200000}, {size_t{1} << 20, 64}};
+  const internal::CompressFn dispatched = internal::DispatchedCompress();
+  const bool sha_ni = dispatched == internal::ShaNiCompress();
+  const internal::CompressFn paths[2] = {&internal::CompressPortable,
+                                         dispatched};
+  const char* path_names[2] = {"portable", "dispatched"};
+  json->AddConfig("sha256_dispatch", sha_ni ? "sha_ni" : "portable");
+
+  std::printf("\n=== SHA-256: portable vs dispatched compress (%s) ===\n",
+              sha_ni ? "SHA-NI" : "portable");
+  std::printf("%9s %7s %15s %17s %9s\n", "bytes", "reps", "portable MB/s",
+              "dispatched MB/s", "speedup");
+  bool ok = true;
+  for (const Case& c : cases) {
+    double mb_per_sec[2];
+    Hash256 last[2];
+    for (int p = 0; p < 2; ++p) {
+      Bytes message(c.bytes, 0x5a);
+      Hash256 digest;
+      auto start = std::chrono::steady_clock::now();
+      for (size_t r = 0; r < c.reps; ++r) {
+        std::copy(digest.bytes.begin(), digest.bytes.end(), message.begin());
+        digest = internal::DigestWith(paths[p], message.data(), c.bytes);
+      }
+      double ms = WallMs(start);
+      mb_per_sec[p] =
+          static_cast<double>(c.bytes * c.reps) / 1e6 / (ms / 1000.0);
+      last[p] = digest;
+      json->AddMetric("crypto_sha256_mb_per_sec", mb_per_sec[p], "MB/s",
+                      {{"path", path_names[p]},
+                       {"bytes", std::to_string(c.bytes)}});
+    }
+    if (last[0] != last[1]) {
+      std::printf("CRYPTO MICRO FAILURE: SHA-256 paths disagree on %zu-byte "
+                  "messages (portable %s, dispatched %s)\n",
+                  c.bytes, last[0].ShortHex().c_str(),
+                  last[1].ShortHex().c_str());
+      ok = false;
+    }
+    std::printf("%9zu %7zu %15.1f %17.1f %8.2fx\n", c.bytes, c.reps,
+                mb_per_sec[0], mb_per_sec[1], mb_per_sec[1] / mb_per_sec[0]);
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace xdeal
 
@@ -170,8 +230,10 @@ int main(int argc, char** argv) {
     if (f == 0) continue;
     ok = RunMicro(f, num_certs, seed, &json) && ok;
   }
-  // The exact-gated conformance bit: both paths agreed on every cert and
-  // blame attribution worked. The wall-clock metrics above are advisory.
+  ok = RunSha256(&json) && ok;
+  // The exact-gated conformance bit: both verification paths agreed on
+  // every cert, blame attribution worked, and both SHA-256 compress paths
+  // agreed. The wall-clock metrics above are advisory.
   json.AddMetric("conformance_ok", ok ? 1 : 0);
 
   if (json_path != nullptr && !json.WriteFile(json_path)) ok = false;

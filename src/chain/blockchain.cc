@@ -205,20 +205,20 @@ namespace {
 // settled by the checkpoint boundary. It keeps ContractId numbering intact
 // (later deployments land on the same ids as the uninterrupted run) while
 // rejecting any invocation — nothing legitimately calls a settled deal's
-// contracts, and the differential checkpoint tests prove it.
+// contracts, and the differential checkpoint tests prove it. It reports the
+// original type, so a restored chain checkpoints to the uninterrupted run's
+// bytes and the name does not grow with every restore.
 class RetiredContract : public Contract {
  public:
   explicit RetiredContract(std::string original_type)
       : original_type_(std::move(original_type)) {}
 
-  std::string TypeName() const override {
-    return "Retired:" + original_type_;
-  }
+  std::string TypeName() const override { return original_type_; }
 
   Result<Bytes> Invoke(CallContext& /*ctx*/, const std::string& fn,
                        ByteReader& /*args*/) override {
-    return Status::FailedPrecondition("retired contract (" + original_type_ +
-                                      ") cannot execute " + fn);
+    return Status::FailedPrecondition("contract Retired:" + original_type_ +
+                                      " cannot execute " + fn);
   }
 
  private:

@@ -4,18 +4,24 @@
 
 namespace xdeal {
 
-PartyId KeyDirectory::Register(const std::string& name,
-                               const std::string& seed_domain) {
+PartyId KeyDirectory::Register(const std::string& name) {
   PartyId id{static_cast<uint32_t>(entries_.size())};
-  entries_.push_back(Entry{name, KeyPair::FromSeed(seed_domain + "/" + name)});
+  entries_.emplace_back(name);
   return id;
+}
+
+const KeyPair& KeyDirectory::Keys(const Entry& entry) {
+  std::call_once(entry.derived, [&entry] {
+    entry.keys = KeyPair::FromSeed("world/" + entry.name);
+  });
+  return *entry.keys;
 }
 
 Result<PublicKey> KeyDirectory::PublicKeyOf(PartyId p) const {
   if (p.v >= entries_.size()) {
     return Status::NotFound("unknown party id");
   }
-  return entries_[p.v].keys.public_key();
+  return Keys(entries_[p.v]).public_key();
 }
 
 Result<std::string> KeyDirectory::NameOf(PartyId p) const {
@@ -27,7 +33,7 @@ Result<std::string> KeyDirectory::NameOf(PartyId p) const {
 
 const KeyPair& KeyDirectory::KeyPairOf(PartyId p) const {
   assert(p.v < entries_.size());
-  return entries_[p.v].keys;
+  return Keys(entries_[p.v]);
 }
 
 }  // namespace xdeal

@@ -10,8 +10,10 @@
 #define XDEAL_CHAIN_IDS_H_
 
 #include <cstdint>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "crypto/schnorr.h"
 #include "util/result.h"
@@ -53,27 +55,43 @@ struct ContractId {
 /// Global public-key directory (paper §3: all public keys are known to all).
 /// Private keys are held by the World and handed only to the owning party's
 /// strategy object.
+///
+/// A party's key pair derives on first use: Register stores only the name,
+/// and the first KeyPairOf or PublicKeyOf derives the pair as
+/// KeyPair::FromSeed("world/" + name). First use is thread-safe, so lookups
+/// may race from any number of threads; Register must not run concurrently
+/// with them.
 class KeyDirectory {
  public:
-  /// Registers a party with a deterministic key pair derived from
-  /// (seed_domain, name). Returns its id.
-  PartyId Register(const std::string& name, const std::string& seed_domain);
+  /// Registers a party by name and returns its id. Derives no key.
+  PartyId Register(const std::string& name);
 
+  /// Number of registered parties; ids run densely from 0.
   size_t size() const { return entries_.size(); }
 
+  /// The party's public key, derived on first use; NotFound for an unknown
+  /// id.
   Result<PublicKey> PublicKeyOf(PartyId p) const;
+  /// The name the party was registered under; NotFound for an unknown id.
   Result<std::string> NameOf(PartyId p) const;
 
   /// Private-key access: only the simulation harness (World) calls this to
-  /// wire a party's strategy to its keys.
+  /// wire a party's strategy to its keys. Derives the pair on first use.
   const KeyPair& KeyPairOf(PartyId p) const;
 
  private:
   struct Entry {
+    explicit Entry(const std::string& n) : name(n) {}
+
     std::string name;
-    KeyPair keys;
+    mutable std::once_flag derived;
+    mutable std::optional<KeyPair> keys;
   };
-  std::vector<Entry> entries_;
+
+  static const KeyPair& Keys(const Entry& entry);
+
+  // A deque, so entries (and the references KeyPairOf hands out) never move.
+  std::deque<Entry> entries_;
 };
 
 }  // namespace xdeal

@@ -12,7 +12,7 @@ World::World(uint64_t seed, std::unique_ptr<NetworkModel> net)
 }
 
 PartyId World::RegisterParty(const std::string& name) {
-  return key_directory_.Register(name, "world");
+  return key_directory_.Register(name);
 }
 
 Blockchain* World::CreateChain(const std::string& name, Tick block_interval) {
@@ -140,7 +140,8 @@ void World::Transfer(Self& self, SnapshotIO& io,
     }
   }
 
-  // Keys re-derive from (domain, name) as the names are registered.
+  // Only names travel: a restored party's keys derive from its name on
+  // first use, so a party of a settled deal costs no key derivation.
   std::vector<std::string> names;
   for (uint32_t i = 0; i < self.key_directory_.size(); ++i) {
     names.push_back(self.key_directory_.NameOf(PartyId{i}).value());

@@ -34,7 +34,8 @@ class World {
   Tick now() const { return scheduler_.now(); }
   uint64_t seed() const { return seed_; }
 
-  /// Registers a party (keys derived deterministically from seed + name).
+  /// Registers a party. Its keys derive deterministically from its name, on
+  /// first use (see KeyDirectory).
   PartyId RegisterParty(const std::string& name);
 
   /// Creates a new independent blockchain.

@@ -1,8 +1,19 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/hex.h"
+
+// The SHA-NI kernel needs x86-64 and a compiler that knows the "sha" feature
+// of __builtin_cpu_supports (GCC; Clang from 18). Other builds compile only
+// the portable compress.
+#if defined(__x86_64__) && (!defined(__clang__) || __clang_major__ >= 18)
+#define XDEAL_HAVE_SHA_NI 1
+#include <immintrin.h>
+#else
+#define XDEAL_HAVE_SHA_NI 0
+#endif
 
 namespace xdeal {
 
@@ -52,66 +63,192 @@ uint64_t Hash256::Prefix64() const {
   return v;
 }
 
-Sha256::Sha256() {
-  std::memcpy(state_, kInitialState, sizeof(state_));
+namespace sha256_internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[4 * i]) << 24) |
+             (static_cast<uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
 
-void Sha256::Compress(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+#if XDEAL_HAVE_SHA_NI
+
+namespace {
+
+#define XDEAL_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Message words 4g..4g+3 from the previous sixteen, as four-word vectors:
+// w4 = words 4g-16.., w3 = 4g-12.., w2 = 4g-8.., w1 = 4g-4...
+XDEAL_SHA_NI_TARGET inline __m128i Schedule(__m128i w4, __m128i w3,
+                                            __m128i w2, __m128i w1) {
+  __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3),
+                            _mm_alignr_epi8(w1, w2, 4));
+  return _mm_sha256msg2_epu32(t, w1);
+}
+
+// Rounds 4g..4g+3 over message words `w`. The state is split the way
+// sha256rnds2 wants it: abef = (a, b, e, f), cdgh = (c, d, g, h), each with
+// its first word in the high lane.
+XDEAL_SHA_NI_TARGET inline void Rounds4(__m128i& abef, __m128i& cdgh,
+                                        __m128i w, size_t g) {
+  __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(
+             reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+XDEAL_SHA_NI_TARGET void CompressShaNi(uint32_t state[8], const uint8_t* data,
+                                       size_t blocks) {
+  // Big-endian words: reverse the bytes within each 32-bit lane.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), kByteSwap);
+    Rounds4(abef, cdgh, w0, 0);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), kByteSwap);
+    Rounds4(abef, cdgh, w1, 1);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), kByteSwap);
+    Rounds4(abef, cdgh, w2, 2);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), kByteSwap);
+    Rounds4(abef, cdgh, w3, 3);
+    for (size_t g = 4; g < 16; g += 4) {
+      w0 = Schedule(w0, w1, w2, w3);
+      Rounds4(abef, cdgh, w0, g);
+      w1 = Schedule(w1, w2, w3, w0);
+      Rounds4(abef, cdgh, w1, g + 1);
+      w2 = Schedule(w2, w3, w0, w1);
+      Rounds4(abef, cdgh, w2, g + 2);
+      w3 = Schedule(w3, w0, w1, w2);
+      Rounds4(abef, cdgh, w3, g + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
 
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+#undef XDEAL_SHA_NI_TARGET
+
+}  // namespace
+
+CompressFn ShaNiCompress() {
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+      __builtin_cpu_supports("ssse3")) {
+    return &CompressShaNi;
   }
+  return nullptr;
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+#else  // !XDEAL_HAVE_SHA_NI
+
+CompressFn ShaNiCompress() { return nullptr; }
+
+#endif  // XDEAL_HAVE_SHA_NI
+
+CompressFn DispatchedCompress() {
+  static const CompressFn chosen = [] {
+    CompressFn sha_ni = ShaNiCompress();
+    return sha_ni != nullptr ? sha_ni : &CompressPortable;
+  }();
+  return chosen;
+}
+
+Hash256 DigestWith(CompressFn compress, const uint8_t* data, size_t len) {
+  Sha256 h(compress);
+  h.Update(data, len);
+  return h.Finish();
+}
+
+}  // namespace sha256_internal
+
+Sha256::Sha256() : Sha256(sha256_internal::DispatchedCompress()) {}
+
+Sha256::Sha256(sha256_internal::CompressFn compress) : compress_(compress) {
+  std::memcpy(state_, kInitialState, sizeof(state_));
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   bit_len_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      Compress(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < sizeof(buffer_)) return;
+    compress_(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks compress straight from the input; only a tail is buffered.
+  size_t blocks = len / sizeof(buffer_);
+  if (blocks > 0) {
+    compress_(state_, data, blocks);
+    data += blocks * sizeof(buffer_);
+    len -= blocks * sizeof(buffer_);
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 

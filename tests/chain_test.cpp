@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "chain/blockchain.h"
+#include "chain/ids.h"
 #include "chain/world.h"
 #include "contracts/fungible_token.h"
 
@@ -183,6 +186,70 @@ TEST(WorldTest, PartiesHaveDistinctDeterministicKeys) {
                w1->keys().PublicKeyOf(b1).value());
   EXPECT_EQ(w1->keys().NameOf(b1).value(), "bob");
   EXPECT_FALSE(w1->keys().PublicKeyOf(PartyId{99}).ok());
+}
+
+// Register derives nothing; the first KeyPairOf or PublicKeyOf derives the
+// same pair FromSeed gives, whichever of the two comes first.
+TEST(KeyDirectoryTest, KeysDeriveFromTheSeedWhicheverLookupComesFirst) {
+  const KeyPair want = KeyPair::FromSeed("world/alice");
+  const Bytes message = {1, 2, 3};
+
+  KeyDirectory pair_first;
+  PartyId a = pair_first.Register("alice");
+  EXPECT_EQ(pair_first.KeyPairOf(a).public_key(), want.public_key());
+  EXPECT_EQ(pair_first.KeyPairOf(a).Sign(message), want.Sign(message));
+  EXPECT_EQ(pair_first.PublicKeyOf(a).value(), want.public_key());
+
+  KeyDirectory public_first;
+  PartyId b = public_first.Register("alice");
+  EXPECT_EQ(public_first.PublicKeyOf(b).value(), want.public_key());
+  EXPECT_EQ(public_first.KeyPairOf(b).public_key(), want.public_key());
+  EXPECT_EQ(public_first.KeyPairOf(b).Sign(message), want.Sign(message));
+}
+
+// Four threads race to first use on every party of one fresh directory;
+// each party derives once, and every thread reads the same keys at the
+// same address.
+TEST(KeyDirectoryTest, ConcurrentFirstUseReadsIdenticalKeys) {
+  constexpr uint32_t kParties = 1000;
+  constexpr size_t kThreads = 4;
+  KeyDirectory directory;
+  for (uint32_t i = 0; i < kParties; ++i) {
+    directory.Register("party-" + std::to_string(i));
+  }
+  std::vector<std::vector<const KeyPair*>> pairs(kThreads);
+  std::vector<std::vector<PublicKey>> publics(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&directory, &pairs, &publics, t] {
+      pairs[t].resize(kParties);
+      publics[t].resize(kParties);
+      // Each thread starts at a different party and alternates which
+      // lookup comes first, so both race on every entry.
+      for (uint32_t k = 0; k < kParties; ++k) {
+        uint32_t i = (k + static_cast<uint32_t>(t) * kParties / kThreads) %
+                     kParties;
+        PartyId p{i};
+        if ((i + t) % 2 == 0) {
+          pairs[t][i] = &directory.KeyPairOf(p);
+          publics[t][i] = directory.PublicKeyOf(p).value();
+        } else {
+          publics[t][i] = directory.PublicKeyOf(p).value();
+          pairs[t][i] = &directory.KeyPairOf(p);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (uint32_t i = 0; i < kParties; ++i) {
+    for (size_t t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(pairs[t][i], pairs[0][i]) << "party " << i;
+      ASSERT_EQ(publics[t][i], publics[0][i]) << "party " << i;
+    }
+    ASSERT_EQ(pairs[0][i]->public_key(), publics[0][i]) << "party " << i;
+  }
+  EXPECT_EQ(publics[0][17],
+            KeyPair::FromSeed("world/party-17").public_key());
 }
 
 TEST(WorldTest, EndpointsDisjoint) {

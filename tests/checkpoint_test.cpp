@@ -168,6 +168,30 @@ TEST(CheckpointTest, RestoreAtEveryBoundaryIsBitIdentical) {
   }
 }
 
+// The stronger oracle: a service that is checkpointed, destroyed and
+// restored at every boundary, as the long-lived service is, writes the same
+// snapshot bytes as the uninterrupted run. Nothing a restore installs may
+// leak into the next checkpoint, or snapshots would grow with every restore.
+TEST(CheckpointTest, RestoredServiceCheckpointsToTheStraightBytes) {
+  const size_t kEpochs = 5;
+  for (const TrafficOptions& options :
+       {ServiceOptions(), AdmissionServiceOptions(), CrashServiceOptions(),
+        ReconfigServiceOptions()}) {
+    Result<std::unique_ptr<TrafficService>> service =
+        TrafficService::Create(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    for (size_t e = 1; e <= kEpochs; ++e) {
+      service.value()->RunEpoch();
+      Result<Bytes> snapshot = service.value()->Checkpoint();
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      EXPECT_EQ(snapshot.value(), SnapshotAfter(options, e))
+          << "seed " << options.base_seed << " epoch " << e;
+      service = TrafficService::FromSnapshot(options, snapshot.value());
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+    }
+  }
+}
+
 TEST(CheckpointTest, AdmissionServiceExercisesTheGate) {
   // The admission-on parity configuration is only a real test if the gate
   // delays deals and prices broker hops; a one-epoch batch shows it does.
