@@ -46,6 +46,31 @@ inline TrafficOptions GoldenCbcOptions() {
 }
 inline constexpr uint64_t kGoldenFpCbcSeed202 = 0x9eb4ae26fd1e44b3ULL;
 
+/// One batch that exercises every receipt-evidence path at once: seed 5,
+/// 24 deals on 4 chains, timelock/CBC mix on 2 CBC shards, one broker with
+/// too little capital for her deals (so her escrows bounce), an injected
+/// double-spend at deal 7, a stale-proof replay at deal 9, and the
+/// full-scan receipt-index oracle on.
+inline TrafficOptions GoldenEvidenceOptions() {
+  TrafficOptions options;
+  options.base_seed = 5;
+  options.num_deals = 24;
+  options.num_chains = 4;
+  options.admission_gap = 20;
+  options.protocol_mix = {Protocol::kTimelock, Protocol::kCbc};
+  options.cbc_shards = 2;
+  options.brokers.num_brokers = 1;
+  options.brokers.broker_every = 4;
+  options.brokers.working_capital = 100;
+  options.brokers.min_units = 1;
+  options.brokers.max_units = 1;
+  options.double_spend_deals = {7};
+  options.stale_proof_deals = {9};
+  options.fullscan_oracle = true;
+  return options;
+}
+inline constexpr uint64_t kGoldenFpEvidenceSeed5 = 0x82434d8d2df1b58dULL;
+
 /// RunSweep(DefaultSweepAxes()) report fingerprints at base seeds 1, 2, 3.
 inline constexpr uint64_t kGoldenSweepFp[] = {
     0x690ed9b5673a49dbULL, 0x8e4af853cfdc395aULL, 0xee82769f476192e3ULL};

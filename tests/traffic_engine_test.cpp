@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "chain/world.h"
 #include "core/traffic_engine.h"
@@ -229,6 +231,42 @@ TEST(TrafficEngineTest, GoldenFingerprints) {
         << report.Summary();
     EXPECT_EQ(report.committed, 30u);
     EXPECT_TRUE(report.violations.empty());
+  }
+}
+
+TEST(TrafficEngineTest, AllReceiptEvidencePathsInOneBatchArePinned) {
+  // Every kind of receipt evidence the batch seal reads, in one batch: the
+  // injected double-spend (deal 7 re-promises deal 6's tokens), the broker
+  // whose escrows bounce because her capital covers one deal at a time
+  // (deals 16 and 20 lose to deal 4), and the stale-proof replay at deal 9.
+  // The incidents, the rejection count and the taints are pinned along
+  // with the fingerprint, at one and at four validation threads.
+  for (size_t threads : {1u, 4u}) {
+    TrafficOptions options = GoldenEvidenceOptions();
+    options.num_threads = threads;
+    TrafficReport report = RunTraffic(options);
+    EXPECT_EQ(report.fingerprint, kGoldenFpEvidenceSeed5)
+        << "threads=" << threads << "\n" << report.Summary();
+
+    ASSERT_EQ(report.double_spends.size(), 3u) << report.Summary();
+    const std::vector<std::tuple<size_t, size_t, uint32_t>> expected = {
+        {7, 6, 16}, {16, 4, 0}, {20, 4, 0}};
+    for (size_t k = 0; k < expected.size(); ++k) {
+      const DoubleSpendIncident& incident = report.double_spends[k];
+      EXPECT_EQ(std::make_tuple(incident.loser_deal, incident.winner_deal,
+                                incident.party),
+                expected[k])
+          << "incident " << k;
+      EXPECT_EQ(incident.seed, report.deals[incident.loser_deal].seed);
+    }
+    EXPECT_EQ(report.stale_decide_rejections, 2u);
+
+    std::set<size_t> tainted;
+    for (const TrafficDealRecord& rec : report.deals) {
+      if (rec.tainted) tainted.insert(rec.index);
+    }
+    EXPECT_EQ(tainted, (std::set<size_t>{6, 7, 9, 16, 20}));
+    EXPECT_TRUE(report.violations.empty()) << report.Summary();
   }
 }
 
