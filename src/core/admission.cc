@@ -1,28 +1,12 @@
 #include "core/admission.h"
 
+#include <algorithm>
 #include <cmath>  // frexp only: exact, no rounding-mode dependence
 
 #include "chain/world.h"
 #include "util/rng.h"
 
 namespace xdeal {
-
-const char* ToString(ArrivalProcess p) {
-  switch (p) {
-    case ArrivalProcess::kFixedStagger: return "fixed";
-    case ArrivalProcess::kPoisson: return "poisson";
-  }
-  return "?";
-}
-
-const char* ToString(AdmissionDecision d) {
-  switch (d) {
-    case AdmissionDecision::kAdmit: return "admit";
-    case AdmissionDecision::kDelay: return "delay";
-    case AdmissionDecision::kShed: return "shed";
-  }
-  return "?";
-}
 
 double NegLogU01(double u) {
   if (!(u > 0.0)) return 0.0;  // defensive: callers pass (0, 1]
@@ -85,133 +69,39 @@ std::vector<Tick> BuildArrivalSchedule(ArrivalProcess process,
   return arrivals;
 }
 
-namespace {
+AdmissionController::AdmissionController(const AdmissionOptions& options,
+                                         const World* world)
+    : options_(options), world_(world) {}
 
-uint64_t BusiestOccupancy(const World* world) {
+uint64_t AdmissionController::BusiestChainOccupancy() const {
   uint64_t busiest = 0;
-  for (uint32_t c = 0; c < world->num_chains(); ++c) {
-    uint64_t pending = world->chain(ChainId{c})->pending_txs();
+  for (uint32_t c = 0; c < world_->num_chains(); ++c) {
+    uint64_t pending = world_->chain(ChainId{c})->pending_txs();
     if (pending > busiest) busiest = pending;
   }
   return busiest;
 }
 
-/// Built-in: the scheduler's pending-event queue, minus the caller's own
-/// admission machinery. Threshold 0 = record only.
-class BacklogSignal : public AdmissionSignal {
- public:
-  explicit BacklogSignal(const AdmissionOptions* options)
-      : options_(options) {}
-  const char* name() const override { return "backlog"; }
-  Reading Sample(const AdmissionContext& ctx) override {
-    const size_t pending = ctx.world->scheduler().pending();
-    const size_t backlog =
-        pending > ctx.self_pending ? pending - ctx.self_pending : 0;
-    Reading r;
-    r.load = backlog;
-    r.over = options_->max_scheduler_backlog > 0 &&
-             backlog > options_->max_scheduler_backlog;
-    return r;
-  }
-
- private:
-  const AdmissionOptions* options_;
-};
-
-/// Built-in: the deepest not-yet-included tx queue across all chains.
-class OccupancySignal : public AdmissionSignal {
- public:
-  explicit OccupancySignal(const AdmissionOptions* options)
-      : options_(options) {}
-  const char* name() const override { return "occupancy"; }
-  Reading Sample(const AdmissionContext& ctx) override {
-    const uint64_t occupancy = BusiestOccupancy(ctx.world);
-    Reading r;
-    r.load = occupancy;
-    r.over = options_->max_chain_occupancy > 0 &&
-             occupancy > options_->max_chain_occupancy;
-    return r;
-  }
-
- private:
-  const AdmissionOptions* options_;
-};
-
-/// Built-in: the deal's broker capital/inventory reading, when the caller
-/// supplies one. broker_gate off = record-only.
-class BrokerCapitalSignal : public AdmissionSignal {
- public:
-  explicit BrokerCapitalSignal(const AdmissionOptions* options)
-      : options_(options) {}
-  const char* name() const override { return "broker"; }
-  Reading Sample(const AdmissionContext& ctx) override {
-    Reading r;
-    r.gating = options_->broker_gate;
-    if (ctx.broker == nullptr) return r;
-    r.load = ctx.broker->need_capital;
-    r.over = ctx.broker->need_capital > ctx.broker->free_capital ||
-             ctx.broker->need_inventory > ctx.broker->free_inventory;
-    return r;
-  }
-
- private:
-  const AdmissionOptions* options_;
-};
-
-}  // namespace
-
-AdmissionController::AdmissionController(const AdmissionOptions& options,
-                                         const World* world)
-    : options_(options), world_(world) {
-  RegisterSignal(std::make_unique<BacklogSignal>(&options_));
-  RegisterSignal(std::make_unique<OccupancySignal>(&options_));
-  RegisterSignal(std::make_unique<BrokerCapitalSignal>(&options_));
-}
-
-void AdmissionController::RegisterSignal(
-    std::unique_ptr<AdmissionSignal> signal) {
-  AdmissionSignalStats stats;
-  stats.name = signal->name();
-  signal_stats_.push_back(std::move(stats));
-  signals_.push_back(std::move(signal));
-}
-
-uint64_t AdmissionController::BusiestChainOccupancy() const {
-  return BusiestOccupancy(world_);
-}
-
 AdmissionDecision AdmissionController::Decide(size_t retries,
                                               size_t self_pending,
-                                              const BrokerSignal* broker,
-                                              size_t deal_index) {
-  AdmissionContext ctx;
-  ctx.world = world_;
-  ctx.self_pending = self_pending;
-  ctx.broker = broker;
-  ctx.deal_index = deal_index;
+                                              bool broker_short) {
+  // The backlog excludes the caller's own not-yet-fired admission events.
+  // Both peaks are recorded whatever the verdict; a threshold of 0 only
+  // records.
+  const size_t pending = world_->scheduler().pending();
+  const size_t backlog = pending > self_pending ? pending - self_pending : 0;
+  const uint64_t occupancy = BusiestChainOccupancy();
+  stats_.peak_backlog_seen = std::max(stats_.peak_backlog_seen, backlog);
+  stats_.peak_occupancy_seen =
+      std::max(stats_.peak_occupancy_seen, occupancy);
+  if (broker_short) ++stats_.broker_blocked;
 
-  bool any_over = false;
-  for (size_t i = 0; i < signals_.size(); ++i) {
-    const AdmissionSignal::Reading r = signals_[i]->Sample(ctx);
-    AdmissionSignalStats& ss = signal_stats_[i];
-    if (r.load > ss.peak_load) ss.peak_load = r.load;
-    if (r.over) {
-      ++ss.blocked;
-      if (r.gating) any_over = true;
-    }
-  }
-  // Back-fill the legacy aggregate stats: backlog/occupancy peaks from the
-  // first two built-ins, capital blocks from the broker built-in plus every
-  // registered extension (a hop-capital block is a broker block).
-  stats_.peak_backlog_seen = static_cast<size_t>(signal_stats_[0].peak_load);
-  stats_.peak_occupancy_seen = signal_stats_[1].peak_load;
-  size_t capital_blocked = 0;
-  for (size_t i = 2; i < signal_stats_.size(); ++i) {
-    capital_blocked += signal_stats_[i].blocked;
-  }
-  stats_.broker_blocked = capital_blocked;
-
-  if (!any_over) {
+  const bool over = (options_.max_scheduler_backlog > 0 &&
+                     backlog > options_.max_scheduler_backlog) ||
+                    (options_.max_chain_occupancy > 0 &&
+                     occupancy > options_.max_chain_occupancy) ||
+                    broker_short;
+  if (!over) {
     ++stats_.admitted;
     return AdmissionDecision::kAdmit;
   }

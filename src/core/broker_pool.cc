@@ -231,44 +231,31 @@ uint64_t BrokerPool::FreeCapital(size_t broker) {
   return coins > pending ? coins - pending : 0;
 }
 
-BrokerSignal BrokerPool::SignalFor(size_t deal_index) {
-  BrokerSignal signal;
-  auto it = plans_.find(deal_index);
-  if (it == plans_.end()) return signal;
-  const Plan& plan = it->second;
-  Prune(plan.broker);
-
-  uint64_t pending_capital = 0;
-  uint64_t pending_inventory = 0;
-  for (const Reservation& r : reserved_[plan.broker]) {
-    pending_capital += r.capital;
-    pending_inventory += r.inventory;
+uint64_t BrokerPool::FreeInventory(size_t broker) {
+  Prune(broker);
+  uint64_t pending = 0;
+  for (const Reservation& r : reserved_[broker]) {
+    pending += r.inventory;
   }
-  uint64_t coins = BalanceOf(coin_, brokers_[plan.broker]);
-  uint64_t stock = BalanceOf(commodities_[plan.broker], brokers_[plan.broker]);
-  signal.free_capital = coins > pending_capital ? coins - pending_capital : 0;
-  signal.free_inventory =
-      stock > pending_inventory ? stock - pending_inventory : 0;
-  signal.need_capital = plan.capital;
-  signal.need_inventory = plan.inventory;
-  return signal;
+  uint64_t stock = BalanceOf(commodities_[broker], brokers_[broker]);
+  return stock > pending ? stock - pending : 0;
 }
 
-bool BrokerPool::ChainCapitalShort(size_t deal_index, uint64_t* total_need) {
-  if (total_need != nullptr) *total_need = 0;
+bool BrokerPool::CapitalShort(size_t deal_index) {
   auto it = plans_.find(deal_index);
-  if (it == plans_.end() || it->second.hops.empty()) return false;
+  if (it == plans_.end()) return false;
   const Plan& plan = it->second;
-  uint64_t total = 0;
-  bool over = false;
+  if (plan.hops.empty()) {
+    return plan.capital > FreeCapital(plan.broker) ||
+           plan.inventory > FreeInventory(plan.broker);
+  }
   // Hops never repeat a broker (depth is clamped to the pool size), so each
   // hop's float competes only with that broker's OTHER in-flight deals.
+  bool short_hop = false;
   for (const Hop& hop : plan.hops) {
-    total += hop.capital;
-    if (hop.capital > FreeCapital(hop.broker)) over = true;
+    if (hop.capital > FreeCapital(hop.broker)) short_hop = true;
   }
-  if (total_need != nullptr) *total_need = total;
-  return over;
+  return short_hop;
 }
 
 std::vector<PartyId> BrokerPool::SharedPartiesOf(size_t deal_index) const {

@@ -15,13 +15,13 @@
 //                     locked while sell-side deals deliver from stock and
 //                     restock from the seller.
 //
-// Occupancy of those two resources is the third admission signal (see
-// BrokerSignal in core/admission.h): a deal whose broker lacks free capital
-// or inventory is delayed or shed instead of over-committing her. The live
-// free-capital computation is evidence-based — the broker's on-chain token
-// balance minus reservations whose escrow deposit has not yet landed — so
-// the signal stays exact whether deposits are prompt or queued behind full
-// blocks.
+// Occupancy of those two resources is an admission input (CapitalShort,
+// read by AdmissionController::Decide): a deal whose broker lacks free
+// capital or inventory is delayed or shed instead of over-committing her.
+// The live free-capital computation is evidence-based — the broker's
+// on-chain token balance minus reservations whose escrow deposit has not
+// yet landed — so the reading stays exact whether deposits are prompt or
+// queued behind full blocks.
 //
 // After a run, BuildRecords folds every broker's deals into a BrokerRecord:
 // per-broker gas/latency attribution, a capital/inventory occupancy
@@ -49,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "core/admission.h"
 #include "core/deal_gen.h"
 #include "core/env.h"
 #include "core/protocol_driver.h"
@@ -210,21 +209,16 @@ class BrokerPool {
   /// 0 for buy-side and non-broker deals.
   uint64_t InventoryNeed(size_t deal_index) const;
 
-  /// The live admission signal for deal `deal_index`: free = the broker's
-  /// on-chain balance minus reservations whose escrow deposit has not yet
-  /// landed on chain. Prunes settled/landed reservations as a side effect.
-  /// For hop chains this reports the FIRST hop; ChainCapitalShort covers
-  /// the rest of the chain.
-  XDEAL_DETERMINISTIC BrokerSignal SignalFor(size_t deal_index);
-
-  /// Hop-chain capital reading for deal `deal_index` (the hop-capital
-  /// admission signal's source): samples every hop broker's free capital
-  /// against that hop's float, writes the chain's total capital demand to
-  /// `*total_need`, and returns true when ANY hop is short — one
-  /// over-committed hop blocks the whole chain. False (need 0) for
-  /// non-broker deals.
-  XDEAL_DETERMINISTIC bool ChainCapitalShort(size_t deal_index,
-                                             uint64_t* total_need);
+  /// The broker admission input for deal `deal_index`: true when some
+  /// broker the deal needs cannot cover her stake right now. A single-broker
+  /// deal is short when its capital or inventory need exceeds the broker's
+  /// free amount; a hop chain is short when ANY hop's float exceeds that
+  /// hop broker's free capital — one over-committed hop blocks the whole
+  /// chain. Free = the on-chain balance minus reservations whose escrow
+  /// deposit has not landed yet, floored at 0, so a deal that locks nothing
+  /// is never short. False for non-broker deals. Prunes settled/landed
+  /// reservations as a side effect.
+  XDEAL_DETERMINISTIC bool CapitalShort(size_t deal_index);
 
   /// Every shared party of deal `deal_index` — all hop brokers for chains,
   /// the single broker for legacy plans, empty for non-broker deals. The
@@ -339,6 +333,9 @@ class BrokerPool {
   /// Coins of `broker`'s working capital not locked by live reservations
   /// (prunes as a side effect).
   uint64_t FreeCapital(size_t broker);
+  /// Units of `broker`'s inventory not locked by live reservations (prunes
+  /// as a side effect).
+  uint64_t FreeInventory(size_t broker);
   /// The occupancy-priced per-unit margin `broker` charges right now, and
   /// the capital-in-use reading it was priced from. Equals unit_margin
   /// exactly (occupancy 0) when margin_slope == 0.

@@ -133,27 +133,6 @@ struct DealSlot {
   bool deferred_broker = false;
 };
 
-/// The hop-chain capital admission signal: samples every broker along the
-/// deal's resale chain via the pool; one over-committed hop blocks the
-/// whole chain. Registered only when the pool runs chains (depth > 1).
-class HopCapitalSignal : public AdmissionSignal {
- public:
-  HopCapitalSignal(BrokerPool* pool, bool gate) : pool_(pool), gate_(gate) {}
-  const char* name() const override { return "hop-capital"; }
-  Reading Sample(const AdmissionContext& ctx) override {
-    Reading r;
-    r.gating = gate_;
-    uint64_t need = 0;
-    r.over = pool_->ChainCapitalShort(ctx.deal_index, &need);
-    r.load = need;
-    return r;
-  }
-
- private:
-  BrokerPool* pool_;
-  bool gate_;
-};
-
 std::vector<PartyId> CompliantPartiesOf(const DealSlot& slot) {
   std::vector<PartyId> compliant;
   for (PartyId p : slot.spec.parties) {
@@ -207,84 +186,6 @@ DealSpec BuildDoubleSpendSpec(DealEnv* env, const DealSlot& host,
   spec.transfers.push_back(TransferStep{0, spender, mark, amount});
   spec.transfers.push_back(TransferStep{fresh, mark, spender, amount});
   return spec;
-}
-
-/// (chain, escrow contract) -> (slot index, asset index), over the started
-/// deals that `keep` accepts. Receipt evidence is matched against these.
-template <typename Keep>
-std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>>
-EscrowSites(const std::vector<DealSlot>& slots, Keep keep) {
-  std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const DealSlot& slot = slots[i];
-    // A deal whose Deploy() failed may have deployed only a prefix of its
-    // escrow contracts; it submitted nothing, so it has no evidence to add.
-    if (!slot.rec.started || !keep(slot)) continue;
-    const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
-    for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-      sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
-    }
-  }
-  return sites;
-}
-
-/// Calls `visit` on every receipt sealed since `cursor` (this batch's
-/// window), chain by chain.
-template <typename Visit>
-void ForEachNewReceipt(const World& world, const std::vector<size_t>& cursor,
-                       Visit visit) {
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& all = world.chain(ChainId{c})->receipts();
-    for (size_t ri = cursor[c]; ri < all.size(); ++ri) visit(all[ri]);
-  }
-}
-
-/// Cross-references escrow receipts between deals: a party whose escrow pull
-/// failed in one deal while the same token funded its escrow in another is
-/// a cross-deal double-spender. Evidence-based — independent of injection.
-std::vector<DoubleSpendIncident> DetectDoubleSpends(
-    const World& world, const std::vector<DealSlot>& slots,
-    const std::vector<size_t>& cursor) {
-  auto sites = EscrowSites(slots, [](const DealSlot&) { return true; });
-
-  // (token chain, token contract, party) -> deals where its escrow pull
-  // succeeded / failed.
-  struct Evidence {
-    std::vector<size_t> funded;
-    std::vector<size_t> bounced;
-  };
-  std::map<std::tuple<uint32_t, uint32_t, uint32_t>, Evidence> by_token;
-  ForEachNewReceipt(world, cursor, [&](const Receipt& r) {
-    if (r.tag != "escrow") return;
-    auto site = sites.find({r.chain.v, r.contract.v});
-    if (site == sites.end()) return;
-    auto [deal, asset] = site->second;
-    const AssetRef& token = slots[deal].spec.assets[asset];
-    Evidence& ev = by_token[{token.chain.v, token.token.v, r.sender.v}];
-    (r.status.ok() ? ev.funded : ev.bounced).push_back(deal);
-  });
-
-  std::vector<DoubleSpendIncident> incidents;
-  std::set<std::pair<size_t, size_t>> seen;
-  for (const auto& [key, ev] : by_token) {
-    for (size_t loser : ev.bounced) {
-      for (size_t winner : ev.funded) {
-        if (winner == loser || !seen.insert({loser, winner}).second) continue;
-        DoubleSpendIncident incident;
-        incident.loser_deal = slots[loser].rec.index;
-        incident.winner_deal = slots[winner].rec.index;
-        incident.party = std::get<2>(key);
-        incident.seed = slots[loser].rec.seed;
-        incidents.push_back(incident);
-      }
-    }
-  }
-  std::sort(incidents.begin(), incidents.end(),
-            [](const DoubleSpendIncident& a, const DoubleSpendIncident& b) {
-              return std::tie(a.loser_deal, a.winner_deal) <
-                     std::tie(b.loser_deal, b.winner_deal);
-            });
-  return incidents;
 }
 
 /// Marks `slot` as touched by its deviating party `adversary`.
@@ -347,7 +248,10 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.admission.max_chain_occupancy);
   mix(o.admission.retry_delay);
   mix(o.admission.max_retries);
-  mix(o.admission.broker_gate ? 1 : 0);
+  // The slot of the broker admission switch, which was always on before it
+  // was removed: folding its old value keeps every existing snapshot (and
+  // its options stamp) restorable.
+  mix(1);
   mix(o.min_assets);
   mix(o.nft_every);
   mix(o.protocol_mix.size());
@@ -420,8 +324,9 @@ struct TrafficService::Impl {
 
   /// Runs deals [next_deal, next_deal + count): generates them, deploys
   /// them (inline, or through admission events when the controller is on),
-  /// drives the World to its quiescent boundary, scans this batch's
-  /// receipts for evidence, validates, and folds the epoch fingerprint.
+  /// drives the World to its quiescent boundary, reads this batch's
+  /// receipts for evidence in one pass, validates, and folds the epoch
+  /// fingerprint.
   Batch RunBatch(size_t count);
   /// Lists the whole service on `io`: the World, the cross-batch counters,
   /// epoch reports, violations and broker outcomes, the CBC shard epochs
@@ -792,12 +697,6 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   //     in index order, so equal-time arrivals stay deterministic, and all
   //     of them fire before the seal, so nothing here is checkpointed. ---
   AdmissionController controller(options.admission, &world);
-  if (broker_pool->enabled() && broker_pool->ChainDepth() > 1) {
-    // Chain deals register the hop-capital extension signal instead of the
-    // single-broker built-in: one short hop blocks the whole chain.
-    controller.RegisterSignal(std::make_unique<HopCapitalSignal>(
-        broker_pool.get(), options.admission.broker_gate));
-  }
   std::function<void(size_t)> admission_event;
   // Arrival and retry events the engine itself has scheduled but that have
   // not fired yet. They sit in the same event queue the controller reads as
@@ -820,16 +719,11 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       if (slot.deferred_broker && slot.spec.parties.empty()) {
         set_broker_spec(i);
       }
-      // Broker deals carry the capital signal: single-hop deals pass this
-      // broker's live free capital/inventory to the broker built-in; chain
-      // deals are covered by the registered hop-capital signal instead.
-      const bool chain_deal = rec.broker != 0 && broker_pool->ChainDepth() > 1;
-      BrokerSignal broker_signal;
-      const bool has_broker_signal = rec.broker != 0 && !chain_deal;
-      if (has_broker_signal) broker_signal = broker_pool->SignalFor(d);
-      AdmissionDecision decision =
-          controller.Decide(rec.admission_retries, own_admission_events,
-                            has_broker_signal ? &broker_signal : nullptr, d);
+      // A broker deal is held back while any broker it needs is short.
+      const bool broker_short =
+          rec.broker != 0 && broker_pool->CapitalShort(d);
+      AdmissionDecision decision = controller.Decide(
+          rec.admission_retries, own_admission_events, broker_short);
       if (decision == AdmissionDecision::kDelay) {
         ++rec.admission_retries;
         ++own_admission_events;
@@ -882,63 +776,105 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
     }
   }
 
-  // --- broker over-commitment: a broker whose escrow pull bounced promised
-  //     the same finite capital/inventory to too many deals at once. She is
-  //     that deal's deviating party, tainted before validation so its clean
-  //     abort is judged as the defense it is. Derived from receipts, so any
-  //     replay of the same seed taints the same deals. ---
-  if (broker_pool->enabled()) {
-    auto sites = EscrowSites(
-        slots, [](const DealSlot& slot) { return slot.rec.broker != 0; });
-    ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
-      if (r.tag != "escrow" || r.status.ok()) return;
-      auto it = sites.find({r.chain.v, r.contract.v});
-      if (it == sites.end()) return;
-      DealSlot& slot = slots[it->second.first];
-      PartyId broker = broker_pool->BrokerParty(slot.rec.broker - 1);
-      if (r.sender == broker) Taint(&slot, broker);
-    });
-  }
-
-  // --- cross-shard replay evidence: decide submissions rejected on the
-  //     escrow's shard-binding check. The rejections are counted and the
-  //     replaying party's deal tainted from the receipts alone. ---
-  size_t stale = 0;
-  if (cbc_service != nullptr) {
-    auto sites = EscrowSites(slots, [](const DealSlot& slot) {
-      return slot.rec.protocol == Protocol::kCbc;
-    });
-    ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
-      if (r.tag != "decide" || r.status.ok() ||
-          r.status.ToString().find("shard mismatch") == std::string::npos) {
-        return;
-      }
-      ++stale;
-      auto it = sites.find({r.chain.v, r.contract.v});
-      if (it != sites.end()) Taint(&slots[it->second.first], r.sender);
-    });
-  }
-
-  // --- per-deal gas/receipt attribution: tags outside the batch's global
-  //     range are leakage (a conformant engine keeps it zero: every deal
-  //     settles before its batch seals) ---
-  uint64_t untagged = 0;
-  ForEachNewReceipt(world, receipt_cursor, [&](const Receipt& r) {
-    if (r.deal_tag <= first || r.deal_tag > first + count) {
-      untagged += r.gas_used;
-      return;
+  // --- one pass over the receipts this batch sealed, chain by chain in
+  //     receipt order. Each receipt is matched to the deal and asset whose
+  //     escrow it hit ((chain, escrow) -> (slot, asset)) and read for:
+  //     - gas attribution: tags outside the batch's global range are
+  //       leakage (a conformant engine keeps it zero: every deal settles
+  //       before its batch seals);
+  //     - cross-shard replay: decide submissions rejected on the escrow's
+  //       shard-binding check are counted, and the replaying party's CBC
+  //       deal is tainted;
+  //     - broker over-commitment: a broker whose escrow pull bounced
+  //       promised the same finite capital/inventory to too many deals at
+  //       once, so she is that deal's deviating party;
+  //     - double-spend evidence: who funded or bounced an escrow of which
+  //       token, in which deal.
+  //     Stale-proof injection skips broker deals, so the two taint sources
+  //     never hit one deal. Taints land before validation, so a tainted
+  //     deal's clean abort is judged as the defense it is; everything here
+  //     comes from receipts, so any replay of the same seed reads the same.
+  std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
+  for (size_t i = 0; i < count; ++i) {
+    const DealSlot& slot = slots[i];
+    // A deal whose Deploy() failed may have deployed only a prefix of its
+    // escrow contracts; it submitted nothing, so it has no evidence to add.
+    if (!slot.rec.started) continue;
+    const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
+    for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
+      sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
     }
-    TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
-    rec.gas += r.gas_used;
-    ++rec.messages;
-  });
+  }
+  // (token chain, token contract, party) -> slots where its escrow pull
+  // succeeded / failed.
+  struct EscrowPulls {
+    std::vector<size_t> funded;
+    std::vector<size_t> bounced;
+  };
+  std::map<std::tuple<uint32_t, uint32_t, uint32_t>, EscrowPulls> by_token;
+  size_t stale = 0;
+  uint64_t untagged = 0;
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    const std::vector<Receipt>& receipts = world.chain(ChainId{c})->receipts();
+    for (size_t ri = receipt_cursor[c]; ri < receipts.size(); ++ri) {
+      const Receipt& r = receipts[ri];
+      if (r.deal_tag <= first || r.deal_tag > first + count) {
+        untagged += r.gas_used;
+      } else {
+        TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
+        rec.gas += r.gas_used;
+        ++rec.messages;
+      }
+      const bool stale_decide =
+          cbc_service != nullptr && r.tag == "decide" && !r.status.ok() &&
+          r.status.ToString().find("shard mismatch") != std::string::npos;
+      if (stale_decide) ++stale;
+      if (!stale_decide && r.tag != "escrow") continue;
+      auto site = sites.find({r.chain.v, r.contract.v});
+      if (site == sites.end()) continue;
+      const auto [i, asset] = site->second;
+      DealSlot& slot = slots[i];
+      if (stale_decide) {
+        if (slot.rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
+        continue;
+      }
+      if (!r.status.ok() && slot.rec.broker != 0 &&
+          r.sender == broker_pool->BrokerParty(slot.rec.broker - 1)) {
+        Taint(&slot, r.sender);
+      }
+      const AssetRef& token = slot.spec.assets[asset];
+      EscrowPulls& pulls = by_token[{token.chain.v, token.token.v, r.sender.v}];
+      (r.status.ok() ? pulls.funded : pulls.bounced).push_back(i);
+    }
+  }
 
   // --- validate: independent per deal, read-only on the World; workers
   //     write into their own slots, so any thread count folds identically ---
   WorkerPool workers(options.num_threads);
   workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
 
-  result.double_spends = DetectDoubleSpends(world, slots, receipt_cursor);
+  // --- cross-deal double-spends: a party whose escrow pull failed in one
+  //     deal while the same token funded its escrow in another. Evidence-
+  //     based, independent of injection. ---
+  std::set<std::pair<size_t, size_t>> seen;
+  for (const auto& [key, pulls] : by_token) {
+    for (size_t loser : pulls.bounced) {
+      for (size_t winner : pulls.funded) {
+        if (winner == loser || !seen.insert({loser, winner}).second) continue;
+        DoubleSpendIncident incident;
+        incident.loser_deal = slots[loser].rec.index;
+        incident.winner_deal = slots[winner].rec.index;
+        incident.party = std::get<2>(key);
+        incident.seed = slots[loser].rec.seed;
+        result.double_spends.push_back(incident);
+      }
+    }
+  }
+  std::sort(result.double_spends.begin(), result.double_spends.end(),
+            [](const DoubleSpendIncident& x, const DoubleSpendIncident& y) {
+              return std::tie(x.loser_deal, x.winner_deal) <
+                     std::tie(y.loser_deal, y.winner_deal);
+            });
 
   // --- seal: fold the epoch fingerprint (a batch header, then every
   //     deal's record, then the batch's evidence), chain it into the

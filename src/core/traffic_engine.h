@@ -158,9 +158,10 @@ struct TrafficOptions {
   /// Broker subsystem (core/broker_pool.h): with num_brokers > 0, every
   /// `broker_every`-th deal becomes a Figure-1-style broker deal whose
   /// middle party is one of B shared broker identities with finite working
-  /// capital and inventory; broker occupancy feeds the admission controller
-  /// as a third signal, and per-broker records (portfolio conformance,
-  /// occupancy timelines, gas/latency attribution) land in the report.
+  /// capital and inventory; a deal whose broker is short of either is held
+  /// back at admission (when the controller is on), and per-broker records
+  /// (portfolio conformance, occupancy timelines, gas/latency attribution)
+  /// land in the report.
   /// 0 brokers (the default) disables the subsystem.
   BrokerOptions brokers;
 
@@ -293,7 +294,8 @@ struct TrafficReport {
   /// Brokers whose portfolio check failed: they ended worse off across
   /// their whole deal set (Property 1 lifted to portfolios).
   size_t broker_portfolio_violations = 0;
-  /// Admission decisions at which the broker signal reported a shortfall.
+  /// Admission decisions at which a deal's broker (or one of its hop
+  /// brokers) was short of free capital or inventory.
   size_t broker_blocked = 0;
 
   // Admission-control outcome (all zero when the controller is disabled).

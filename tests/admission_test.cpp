@@ -1,7 +1,7 @@
 // Open-loop arrival generation + admission control: the libm-free
 // exponential sampler matches std::log, seeded Poisson schedules are
 // deterministic with the right mean, and the controller's admit/delay/shed
-// policy follows its backlog/occupancy thresholds.
+// policy follows its backlog/occupancy thresholds and the broker reading.
 
 #include <gtest/gtest.h>
 
@@ -151,6 +151,42 @@ TEST(AdmissionControllerTest, ZeroThresholdsAdmitEverything) {
   EXPECT_EQ(controller.Decide(0), AdmissionDecision::kAdmit);
   // Congestion is still recorded even when no limit is configured.
   EXPECT_EQ(controller.stats().peak_backlog_seen, 100u);
+}
+
+TEST(AdmissionControllerTest, BrokerShortDelaysThenShedsAndIsCounted) {
+  DealEnv env(EnvConfig{});
+  ChainId chain = env.AddChain("busy");
+  for (int i = 0; i < 4; ++i) {
+    env.world().scheduler().ScheduleAt(100, [] {});
+  }
+  for (int i = 0; i < 2; ++i) {
+    env.world().chain(chain)->SubmitAt(0, PartyId{1}, ContractId{999},
+                                       CallData{}, "probe");
+  }
+  const size_t backlog = env.world().scheduler().pending();
+  ASSERT_GE(backlog, 4u);
+  AdmissionOptions options;
+  options.enabled = true;  // both thresholds 0: only the broker can block
+  options.max_retries = 2;
+  AdmissionController controller(options, &env.world());
+
+  // A short broker delays the deal until it runs out of retries, then sheds
+  // it, and every short decision is counted.
+  EXPECT_EQ(controller.Decide(0, 0, true), AdmissionDecision::kDelay);
+  EXPECT_EQ(controller.Decide(1, 0, true), AdmissionDecision::kDelay);
+  EXPECT_EQ(controller.Decide(2, 0, true), AdmissionDecision::kShed);
+  EXPECT_EQ(controller.stats().broker_blocked, 3u);
+  EXPECT_EQ(controller.stats().delays, 2u);
+  EXPECT_EQ(controller.stats().shed, 1u);
+  EXPECT_EQ(controller.stats().admitted, 0u);
+  // The congestion peaks are sampled on short decisions too.
+  EXPECT_EQ(controller.stats().peak_backlog_seen, backlog);
+  EXPECT_EQ(controller.stats().peak_occupancy_seen, 2u);
+
+  // A broker that can cover the deal does not block it.
+  EXPECT_EQ(controller.Decide(2, 0, false), AdmissionDecision::kAdmit);
+  EXPECT_EQ(controller.stats().admitted, 1u);
+  EXPECT_EQ(controller.stats().broker_blocked, 3u);
 }
 
 }  // namespace
