@@ -794,87 +794,93 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   //     never hit one deal. Taints land before validation, so a tainted
   //     deal's clean abort is judged as the defense it is; everything here
   //     comes from receipts, so any replay of the same seed reads the same.
-  std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
-  for (size_t i = 0; i < count; ++i) {
-    const DealSlot& slot = slots[i];
-    // A deal whose Deploy() failed may have deployed only a prefix of its
-    // escrow contracts; it submitted nothing, so it has no evidence to add.
-    if (!slot.rec.started) continue;
-    const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
-    for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-      sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
-    }
-  }
-  // (token chain, token contract, party) -> slots where its escrow pull
-  // succeeded / failed.
-  struct EscrowPulls {
-    std::vector<size_t> funded;
-    std::vector<size_t> bounced;
-  };
-  std::map<std::tuple<uint32_t, uint32_t, uint32_t>, EscrowPulls> by_token;
+  //     The maps live in this block only, so they are freed before
+  //     validation allocates. ---
   size_t stale = 0;
   uint64_t untagged = 0;
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    const std::vector<Receipt>& receipts = world.chain(ChainId{c})->receipts();
-    for (size_t ri = receipt_cursor[c]; ri < receipts.size(); ++ri) {
-      const Receipt& r = receipts[ri];
-      if (r.deal_tag <= first || r.deal_tag > first + count) {
-        untagged += r.gas_used;
-      } else {
-        TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
-        rec.gas += r.gas_used;
-        ++rec.messages;
+  {
+    std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
+    for (size_t i = 0; i < count; ++i) {
+      const DealSlot& slot = slots[i];
+      // A deal whose Deploy() failed may have deployed only a prefix of its
+      // escrow contracts; it submitted nothing, so it has no evidence to add.
+      if (!slot.rec.started) continue;
+      const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
+      for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
+        sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
       }
-      const bool stale_decide =
-          cbc_service != nullptr && r.tag == "decide" && !r.status.ok() &&
-          r.status.ToString().find("shard mismatch") != std::string::npos;
-      if (stale_decide) ++stale;
-      if (!stale_decide && r.tag != "escrow") continue;
-      auto site = sites.find({r.chain.v, r.contract.v});
-      if (site == sites.end()) continue;
-      const auto [i, asset] = site->second;
-      DealSlot& slot = slots[i];
-      if (stale_decide) {
-        if (slot.rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
-        continue;
-      }
-      if (!r.status.ok() && slot.rec.broker != 0 &&
-          r.sender == broker_pool->BrokerParty(slot.rec.broker - 1)) {
-        Taint(&slot, r.sender);
-      }
-      const AssetRef& token = slot.spec.assets[asset];
-      EscrowPulls& pulls = by_token[{token.chain.v, token.token.v, r.sender.v}];
-      (r.status.ok() ? pulls.funded : pulls.bounced).push_back(i);
     }
+    // (token chain, token contract, party) -> slots where its escrow pull
+    // succeeded / failed.
+    struct EscrowPulls {
+      std::vector<size_t> funded;
+      std::vector<size_t> bounced;
+    };
+    std::map<std::tuple<uint32_t, uint32_t, uint32_t>, EscrowPulls> by_token;
+    for (uint32_t c = 0; c < world.num_chains(); ++c) {
+      const std::vector<Receipt>& receipts =
+          world.chain(ChainId{c})->receipts();
+      for (size_t ri = receipt_cursor[c]; ri < receipts.size(); ++ri) {
+        const Receipt& r = receipts[ri];
+        if (r.deal_tag <= first || r.deal_tag > first + count) {
+          untagged += r.gas_used;
+        } else {
+          TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
+          rec.gas += r.gas_used;
+          ++rec.messages;
+        }
+        const bool stale_decide =
+            cbc_service != nullptr && r.tag == "decide" && !r.status.ok() &&
+            r.status.ToString().find("shard mismatch") != std::string::npos;
+        if (stale_decide) ++stale;
+        if (!stale_decide && r.tag != "escrow") continue;
+        auto site = sites.find({r.chain.v, r.contract.v});
+        if (site == sites.end()) continue;
+        const auto [i, asset] = site->second;
+        DealSlot& slot = slots[i];
+        if (stale_decide) {
+          if (slot.rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
+          continue;
+        }
+        if (!r.status.ok() && slot.rec.broker != 0 &&
+            r.sender == broker_pool->BrokerParty(slot.rec.broker - 1)) {
+          Taint(&slot, r.sender);
+        }
+        const AssetRef& token = slot.spec.assets[asset];
+        EscrowPulls& pulls =
+            by_token[{token.chain.v, token.token.v, r.sender.v}];
+        (r.status.ok() ? pulls.funded : pulls.bounced).push_back(i);
+      }
+    }
+
+    // --- cross-deal double-spends: a party whose escrow pull failed in one
+    //     deal while the same token funded its escrow in another. Evidence-
+    //     based, independent of injection. ---
+    std::set<std::pair<size_t, size_t>> seen;
+    for (const auto& [key, pulls] : by_token) {
+      for (size_t loser : pulls.bounced) {
+        for (size_t winner : pulls.funded) {
+          if (winner == loser || !seen.insert({loser, winner}).second) continue;
+          DoubleSpendIncident incident;
+          incident.loser_deal = slots[loser].rec.index;
+          incident.winner_deal = slots[winner].rec.index;
+          incident.party = std::get<2>(key);
+          incident.seed = slots[loser].rec.seed;
+          result.double_spends.push_back(incident);
+        }
+      }
+    }
+    std::sort(result.double_spends.begin(), result.double_spends.end(),
+              [](const DoubleSpendIncident& x, const DoubleSpendIncident& y) {
+                return std::tie(x.loser_deal, x.winner_deal) <
+                       std::tie(y.loser_deal, y.winner_deal);
+              });
   }
 
   // --- validate: independent per deal, read-only on the World; workers
   //     write into their own slots, so any thread count folds identically ---
   WorkerPool workers(options.num_threads);
   workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
-
-  // --- cross-deal double-spends: a party whose escrow pull failed in one
-  //     deal while the same token funded its escrow in another. Evidence-
-  //     based, independent of injection. ---
-  std::set<std::pair<size_t, size_t>> seen;
-  for (const auto& [key, pulls] : by_token) {
-    for (size_t loser : pulls.bounced) {
-      for (size_t winner : pulls.funded) {
-        if (winner == loser || !seen.insert({loser, winner}).second) continue;
-        DoubleSpendIncident incident;
-        incident.loser_deal = slots[loser].rec.index;
-        incident.winner_deal = slots[winner].rec.index;
-        incident.party = std::get<2>(key);
-        incident.seed = slots[loser].rec.seed;
-        result.double_spends.push_back(incident);
-      }
-    }
-  }
-  std::sort(result.double_spends.begin(), result.double_spends.end(),
-            [](const DoubleSpendIncident& x, const DoubleSpendIncident& y) {
-              return std::tie(x.loser_deal, x.winner_deal) <
-                     std::tie(y.loser_deal, y.winner_deal);
-            });
 
   // --- seal: fold the epoch fingerprint (a batch header, then every
   //     deal's record, then the batch's evidence), chain it into the
