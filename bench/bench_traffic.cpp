@@ -1,7 +1,7 @@
 // Concurrent multi-deal traffic benchmark: D deals (mixed timelock/CBC)
-// contending on a shared chain pool inside one World. Four sections, all
-// landing in one BENCH_traffic.json that CI archives and diffs against the
-// committed baseline:
+// contending on a shared chain pool inside one World. Nine sections, run
+// in the order below, all landing in one BENCH_traffic.json that CI
+// archives and diffs against the committed baseline:
 //
 //   scale sweep    D ∈ {1, 10, 100, 1000} × validation thread counts.
 //                  Verifies per cell that the report fingerprint is
@@ -55,6 +55,12 @@
 //                  curve (bucketed price chart) per depth; gated on zero
 //                  portfolio violations everywhere and a genuinely rising
 //                  priced curve.
+//
+//   big-D          D ∈ --bigd_deals (default 10^3, 10^4, 10^5) open-loop
+//                  Poisson deals on D/8 chains and 8 CBC shards, controller
+//                  on. Gated on full conformance at every D, and in-binary
+//                  on deals/sec degrading by less than 2x per 10x growth in
+//                  D (wall-clock, never baseline-diffed).
 //
 //   epoch service  TrafficService (long-lived mode): E epochs of fixed-size
 //                  Poisson traffic with towers, brokers, sharded CBC, and
