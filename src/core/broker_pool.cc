@@ -251,6 +251,7 @@ bool BrokerPool::CapitalShort(size_t deal_index) {
   }
   // Hops never repeat a broker (depth is clamped to the pool size), so each
   // hop's float competes only with that broker's OTHER in-flight deals.
+  // Every hop is read, short or not: each read prunes that broker's book.
   bool short_hop = false;
   for (const Hop& hop : plan.hops) {
     if (hop.capital > FreeCapital(hop.broker)) short_hop = true;
