@@ -7,7 +7,7 @@
 // zero), and the run outcome mix. This is the empirical counterpart of the
 // paper's correctness theorems.
 //
-// Both protocols run through the same ProtocolDriver loop; the only
+// Both protocols run through the same DealRuntime loop; the only
 // protocol-specific pieces left are the adversary gallery itself and how
 // the outcome mix is bucketed (timelock can end mixed, the CBC's failure
 // mode is non-atomicity).
@@ -87,24 +87,24 @@ AdversaryStats RunGallery(Protocol protocol, int kind, const char* name,
 
     DealTimings timings = DealTimings::DefaultsFor(protocol);
     timings.delta = 120;
-    std::unique_ptr<CbcService> service;
-    std::unique_ptr<ProtocolDriver> driver;
-    if (protocol == Protocol::kCbc) {
-      CbcService::Options service_options;
-      service_options.validator_seed = "adv-bench";
-      service = std::make_unique<CbcService>(&env.world(), service_options);
-      driver = std::make_unique<CbcDriver>(service.get());
-    } else {
-      driver = std::make_unique<TimelockDriver>();
-    }
-
     SingleDeviantFactory factory(
         deviant, kind > 0 ? [kind] { return MakeTimelock(kind); }
                           : SingleDeviantFactory::TimelockMaker(nullptr),
         kind > 0 ? [kind] { return MakeCbc(kind); }
                  : SingleDeviantFactory::CbcMaker(nullptr));
-    std::unique_ptr<DealRuntime> runtime =
-        driver->CreateDeal(&env.world(), spec, timings, &factory);
+    std::unique_ptr<CbcService> service;
+    std::unique_ptr<DealRuntime> runtime;
+    if (protocol == Protocol::kCbc) {
+      CbcService::Options service_options;
+      service_options.validator_seed = "adv-bench";
+      service = std::make_unique<CbcService>(&env.world(), service_options);
+      runtime = std::make_unique<CbcRun>(&env.world(), spec,
+                                         CbcConfig(timings), service.get(),
+                                         &factory);
+    } else {
+      runtime = std::make_unique<TimelockRun>(
+          &env.world(), spec, TimelockConfig(timings), &factory);
+    }
     if (!runtime->Deploy().ok()) continue;
     DealChecker checker(&env.world(), spec, runtime->escrow_contracts());
     checker.CaptureInitial();

@@ -37,7 +37,7 @@ const char* RunOnce(Tick delta, Tick attack_len, bool with_tower) {
   TimelockConfig config;
   config.delta = delta;
   TimelockRun run(&s.env->world(), s.spec, config);
-  if (!run.Start().ok()) return "ERR";
+  if (!run.Deploy().ok()) return "ERR";
   std::unique_ptr<Watchtower> tower;
   if (with_tower) {
     PartyId op = s.env->AddParty("tower");
@@ -48,7 +48,7 @@ const char* RunOnce(Tick delta, Tick attack_len, bool with_tower) {
     tower->Arm();
   }
   s.env->world().scheduler().Run();
-  TimelockResult r = run.Collect();
+  DealResult r = run.Collect();
   if (r.released_contracts == s.spec.NumAssets()) return "COMMIT";
   if (r.released_contracts == 0) return "abort";
   return "MIXED!";

@@ -27,6 +27,24 @@ namespace {
 // (matches EnvConfig defaults in core/env.h).
 constexpr double kHop = 10 + 10 + 10;
 
+/// Every party goes silent at the decision: no timelock commit vote, no CBC
+/// vote.
+class SilentFactory : public PartyFactory {
+ public:
+  std::unique_ptr<TimelockParty> MakeTimelockParty(PartyId) override {
+    struct Silent : TimelockParty {
+      void OnCommitPhase() override {}
+    };
+    return std::make_unique<Silent>();
+  }
+  std::unique_ptr<CbcParty> MakeCbcParty(PartyId) override {
+    struct Silent : CbcParty {
+      void OnVotePhase() override {}
+    };
+    return std::make_unique<Silent>();
+  }
+};
+
 void EscrowAndValidation() {
   std::printf("\n=== Escrow phase — constant in m (row 'Escrow: Δ') ===\n");
   std::printf("%4s %4s | %12s %8s\n", "n", "m", "escrow_ticks", "hops");
@@ -109,13 +127,9 @@ void AbortTimes() {
     DealSpec spec1 = GenerateRandomDeal(&env1, gen);
     TimelockConfig tc;
     tc.delta = 120;
-    TimelockRun run1(&env1.world(), spec1, tc, [](PartyId) {
-      struct Silent : TimelockParty {
-        void OnCommitPhase() override {}
-      };
-      return std::make_unique<Silent>();
-    });
-    (void)run1.Start();
+    SilentFactory silent;
+    TimelockRun run1(&env1.world(), spec1, tc, &silent);
+    (void)run1.Deploy();
     env1.world().scheduler().Run();
     Tick tl_settle = LastInclusion(env1.world(), "refund");
 
@@ -129,14 +143,8 @@ void AbortTimes() {
     service_options.validator_seed = "abort-bench";
     CbcService service(&env2.world(), service_options);
     CbcConfig cc;
-    CbcRun run2(&env2.world(), spec2, cc, &service,
-                [](PartyId) {
-                  struct Silent : CbcParty {
-                    void OnVotePhase() override {}
-                  };
-                  return std::make_unique<Silent>();
-                });
-    (void)run2.Start();
+    CbcRun run2(&env2.world(), spec2, cc, &service, &silent);
+    (void)run2.Deploy();
     env2.world().scheduler().Run();
     Tick cbc_settle = LastInclusion(env2.world(), "decide");
 

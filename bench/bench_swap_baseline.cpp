@@ -76,11 +76,11 @@ Row RunTimelockCycle(size_t k, uint64_t seed) {
   TimelockConfig config;
   config.delta = 120;
   TimelockRun run(&w.env->world(), w.deal, config);
-  if (!run.Start().ok()) return {};
+  if (!run.Deploy().ok()) return {};
   w.env->world().scheduler().Run();
-  TimelockResult r = run.Collect();
+  DealResult r = run.Collect();
   Row row;
-  row.gas = r.gas_escrow + r.gas_transfer + r.gas_commit + r.gas_refund;
+  row.gas = r.gas_escrow + r.gas_transfer + r.gas_vote + r.gas_refund;
   row.settle = r.settle_time;
   row.ok = r.released_contracts == w.deal.NumAssets();
   return row;
@@ -92,11 +92,11 @@ Row RunCbcCycle(size_t k, uint64_t seed) {
   service_options.validator_seed = "swap-bench";
   CbcService service(&w.env->world(), service_options);
   CbcRun run(&w.env->world(), w.deal, CbcConfig{}, &service);
-  if (!run.Start().ok()) return {};
+  if (!run.Deploy().ok()) return {};
   w.env->world().scheduler().Run();
-  CbcResult r = run.Collect();
+  DealResult r = run.Collect();
   Row row;
-  row.gas = r.gas_escrow + r.gas_transfer + r.gas_cbc_votes + r.gas_decide;
+  row.gas = r.gas_escrow + r.gas_transfer + r.gas_vote + r.gas_decide;
   row.settle = r.settle_time;
   row.ok = r.outcome == kDealCommitted;
   return row;

@@ -236,7 +236,7 @@ inline uint64_t WritesForTag(const World& world, const std::string& tag) {
 }
 
 /// Knobs for RunProtocolDeal beyond the shape (protocol-specific fields are
-/// ignored by the other protocol's driver).
+/// ignored by the other protocol's run).
 struct ProtocolDealOptions {
   Tick delta = 0;  // 0 = the benches' stock Δ of 120
   bool direct_votes = false;        // timelock
@@ -246,9 +246,8 @@ struct ProtocolDealOptions {
 };
 
 /// Runs one generated deal of the given shape under either commit protocol
-/// through the ProtocolDriver API; all parties compliant. This is the one
-/// deal-execution path every bench shares — what used to be parallel
-/// RunTimelockDeal/RunCbcDeal implementations.
+/// through the DealRuntime interface; all parties compliant. This is the one
+/// deal-execution path every bench shares.
 inline PhaseReport RunProtocolDeal(Protocol protocol, const DealShape& shape,
                                    const ProtocolDealOptions& options = {}) {
   EnvConfig env_config;
@@ -267,23 +266,22 @@ inline PhaseReport RunProtocolDeal(Protocol protocol, const DealShape& shape,
   timings.parallel_transfers = options.parallel_transfers;
 
   std::unique_ptr<CbcService> service;
-  std::unique_ptr<ProtocolDriver> driver;
+  std::unique_ptr<DealRuntime> runtime;
   if (protocol == Protocol::kCbc) {
     CbcService::Options service_options;
     service_options.f = options.f;
     service_options.validator_seed = "bench-" + std::to_string(shape.seed);
     service = std::make_unique<CbcService>(&env.world(), service_options);
-    CbcDriver::Options driver_options;
-    driver_options.reconfigs_before_claim = options.reconfigs;
-    driver = std::make_unique<CbcDriver>(service.get(), driver_options);
+    CbcConfig config(timings);
+    config.reconfigs_before_claim = options.reconfigs;
+    runtime = std::make_unique<CbcRun>(&env.world(), spec, config,
+                                       service.get());
   } else {
-    TimelockDriver::Options driver_options;
-    driver_options.direct_votes = options.direct_votes;
-    driver = std::make_unique<TimelockDriver>(driver_options);
+    TimelockConfig config(timings);
+    config.direct_votes = options.direct_votes;
+    runtime = std::make_unique<TimelockRun>(&env.world(), spec, config);
   }
 
-  std::unique_ptr<DealRuntime> runtime =
-      driver->CreateDeal(&env.world(), spec, timings);
   Status st = runtime->Deploy();
   if (!st.ok()) {
     std::fprintf(stderr, "%s start failed: %s\n", ToString(protocol),
@@ -376,14 +374,12 @@ inline PhaseReport RunTimelockRing(size_t k, uint64_t seed,
   DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
   timings.delta = 150;
   timings.parallel_transfers = true;  // transfers are independent legs
-  TimelockDriver::Options options;
-  options.direct_votes = direct_votes;
-  TimelockDriver driver(options);
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&ring.env->world(), ring.spec, timings);
-  if (!runtime->Deploy().ok()) return {};
+  TimelockConfig config(timings);
+  config.direct_votes = direct_votes;
+  TimelockRun run(&ring.env->world(), ring.spec, config);
+  if (!run.Deploy().ok()) return {};
   ring.env->world().scheduler().Run();
-  DealResult result = runtime->Collect();
+  DealResult result = run.Collect();
   PhaseReport report;
   report.n = k;
   report.m = k;

@@ -20,7 +20,7 @@
 #include "core/adversaries.h"
 #include "core/checker.h"
 #include "core/env.h"
-#include "core/protocol_driver.h"
+#include "core/timelock_run.h"
 
 using namespace xdeal;
 
@@ -93,18 +93,15 @@ void RunGallerySweep() {
               "compliant parties");
   for (auto& entry : gallery) {
     Broker b = MakeBroker(100 + entry.deviant);
-    DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-    timings.delta = 80;
-    TimelockDriver driver;
+    TimelockConfig config;
+    config.delta = 80;
     SingleDeviantFactory factory(entry.deviant, entry.make);
-    std::unique_ptr<DealRuntime> runtime =
-        driver.CreateDeal(&b.env->world(), b.spec, timings, &factory);
-    (void)runtime->Deploy();
-    DealChecker checker(&b.env->world(), b.spec,
-                        runtime->escrow_contracts());
+    TimelockRun run(&b.env->world(), b.spec, config, &factory);
+    (void)run.Deploy();
+    DealChecker checker(&b.env->world(), b.spec, run.escrow_contracts());
     checker.CaptureInitial();
     b.env->world().scheduler().Run();
-    DealResult r = runtime->Collect();
+    DealResult r = run.Collect();
 
     std::vector<PartyId> compliant;
     for (PartyId p : b.spec.parties) {
@@ -144,17 +141,14 @@ void RunDosWindow() {
   dos_ptr->AddTarget(Endpoint{b.alice.v});
   dos_ptr->AddTarget(Endpoint{b.carol.v});
 
-  DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-  timings.delta = 80;
-  TimelockDriver driver;
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&b.env->world(), b.spec, timings);
-  (void)runtime->Deploy();
-  DealChecker checker(&b.env->world(), b.spec,
-                      runtime->escrow_contracts());
+  TimelockConfig config;
+  config.delta = 80;
+  TimelockRun run(&b.env->world(), b.spec, config);
+  (void)run.Deploy();
+  DealChecker checker(&b.env->world(), b.spec, run.escrow_contracts());
   checker.CaptureInitial();
   b.env->world().scheduler().Run();
-  DealResult r = runtime->Collect();
+  DealResult r = run.Collect();
 
   auto* registry = b.env->RegistryOf(b.spec, b.tickets);
   auto* token = b.env->TokenOf(b.spec, b.coins);
@@ -189,16 +183,14 @@ void RunDosWindow() {
   Broker b2 = MakeBroker(7, std::move(dos2));
   dos2_ptr->AddTarget(Endpoint{b2.alice.v});
   dos2_ptr->AddTarget(Endpoint{b2.carol.v});
-  DealTimings timings2 = DealTimings::DefaultsFor(Protocol::kTimelock);
-  timings2.delta = 4000;  // Δ chosen to make the DoS "prohibitively expensive"
-  std::unique_ptr<DealRuntime> runtime2 =
-      driver.CreateDeal(&b2.env->world(), b2.spec, timings2);
-  (void)runtime2->Deploy();
-  DealChecker checker2(&b2.env->world(), b2.spec,
-                       runtime2->escrow_contracts());
+  TimelockConfig config2;
+  config2.delta = 4000;  // Δ chosen to make the DoS "prohibitively expensive"
+  TimelockRun run2(&b2.env->world(), b2.spec, config2);
+  (void)run2.Deploy();
+  DealChecker checker2(&b2.env->world(), b2.spec, run2.escrow_contracts());
   checker2.CaptureInitial();
   b2.env->world().scheduler().Run();
-  DealResult r2 = runtime2->Collect();
+  DealResult r2 = run2.Collect();
   std::printf("with Δ=4000 outlasting the attack: released=%zu — %s\n",
               r2.released_contracts,
               checker2.StrongLivenessHolds() ? "deal COMMITS, everyone whole"

@@ -102,7 +102,7 @@ int main() {
   service_options.validator_seed = "auction-cbc";
   CbcService service(&env.world(), service_options);
   CbcRun run(&env.world(), spec, CbcConfig{}, &service);
-  Status st = run.Start();
+  Status st = run.Deploy();
   if (!st.ok()) {
     std::printf("failed to start: %s\n", st.ToString().c_str());
     return 1;
@@ -110,7 +110,7 @@ int main() {
   DealChecker checker(&env.world(), spec, run.deployment().escrow_contracts);
   checker.CaptureInitial();
   env.world().scheduler().Run();
-  CbcResult result = run.Collect();
+  DealResult result = run.Collect();
 
   std::printf("CBC outcome: %s (atomic: %s)\n",
               DealOutcomeName(result.outcome),

@@ -87,7 +87,7 @@ int main() {
     config.delta = 150;
     config.parallel_transfers = true;  // each leg is independent
     TimelockRun run(&r.env->world(), r.spec, config);
-    Status st = run.Start();
+    Status st = run.Deploy();
     if (!st.ok()) {
       std::printf("start failed: %s\n", st.ToString().c_str());
       return 1;
@@ -96,7 +96,7 @@ int main() {
                         run.deployment().escrow_contracts);
     checker.CaptureInitial();
     r.env->world().scheduler().Run();
-    TimelockResult result = run.Collect();
+    DealResult result = run.Collect();
 
     std::printf("timelock protocol: %zu/%zu contracts released, strong "
                 "liveness %s\n\n",
@@ -115,7 +115,7 @@ int main() {
     service_options.validator_seed = "ring-cbc";
     CbcService service(&r.env->world(), service_options);
     CbcRun run(&r.env->world(), r.spec, CbcConfig{}, &service);
-    Status st = run.Start();
+    Status st = run.Deploy();
     if (!st.ok()) {
       std::printf("start failed: %s\n", st.ToString().c_str());
       return 1;
@@ -124,7 +124,7 @@ int main() {
                         run.deployment().escrow_contracts);
     checker.CaptureInitial();
     r.env->world().scheduler().Run();
-    CbcResult result = run.Collect();
+    DealResult result = run.Collect();
 
     std::printf("CBC protocol: outcome=%s, strong liveness %s\n\n",
                 DealOutcomeName(result.outcome),

@@ -3,7 +3,9 @@
 // Alice is a ticket broker. Bob sells two tickets for 100 coins; Carol pays
 // 101 coins for them; Alice keeps the 1-coin commission. Tickets live on a
 // ticket blockchain, coins on a coin blockchain. The deal executes under the
-// timelock commit protocol (§5) with all parties compliant.
+// timelock commit protocol (§5) with all parties compliant, through
+// TimelockRun — the protocol's DealRuntime (Deploy, drain, Collect; a CbcRun
+// runs the same three steps under §6).
 //
 // Build & run:  ./build/examples/quickstart
 
@@ -11,7 +13,7 @@
 
 #include "core/checker.h"
 #include "core/env.h"
-#include "core/protocol_driver.h"
+#include "core/timelock_run.h"
 
 using namespace xdeal;
 
@@ -85,29 +87,26 @@ int main() {
   PrintHoldings("before the deal:", env, spec, alice, bob, carol, tickets,
                 coins, t1, t2);
 
-  // --- 4. Execute under the timelock commit protocol (§5), through the
-  //     ProtocolDriver API every harness shares. ---
-  DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-  timings.delta = SuggestDelta(EnvConfig{});
-  TimelockDriver driver;
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&env.world(), spec, timings);
-  Status st = runtime->Deploy();
+  // --- 4. Execute under the timelock commit protocol (§5). ---
+  TimelockConfig config;
+  config.delta = SuggestDelta(EnvConfig{});
+  TimelockRun run(&env.world(), spec, config);
+  Status st = run.Deploy();
   if (!st.ok()) {
     std::printf("failed to start: %s\n", st.ToString().c_str());
     return 1;
   }
-  DealChecker checker(&env.world(), spec, runtime->escrow_contracts());
+  DealChecker checker(&env.world(), spec, run.escrow_contracts());
   checker.CaptureInitial();
 
   env.world().scheduler().Run();
-  DealResult result = runtime->Collect();
+  DealResult result = run.Collect();
 
   std::printf("deal executed: %zu/%zu escrow contracts released "
               "(commit phase ended at tick %llu; Δ = %llu)\n\n",
               result.released_contracts, spec.NumAssets(),
               static_cast<unsigned long long>(result.commit_phase_end),
-              static_cast<unsigned long long>(timings.delta));
+              static_cast<unsigned long long>(config.delta));
 
   PrintHoldings("after the deal:", env, spec, alice, bob, carol, tickets,
                 coins, t1, t2);

@@ -11,7 +11,7 @@
 // contend, and a validator reconfiguration on one shard leaves the others'
 // certificate chains untouched.
 //
-// The service is the single point protocol drivers resolve against: given a
+// The service is the single point CBC deal runs resolve against: given a
 // deal id it answers "which chain hosts this deal's log" and "which
 // validators certify it", and it serves status certificates from the right
 // shard. With num_shards = 1 it degenerates to exactly the paper's single
@@ -108,7 +108,7 @@ class CbcService {
   /// Resolves the placement of a deal: home shard from the deal id (so S=1
   /// and single-shard deals behave exactly as before), plus the shard of
   /// each asset chain. This is the one call site answering "which chain
-  /// hosts the log / which shard settles this asset" for drivers and runs.
+  /// hosts the log / which shard settles this asset" for every CbcRun.
   XDEAL_DETERMINISTIC Placement PlaceAssets(
       const Hash256& deal_id, const std::vector<ChainId>& asset_chains) const;
 

@@ -141,12 +141,6 @@ Result<CbcProof> CbcProof::Deserialize(const Bytes& bytes) {
   return proof;
 }
 
-bool DecideProof::IsWrapped(const Bytes& bytes) {
-  ByteReader r(bytes);
-  auto word = r.U32();
-  return word.ok() && word.value() == kMagic;
-}
-
 Bytes DecideProof::Serialize() const {
   ByteWriter w;
   w.U32(kMagic);

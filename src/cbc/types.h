@@ -87,20 +87,16 @@ struct CbcProof {
 /// signature-verification gas is burned.
 ///
 /// Wire format: U32 magic, U32 shard, then the bare CbcProof bytes. The
-/// magic is far above CbcProof's 1024-reconfig cap, so a wrapped blob can
-/// never parse as a legacy bare proof (and vice versa); escrow contracts
-/// accept both encodings.
+/// magic is far above CbcProof's 1024-reconfig cap, so a bare CbcProof blob
+/// never parses as a DecideProof; escrow contracts accept only this
+/// encoding.
 struct DecideProof {
   uint32_t shard = 0;
   CbcProof proof;
 
-  /// First wire word of a wrapped proof; deliberately > the 1024 reconfig
-  /// cap so the two encodings are unambiguous.
+  /// First wire word of a decide proof; deliberately > the 1024 reconfig
+  /// cap so a bare CbcProof is never mistaken for one.
   static constexpr uint32_t kMagic = 0x58444450u;  // "PDDX" little-endian
-
-  /// True when `bytes` begins with the DecideProof magic (vs a legacy bare
-  /// CbcProof blob).
-  static bool IsWrapped(const Bytes& bytes);
 
   XDEAL_DETERMINISTIC Bytes Serialize() const;
   XDEAL_DETERMINISTIC static Result<DecideProof> Deserialize(

@@ -19,17 +19,6 @@ Hash256 Block::ComputeHash(uint64_t height, Tick timestamp,
   return Sha256Digest(w.bytes());
 }
 
-const Receipt* ObservationCursor::Next() {
-  if (chain_ == nullptr) return nullptr;
-  if (indexes_ == nullptr) {
-    auto it = chain_->tag_index_.find(deal_tag_);
-    if (it == chain_->tag_index_.end()) return nullptr;
-    indexes_ = &it->second;
-  }
-  if (pos_ >= indexes_->size()) return nullptr;
-  return &chain_->receipts_[(*indexes_)[pos_++]];
-}
-
 Blockchain::Blockchain(World* world, ChainId id, std::string name,
                        Tick block_interval)
     : world_(world),

@@ -10,8 +10,7 @@
 //
 // Receipts are indexed at block-seal time by deal_tag and by
 // (deal_tag, contract), so observation is O(own receipts): consumers read
-// their slice through ReceiptView (a whole filtered history) or an
-// ObservationCursor (only what appended since the last look) instead of
+// their slice through ReceiptView (a whole filtered history) instead of
 // scanning the world. The unfiltered receipts() vector remains available as
 // the differential-testing oracle for the index.
 
@@ -121,35 +120,6 @@ class ReceiptView {
   const std::vector<uint32_t>* indexes_ = nullptr;  // nullptr = empty view
 };
 
-/// Incremental observation point over one chain's receipts for one deal_tag:
-/// each Next() call returns the next matching receipt appended since the
-/// cursor last looked, or nullptr when drained (more may appear after further
-/// blocks — the cursor stays valid and picks them up). This is THE way for a
-/// long-lived consumer to fold "what happened since my last observation"
-/// without rescanning history. Default-constructed cursors are empty.
-class ObservationCursor {
- public:
-  ObservationCursor() = default;
-
-  /// The next unseen matching receipt in chain order, or nullptr if drained.
-  const Receipt* Next();
-
-  /// Receipts consumed so far (== position in the tag's index).
-  size_t consumed() const { return pos_; }
-  uint64_t deal_tag() const { return deal_tag_; }
-
- private:
-  friend class Blockchain;
-  ObservationCursor(const Blockchain* chain, uint64_t deal_tag)
-      : chain_(chain), deal_tag_(deal_tag) {}
-
-  const Blockchain* chain_ = nullptr;
-  uint64_t deal_tag_ = 0;
-  size_t pos_ = 0;
-  // Cached pointer into the chain's tag index (node-stable once created).
-  const std::vector<uint32_t>* indexes_ = nullptr;
-};
-
 /// An append-only contract-hosting ledger.
 class Blockchain {
  public:
@@ -218,11 +188,6 @@ class Blockchain {
   /// All receipts carrying `deal_tag` that executed on `contract`.
   ReceiptView ContractReceipts(uint64_t deal_tag, ContractId contract) const;
 
-  /// A fresh cursor over `deal_tag`'s receipts, positioned at the start.
-  ObservationCursor MakeCursor(uint64_t deal_tag) const {
-    return ObservationCursor(this, deal_tag);
-  }
-
   /// Differential oracle: recomputes every tag/(tag, contract) bucket by
   /// full scan and compares against the incremental index. Returns true iff
   /// the index is exactly the scan. O(chain length) — test/debug only.
@@ -230,10 +195,10 @@ class Blockchain {
 
   /// Test hook: forces both unordered indexes to at least `bucket_count`
   /// buckets, permuting their internal iteration order. Rehashing a
-  /// node-based unordered_map moves no elements, so ReceiptView /
-  /// ObservationCursor pointers into the bucket vectors stay valid; only
-  /// bucket traversal order changes. Determinism tests call this between
-  /// runs to prove no observable result depends on that order.
+  /// node-based unordered_map moves no elements, so ReceiptView pointers
+  /// into the bucket vectors stay valid; only bucket traversal order
+  /// changes. Determinism tests call this between runs to prove no
+  /// observable result depends on that order.
   void RehashIndexes(size_t bucket_count) {
     tag_index_.rehash(bucket_count);
     observers_by_tag_.rehash(bucket_count);
@@ -277,8 +242,6 @@ class Blockchain {
                                      const ContractFactory& factory);
 
  private:
-  friend class ObservationCursor;
-
   /// The one listing of the chain's snapshot (see SnapshotIO): Checkpoint
   /// runs it on a const chain to encode, Restore on a fresh one to decode.
   template <typename Self>
@@ -321,8 +284,8 @@ class Blockchain {
   std::vector<Block> blocks_;
   std::vector<Receipt> receipts_;
   // Receipt indexes, appended at block-seal time in chain order. Values are
-  // positions in receipts_. Node-based maps: ReceiptView/ObservationCursor
-  // cache pointers to the bucket vectors, which stay valid as buckets grow.
+  // positions in receipts_. Node-based maps: ReceiptView caches pointers to
+  // the bucket vectors, which stay valid as buckets grow.
   std::unordered_map<uint64_t, std::vector<uint32_t>> tag_index_;
   std::map<std::pair<uint64_t, uint32_t>, std::vector<uint32_t>>
       tag_contract_index_;

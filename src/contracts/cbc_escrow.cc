@@ -67,16 +67,10 @@ Status CbcEscrowContract::HandleEscrow(CallContext& ctx, ByteReader& args) {
   if (!epoch.ok()) return epoch.status();
   auto value = args.U64();
   if (!value.ok()) return value.status();
-  // Optional trailing home-shard binding (cross-shard deals). Legacy
-  // clients omit it; their escrows stay unbound.
-  bool shard_bound = false;
-  uint32_t home_shard = 0;
-  if (!args.AtEnd()) {
-    auto shard = args.U32();
-    if (!shard.ok()) return shard.status();
-    shard_bound = true;
-    home_shard = shard.value();
-  }
+  // The deal's home shard: only decide proofs its validators issued are
+  // accepted.
+  auto home_shard = args.U32();
+  if (!home_shard.ok()) return home_shard.status();
 
   if (!initialized_) {
     XDEAL_RETURN_IF_ERROR(ctx.gas->ChargeStorageWrite(1));
@@ -85,8 +79,7 @@ Status CbcEscrowContract::HandleEscrow(CallContext& ctx, ByteReader& args) {
     plist_ = std::move(plist);
     validators_ = std::move(validators);
     validator_epoch_ = epoch.value();
-    shard_bound_ = shard_bound;
-    home_shard_ = home_shard;
+    home_shard_ = home_shard.value();
     initialized_ = true;
   } else {
     // Later escrows must agree on every parameter ("Parties must provide
@@ -94,7 +87,7 @@ Status CbcEscrowContract::HandleEscrow(CallContext& ctx, ByteReader& args) {
     // check their correctness before voting to commit").
     bool same = deal_id_ == deal_id.value() && start_hash_ == h.value() &&
                 plist_ == plist && validator_epoch_ == epoch.value() &&
-                shard_bound_ == shard_bound && home_shard_ == home_shard &&
+                home_shard_ == home_shard.value() &&
                 validators_.size() == validators.size();
     if (same) {
       for (size_t i = 0; i < validators.size(); ++i) {
@@ -141,24 +134,16 @@ Status CbcEscrowContract::HandleDecide(CallContext& ctx, ByteReader& args) {
   }
   auto proof_bytes = args.Blob();
   if (!proof_bytes.ok()) return proof_bytes.status();
-  CbcProof inner;
-  if (DecideProof::IsWrapped(proof_bytes.value())) {
-    auto dp = DecideProof::Deserialize(proof_bytes.value());
-    if (!dp.ok()) return dp.status();
-    // Shard front check: a proof replayed from the wrong shard is rejected
-    // here, before the contract spends any signature-verification gas.
-    if (shard_bound_ && dp.value().shard != home_shard_) {
-      return Status::PermissionDenied("decide: shard mismatch");
-    }
-    inner = std::move(dp).value().proof;
-  } else {
-    auto proof = CbcProof::Deserialize(proof_bytes.value());
-    if (!proof.ok()) return proof.status();
-    inner = std::move(proof).value();
+  auto dp = DecideProof::Deserialize(proof_bytes.value());
+  if (!dp.ok()) return dp.status();
+  // Shard front check: a proof replayed from the wrong shard is rejected
+  // here, before the contract spends any signature-verification gas.
+  if (dp.value().shard != home_shard_) {
+    return Status::PermissionDenied("decide: shard mismatch");
   }
 
   // Figure 6: check the certificate chain — every signature costs gas.
-  auto outcome = VerifyCbcProof(inner, deal_id_, start_hash_,
+  auto outcome = VerifyCbcProof(dp.value().proof, deal_id_, start_hash_,
                                 validators_, validator_epoch_, ctx.gas);
   if (!outcome.ok()) return outcome.status();
 

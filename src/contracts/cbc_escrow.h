@@ -8,17 +8,15 @@
 // the validator set pinned at escrow time and settles accordingly.
 //
 // On-chain functions (Invoke):
-//   "escrow"   (deal_id, plist, h, validators, epoch, value[, home_shard])
+//   "escrow"   (deal_id, plist, h, validators, epoch, value, home_shard)
 //   "transfer" (deal_id, to, value)
-//   "decide"   (deal_id, serialized CbcProof or DecideProof)
+//   "decide"   (deal_id, serialized DecideProof)
 //
 // Cross-shard deals: the escrow may live on a different shard's chain than
-// the deal's CBC log. The optional trailing `home_shard` escrow argument
-// pins the issuing shard; a shard-bound escrow then accepts only
-// DecideProofs declaring that shard ("decide: shard mismatch" otherwise —
-// a cheap front check before any signature-verification gas is spent).
-// Legacy bare-CbcProof decide payloads and unbound escrows keep working
-// unchanged.
+// the deal's CBC log. The `home_shard` escrow argument pins the issuing
+// shard; the escrow then accepts only DecideProofs declaring that shard
+// ("decide: shard mismatch" otherwise — a cheap front check before any
+// signature-verification gas is spent).
 
 #ifndef XDEAL_CONTRACTS_CBC_ESCROW_H_
 #define XDEAL_CONTRACTS_CBC_ESCROW_H_
@@ -53,7 +51,6 @@ class CbcEscrowContract : public Contract, public DealEscrowView {
   const std::vector<PublicKey>& validators() const { return validators_; }
   DealOutcome outcome() const { return outcome_; }
   bool settled() const { return outcome_ != kDealActive; }
-  bool shard_bound() const { return shard_bound_; }
   uint32_t home_shard() const { return home_shard_; }
 
   // DealEscrowView:
@@ -73,9 +70,8 @@ class CbcEscrowContract : public Contract, public DealEscrowView {
   std::vector<PartyId> plist_;
   std::vector<PublicKey> validators_;  // pinned at escrow time
   uint32_t validator_epoch_ = 0;
-  // Cross-shard binding: when set, only DecideProofs declaring this home
-  // shard are accepted (the pinned validators are that shard's).
-  bool shard_bound_ = false;
+  // Cross-shard binding: only DecideProofs declaring this home shard are
+  // accepted (the pinned validators are that shard's).
   uint32_t home_shard_ = 0;
   DealOutcome outcome_ = kDealActive;
 };

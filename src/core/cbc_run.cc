@@ -288,11 +288,12 @@ void CbcParty::OnAbortDeadline() {
 // ---------------------------------------------------------------------------
 
 CbcRun::CbcRun(World* world, DealSpec spec, CbcConfig config,
-               CbcService* service, StrategyFactory factory)
+               CbcService* service, PartyFactory* factory)
     : world_(world),
       spec_(std::move(spec)),
       config_(config),
-      service_(service) {
+      service_(service),
+      factory_(factory) {
   std::vector<ChainId> asset_chains;
   asset_chains.reserve(spec_.assets.size());
   for (const AssetRef& asset : spec_.assets) {
@@ -303,7 +304,7 @@ CbcRun::CbcRun(World* world, DealSpec spec, CbcConfig config,
   validators_ = &service->validators(placement_.home_shard);
   for (PartyId p : spec_.parties) {
     std::unique_ptr<CbcParty> strategy;
-    if (factory) strategy = factory(p);
+    if (factory_ != nullptr) strategy = factory_->MakeCbcParty(p);
     if (!strategy) strategy = std::make_unique<CbcParty>();
     strategy->run_ = this;
     strategy->self_ = p;
@@ -316,7 +317,7 @@ CbcParty* CbcRun::party(PartyId p) {
   return it == parties_.end() ? nullptr : it->second.get();
 }
 
-Status CbcRun::Start() {
+Status CbcRun::Deploy() {
   XDEAL_RETURN_IF_ERROR(spec_.Validate());
   // §6: a party may rescind its commit vote only "after waiting at least Δ".
   // A patience below Δ would let compliant parties rescind while their own
@@ -362,6 +363,7 @@ Status CbcRun::Start() {
 
   SetupApprovals();
   SchedulePhases();
+  if (factory_ != nullptr) factory_->OnDeployed(*this);
   return Status::OK();
 }
 
@@ -448,32 +450,33 @@ void CbcRun::SchedulePhases() {
   }
 }
 
-CbcResult CbcRun::Collect() const {
-  CbcResult result;
+DealResult CbcRun::Collect() const {
+  DealResult result;
+  result.protocol = Protocol::kCbc;
   const Blockchain* cbc = world_->chain(cbc_chain_);
   const auto* log = cbc->As<CbcLogContract>(deployment_.cbc_log);
   if (log != nullptr) result.outcome = log->OutcomeOf(deployment_.deal_id);
+  result.committed = result.outcome == kDealCommitted;
+  result.aborted = result.outcome == kDealAborted;
 
   result.all_settled = true;
-  bool any_released = false, any_refunded = false;
   for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {
     const Blockchain* chain = world_->chain(spec_.assets[a].chain);
     const auto* esc =
         chain->As<CbcEscrowContract>(deployment_.escrow_contracts[a]);
     if (esc == nullptr) continue;
-    if (esc->Released()) {
-      ++result.released_contracts;
-      any_released = true;
-    }
-    if (esc->Refunded()) {
-      ++result.refunded_contracts;
-      any_refunded = true;
-    }
+    if (esc->Released()) ++result.released_contracts;
+    if (esc->Refunded()) ++result.refunded_contracts;
     // A contract nobody deposited into is vacuously settled.
     bool vacuous = esc->core().Depositors().empty();
     result.all_settled = result.all_settled && (esc->settled() || vacuous);
   }
+  const bool any_released = result.released_contracts > 0;
+  const bool any_refunded = result.refunded_contracts > 0;
   result.atomic = !(any_released && any_refunded);
+  result.mixed = !result.committed && !result.aborted && any_released &&
+                 any_refunded;
+  result.decision_open = deployment_.vote_time;
 
   // Phase gas + timing from the per-tag receipt index: O(this deal's own
   // receipts) per chain. On a shared CBC chain carrying 10^5 deals' votes
@@ -488,15 +491,16 @@ CbcResult CbcRun::Collect() const {
       if (r.tag == "escrow") result.gas_escrow += r.gas_used;
       if (r.tag == "transfer") result.gas_transfer += r.gas_used;
       if (r.tag == "cbc-vote" || r.tag == "cbc-start") {
-        result.gas_cbc_votes += r.gas_used;
+        result.gas_vote += r.gas_used;
       }
       if (r.tag == "decide") {
         result.gas_decide += r.gas_used;
-        result.sig_verifies_decide += r.sig_verifies;
+        result.sig_verifies += r.sig_verifies;
         result.settle_time = std::max(result.settle_time, r.included_at);
       }
     }
   }
+  result.commit_phase_end = result.settle_time;  // last decide inclusion
   return result;
 }
 

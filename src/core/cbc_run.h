@@ -1,5 +1,5 @@
 // CbcRun: executes a deal under the certified-blockchain commit protocol
-// (§6).
+// (§6); the DealRuntime every harness builds for a CBC deal.
 //
 // A designated party records startDeal(D, plist) on the CBC; parties escrow
 // their outgoing assets (pinning the CBC's validator set and the startDeal
@@ -16,7 +16,6 @@
 #ifndef XDEAL_CORE_CBC_RUN_H_
 #define XDEAL_CORE_CBC_RUN_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,7 +38,7 @@ struct CbcConfig : DealTimings {
   explicit CbcConfig(const DealTimings& timings) : DealTimings(timings) {}
 
   /// How long after its commit vote a party waits before rescinding with an
-  /// abort vote if the deal is still undecided. Must be >= Δ (§6); Start()
+  /// abort vote if the deal is still undecided. Must be >= Δ (§6); Deploy()
   /// rejects configs that violate the precondition.
   Tick abort_patience = 400;
   /// Number of validator-set reconfigurations to perform mid-deal (between
@@ -48,6 +47,8 @@ struct CbcConfig : DealTimings {
   Tick reconfig_time = 260;
 };
 
+/// Where the deal's contracts live: the log on the home shard's CBC chain and
+/// one escrow per asset.
 struct CbcDeployment {
   DealId deal_id;
   ChainId cbc_chain;
@@ -71,10 +72,15 @@ class CbcParty {
 
   // --- phase hooks ---
   virtual void OnStartDealPhase();     // only the starter acts
+  /// Escrow phase: escrows this party's outgoing assets once startDeal is
+  /// known.
   virtual void OnEscrowPhase();
+  /// Transfer step `step_index` of the spec, if this party is its sender.
   virtual void OnTransferStep(size_t step_index);
+  /// Validation: records whether the incoming escrows satisfy us.
   virtual void OnValidatePhase();
   virtual void OnVotePhase();          // commit if satisfied, abort otherwise
+  /// Observation of this deal's receipt on the CBC chain.
   virtual void OnObservedCbcReceipt(const Receipt& receipt);
   virtual void OnAbortDeadline();      // rescind if still undecided
 
@@ -119,53 +125,58 @@ class CbcParty {
   std::set<uint32_t> decided_assets_;  // where we already sent a proof
 };
 
-struct CbcResult {
-  DealOutcome outcome = kDealActive;  // per the CBC log
-  bool all_settled = false;
-  bool atomic = true;                 // no mixed settle across asset chains
-  size_t released_contracts = 0;
-  size_t refunded_contracts = 0;
-  Tick settle_time = 0;
-
-  uint64_t gas_escrow = 0;
-  uint64_t gas_transfer = 0;
-  uint64_t gas_cbc_votes = 0;   // writes on the CBC itself
-  uint64_t gas_decide = 0;      // proof checking on asset chains
-  uint64_t sig_verifies_decide = 0;
-};
-
-class CbcRun {
+/// The §6 CBC engine: one deal's log, escrows, schedule and party
+/// strategies against a CbcService shard, driven through the DealRuntime
+/// interface.
+class CbcRun : public DealRuntime {
  public:
-  using StrategyFactory = std::function<std::unique_ptr<CbcParty>(PartyId)>;
-
   /// `service` hosts the certified logs; CbcService::PlaceAssets resolves
   /// the deal's placement — the *home* shard (hashed from the deal id) hosts
   /// the log and certifies the deal, while each asset settles on the shard
   /// hosting its chain (possibly a different one: its escrow then consumes a
   /// portable DecideProof from the home shard). The service must outlive the
-  /// run.
+  /// run. `factory` supplies each party's strategy (nullptr, or a null
+  /// strategy, means compliant) and gets the OnDeployed hook; it must
+  /// outlive Deploy().
   CbcRun(World* world, DealSpec spec, CbcConfig config, CbcService* service,
-         StrategyFactory factory = nullptr);
+         PartyFactory* factory = nullptr);
 
-  XDEAL_DETERMINISTIC Status Start();
-  XDEAL_DETERMINISTIC CbcResult Collect() const;
+  /// Records the log, pins the validators, deploys the escrows, schedules
+  /// all phases and wires subscriptions, then fires the factory's
+  /// OnDeployed hook. Rejects abort_patience < Δ. Call once, then
+  /// world->scheduler().Run().
+  XDEAL_DETERMINISTIC Status Deploy() override;
+  /// Collects results after the scheduler has drained: the outcome is the
+  /// log's; votes are the CBC's startDeal and vote writes.
+  XDEAL_DETERMINISTIC DealResult Collect() const override;
 
+  const DealSpec& spec() const override { return spec_; }
+  const std::vector<ContractId>& escrow_contracts() const override {
+    return deployment_.escrow_contracts;
+  }
+
+  /// The log and escrow contracts; valid after Deploy.
   const CbcDeployment& deployment() const { return deployment_; }
-  const DealSpec& spec() const { return spec_; }
+  /// The phase schedule and protocol knobs this run executes.
   const CbcConfig& config() const { return config_; }
+  /// The World this deal lives in.
   World& world() { return *world_; }
+  /// The certified backend this deal runs against.
   CbcService& service() { return *service_; }
   /// This deal's home-shard validators (via the service).
   ValidatorSet& validators() { return *validators_; }
   /// Where the deal's log and assets landed (from CbcService::PlaceAssets).
   const CbcService::Placement& placement() const { return placement_; }
+  /// The shard whose log certifies this deal.
   size_t home_shard() const { return placement_.home_shard; }
+  /// The strategy object of party `p` (nullptr if `p` is not in the deal).
   CbcParty* party(PartyId p);
 
   /// Validator keys pinned by escrows (epoch at escrow time).
   const std::vector<PublicKey>& escrow_validators() const {
     return escrow_validators_;
   }
+  /// The validator epoch those keys belong to.
   uint32_t escrow_epoch() const { return escrow_epoch_; }
 
   /// Reconfiguration certificates issued since escrow (parties attach these
@@ -182,6 +193,7 @@ class CbcRun {
   DealSpec spec_;
   CbcConfig config_;
   CbcService* service_;
+  PartyFactory* factory_;
   CbcService::Placement placement_;
   ChainId cbc_chain_;
   ValidatorSet* validators_;

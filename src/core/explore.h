@@ -1,5 +1,5 @@
 // Exhaustive interleaving exploration (stateless model checking with
-// optimal dynamic partial-order reduction) over ProtocolDriver deals.
+// optimal dynamic partial-order reduction) over single DealRuntime deals.
 //
 // The sweep samples and the explorer enumerates, over the same runner.
 // RunDeal (core/scenario_sweep.h) builds one ScenarioSpec's deal, drains it

@@ -1,11 +1,4 @@
-// ProtocolDriver: the one deal-execution API both commit protocols sit
-// behind.
-//
-// Historically the timelock (§5) and CBC (§6) protocols exposed parallel but
-// divergent driver APIs (TimelockRun/TimelockConfig vs CbcRun/CbcConfig), so
-// every harness — the traffic engine, the scenario sweep, the bench helpers
-// — re-implemented protocol dispatch and re-mirrored the phase schedule by
-// hand. This header is the single seam instead:
+// The one deal-execution API both commit protocols sit behind.
 //
 //   Protocol        one enum for {timelock, cbc, htlc-baseline}, shared by
 //                   traffic, sweeps, and bench reports.
@@ -19,12 +12,12 @@
 //                   strategies, OnDeployed fires once contracts exist (where
 //                   watchtowers arm).
 //   DealRuntime     one live deal: Deploy (contracts + schedule + wiring),
-//                   Collect (a protocol-independent DealResult), outcome.
-//   ProtocolDriver  creates runtimes; TimelockDriver is self-contained,
-//                   CbcDriver executes against a CbcService shard.
-//
-// The underlying TimelockRun/CbcRun engines remain available for tests that
-// poke protocol internals; harnesses go through this interface.
+//                   Collect (a protocol-independent DealResult). The two
+//                   protocol engines implement it: TimelockRun
+//                   (core/timelock_run.h) and CbcRun (core/cbc_run.h), which
+//                   executes against a CbcService shard. A harness builds the
+//                   engine its protocol needs and drives it through this
+//                   interface.
 
 #ifndef XDEAL_CORE_PROTOCOL_DRIVER_H_
 #define XDEAL_CORE_PROTOCOL_DRIVER_H_
@@ -41,8 +34,6 @@
 namespace xdeal {
 
 class CbcParty;
-class CbcRun;
-class CbcService;
 class TimelockParty;
 class TimelockRun;
 
@@ -50,7 +41,7 @@ class TimelockRun;
 enum class Protocol : uint8_t {
   kTimelock = 0,
   kCbc,
-  kHtlc,  // §8 baseline; swap-expressible ring deals only, no driver
+  kHtlc,  // §8 baseline; swap-expressible ring deals only, no DealRuntime
 };
 
 /// Display name ("timelock" / "cbc" / "htlc") for reports and logs.
@@ -159,13 +150,11 @@ class SingleDeviantFactory : public PartyFactory {
   CbcMaker cbc_maker_;
 };
 
-/// One live deal behind the driver API.
+/// One live deal: implemented by TimelockRun and CbcRun.
 class DealRuntime {
  public:
   virtual ~DealRuntime();
 
-  /// Which commit protocol this runtime executes.
-  virtual Protocol protocol() const = 0;
   /// Deploys contracts, schedules all phases, and wires subscriptions; then
   /// fires the factory's OnDeployed hook. Call once, then drive the World's
   /// scheduler. Fails (without scheduling anything) on invalid specs or
@@ -173,89 +162,16 @@ class DealRuntime {
   virtual Status Deploy() = 0;
   /// Aggregates the outcome after the scheduler has drained.
   virtual DealResult Collect() const = 0;
-  /// The decisive outcome so far (kDealActive while undecided).
-  virtual DealOutcome outcome() const = 0;
 
   /// The deal being executed.
   virtual const DealSpec& spec() const = 0;
   /// Escrow contract per asset index (parallel to spec().assets); valid
   /// after Deploy.
   virtual const std::vector<ContractId>& escrow_contracts() const = 0;
-  /// The World this deal lives in.
-  virtual World& world() = 0;
 
-  /// Engine escape hatches (non-null only for the matching protocol):
-  /// watchtowers need the timelock deployment, CBC tests reach validators.
+  /// Non-null only for the timelock protocol: watchtowers need its
+  /// deployment.
   virtual TimelockRun* timelock_run() { return nullptr; }
-  virtual CbcRun* cbc_run() { return nullptr; }
-};
-
-/// Factory of DealRuntimes for one protocol. Drivers are cheap, stateless
-/// dispatchers (the CBC driver additionally pins the CbcService backend);
-/// one driver serves any number of concurrent deals in the same World.
-class ProtocolDriver {
- public:
-  virtual ~ProtocolDriver();
-
-  /// Which commit protocol this driver's runtimes execute.
-  virtual Protocol protocol() const = 0;
-  /// Creates (but does not deploy) the runtime for one deal. `factory` may
-  /// be nullptr (all parties compliant); it must outlive Deploy().
-  virtual std::unique_ptr<DealRuntime> CreateDeal(
-      World* world, DealSpec spec, DealTimings timings,
-      PartyFactory* factory = nullptr) = 0;
-};
-
-/// Driver for the §5 timelock commit protocol (self-contained: the votes
-/// live on the asset chains themselves).
-class TimelockDriver : public ProtocolDriver {
- public:
-  /// Timelock-specific knobs shared by every deal this driver creates.
-  struct Options {
-    bool direct_votes = false;  // altruistic: vote on every asset's chain
-    Tick refund_margin = 20;    // watchdog fires at t0 + N·Δ + margin
-  };
-
-  TimelockDriver() : options_() {}
-  explicit TimelockDriver(Options options) : options_(options) {}
-
-  Protocol protocol() const override { return Protocol::kTimelock; }
-  std::unique_ptr<DealRuntime> CreateDeal(
-      World* world, DealSpec spec, DealTimings timings,
-      PartyFactory* factory = nullptr) override;
-
- private:
-  Options options_;
-};
-
-/// Driver for the §6 CBC commit protocol; deals execute against a shard of
-/// the supplied CbcService.
-class CbcDriver : public ProtocolDriver {
- public:
-  /// CBC-specific knobs shared by every deal this driver creates.
-  struct Options {
-    /// How long after its commit vote a party waits before rescinding with
-    /// an abort. Must be >= Δ (§6); Deploy rejects unsafe configs.
-    Tick abort_patience = 400;
-    size_t reconfigs_before_claim = 0;
-    Tick reconfig_time = 260;
-  };
-
-  /// `service` hosts the certified logs; it must outlive every runtime.
-  explicit CbcDriver(CbcService* service) : service_(service), options_() {}
-  CbcDriver(CbcService* service, Options options)
-      : service_(service), options_(options) {}
-
-  Protocol protocol() const override { return Protocol::kCbc; }
-  std::unique_ptr<DealRuntime> CreateDeal(
-      World* world, DealSpec spec, DealTimings timings,
-      PartyFactory* factory = nullptr) override;
-
-  CbcService& service() { return *service_; }
-
- private:
-  CbcService* service_;
-  Options options_;
 };
 
 }  // namespace xdeal

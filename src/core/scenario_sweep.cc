@@ -257,17 +257,6 @@ std::optional<ScenarioOutcome> RunDeal(
     }
   }
 
-  std::unique_ptr<CbcService> service;
-  std::unique_ptr<ProtocolDriver> driver;
-  if (sc.protocol == Protocol::kCbc) {
-    CbcService::Options service_options;
-    service_options.validator_seed = "sweep-" + std::to_string(sc.seed);
-    service = std::make_unique<CbcService>(&env.world(), service_options);
-    driver = std::make_unique<CbcDriver>(service.get());
-  } else {
-    driver = std::make_unique<TimelockDriver>();
-  }
-
   // One deviator at the special position, for either protocol.
   SingleDeviantFactory factory(
       special,
@@ -275,8 +264,18 @@ std::optional<ScenarioOutcome> RunDeal(
                   : SingleDeviantFactory::TimelockMaker(nullptr),
       adversarial ? [&sc] { return MakeCbcAdversary(sc.adversary); }
                   : SingleDeviantFactory::CbcMaker(nullptr));
-  std::unique_ptr<DealRuntime> runtime =
-      driver->CreateDeal(&env.world(), spec, timings, &factory);
+  std::unique_ptr<CbcService> service;
+  std::unique_ptr<DealRuntime> runtime;
+  if (sc.protocol == Protocol::kCbc) {
+    CbcService::Options service_options;
+    service_options.validator_seed = "sweep-" + std::to_string(sc.seed);
+    service = std::make_unique<CbcService>(&env.world(), service_options);
+    runtime = std::make_unique<CbcRun>(&env.world(), spec, CbcConfig(timings),
+                                       service.get(), &factory);
+  } else {
+    runtime = std::make_unique<TimelockRun>(&env.world(), spec,
+                                            TimelockConfig(timings), &factory);
+  }
   if (!runtime->Deploy().ok()) {
     out.violation = std::string(ToString(sc.protocol)) + "-start-failed";
     SealFingerprint(&out);

@@ -228,7 +228,7 @@ enum class DelayModel : uint8_t {
   kFixed,
 };
 
-/// The single-deal runner for the driver protocols (timelock and CBC).
+/// The single-deal runner for the DealRuntime protocols (timelock and CBC).
 /// Builds the scenario's deal in a fresh World under `delays` (wrapped in
 /// the §5.3 window for kDosWindow), deploys it with the scenario's
 /// deviator, arms a DealChecker, hands the World's scheduler to `drain`
@@ -252,10 +252,11 @@ SweepReport AggregateOutcomes(const std::vector<ScenarioSpec>& specs,
 XDEAL_DETERMINISTIC
 SweepReport RunSweep(const SweepAxes& axes, const SweepOptions& options);
 
-/// True if a matrix cell can be verified exhaustively: a driver protocol
-/// (timelock or CBC — no HTLC driver), a network the fixed-delay explorer
-/// can express (kSynchronous, or kDosWindow which wraps a fixed-delay
-/// base), and 2-4 parties (the state space grows factorially beyond that).
+/// True if a matrix cell can be verified exhaustively: a DealRuntime
+/// protocol (timelock or CBC — HTLC has none), a network the fixed-delay
+/// explorer can express (kSynchronous, or kDosWindow which wraps a
+/// fixed-delay base), and 2-4 parties (the state space grows factorially
+/// beyond that).
 bool ExhaustivelyExplorable(const ScenarioSpec& sc);
 
 /// Exhaustive verification result of one matrix cell.

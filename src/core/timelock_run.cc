@@ -200,11 +200,14 @@ void TimelockParty::OnRefundWatch() {
 // ---------------------------------------------------------------------------
 
 TimelockRun::TimelockRun(World* world, DealSpec spec, TimelockConfig config,
-                         StrategyFactory factory)
-    : world_(world), spec_(std::move(spec)), config_(config) {
+                         PartyFactory* factory)
+    : world_(world),
+      spec_(std::move(spec)),
+      config_(config),
+      factory_(factory) {
   for (PartyId p : spec_.parties) {
     std::unique_ptr<TimelockParty> strategy;
-    if (factory) strategy = factory(p);
+    if (factory_ != nullptr) strategy = factory_->MakeTimelockParty(p);
     if (!strategy) strategy = std::make_unique<TimelockParty>();
     strategy->run_ = this;
     strategy->self_ = p;
@@ -217,7 +220,7 @@ TimelockParty* TimelockRun::party(PartyId p) {
   return it == parties_.end() ? nullptr : it->second.get();
 }
 
-Status TimelockRun::Start() {
+Status TimelockRun::Deploy() {
   XDEAL_RETURN_IF_ERROR(spec_.Validate());
 
   // Clearing phase: fix the schedule and broadcast DealInfo (the
@@ -259,6 +262,7 @@ Status TimelockRun::Start() {
 
   SetupApprovals();
   SchedulePhases();
+  if (factory_ != nullptr) factory_->OnDeployed(*this);
   return Status::OK();
 }
 
@@ -343,8 +347,9 @@ void TimelockRun::SchedulePhases() {
   }
 }
 
-TimelockResult TimelockRun::Collect() const {
-  TimelockResult result;
+DealResult TimelockRun::Collect() const {
+  DealResult result;
+  result.protocol = Protocol::kTimelock;
   result.all_settled = true;
   for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {
     const Blockchain* chain = world_->chain(spec_.assets[a].chain);
@@ -356,6 +361,15 @@ TimelockResult TimelockRun::Collect() const {
     bool vacuous = esc->core().Depositors().empty();
     result.all_settled = result.all_settled && (esc->settled() || vacuous);
   }
+  result.committed = result.released_contracts == spec_.NumAssets();
+  result.aborted = result.released_contracts == 0;
+  result.mixed = !result.committed && !result.aborted;
+  result.outcome =
+      result.committed
+          ? kDealCommitted
+          : (result.aborted && result.all_settled ? kDealAborted
+                                                  : kDealActive);
+  result.decision_open = deployment_.info.t0;
   // Phase gas + timing from the per-tag receipt index: O(this deal's own
   // receipts) per chain, regardless of how many other deals share them.
   std::set<uint32_t> deal_chains;
@@ -368,8 +382,8 @@ TimelockResult TimelockRun::Collect() const {
       if (r.tag == "escrow") result.gas_escrow += r.gas_used;
       if (r.tag == "transfer") result.gas_transfer += r.gas_used;
       if (r.tag == "commit") {
-        result.gas_commit += r.gas_used;
-        result.sig_verifies_commit += r.sig_verifies;
+        result.gas_vote += r.gas_used;
+        result.sig_verifies += r.sig_verifies;
         result.commit_phase_end =
             std::max(result.commit_phase_end, r.included_at);
       }

@@ -1,6 +1,7 @@
-// TimelockRun: executes a deal under the timelock commit protocol (§5).
+// TimelockRun: executes a deal under the timelock commit protocol (§5); the
+// DealRuntime every harness builds for a timelock deal.
 //
-// The driver deploys one TimelockEscrowContract per asset, computes the deal
+// The run deploys one TimelockEscrowContract per asset, computes the deal
 // schedule (phase times, t0, Δ), and drives each party's *strategy object*
 // through the five phases (§4.1):
 //
@@ -40,6 +41,7 @@ namespace xdeal {
 /// timelock protocol's own knobs.
 struct TimelockConfig : DealTimings {
   TimelockConfig() : DealTimings(DefaultsFor(Protocol::kTimelock)) {}
+  /// Adopts a harness-built schedule (e.g. one shifted by ShiftBy).
   explicit TimelockConfig(const DealTimings& timings)
       : DealTimings(timings) {}
 
@@ -66,10 +68,14 @@ class TimelockParty {
 
   PartyId self() const { return self_; }
 
-  // --- phase hooks (called by the driver at scheduled times) ---
+  // --- phase hooks (called by the run at scheduled times) ---
+  /// Escrow phase: escrows this party's outgoing assets.
   virtual void OnEscrowPhase();
+  /// Transfer step `step_index` of the spec, if this party is its sender.
   virtual void OnTransferStep(size_t step_index);
+  /// Validation at t0: records whether the incoming escrows satisfy us.
   virtual void OnValidatePhase();
+  /// Commit vote at t0, on incoming assets (every asset if direct_votes).
   virtual void OnCommitPhase();
   /// Observation of a receipt on a chain this party monitors.
   virtual void OnObservedReceipt(const Receipt& receipt);
@@ -110,42 +116,38 @@ class TimelockParty {
   std::set<std::pair<uint32_t, uint32_t>> sent_votes_;
 };
 
-/// Aggregated result of a run.
-struct TimelockResult {
-  bool all_settled = false;      // every escrow contract released or refunded
-  size_t released_contracts = 0;
-  size_t refunded_contracts = 0;
-  Tick settle_time = 0;          // last settlement (inclusion time)
-  Tick commit_phase_end = 0;     // last release, if any
-
-  uint64_t gas_escrow = 0;
-  uint64_t gas_transfer = 0;
-  uint64_t gas_commit = 0;
-  uint64_t gas_refund = 0;
-  uint64_t sig_verifies_commit = 0;
-};
-
-class TimelockRun {
+/// The §5 timelock engine: one deal's contracts, schedule and party
+/// strategies, driven through the DealRuntime interface.
+class TimelockRun : public DealRuntime {
  public:
-  /// `spec` must Validate(). Strategy factory: returns the strategy for each
-  /// party (nullptr -> compliant).
-  using StrategyFactory =
-      std::function<std::unique_ptr<TimelockParty>(PartyId)>;
-
+  /// `spec` must Validate() by Deploy time. `factory` supplies each party's
+  /// strategy (nullptr, or a null strategy, means compliant) and gets the
+  /// OnDeployed hook; it must outlive Deploy().
   TimelockRun(World* world, DealSpec spec, TimelockConfig config,
-              StrategyFactory factory = nullptr);
+              PartyFactory* factory = nullptr);
 
-  /// Deploys contracts, schedules all phases, and wires subscriptions.
-  /// Call once, then world->scheduler().Run().
-  XDEAL_DETERMINISTIC Status Start();
+  /// Deploys contracts, schedules all phases, and wires subscriptions, then
+  /// fires the factory's OnDeployed hook. Call once, then
+  /// world->scheduler().Run().
+  XDEAL_DETERMINISTIC Status Deploy() override;
 
-  /// Collects results after the scheduler has drained.
-  XDEAL_DETERMINISTIC TimelockResult Collect() const;
+  /// Collects results after the scheduler has drained: committed iff every
+  /// escrow released; votes are the commit calls.
+  XDEAL_DETERMINISTIC DealResult Collect() const override;
 
+  const DealSpec& spec() const override { return spec_; }
+  const std::vector<ContractId>& escrow_contracts() const override {
+    return deployment_.escrow_contracts;
+  }
+  TimelockRun* timelock_run() override { return this; }
+
+  /// Deal info and escrow contracts; valid after Deploy.
   const TimelockDeployment& deployment() const { return deployment_; }
-  const DealSpec& spec() const { return spec_; }
+  /// The phase schedule and protocol knobs this run executes.
   const TimelockConfig& config() const { return config_; }
+  /// The World this deal lives in.
   World& world() { return *world_; }
+  /// The strategy object of party `p` (nullptr if `p` is not in the deal).
   TimelockParty* party(PartyId p);
 
  private:
@@ -155,6 +157,7 @@ class TimelockRun {
   World* world_;
   DealSpec spec_;
   TimelockConfig config_;
+  PartyFactory* factory_;
   TimelockDeployment deployment_;
   std::map<uint32_t, std::unique_ptr<TimelockParty>> parties_;
 };

@@ -12,9 +12,11 @@
 #include "cbc/cbc_service.h"
 #include "contracts/fungible_token.h"
 #include "core/adversaries.h"
+#include "core/cbc_run.h"
 #include "core/checker.h"
 #include "core/deal_gen.h"
 #include "core/env.h"
+#include "core/timelock_run.h"
 #include "core/watchtower.h"
 #include "crypto/sha256.h"
 #include "sim/worker_pool.h"
@@ -294,9 +296,10 @@ uint64_t TrafficDealSeed(uint64_t base_seed, uint64_t deal_index) {
 }
 
 /// The one traffic engine. It owns the World, the shared chain pool, the
-/// BrokerPool, the CbcService, the protocol drivers and the watchtowers, and
-/// runs deals in batches: RunTraffic is one batch of num_deals, and every
-/// TrafficService epoch is the next batch of deals_per_epoch.
+/// BrokerPool, the CbcService and the watchtowers, builds each deal's
+/// TimelockRun or CbcRun at deploy time, and runs deals in batches:
+/// RunTraffic is one batch of num_deals, and every TrafficService epoch is
+/// the next batch of deals_per_epoch.
 struct TrafficService::Impl {
   /// What one batch produced beyond its EpochReport: the per-deal records,
   /// incidents and congestion peaks that RunTraffic reports.
@@ -320,7 +323,6 @@ struct TrafficService::Impl {
   void BuildFresh();
   void RegisterHandlers();
   CbcService::Options CbcOptions() const;
-  void MakeCbcDriver();
 
   /// Runs deals [next_deal, next_deal + count): generates them, deploys
   /// them (inline, or through admission events when the controller is on),
@@ -348,8 +350,6 @@ struct TrafficService::Impl {
   std::vector<ChainId> pool;
   std::unique_ptr<BrokerPool> broker_pool;
   std::unique_ptr<CbcService> cbc_service;
-  TimelockDriver timelock_driver;
-  std::unique_ptr<CbcDriver> cbc_driver;
   /// Towers armed this session; old towers stay subscribed but are inert
   /// (their tags never recur).
   std::vector<std::unique_ptr<Watchtower>> towers;
@@ -412,7 +412,6 @@ void TrafficService::Impl::BuildFresh() {
   // shared CBC.
   if (any_cbc) {
     cbc_service = std::make_unique<CbcService>(&world, CbcOptions());
-    MakeCbcDriver();
   }
   // One operator identity for every watchtower.
   if (options.watchtower_every > 0) {
@@ -478,16 +477,6 @@ CbcService::Options TrafficService::Impl::CbcOptions() const {
   return service_options;
 }
 
-void TrafficService::Impl::MakeCbcDriver() {
-  // The schedule carries options.delta into both protocols; keep the §6
-  // "wait at least Δ before rescinding" precondition satisfied when the
-  // workload asks for a Δ above the stock patience.
-  CbcDriver::Options cbc_options;
-  cbc_options.abort_patience =
-      std::max(cbc_options.abort_patience, options.delta);
-  cbc_driver = std::make_unique<CbcDriver>(cbc_service.get(), cbc_options);
-}
-
 TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   World& world = env->world();
   Scheduler& sched = world.scheduler();
@@ -527,11 +516,18 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
     timings.delta = options.delta;
     timings.deal_tag = static_cast<uint64_t>(first + i) + 1;
 
-    ProtocolDriver& driver = rec.protocol == Protocol::kCbc
-                                 ? static_cast<ProtocolDriver&>(*cbc_driver)
-                                 : timelock_driver;
-    slot.runtime =
-        driver.CreateDeal(&world, slot.spec, timings, &slot.factory);
+    if (rec.protocol == Protocol::kCbc) {
+      // The schedule carries options.delta into both protocols; keep the §6
+      // "wait at least Δ before rescinding" precondition satisfied when the
+      // workload asks for a Δ above the stock patience.
+      CbcConfig config(timings);
+      config.abort_patience = std::max(config.abort_patience, options.delta);
+      slot.runtime = std::make_unique<CbcRun>(
+          &world, slot.spec, config, cbc_service.get(), &slot.factory);
+    } else {
+      slot.runtime = std::make_unique<TimelockRun>(
+          &world, slot.spec, TimelockConfig(timings), &slot.factory);
+    }
     Status started = slot.runtime->Deploy();
     if (!started.ok()) {
       rec.violation = "start-failed: " + started.ToString();
@@ -741,7 +737,7 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       deploy_deal(i, sched.now());
     };
     for (size_t i = 0; i < count; ++i) {
-      if (slots[i].rec.protocol == Protocol::kHtlc) continue;  // no driver
+      if (slots[i].rec.protocol == Protocol::kHtlc) continue;  // no runtime
       ++own_admission_events;
       sched.ScheduleAt(slots[i].rec.arrival_at,
                        [&admission_event, i] { admission_event(i); });
@@ -785,9 +781,9 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   //     - cross-shard replay: decide submissions rejected on the escrow's
   //       shard-binding check are counted, and the replaying party's CBC
   //       deal is tainted;
-  //     - broker over-commitment: a broker whose escrow pull bounced
-  //       promised the same finite capital/inventory to too many deals at
-  //       once, so she is that deal's deviating party;
+  //     - broker over-commitment: a broker (any hop of a chain deal) whose
+  //       escrow pull bounced promised the same finite capital/inventory to
+  //       too many deals at once, so she is that deal's deviating party;
   //     - double-spend evidence: who funded or bounced an escrow of which
   //       token, in which deal.
   //     Stale-proof injection skips broker deals, so the two taint sources
@@ -842,9 +838,14 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
           if (slot.rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
           continue;
         }
-        if (!r.status.ok() && slot.rec.broker != 0 &&
-            r.sender == broker_pool->BrokerParty(slot.rec.broker - 1)) {
-          Taint(&slot, r.sender);
+        if (!r.status.ok() && slot.rec.broker != 0) {
+          // Any hop of a chain deal can be the one that over-committed.
+          const std::vector<PartyId> shared =
+              broker_pool->SharedPartiesOf(slot.rec.index);
+          if (std::find(shared.begin(), shared.end(), r.sender) !=
+              shared.end()) {
+            Taint(&slot, r.sender);
+          }
         }
         const AssetRef& token = slot.spec.assets[asset];
         EscrowPulls& pulls =
@@ -1290,7 +1291,6 @@ void TrafficService::Impl::Transfer(SnapshotIO& io) {
       io.Check(cbc_service != nullptr,
                "snapshot rejected: restored world is missing CBC shard "
                "chains");
-      if (cbc_service != nullptr) MakeCbcDriver();
     }
   }
 

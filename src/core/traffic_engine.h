@@ -11,8 +11,8 @@
 // accounting across deals, and double-spend pressure where one party
 // over-commits the same funds to two deals at once.
 //
-// Protocol dispatch goes through the ProtocolDriver API: every deal is a
-// DealRuntime created from one shifted DealTimings schedule, and CBC deals
+// Every deal is a DealRuntime — a TimelockRun or a CbcRun built from one
+// shifted DealTimings schedule — and CBC deals
 // execute against a CbcService with `cbc_shards` independent certified
 // chains (deals hashed to shards by deal id) — the knob that turns the
 // single shared CBC log from the paper into a horizontally scaled backend.
@@ -132,7 +132,7 @@ struct TrafficOptions {
   size_t nft_every = 0;
 
   /// Deal i runs protocol_mix[i % size]; empty = all timelock. (kHtlc has
-  /// no traffic driver and fails the deal with a start violation.)
+  /// no DealRuntime and fails the deal with a start violation.)
   std::vector<Protocol> protocol_mix = {Protocol::kTimelock,
                                         Protocol::kTimelock, Protocol::kCbc};
 

@@ -5,8 +5,9 @@
 // violation under congestion is caught and replays, the capital-limit
 // admission signal delays/sheds deals instead of letting brokers
 // over-commit, an ungated over-commit is caught from on-chain evidence and
-// aborts cleanly, reports are bit-identical across validation thread
-// counts, and broker deals run unchanged over a sharded CbcService.
+// aborts cleanly (at any hop of a chain deal), reports are bit-identical
+// across validation thread counts, and broker deals run unchanged over a
+// sharded CbcService.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +256,37 @@ TEST(BrokerPoolTest, UngatedOverCommitCaughtFromEvidenceAndAbortsCleanly) {
   TrafficReport replay = RunTraffic(options);
   EXPECT_EQ(replay.fingerprint, report.fingerprint);
   EXPECT_EQ(replay.double_spends.size(), report.double_spends.size());
+}
+
+TEST(BrokerPoolTest, SecondHopBounceTaintsTheChainDeal) {
+  // Two-hop chains over scarce capital, nothing gating admission: at these
+  // seeds a SECOND-hop broker's escrow pull bounces. Whichever hop
+  // over-committed is that chain deal's deviating party, so its abort is
+  // the defense, not a Property 3 failure.
+  for (uint64_t seed : {2u, 3u, 6u}) {
+    TrafficOptions options;
+    options.base_seed = seed;
+    options.num_deals = 24;
+    options.num_chains = 4;
+    options.admission_gap = 20;
+    options.protocol_mix = {Protocol::kTimelock};
+    options.brokers.num_brokers = 3;
+    options.brokers.hop_depth = 2;
+    options.brokers.working_capital = 150;
+    options.brokers.min_units = 1;
+    options.brokers.max_units = 1;
+    TrafficReport report = RunTraffic(options);
+
+    EXPECT_FALSE(report.double_spends.empty()) << "seed " << seed;
+    EXPECT_TRUE(report.violations.empty())
+        << "seed " << seed << ": " << report.Summary();
+    for (const TrafficDealRecord& rec : report.deals) {
+      if (rec.tainted) {
+        EXPECT_FALSE(rec.committed) << "seed " << seed << " deal "
+                                    << rec.index;
+      }
+    }
+  }
 }
 
 TEST(BrokerPoolTest, ReportBitIdenticalAcrossThreadCounts) {

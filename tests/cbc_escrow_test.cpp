@@ -11,6 +11,8 @@ namespace xdeal {
 namespace {
 
 struct CbcEscrowFixture : public ::testing::Test {
+  static constexpr uint32_t kHomeShard = 0;
+
   void SetUp() override {
     world = std::make_unique<World>(
         1, std::make_unique<SynchronousNetwork>(1, 5));
@@ -47,9 +49,11 @@ struct CbcEscrowFixture : public ::testing::Test {
     return ctx;
   }
 
+  /// The escrow call as CbcParty sends it; `with_shard` = false drops the
+  /// trailing home-shard word.
   Status InvokeEscrow(PartyId sender, uint64_t value,
                       const std::vector<PublicKey>& vals,
-                      uint32_t epoch = 0) {
+                      uint32_t epoch = 0, bool with_shard = true) {
     ByteWriter w;
     w.Raw(deal.bytes.data(), 32);
     w.U32(2);
@@ -60,6 +64,7 @@ struct CbcEscrowFixture : public ::testing::Test {
     for (const PublicKey& v : vals) w.Raw(v.Serialize());
     w.U32(epoch);
     w.U64(value);
+    if (with_shard) w.U32(kHomeShard);
     CallContext ctx = Ctx(sender);
     ByteReader args(w.bytes());
     auto r = contract->Invoke(ctx, "escrow", args);
@@ -93,11 +98,21 @@ struct CbcEscrowFixture : public ::testing::Test {
     return proof;
   }
 
+  /// Presents `proof` as a DecideProof from the home shard.
   Status InvokeDecide(PartyId sender, const CbcProof& proof,
                       const DealId& which_deal) {
+    DecideProof dp;
+    dp.shard = kHomeShard;
+    dp.proof = proof;
+    return InvokeDecideBytes(sender, dp.Serialize(), which_deal);
+  }
+
+  /// The decide call with a raw proof payload.
+  Status InvokeDecideBytes(PartyId sender, const Bytes& payload,
+                           const DealId& which_deal) {
     ByteWriter w;
     w.Raw(which_deal.bytes.data(), 32);
-    w.Blob(proof.Serialize());
+    w.Blob(payload);
     CallContext ctx = Ctx(sender);
     ByteReader args(w.bytes());
     auto r = contract->Invoke(ctx, "decide", args);
@@ -159,10 +174,29 @@ TEST_F(CbcEscrowFixture, ValidatorSetMustBe3fPlus1) {
   for (const PublicKey& v : three) w.Raw(v.Serialize());
   w.U32(0);
   w.U64(1);
+  w.U32(kHomeShard);
   CallContext ctx = Ctx(a);
   ByteReader args(w.bytes());
   EXPECT_EQ(fresh->Invoke(ctx, "escrow", args).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(CbcEscrowFixture, EscrowWithoutShardWordRejected) {
+  // A fresh escrow: its first escrow call pins the deal's parameters, and
+  // the home shard is one of them.
+  escrow_id = chain->Deploy(
+      std::make_unique<CbcEscrowContract>(AssetKind::kFungible, token_id));
+  contract = chain->As<CbcEscrowContract>(escrow_id);
+  auto* token = chain->As<FungibleToken>(token_id);
+  token->Mint(Holder::Party(b), 10);
+  CallContext ctx = Ctx(b);
+  token->Approve(ctx, Holder::Party(b), Holder::Party(b),
+                 Holder::OfContract(escrow_id), 10);
+  EXPECT_FALSE(InvokeEscrow(b, 10, validators->CurrentPublicKeys(),
+                            /*epoch=*/0, /*with_shard=*/false)
+                   .ok());
+  EXPECT_FALSE(contract->initialized());
+  EXPECT_EQ(token->BalanceOf(Holder::Party(b)), 10u);
 }
 
 TEST_F(CbcEscrowFixture, NonPlistEscrowerRejected) {
@@ -230,6 +264,17 @@ TEST_F(CbcEscrowFixture, GarbageProofBytesRejectedCleanly) {
   ByteReader args(w.bytes());
   EXPECT_FALSE(contract->Invoke(ctx, "decide", args).ok());
   EXPECT_FALSE(contract->settled());
+}
+
+TEST_F(CbcEscrowFixture, BareProofDecideRejected) {
+  // A validly signed certificate that is not wrapped in a DecideProof skips
+  // the shard front check, so it is not decide evidence.
+  ASSERT_TRUE(InvokeTransfer(a, b, 100).ok());
+  Status st = InvokeDecideBytes(b, MakeProof(kDealCommitted).Serialize(), deal);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(contract->settled());
+  EXPECT_EQ(gas->sig_verifies(), 0u);
 }
 
 TEST_F(CbcEscrowFixture, ActiveOutcomeProofRejected) {

@@ -13,13 +13,13 @@ namespace xdeal {
 namespace {
 
 struct CbcRunOutput {
-  CbcResult result;
+  DealResult result;
   std::unique_ptr<DealChecker> checker;
   BrokerScenario scenario;
   std::unique_ptr<CbcService> service;
 };
 
-CbcRunOutput RunBrokerCbc(uint64_t seed, CbcRun::StrategyFactory factory,
+CbcRunOutput RunBrokerCbc(uint64_t seed, PartyFactory* factory,
                           CbcConfig config = CbcConfig{}, size_t f = 1,
                           std::unique_ptr<NetworkModel> net = nullptr) {
   CbcRunOutput out;
@@ -30,9 +30,8 @@ CbcRunOutput RunBrokerCbc(uint64_t seed, CbcRun::StrategyFactory factory,
   service_options.validator_seed = "cbc-" + std::to_string(seed);
   out.service =
       std::make_unique<CbcService>(&s.env->world(), service_options);
-  CbcRun run(&s.env->world(), s.spec, config, out.service.get(),
-             std::move(factory));
-  EXPECT_TRUE(run.Start().ok());
+  CbcRun run(&s.env->world(), s.spec, config, out.service.get(), factory);
+  EXPECT_TRUE(run.Deploy().ok());
   out.checker = std::make_unique<DealChecker>(
       &s.env->world(), s.spec, run.deployment().escrow_contracts);
   out.checker->CaptureInitial();
@@ -69,10 +68,10 @@ TEST(CbcBrokerTest, CommitAcrossSeedsAndF) {
 }
 
 TEST(CbcBrokerTest, CrashBeforeVoteAbortsAtomically) {
-  auto out = RunBrokerCbc(41, [](PartyId p) -> std::unique_ptr<CbcParty> {
-    if (p.v == 2) return std::make_unique<CbcCrashBeforeVoteParty>();
-    return nullptr;
+  SingleDeviantFactory factory(2, nullptr, [] {
+    return std::make_unique<CbcCrashBeforeVoteParty>();
   });
+  auto out = RunBrokerCbc(41, &factory);
   EXPECT_EQ(out.result.outcome, kDealAborted);
   EXPECT_TRUE(out.result.atomic);
   EXPECT_EQ(out.result.released_contracts, 0u);
@@ -87,10 +86,10 @@ TEST(CbcBrokerTest, CrashBeforeVoteAbortsAtomically) {
 }
 
 TEST(CbcBrokerTest, AlwaysAbortPartyAbortsEverywhere) {
-  auto out = RunBrokerCbc(42, [](PartyId p) -> std::unique_ptr<CbcParty> {
-    if (p.v == 1) return std::make_unique<CbcAlwaysAbortParty>();
-    return nullptr;
+  SingleDeviantFactory factory(1, nullptr, [] {
+    return std::make_unique<CbcAlwaysAbortParty>();
   });
+  auto out = RunBrokerCbc(42, &factory);
   EXPECT_EQ(out.result.outcome, kDealAborted);
   EXPECT_TRUE(out.result.atomic);
   auto& s = out.scenario;
@@ -104,11 +103,10 @@ TEST(CbcBrokerTest, RescindRacerIsAtomicEitherWay) {
   // A party votes commit then races an abort. Whatever order the CBC log
   // settles on, every chain follows the same outcome.
   for (uint64_t seed = 50; seed < 56; ++seed) {
-    auto out =
-        RunBrokerCbc(seed, [](PartyId p) -> std::unique_ptr<CbcParty> {
-          if (p.v == 0) return std::make_unique<CbcRescindRacerParty>();
-          return nullptr;
-        });
+    SingleDeviantFactory racer(0, nullptr, [] {
+      return std::make_unique<CbcRescindRacerParty>();
+    });
+    auto out = RunBrokerCbc(seed, &racer);
     EXPECT_TRUE(out.result.atomic) << "seed " << seed;
     EXPECT_TRUE(out.result.all_settled) << "seed " << seed;
     auto& s = out.scenario;
@@ -120,10 +118,10 @@ TEST(CbcBrokerTest, RescindRacerIsAtomicEitherWay) {
 TEST(CbcBrokerTest, FakeProofRejected) {
   // Alice presents an f-signed forged abort certificate; contracts reject
   // it (quorum is 2f+1) and the deal commits normally.
-  auto out = RunBrokerCbc(43, [](PartyId p) -> std::unique_ptr<CbcParty> {
-    if (p.v == 0) return std::make_unique<CbcFakeProofParty>();
-    return nullptr;
+  SingleDeviantFactory factory(0, nullptr, [] {
+    return std::make_unique<CbcFakeProofParty>();
   });
+  auto out = RunBrokerCbc(43, &factory);
   EXPECT_EQ(out.result.outcome, kDealCommitted);
   EXPECT_TRUE(out.result.atomic);
   EXPECT_EQ(out.result.released_contracts, 2u);
@@ -151,14 +149,14 @@ TEST(CbcBrokerTest, ReconfigurationChainVerifies) {
 
   // f=1 -> quorum 3; (k+1)(2f+1) = 3*3 = 9 verifications per contract,
   // 2 contracts -> 18.
-  EXPECT_EQ(out.result.sig_verifies_decide, 18u);
+  EXPECT_EQ(out.result.sig_verifies, 18u);
 }
 
 TEST(CbcBrokerTest, NoReconfigSignatureCount) {
   auto out = RunBrokerCbc(45, nullptr);
   ASSERT_EQ(out.result.outcome, kDealCommitted);
   // (0+1)(2f+1) = 3 per contract, 2 contracts.
-  EXPECT_EQ(out.result.sig_verifies_decide, 6u);
+  EXPECT_EQ(out.result.sig_verifies, 6u);
 }
 
 TEST(CbcBrokerTest, PreGstAsynchronyAbortsAtomically) {
@@ -193,16 +191,15 @@ TEST(CbcBrokerTest, AtomicityAcrossAdversarySweep) {
   // commit everywhere or abort everywhere.
   for (uint32_t deviant = 0; deviant < 3; ++deviant) {
     for (int kind = 0; kind < 3; ++kind) {
-      auto out = RunBrokerCbc(
-          100 + deviant * 10 + kind,
-          [deviant, kind](PartyId p) -> std::unique_ptr<CbcParty> {
-            if (p.v != deviant) return nullptr;
+      SingleDeviantFactory factory(
+          deviant, nullptr, [kind]() -> std::unique_ptr<CbcParty> {
             switch (kind) {
               case 0: return std::make_unique<CbcCrashBeforeVoteParty>();
               case 1: return std::make_unique<CbcAlwaysAbortParty>();
               default: return std::make_unique<CbcRescindRacerParty>();
             }
           });
+      auto out = RunBrokerCbc(100 + deviant * 10 + kind, &factory);
       EXPECT_TRUE(out.result.atomic)
           << "deviant " << deviant << " kind " << kind;
       // Every compliant party stays safe and unlocked; the deviant's own

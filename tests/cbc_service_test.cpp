@@ -108,10 +108,9 @@ TEST(CbcServiceTest, DealsOnDistinctShardsSettleIndependently) {
   CbcService::Options options;
   options.num_shards = 2;
   CbcService service(&env.world(), options);
-  CbcDriver driver(&service);
 
   // Generate deals until we have one on each shard.
-  std::vector<std::unique_ptr<DealRuntime>> runtimes;
+  std::vector<std::unique_ptr<CbcRun>> runtimes;
   std::vector<std::unique_ptr<DealChecker>> checkers;
   std::set<size_t> shards_used;
   for (uint64_t d = 0; shards_used.size() < 2 && d < 16; ++d) {
@@ -126,13 +125,14 @@ TEST(CbcServiceTest, DealsOnDistinctShardsSettleIndependently) {
     size_t shard = service.ShardOf(spec.deal_id);
     if (!shards_used.insert(shard).second) continue;
 
-    DealTimings timings = DealTimings::DefaultsFor(Protocol::kCbc);
-    timings.deal_tag = runtimes.size() + 1;
-    runtimes.push_back(driver.CreateDeal(&env.world(), spec, timings));
+    CbcConfig config;
+    config.deal_tag = runtimes.size() + 1;
+    runtimes.push_back(
+        std::make_unique<CbcRun>(&env.world(), spec, config, &service));
     ASSERT_TRUE(runtimes.back()->Deploy().ok());
     checkers.push_back(std::make_unique<DealChecker>(
         &env.world(), spec, runtimes.back()->escrow_contracts(),
-        timings.deal_tag));
+        config.deal_tag));
     checkers.back()->CaptureInitial();
   }
   ASSERT_EQ(shards_used.size(), 2u);
@@ -141,8 +141,8 @@ TEST(CbcServiceTest, DealsOnDistinctShardsSettleIndependently) {
   // deal: grow the service's world... there are only 2 shards, both in use,
   // so instead verify the runs' logs landed on different chains and both
   // deals commit with full settlement.
-  EXPECT_NE(runtimes[0]->cbc_run()->deployment().cbc_chain,
-            runtimes[1]->cbc_run()->deployment().cbc_chain);
+  EXPECT_NE(runtimes[0]->deployment().cbc_chain,
+            runtimes[1]->deployment().cbc_chain);
 
   env.world().scheduler().Run();
   for (size_t i = 0; i < runtimes.size(); ++i) {
@@ -162,7 +162,6 @@ TEST(CbcServiceTest, ReconfigOfUnusedShardDoesNotDisturbALiveDeal) {
   CbcService::Options options;
   options.num_shards = 4;
   CbcService service(&env.world(), options);
-  CbcDriver driver(&service);
 
   GenParams gen;
   gen.n_parties = 3;
@@ -173,10 +172,8 @@ TEST(CbcServiceTest, ReconfigOfUnusedShardDoesNotDisturbALiveDeal) {
   DealSpec spec = GenerateRandomDeal(&env, gen);
   size_t my_shard = service.ShardOf(spec.deal_id);
 
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&env.world(), spec, DealTimings::DefaultsFor(
-                                                Protocol::kCbc));
-  ASSERT_TRUE(runtime->Deploy().ok());
+  CbcRun run(&env.world(), spec, CbcConfig{}, &service);
+  ASSERT_TRUE(run.Deploy().ok());
 
   // Mid-deal, rotate every OTHER shard's validator set (twice). The live
   // deal's escrows pinned its own shard's epoch-0 keys; foreign rotations
@@ -191,7 +188,7 @@ TEST(CbcServiceTest, ReconfigOfUnusedShardDoesNotDisturbALiveDeal) {
   });
 
   env.world().scheduler().Run();
-  DealResult result = runtime->Collect();
+  DealResult result = run.Collect();
   EXPECT_TRUE(result.committed);
   EXPECT_TRUE(result.all_settled);
   EXPECT_EQ(service.validators(my_shard).epoch(), 0u);

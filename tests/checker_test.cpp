@@ -26,7 +26,7 @@ TEST(CheckerTest, CommittedRunVerdicts) {
   TimelockConfig config;
   config.delta = 80;
   TimelockRun run(&s.env->world(), s.spec, config);
-  ASSERT_TRUE(run.Start().ok());
+  ASSERT_TRUE(run.Deploy().ok());
   DealChecker checker(&s.env->world(), s.spec,
                       run.deployment().escrow_contracts);
   checker.CaptureInitial();
@@ -45,15 +45,21 @@ TEST(CheckerTest, CommittedRunVerdicts) {
   EXPECT_TRUE(checker.StrongLivenessHolds());
 }
 
+/// Every party withholds its vote.
+class AllWithholdFactory : public PartyFactory {
+ public:
+  std::unique_ptr<TimelockParty> MakeTimelockParty(PartyId) override {
+    return std::make_unique<VoteWithholdingParty>();
+  }
+};
+
 TEST(CheckerTest, AbortedRunVerdicts) {
   BrokerScenario s = MakeBrokerScenario(3);
   TimelockConfig config;
   config.delta = 80;
-  TimelockRun run(&s.env->world(), s.spec, config,
-                  [](PartyId) -> std::unique_ptr<TimelockParty> {
-                    return std::make_unique<VoteWithholdingParty>();
-                  });
-  ASSERT_TRUE(run.Start().ok());
+  AllWithholdFactory factory;
+  TimelockRun run(&s.env->world(), s.spec, config, &factory);
+  ASSERT_TRUE(run.Deploy().ok());
   DealChecker checker(&s.env->world(), s.spec,
                       run.deployment().escrow_contracts);
   checker.CaptureInitial();
@@ -83,7 +89,7 @@ TEST(CheckerTest, MixedOutcomeDetectedAsUnsafeForVictim) {
   TimelockConfig config;
   config.delta = 80;
   TimelockRun run(&s.env->world(), s.spec, config);
-  ASSERT_TRUE(run.Start().ok());
+  ASSERT_TRUE(run.Deploy().ok());
   DealChecker checker(&s.env->world(), s.spec,
                       run.deployment().escrow_contracts);
   checker.CaptureInitial();
@@ -114,7 +120,7 @@ TEST(CheckerTest, SafetyHoldsShortCircuitsOnViolation) {
   TimelockConfig config;
   config.delta = 80;
   TimelockRun run(&s.env->world(), s.spec, config);
-  ASSERT_TRUE(run.Start().ok());
+  ASSERT_TRUE(run.Deploy().ok());
   DealChecker checker(&s.env->world(), s.spec,
                       run.deployment().escrow_contracts);
   checker.CaptureInitial();

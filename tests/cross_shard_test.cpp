@@ -61,7 +61,6 @@ TEST(CrossShardTest, DecideProofWireRoundTripsAndStaysUnambiguous) {
   dp.proof.status.epoch = 2;
 
   Bytes wrapped = dp.Serialize();
-  EXPECT_TRUE(DecideProof::IsWrapped(wrapped));
   auto parsed = DecideProof::Deserialize(wrapped);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().shard, 3u);
@@ -70,9 +69,8 @@ TEST(CrossShardTest, DecideProofWireRoundTripsAndStaysUnambiguous) {
   EXPECT_EQ(parsed.value().proof.status.epoch, 2u);
 
   // The magic keeps the two encodings unambiguous: a bare CbcProof blob is
-  // never mistaken for a wrapped one, and vice versa.
+  // never mistaken for a decide proof.
   Bytes bare = dp.proof.Serialize();
-  EXPECT_FALSE(DecideProof::IsWrapped(bare));
   EXPECT_FALSE(DecideProof::Deserialize(bare).ok());
 }
 

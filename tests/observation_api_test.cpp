@@ -1,4 +1,4 @@
-// The indexed observation data path: ReceiptView/ObservationCursor semantics
+// The indexed observation data path: ReceiptView semantics
 // against the receipt index built at block-seal time, tag-filtered delivery,
 // and the index-vs-full-scan differential oracle over seeded traffic.
 
@@ -79,46 +79,6 @@ TEST(ObservationApiTest, ReceiptViewMatchesManualScanByTagAndContract) {
     EXPECT_EQ(r.contract.v, tok_a.v);
   }
   EXPECT_TRUE(chain->TagIndexMatchesFullScan());
-}
-
-TEST(ObservationApiTest, ObservationCursorDrainsIncrementally) {
-  auto world = MakeWorld();
-  PartyId alice = world->RegisterParty("alice");
-  Blockchain* chain = world->CreateChain("c", 10);
-  ContractId token =
-      chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
-  chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 100);
-
-  // A cursor made before any matching receipt exists is empty but stays
-  // valid: later blocks feed it.
-  ObservationCursor cursor = chain->MakeCursor(5);
-  EXPECT_EQ(cursor.Next(), nullptr);
-  EXPECT_EQ(cursor.consumed(), 0u);
-
-  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/5, 2);
-  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/6, 1);
-  world->scheduler().Run();
-
-  const Receipt* first = cursor.Next();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->deal_tag, 5u);
-  const Receipt* second = cursor.Next();
-  ASSERT_NE(second, nullptr);
-  EXPECT_GT(second->tx_seq, first->tx_seq);
-  EXPECT_EQ(cursor.Next(), nullptr) << "cursor must drain after 2 receipts";
-  EXPECT_EQ(cursor.consumed(), 2u);
-
-  // More blocks extend the same cursor — no rescan, no reset.
-  world->scheduler().ScheduleAt(world->now() + 100, [&] {
-    SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/5, 1);
-  });
-  world->scheduler().Run();
-  const Receipt* third = cursor.Next();
-  ASSERT_NE(third, nullptr);
-  EXPECT_EQ(third->deal_tag, 5u);
-  EXPECT_EQ(cursor.Next(), nullptr);
-  EXPECT_EQ(cursor.consumed(), 3u);
-  EXPECT_EQ(cursor.deal_tag(), 5u);
 }
 
 TEST(ObservationApiTest, IndexedDeliveryRoutesByTag) {
@@ -213,10 +173,6 @@ TEST(ObservationApiTest, FingerprintsInvariantUnderBucketPermutation) {
         fp = MixFingerprint(fp, r.gas_used);
         fp = MixFingerprint(fp, r.block_height);
         fp = MixFingerprint(fp, FingerprintString(r.function));
-      }
-      ObservationCursor cursor = chain->MakeCursor(tag);
-      while (const Receipt* r = cursor.Next()) {
-        fp = MixFingerprint(fp, r->tx_seq);
       }
     }
     return fp;

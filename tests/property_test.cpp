@@ -80,15 +80,12 @@ TEST_P(TimelockPropertySweep, SafetyAndLiveness) {
     uint32_t deviant_party = spec.parties[c.deviant % spec.parties.size()].v;
     TimelockConfig config;
     config.delta = 100;
-    TimelockRun run(
-        &env.world(), spec, config,
-        [&](PartyId p) -> std::unique_ptr<TimelockParty> {
-          if (c.adversary_kind >= 0 && p.v == deviant_party) {
-            return MakeTimelockAdversary(c.adversary_kind);
-          }
-          return nullptr;
-        });
-    ASSERT_TRUE(run.Start().ok());
+    // A negative kind makes no adversary: every party stays compliant.
+    SingleDeviantFactory factory(deviant_party, [&c] {
+      return MakeTimelockAdversary(c.adversary_kind);
+    });
+    TimelockRun run(&env.world(), spec, config, &factory);
+    ASSERT_TRUE(run.Deploy().ok());
     DealChecker checker(&env.world(), spec,
                         run.deployment().escrow_contracts);
     checker.CaptureInitial();
@@ -152,20 +149,17 @@ TEST_P(CbcPropertySweep, AtomicityAndSafety) {
     service_options.validator_seed = "sweep";
     CbcService service(&env.world(), service_options);
     uint32_t deviant_party = spec.parties[c.deviant % spec.parties.size()].v;
-    CbcRun run(&env.world(), spec, CbcConfig{}, &service,
-               [&](PartyId p) -> std::unique_ptr<CbcParty> {
-                 if (c.adversary_kind >= 0 && p.v == deviant_party) {
-                   return MakeCbcAdversary(c.adversary_kind);
-                 }
-                 return nullptr;
-               });
-    ASSERT_TRUE(run.Start().ok());
+    SingleDeviantFactory factory(
+        deviant_party, nullptr,
+        [&c] { return MakeCbcAdversary(c.adversary_kind); });
+    CbcRun run(&env.world(), spec, CbcConfig{}, &service, &factory);
+    ASSERT_TRUE(run.Deploy().ok());
     DealChecker checker(&env.world(), spec,
                         run.deployment().escrow_contracts);
     checker.CaptureInitial();
     env.world().scheduler().Run();
 
-    CbcResult result = run.Collect();
+    DealResult result = run.Collect();
     EXPECT_TRUE(result.atomic) << CaseName({GetParam(), 0}) << " seed "
                                << seed;
     EXPECT_TRUE(checker.Atomic());

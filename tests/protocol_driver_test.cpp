@@ -1,8 +1,8 @@
-// ProtocolDriver: the unified deal-execution API. One DealTimings schedule
-// drives either protocol; drivers reproduce the direct TimelockRun/CbcRun
-// behaviour; the PartyFactory hook injects adversaries and watchtowers
-// uniformly; and unsafe CBC configs (abort_patience < Δ) are rejected at
-// deploy time instead of silently running.
+// The unified deal-execution API. One DealTimings schedule drives either
+// protocol's DealRuntime (TimelockRun or CbcRun); the PartyFactory hook
+// injects adversaries and watchtowers uniformly; and unsafe CBC configs
+// (abort_patience < Δ) are rejected at deploy time instead of silently
+// running.
 
 #include <gtest/gtest.h>
 
@@ -73,54 +73,17 @@ TEST(ProtocolTest, ToStringNamesEveryProtocol) {
   EXPECT_STREQ(ToString(Protocol::kHtlc), "htlc");
 }
 
-TEST(ProtocolDriverTest, TimelockDriverMatchesDirectRun) {
-  // The same broker deal through the driver and through TimelockRun
-  // directly (fresh worlds, same seed) produces identical outcomes and gas.
-  BrokerScenario direct_scenario = MakeBrokerScenario(5);
-  TimelockConfig config;
-  config.delta = 120;
-  TimelockRun run(&direct_scenario.env->world(), direct_scenario.spec,
-                  config);
-  ASSERT_TRUE(run.Start().ok());
-  direct_scenario.env->world().scheduler().Run();
-  TimelockResult direct = run.Collect();
-
-  BrokerScenario driver_scenario = MakeBrokerScenario(5);
-  DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-  timings.delta = 120;
-  TimelockDriver driver;
-  std::unique_ptr<DealRuntime> runtime = driver.CreateDeal(
-      &driver_scenario.env->world(), driver_scenario.spec, timings);
-  ASSERT_TRUE(runtime->Deploy().ok());
-  driver_scenario.env->world().scheduler().Run();
-  DealResult result = runtime->Collect();
-
-  EXPECT_EQ(result.protocol, Protocol::kTimelock);
-  EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.released_contracts, direct.released_contracts);
-  EXPECT_EQ(result.refunded_contracts, direct.refunded_contracts);
-  EXPECT_EQ(result.all_settled, direct.all_settled);
-  EXPECT_EQ(result.settle_time, direct.settle_time);
-  EXPECT_EQ(result.commit_phase_end, direct.commit_phase_end);
-  EXPECT_EQ(result.gas_escrow, direct.gas_escrow);
-  EXPECT_EQ(result.gas_transfer, direct.gas_transfer);
-  EXPECT_EQ(result.gas_vote, direct.gas_commit);
-  EXPECT_EQ(result.sig_verifies, direct.sig_verifies_commit);
-  EXPECT_EQ(result.outcome, kDealCommitted);
-}
-
 TEST(ProtocolDriverTest, CbcDriverCommitsTheBrokerDeal) {
   BrokerScenario s = MakeBrokerScenario(6);
   CbcService service(&s.env->world(), CbcService::Options{});
-  CbcDriver driver(&service);
-  std::unique_ptr<DealRuntime> runtime = driver.CreateDeal(
-      &s.env->world(), s.spec, DealTimings::DefaultsFor(Protocol::kCbc));
-  ASSERT_TRUE(runtime->Deploy().ok());
-  DealChecker checker(&s.env->world(), s.spec, runtime->escrow_contracts());
+  CbcRun run(&s.env->world(), s.spec, CbcConfig{}, &service);
+  DealRuntime& runtime = run;
+  ASSERT_TRUE(runtime.Deploy().ok());
+  DealChecker checker(&s.env->world(), s.spec, runtime.escrow_contracts());
   checker.CaptureInitial();
   s.env->world().scheduler().Run();
 
-  DealResult result = runtime->Collect();
+  DealResult result = runtime.Collect();
   EXPECT_EQ(result.protocol, Protocol::kCbc);
   EXPECT_EQ(result.outcome, kDealCommitted);
   EXPECT_TRUE(result.committed);
@@ -130,7 +93,6 @@ TEST(ProtocolDriverTest, CbcDriverCommitsTheBrokerDeal) {
   EXPECT_GT(result.gas_decide, 0u);
   EXPECT_GT(result.sig_verifies, 0u);
   EXPECT_TRUE(checker.StrongLivenessHolds());
-  EXPECT_EQ(runtime->outcome(), kDealCommitted);
 }
 
 /// One factory type that deviates under either protocol — the uniformity
@@ -157,14 +119,12 @@ TEST(ProtocolDriverTest, OnePartyFactoryServesBothProtocols) {
   {
     BrokerScenario s = MakeBrokerScenario(8);
     DeviantFactory factory(s.bob.v);
-    TimelockDriver driver;
-    DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-    timings.delta = 80;
-    std::unique_ptr<DealRuntime> runtime =
-        driver.CreateDeal(&s.env->world(), s.spec, timings, &factory);
-    ASSERT_TRUE(runtime->Deploy().ok());
+    TimelockConfig config;
+    config.delta = 80;
+    TimelockRun run(&s.env->world(), s.spec, config, &factory);
+    ASSERT_TRUE(run.Deploy().ok());
     s.env->world().scheduler().Run();
-    DealResult result = runtime->Collect();
+    DealResult result = run.Collect();
     EXPECT_TRUE(result.aborted);
     EXPECT_EQ(result.released_contracts, 0u);
   }
@@ -172,14 +132,11 @@ TEST(ProtocolDriverTest, OnePartyFactoryServesBothProtocols) {
   {
     BrokerScenario s = MakeBrokerScenario(8);
     CbcService service(&s.env->world(), CbcService::Options{});
-    CbcDriver driver(&service);
     DeviantFactory factory(s.bob.v);
-    std::unique_ptr<DealRuntime> runtime =
-        driver.CreateDeal(&s.env->world(), s.spec,
-                          DealTimings::DefaultsFor(Protocol::kCbc), &factory);
-    ASSERT_TRUE(runtime->Deploy().ok());
+    CbcRun run(&s.env->world(), s.spec, CbcConfig{}, &service, &factory);
+    ASSERT_TRUE(run.Deploy().ok());
     s.env->world().scheduler().Run();
-    DealResult result = runtime->Collect();
+    DealResult result = run.Collect();
     EXPECT_EQ(result.outcome, kDealAborted);
     EXPECT_TRUE(result.atomic);
   }
@@ -188,16 +145,14 @@ TEST(ProtocolDriverTest, OnePartyFactoryServesBothProtocols) {
 class TowerFactory : public PartyFactory {
  public:
   std::unique_ptr<Watchtower> tower;
-  Protocol seen = Protocol::kHtlc;
   size_t escrows_seen = 0;
 
   void OnDeployed(DealRuntime& runtime) override {
-    seen = runtime.protocol();
     escrows_seen = runtime.escrow_contracts().size();
     TimelockRun* run = runtime.timelock_run();
     ASSERT_NE(run, nullptr);
-    PartyId op = runtime.world().RegisterParty("hook-tower");
-    tower = std::make_unique<Watchtower>(&runtime.world(), runtime.spec(),
+    PartyId op = run->world().RegisterParty("hook-tower");
+    tower = std::make_unique<Watchtower>(&run->world(), runtime.spec(),
                                          run->deployment(), op,
                                          runtime.spec().parties);
     tower->Arm();
@@ -207,19 +162,16 @@ class TowerFactory : public PartyFactory {
 TEST(ProtocolDriverTest, OnDeployedHookArmsAWatchtower) {
   BrokerScenario s = MakeBrokerScenario(9);
   TowerFactory factory;
-  TimelockDriver driver;
-  DealTimings timings = DealTimings::DefaultsFor(Protocol::kTimelock);
-  timings.delta = 80;
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&s.env->world(), s.spec, timings, &factory);
-  ASSERT_TRUE(runtime->Deploy().ok());
-  EXPECT_EQ(factory.seen, Protocol::kTimelock);
+  TimelockConfig config;
+  config.delta = 80;
+  TimelockRun run(&s.env->world(), s.spec, config, &factory);
+  ASSERT_TRUE(run.Deploy().ok());
   EXPECT_EQ(factory.escrows_seen, s.spec.NumAssets());
   ASSERT_NE(factory.tower, nullptr);
 
   s.env->world().scheduler().Run();
   // Clean run: the tower is harmless and the deal commits.
-  EXPECT_TRUE(runtime->Collect().committed);
+  EXPECT_TRUE(run.Collect().committed);
 }
 
 TEST(ProtocolDriverTest, CbcAbortPatienceBelowDeltaIsRejected) {
@@ -228,34 +180,27 @@ TEST(ProtocolDriverTest, CbcAbortPatienceBelowDeltaIsRejected) {
   // scheduled.
   BrokerScenario s = MakeBrokerScenario(10);
   CbcService service(&s.env->world(), CbcService::Options{});
-  CbcDriver driver(&service);
-  DealTimings timings = DealTimings::DefaultsFor(Protocol::kCbc);
-  timings.delta = 500;
-  std::unique_ptr<DealRuntime> runtime =
-      driver.CreateDeal(&s.env->world(), s.spec, timings);
-  Status status = runtime->Deploy();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  CbcConfig config;
+  config.delta = 500;
+  {
+    CbcRun run(&s.env->world(), s.spec, config, &service);
+    Status status = run.Deploy();
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  }
+  // One tick short of Δ is still unsafe.
+  {
+    CbcConfig short_config;
+    short_config.delta = 100;
+    short_config.abort_patience = 99;
+    CbcRun run(&s.env->world(), s.spec, short_config, &service);
+    EXPECT_FALSE(run.Deploy().ok());
+  }
 
   // Raising the patience to Δ makes the same schedule acceptable.
-  CbcDriver::Options options;
-  options.abort_patience = 500;
-  CbcDriver patient_driver(&service, options);
-  std::unique_ptr<DealRuntime> patient_runtime =
-      patient_driver.CreateDeal(&s.env->world(), s.spec, timings);
-  EXPECT_TRUE(patient_runtime->Deploy().ok());
-}
-
-TEST(ProtocolDriverTest, DirectCbcRunRejectsUnsafePatienceToo) {
-  // The validation lives in the engine, so direct CbcRun users get it even
-  // without the driver layer.
-  BrokerScenario s = MakeBrokerScenario(11);
-  CbcService service(&s.env->world(), CbcService::Options{});
-  CbcConfig config;
-  config.delta = 100;
-  config.abort_patience = 99;
-  CbcRun run(&s.env->world(), s.spec, config, &service);
-  EXPECT_FALSE(run.Start().ok());
+  config.abort_patience = 500;
+  CbcRun patient_run(&s.env->world(), s.spec, config, &service);
+  EXPECT_TRUE(patient_run.Deploy().ok());
 }
 
 }  // namespace

@@ -19,18 +19,18 @@ TimelockConfig DefaultConfig() {
 }
 
 struct RunOutput {
-  TimelockResult result;
+  DealResult result;
   std::unique_ptr<DealChecker> checker;
   BrokerScenario scenario;
 };
 
-RunOutput RunBroker(uint64_t seed, TimelockRun::StrategyFactory factory,
+RunOutput RunBroker(uint64_t seed, PartyFactory* factory,
                     TimelockConfig config = DefaultConfig()) {
   RunOutput out;
   out.scenario = MakeBrokerScenario(seed);
   auto& s = out.scenario;
-  TimelockRun run(&s.env->world(), s.spec, config, std::move(factory));
-  EXPECT_TRUE(run.Start().ok());
+  TimelockRun run(&s.env->world(), s.spec, config, factory);
+  EXPECT_TRUE(run.Deploy().ok());
   out.checker = std::make_unique<DealChecker>(
       &s.env->world(), s.spec, run.deployment().escrow_contracts);
   out.checker->CaptureInitial();
@@ -68,10 +68,10 @@ TEST(TimelockBrokerTest, CommitAcrossSeeds) {
 
 TEST(TimelockBrokerTest, VoteWithholderAborts) {
   // Carol never votes: every contract times out and refunds; nobody loses.
-  auto out = RunBroker(3, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 2) return std::make_unique<VoteWithholdingParty>();  // carol
-    return nullptr;
+  SingleDeviantFactory factory(2, [] {  // carol
+    return std::make_unique<VoteWithholdingParty>();
   });
+  auto out = RunBroker(3, &factory);
   EXPECT_TRUE(out.result.all_settled);
   EXPECT_EQ(out.result.released_contracts, 0u);
   EXPECT_EQ(out.result.refunded_contracts, 2u);
@@ -87,12 +87,10 @@ TEST(TimelockBrokerTest, VoteWithholderAborts) {
 }
 
 TEST(TimelockBrokerTest, CrashAtEscrowAborts) {
-  auto out = RunBroker(4, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 1) {  // bob never escrows
-      return std::make_unique<CrashingTimelockParty>(TlPhase::kEscrow);
-    }
-    return nullptr;
+  SingleDeviantFactory factory(1, [] {  // bob never escrows
+    return std::make_unique<CrashingTimelockParty>(TlPhase::kEscrow);
   });
+  auto out = RunBroker(4, &factory);
   EXPECT_EQ(out.result.released_contracts, 0u);
   auto& s = out.scenario;
   std::vector<PartyId> compliant = {s.alice, s.carol};
@@ -104,12 +102,10 @@ TEST(TimelockBrokerTest, CrashAtEscrowAborts) {
 }
 
 TEST(TimelockBrokerTest, CrashAtTransferAborts) {
-  auto out = RunBroker(5, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 1) {
-      return std::make_unique<CrashingTimelockParty>(TlPhase::kTransfer);
-    }
-    return nullptr;
+  SingleDeviantFactory factory(1, [] {
+    return std::make_unique<CrashingTimelockParty>(TlPhase::kTransfer);
   });
+  auto out = RunBroker(5, &factory);
   EXPECT_EQ(out.result.released_contracts, 0u);
   auto& s = out.scenario;
   std::vector<PartyId> compliant = {s.alice, s.carol};
@@ -121,10 +117,10 @@ TEST(TimelockBrokerTest, NonForwarderStillCommits) {
   // Alice refuses to forward votes; Bob and Carol's forwarding suffices
   // (and Alice's own votes reach both chains since she has incoming assets
   // on both).
-  auto out = RunBroker(6, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 0) return std::make_unique<NonForwardingParty>();
-    return nullptr;
+  SingleDeviantFactory factory(0, [] {
+    return std::make_unique<NonForwardingParty>();
   });
+  auto out = RunBroker(6, &factory);
   EXPECT_EQ(out.result.released_contracts, 2u);
   EXPECT_TRUE(out.checker->StrongLivenessHolds());
 }
@@ -132,10 +128,10 @@ TEST(TimelockBrokerTest, NonForwarderStillCommits) {
 TEST(TimelockBrokerTest, ShortTransferCausesAbort) {
   // Alice sends Bob 99 coins instead of 100: Bob's validation fails, he
   // never votes, everything refunds.
-  auto out = RunBroker(8, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 0) return std::make_unique<ShortTransferParty>();
-    return nullptr;
+  SingleDeviantFactory factory(0, [] {
+    return std::make_unique<ShortTransferParty>();
   });
+  auto out = RunBroker(8, &factory);
   EXPECT_EQ(out.result.released_contracts, 0u);
   EXPECT_EQ(out.result.refunded_contracts, 2u);
   auto& s = out.scenario;
@@ -149,10 +145,10 @@ TEST(TimelockBrokerTest, ShortTransferCausesAbort) {
 TEST(TimelockBrokerTest, DoubleSpendRejectedDealStillCommits) {
   // Bob tries to tentatively transfer the same tickets twice; the escrow
   // contract rejects the second transfer and the deal proceeds normally.
-  auto out = RunBroker(9, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 1) return std::make_unique<DoubleSpendingParty>();
-    return nullptr;
+  SingleDeviantFactory factory(1, [] {
+    return std::make_unique<DoubleSpendingParty>();
   });
+  auto out = RunBroker(9, &factory);
   EXPECT_EQ(out.result.released_contracts, 2u);
   EXPECT_TRUE(out.checker->StrongLivenessHolds());
 
@@ -170,10 +166,10 @@ TEST(TimelockBrokerTest, DoubleSpendRejectedDealStillCommits) {
 TEST(TimelockBrokerTest, LateVoteAborts) {
   // Carol votes far too late (past t0 + N·Δ): contracts refuse her vote and
   // refund everyone.
-  auto out = RunBroker(10, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 2) return std::make_unique<LateVotingParty>(10000);
-    return nullptr;
+  SingleDeviantFactory factory(2, [] {
+    return std::make_unique<LateVotingParty>(10000);
   });
+  auto out = RunBroker(10, &factory);
   EXPECT_EQ(out.result.released_contracts, 0u);
   EXPECT_EQ(out.result.refunded_contracts, 2u);
   auto& s = out.scenario;
@@ -197,10 +193,10 @@ TEST(TimelockBrokerTest, DirectVotesCommitFaster) {
 
 TEST(TimelockBrokerTest, RefundAfterTimeoutIsIdempotent) {
   // Two parties race to claim the refund; the second claim fails cleanly.
-  auto out = RunBroker(12, [](PartyId p) -> std::unique_ptr<TimelockParty> {
-    if (p.v == 0) return std::make_unique<VoteWithholdingParty>();
-    return nullptr;
+  SingleDeviantFactory factory(0, [] {
+    return std::make_unique<VoteWithholdingParty>();
   });
+  auto out = RunBroker(12, &factory);
   EXPECT_EQ(out.result.refunded_contracts, 2u);
   // All compliant balances intact.
   auto& s = out.scenario;

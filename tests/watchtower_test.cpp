@@ -36,7 +36,7 @@ DosSetup MakeDosRun(bool with_watchtower) {
   TimelockConfig config;
   config.delta = 80;
   setup.run = std::make_unique<TimelockRun>(&s.env->world(), s.spec, config);
-  EXPECT_TRUE(setup.run->Start().ok());
+  EXPECT_TRUE(setup.run->Deploy().ok());
 
   if (with_watchtower) {
     PartyId tower_op = s.env->AddParty("watchtower");
@@ -57,7 +57,7 @@ DosSetup MakeDosRun(bool with_watchtower) {
 TEST(WatchtowerTest, DosWindowWithoutTowerHurtsOfflineParties) {
   DosSetup setup = MakeDosRun(/*with_watchtower=*/false);
   auto& s = setup.scenario;
-  TimelockResult result = setup.run->Collect();
+  DealResult result = setup.run->Collect();
 
   // Mixed outcome: coins released (Bob got paid), tickets refunded to Bob.
   EXPECT_EQ(result.released_contracts, 1u);
@@ -75,7 +75,7 @@ TEST(WatchtowerTest, DosWindowWithoutTowerHurtsOfflineParties) {
 TEST(WatchtowerTest, TowerNeutralizesTheAttack) {
   DosSetup setup = MakeDosRun(/*with_watchtower=*/true);
   auto& s = setup.scenario;
-  TimelockResult result = setup.run->Collect();
+  DealResult result = setup.run->Collect();
 
   // The tower relayed Bob's vote to the ticket chain in time: both chains
   // commit and everyone is whole, despite the same DoS.
@@ -96,7 +96,7 @@ TEST(WatchtowerTest, TowerIsHarmlessInCleanRuns) {
   TimelockConfig config;
   config.delta = 80;
   TimelockRun run(&s.env->world(), s.spec, config);
-  ASSERT_TRUE(run.Start().ok());
+  ASSERT_TRUE(run.Deploy().ok());
   PartyId tower_op = s.env->AddParty("watchtower");
   Watchtower tower(&s.env->world(), s.spec, run.deployment(), tower_op,
                    {s.alice, s.bob, s.carol});
@@ -110,22 +110,29 @@ TEST(WatchtowerTest, TowerIsHarmlessInCleanRuns) {
   EXPECT_TRUE(checker.StrongLivenessHolds());
 }
 
+/// Every party escrows and transfers, then goes dark: no votes, no
+/// forwarding, no refund claims.
+class AllDeadFactory : public PartyFactory {
+ public:
+  std::unique_ptr<TimelockParty> MakeTimelockParty(PartyId) override {
+    struct Dead : TimelockParty {
+      void OnCommitPhase() override {}
+      void OnObservedReceipt(const Receipt&) override {}
+      void OnRefundWatch() override {}
+    };
+    return std::make_unique<Dead>();
+  }
+};
+
 TEST(WatchtowerTest, TowerClaimsRefundsForOfflineDepositors) {
   // Everyone withholds votes AND nobody claims refunds (all offline after
   // escrow); the tower alone brings the assets home.
   BrokerScenario s = MakeBrokerScenario(10);
   TimelockConfig config;
   config.delta = 80;
-  TimelockRun run(&s.env->world(), s.spec, config,
-                  [](PartyId) -> std::unique_ptr<TimelockParty> {
-                    struct Dead : TimelockParty {
-                      void OnCommitPhase() override {}
-                      void OnObservedReceipt(const Receipt&) override {}
-                      void OnRefundWatch() override {}
-                    };
-                    return std::make_unique<Dead>();
-                  });
-  ASSERT_TRUE(run.Start().ok());
+  AllDeadFactory factory;
+  TimelockRun run(&s.env->world(), s.spec, config, &factory);
+  ASSERT_TRUE(run.Deploy().ok());
   PartyId tower_op = s.env->AddParty("watchtower");
   Watchtower tower(&s.env->world(), s.spec, run.deployment(), tower_op,
                    {s.bob, s.carol});
@@ -135,7 +142,7 @@ TEST(WatchtowerTest, TowerClaimsRefundsForOfflineDepositors) {
   checker.CaptureInitial();
   s.env->world().scheduler().Run();
 
-  TimelockResult result = run.Collect();
+  DealResult result = run.Collect();
   EXPECT_EQ(result.refunded_contracts, 2u);
   EXPECT_TRUE(checker.Evaluate(s.bob).token_state_unchanged);
   EXPECT_TRUE(checker.Evaluate(s.carol).token_state_unchanged);
