@@ -188,19 +188,22 @@ TEST(ProtocolDriverTest, CbcAbortPatienceBelowDeltaIsRejected) {
     EXPECT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   }
-  // One tick short of Δ is still unsafe.
-  {
-    CbcConfig short_config;
-    short_config.delta = 100;
-    short_config.abort_patience = 99;
-    CbcRun run(&s.env->world(), s.spec, short_config, &service);
-    EXPECT_FALSE(run.Deploy().ok());
-  }
 
   // Raising the patience to Δ makes the same schedule acceptable.
   config.abort_patience = 500;
   CbcRun patient_run(&s.env->world(), s.spec, config, &service);
   EXPECT_TRUE(patient_run.Deploy().ok());
+}
+
+TEST(ProtocolDriverTest, DirectCbcRunRejectsUnsafePatienceToo) {
+  // The validation lives in the engine: one tick short of Δ is still unsafe.
+  BrokerScenario s = MakeBrokerScenario(11);
+  CbcService service(&s.env->world(), CbcService::Options{});
+  CbcConfig config;
+  config.delta = 100;
+  config.abort_patience = 99;
+  CbcRun run(&s.env->world(), s.spec, config, &service);
+  EXPECT_FALSE(run.Deploy().ok());
 }
 
 }  // namespace
