@@ -227,17 +227,7 @@ TEST(BrokerPoolTest, UngatedOverCommitCaughtFromEvidenceAndAbortsCleanly) {
   // as the deviating party, (b) reports the over-commitment as cross-deal
   // double-spend incidents from receipts alone, and (c) the bounced deals
   // abort cleanly — no compliant counterparty is harmed.
-  TrafficOptions options;
-  options.base_seed = 5;
-  options.num_deals = 16;
-  options.num_chains = 4;
-  options.admission_gap = 20;
-  options.protocol_mix = {Protocol::kTimelock};
-  options.brokers.num_brokers = 1;
-  options.brokers.working_capital = 100;
-  options.brokers.inventory = 64;
-  options.brokers.min_units = 1;
-  options.brokers.max_units = 1;
+  TrafficOptions options = GoldenBrokerOverCommitOptions();
   TrafficReport report = RunTraffic(options);
 
   EXPECT_FALSE(report.double_spends.empty()) << report.Summary();
@@ -309,6 +299,25 @@ TEST(BrokerPoolTest, ReportBitIdenticalAcrossThreadCounts) {
                 baseline.brokers[b].timeline[i].capital_in_use);
     }
   }
+}
+
+TEST(BrokerPoolTest, BrokerRunFingerprintsArePinned) {
+  // The broker paths the golden mixed and CBC runs never reach: the
+  // reservation book under crash and recovery, occupancy-priced hop chains
+  // behind the gate, and the ungated over-commit.
+  TrafficReport crash = RunTraffic(GoldenBrokerCrashOptions());
+  EXPECT_EQ(crash.fingerprint, kGoldenFpBrokerCrashSeed9) << crash.Summary();
+  EXPECT_GT(crash.delayed_deals, 0u) << crash.Summary();
+
+  TrafficReport priced = RunTraffic(GoldenBrokerHopPricedOptions());
+  EXPECT_EQ(priced.fingerprint, kGoldenFpBrokerHopPricedSeed13)
+      << priced.Summary();
+  EXPECT_EQ(priced.broker_hop_depth, 3u);
+  EXPECT_GT(priced.delayed_deals, 0u) << priced.Summary();
+
+  TrafficReport over = RunTraffic(GoldenBrokerOverCommitOptions());
+  EXPECT_EQ(over.fingerprint, kGoldenFpBrokerOverCommitSeed5)
+      << over.Summary();
 }
 
 // --- multi-hop broker chains + priced capital ---

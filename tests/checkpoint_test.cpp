@@ -313,6 +313,15 @@ TEST(CheckpointTest, SnapshotBytesArePinned) {
   }
 }
 
+TEST(CheckpointTest, BrokerServiceFinalFingerprintsArePinned) {
+  const ServiceReport admission = RunStraight(AdmissionServiceOptions(), 3);
+  EXPECT_EQ(admission.final_fingerprint, kGoldenFpAdmissionService)
+      << admission.Summary();
+  const ServiceReport crash = RunStraight(CrashServiceOptions(), 3);
+  EXPECT_EQ(crash.final_fingerprint, kGoldenFpCrashService)
+      << crash.Summary();
+}
+
 // --- snapshot envelope rejection -----------------------------------------
 
 class SnapshotRejectTest : public ::testing::Test {

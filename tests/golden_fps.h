@@ -71,6 +71,73 @@ inline TrafficOptions GoldenEvidenceOptions() {
 }
 inline constexpr uint64_t kGoldenFpEvidenceSeed5 = 0x82434d8d2df1b58dULL;
 
+/// Gated single-broker deals under broker crashes: seed 9, 40 Poisson
+/// deals on 4 chains, 2 brokers whose capital (300 coins) and inventory
+/// (4 units) each cover a few 1-2 unit deals, the admission gate on, and
+/// the brokers crashed at ticks 100 and 180 and recovered 150 ticks later.
+/// While a broker is down her reservation book counts nothing, so the gate
+/// admits against her bare balance and some of her escrows bounce.
+inline TrafficOptions GoldenBrokerCrashOptions() {
+  TrafficOptions options;
+  options.base_seed = 9;
+  options.num_deals = 40;
+  options.num_chains = 4;
+  options.arrival = ArrivalProcess::kPoisson;
+  options.mean_interarrival = 30.0;
+  options.brokers.num_brokers = 2;
+  options.brokers.working_capital = 300;
+  options.brokers.inventory = 4;
+  options.brokers.min_units = 1;
+  options.brokers.max_units = 2;
+  options.admission.enabled = true;
+  options.admission.retry_delay = 40;
+  options.admission.max_retries = 10;
+  options.broker_crash_times = {100, 180};
+  options.broker_recover_after = 150;
+  return options;
+}
+inline constexpr uint64_t kGoldenFpBrokerCrashSeed9 = 0x3400bdf7ab664c00ULL;
+
+/// Gated, occupancy-priced resale chains of depth 3: seed 13, 30 Poisson
+/// deals on 6 chains, 3 brokers with 1500 coins each, margin_slope 150,
+/// the admission gate on. About half the chains are delayed or shed.
+inline TrafficOptions GoldenBrokerHopPricedOptions() {
+  TrafficOptions options;
+  options.base_seed = 13;
+  options.num_deals = 30;
+  options.num_chains = 6;
+  options.arrival = ArrivalProcess::kPoisson;
+  options.mean_interarrival = 50.0;
+  options.brokers.num_brokers = 3;
+  options.brokers.working_capital = 1500;
+  options.brokers.hop_depth = 3;
+  options.brokers.margin_slope = 150;
+  options.admission.enabled = true;
+  options.admission.retry_delay = 50;
+  options.admission.max_retries = 10;
+  return options;
+}
+inline constexpr uint64_t kGoldenFpBrokerHopPricedSeed13 = 0x78489919ae278aeaULL;
+
+/// The ungated over-commit: seed 5, 16 timelock deals on 4 chains, one
+/// broker whose 100 coins cover one buy-side deal at a time and no
+/// admission gate, so her concurrent escrow pulls bounce on chain.
+inline TrafficOptions GoldenBrokerOverCommitOptions() {
+  TrafficOptions options;
+  options.base_seed = 5;
+  options.num_deals = 16;
+  options.num_chains = 4;
+  options.admission_gap = 20;
+  options.protocol_mix = {Protocol::kTimelock};
+  options.brokers.num_brokers = 1;
+  options.brokers.working_capital = 100;
+  options.brokers.inventory = 64;
+  options.brokers.min_units = 1;
+  options.brokers.max_units = 1;
+  return options;
+}
+inline constexpr uint64_t kGoldenFpBrokerOverCommitSeed5 = 0x9df7802c0cd33765ULL;
+
 /// RunSweep(DefaultSweepAxes()) report fingerprints at base seeds 1, 2, 3.
 inline constexpr uint64_t kGoldenSweepFp[] = {
     0x690ed9b5673a49dbULL, 0x8e4af853cfdc395aULL, 0xee82769f476192e3ULL};
@@ -122,6 +189,13 @@ inline constexpr uint64_t kGoldenWideExploreOrders = 4617;
 inline constexpr uint64_t kGoldenWideExploreViolations = 576;
 inline constexpr uint64_t kGoldenWideExploreViolationCells = 1;
 inline constexpr uint64_t kGoldenWideExploreFp = 0xb395561890fe7da2ULL;
+
+/// ServiceReport::final_fingerprint of checkpoint_test's
+/// AdmissionServiceOptions() (priced two-hop chains behind the gate) and
+/// CrashServiceOptions() (broker crashes spanning an epoch boundary) after
+/// 3 epochs.
+inline constexpr uint64_t kGoldenFpAdmissionService = 0x567f5505d27e6dceULL;
+inline constexpr uint64_t kGoldenFpCrashService = 0x91ab5f0c86df22a6ULL;
 
 /// Size and SHA-256 of one TrafficService::Checkpoint() snapshot.
 struct SnapshotPin {
