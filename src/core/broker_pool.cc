@@ -11,16 +11,24 @@
 
 namespace xdeal {
 
+namespace {
+
+/// The options both constructors run on: broker_every and hop_depth of 0
+/// mean 1, and max_units is raised to min_units.
+BrokerOptions Normalized(BrokerOptions options) {
+  options.broker_every = std::max<size_t>(1, options.broker_every);
+  options.hop_depth = std::max<size_t>(1, options.hop_depth);
+  options.max_units = std::max(options.max_units, options.min_units);
+  return options;
+}
+
+}  // namespace
+
 BrokerPool::BrokerPool(DealEnv* env, const BrokerOptions& options,
                        const std::vector<ChainId>& chains)
-    : env_(env), options_(options) {
-  if (options_.num_brokers == 0) return;  // inert: no World mutation at all
+    : BrokerPool(env, options, AttachTag{}) {
+  if (!enabled()) return;  // inert: no World mutation at all
   assert(!chains.empty());
-  if (options_.broker_every == 0) options_.broker_every = 1;
-  if (options_.hop_depth == 0) options_.hop_depth = 1;
-  if (options_.max_units < options_.min_units) {
-    options_.max_units = options_.min_units;
-  }
 
   for (size_t b = 0; b < options_.num_brokers; ++b) {
     brokers_.push_back(env_->AddParty("broker-" + std::to_string(b)));
@@ -37,7 +45,6 @@ BrokerPool::BrokerPool(DealEnv* env, const BrokerOptions& options,
                    "broker-coin"};
 
   reserved_.resize(options_.num_brokers);
-  evidence_.resize(options_.num_brokers);
   crashed_.assign(options_.num_brokers, 0);
   for (size_t b = 0; b < options_.num_brokers; ++b) {
     ChainId chain = chains[chains.size() > 1 ? 1 + (b % (chains.size() - 1))
@@ -61,17 +68,10 @@ BrokerPool::BrokerPool(DealEnv* env, const BrokerOptions& options,
   }
 }
 
+// Bindings arrive via Restore(); nothing is created or minted — the
+// restored world already holds the parties, tokens, and balances.
 BrokerPool::BrokerPool(DealEnv* env, const BrokerOptions& options, AttachTag)
-    : env_(env), options_(options) {
-  if (options_.num_brokers == 0) return;
-  if (options_.broker_every == 0) options_.broker_every = 1;
-  if (options_.hop_depth == 0) options_.hop_depth = 1;
-  if (options_.max_units < options_.min_units) {
-    options_.max_units = options_.min_units;
-  }
-  // Bindings arrive via Restore(); nothing is created or minted — the
-  // restored world already holds the parties, tokens, and balances.
-}
+    : env_(env), options_(Normalized(options)) {}
 
 bool BrokerPool::IsBrokerDeal(size_t deal_index) const {
   return enabled() && deal_index % options_.broker_every == 0;
@@ -104,74 +104,81 @@ DealSpec BrokerPool::MakeDeal(size_t deal_index, uint64_t seed) {
   // Independent stream from the shape/arrival seeds: the broker plan must
   // not correlate with anything else drawn from the deal seed.
   Rng rng(seed ^ 0x62726F6B657273ULL);  // "brokers" stream
-  Plan plan;
-  plan.broker = BrokerOf(deal_index);
-  plan.units = options_.min_units +
-               rng.Below(options_.max_units - options_.min_units + 1);
+  const size_t broker = BrokerOf(deal_index);
+  const uint64_t units = options_.min_units +
+                         rng.Below(options_.max_units - options_.min_units + 1);
   // Drawn unconditionally so the per-deal stream is identical at every
   // depth; hop chains ignore it (they are always capital-fronting).
-  plan.sell_side = rng.Below(2) == 1;
+  const bool sell_side = rng.Below(2) == 1;
+  std::vector<Stake>& stakes = (deals_[deal_index] = Deal{}).stakes;
 
   const size_t depth = ChainDepth();
   if (depth > 1) {
-    plan.sell_side = false;
     BrokerChainParams params;
-    params.commodity = commodities_[plan.broker];
+    params.commodity = commodities_[broker];
     params.coin = coin_;
-    params.units = plan.units;
+    params.units = units;
     params.unit_price = options_.unit_price;
     params.seed = seed;
     params.name_prefix = "d" + std::to_string(deal_index) + "-";
     // Hop i's float covers what it pays upstream: the seller's price for
     // the first hop, then the accumulating margins of every hop before it.
-    uint64_t upstream_cost = plan.units * options_.unit_price;
+    uint64_t upstream_cost = units * options_.unit_price;
     for (size_t i = 0; i < depth; ++i) {
-      Hop hop;
-      hop.broker = (plan.broker + i) % options_.num_brokers;
-      hop.asset = static_cast<uint32_t>(1 + i);
-      hop.capital = upstream_cost;
-      hop.margin = PricedMarginFor(hop.broker, &hop.occupancy);
-      plan.capital += hop.capital;
-      params.brokers.push_back(brokers_[hop.broker]);
-      params.margins.push_back(hop.margin);
-      upstream_cost += plan.units * hop.margin;
-      plan.hops.push_back(hop);
+      Stake stake;
+      stake.broker = (broker + i) % options_.num_brokers;
+      stake.asset = static_cast<uint32_t>(1 + i);
+      stake.capital = upstream_cost;
+      stake.margin = PricedMarginFor(stake.broker, &stake.occupancy);
+      params.brokers.push_back(brokers_[stake.broker]);
+      params.margins.push_back(stake.margin);
+      upstream_cost += units * stake.margin;
+      stakes.push_back(stake);
     }
-    plan.margin = plan.hops[0].margin;
-    plan.occupancy = plan.hops[0].occupancy;
-    plans_[deal_index] = plan;
     return GenerateBrokerChainDeal(env_, params);
   }
 
-  plan.margin = PricedMarginFor(plan.broker, &plan.occupancy);
-  if (plan.sell_side) {
-    plan.inventory = plan.units;
+  Stake stake;
+  stake.broker = broker;
+  stake.asset = sell_side ? 0 : 2;
+  if (sell_side) {
+    stake.inventory = units;
   } else {
-    plan.capital = plan.units * options_.unit_price;
+    stake.capital = units * options_.unit_price;
   }
-  plans_[deal_index] = plan;
+  stake.margin = PricedMarginFor(broker, &stake.occupancy);
+  stakes.push_back(stake);
 
   BrokerDealParams params;
-  params.broker = brokers_[plan.broker];
-  params.commodity = commodities_[plan.broker];
+  params.broker = brokers_[broker];
+  params.commodity = commodities_[broker];
   params.coin = coin_;
-  params.sell_side = plan.sell_side;
-  params.units = plan.units;
+  params.sell_side = sell_side;
+  params.units = units;
   params.unit_price = options_.unit_price;
-  params.unit_margin = plan.margin;
+  params.unit_margin = stake.margin;
   params.seed = seed;
   params.name_prefix = "d" + std::to_string(deal_index) + "-";
   return GenerateBrokerDeal(env_, params);
 }
 
+const std::vector<BrokerPool::Stake>& BrokerPool::StakesOf(
+    size_t deal_index) const {
+  static const std::vector<Stake> kNone;
+  auto it = deals_.find(deal_index);
+  return it == deals_.end() ? kNone : it->second.stakes;
+}
+
 uint64_t BrokerPool::CapitalNeed(size_t deal_index) const {
-  auto it = plans_.find(deal_index);
-  return it == plans_.end() ? 0 : it->second.capital;
+  uint64_t need = 0;
+  for (const Stake& stake : StakesOf(deal_index)) need += stake.capital;
+  return need;
 }
 
 uint64_t BrokerPool::InventoryNeed(size_t deal_index) const {
-  auto it = plans_.find(deal_index);
-  return it == plans_.end() ? 0 : it->second.inventory;
+  uint64_t need = 0;
+  for (const Stake& stake : StakesOf(deal_index)) need += stake.inventory;
+  return need;
 }
 
 uint64_t BrokerPool::BalanceOf(const AssetRef& asset, PartyId party) const {
@@ -194,9 +201,6 @@ void BrokerPool::Prune(size_t broker) {
   reservations.erase(
       std::remove_if(reservations.begin(), reservations.end(), done),
       reservations.end());
-  std::vector<Reservation>& evidence = evidence_[broker];
-  evidence.erase(std::remove_if(evidence.begin(), evidence.end(), done),
-                 evidence.end());
 }
 
 void BrokerPool::PruneAll() {
@@ -204,28 +208,18 @@ void BrokerPool::PruneAll() {
 }
 
 void BrokerPool::CrashBroker(size_t broker) {
-  if (broker >= brokers_.size()) return;
-  crashed_[broker] = 1;
-  // The in-memory reservation book dies with the process; the evidence list
-  // models what is re-derivable from public chain state and survives.
-  reserved_[broker].clear();
+  if (broker < crashed_.size()) crashed_[broker] = 1;
 }
 
 void BrokerPool::RecoverBroker(size_t broker) {
-  if (broker >= brokers_.size() || crashed_[broker] == 0) return;
-  crashed_[broker] = 0;
-  // Rebuild the book from on-chain evidence: prune first so only deals whose
-  // deposit is still outstanding come back — exactly the entries a
-  // never-crashed book would hold at this instant.
-  Prune(broker);
-  reserved_[broker] = evidence_[broker];
+  if (broker < crashed_.size()) crashed_[broker] = 0;
 }
 
 uint64_t BrokerPool::FreeCapital(size_t broker) {
   Prune(broker);
   uint64_t pending = 0;
-  for (const Reservation& r : reserved_[broker]) {
-    pending += r.capital;
+  if (crashed_[broker] == 0) {
+    for (const Reservation& r : reserved_[broker]) pending += r.capital;
   }
   uint64_t coins = BalanceOf(coin_, brokers_[broker]);
   return coins > pending ? coins - pending : 0;
@@ -234,42 +228,31 @@ uint64_t BrokerPool::FreeCapital(size_t broker) {
 uint64_t BrokerPool::FreeInventory(size_t broker) {
   Prune(broker);
   uint64_t pending = 0;
-  for (const Reservation& r : reserved_[broker]) {
-    pending += r.inventory;
+  if (crashed_[broker] == 0) {
+    for (const Reservation& r : reserved_[broker]) pending += r.inventory;
   }
   uint64_t stock = BalanceOf(commodities_[broker], brokers_[broker]);
   return stock > pending ? stock - pending : 0;
 }
 
 bool BrokerPool::CapitalShort(size_t deal_index) {
-  auto it = plans_.find(deal_index);
-  if (it == plans_.end()) return false;
-  const Plan& plan = it->second;
-  if (plan.hops.empty()) {
-    return plan.capital > FreeCapital(plan.broker) ||
-           plan.inventory > FreeInventory(plan.broker);
+  // Stakes never repeat a broker (depth is clamped to the pool size), so
+  // each competes only with that broker's OTHER in-flight deals. Every
+  // stake is read, short or not: each read prunes that broker's book.
+  bool short_stake = false;
+  for (const Stake& stake : StakesOf(deal_index)) {
+    if (stake.capital > FreeCapital(stake.broker) ||
+        stake.inventory > FreeInventory(stake.broker)) {
+      short_stake = true;
+    }
   }
-  // Hops never repeat a broker (depth is clamped to the pool size), so each
-  // hop's float competes only with that broker's OTHER in-flight deals.
-  // Every hop is read, short or not: each read prunes that broker's book.
-  bool short_hop = false;
-  for (const Hop& hop : plan.hops) {
-    if (hop.capital > FreeCapital(hop.broker)) short_hop = true;
-  }
-  return short_hop;
+  return short_stake;
 }
 
 std::vector<PartyId> BrokerPool::SharedPartiesOf(size_t deal_index) const {
   std::vector<PartyId> parties;
-  auto it = plans_.find(deal_index);
-  if (it == plans_.end()) return parties;
-  const Plan& plan = it->second;
-  if (plan.hops.empty()) {
-    parties.push_back(brokers_[plan.broker]);
-    return parties;
-  }
-  for (const Hop& hop : plan.hops) {
-    parties.push_back(brokers_[hop.broker]);
+  for (const Stake& stake : StakesOf(deal_index)) {
+    parties.push_back(brokers_[stake.broker]);
   }
   return parties;
 }
@@ -277,15 +260,8 @@ std::vector<PartyId> BrokerPool::SharedPartiesOf(size_t deal_index) const {
 std::vector<BrokerPool::PricePoint> BrokerPool::PricePointsOf(
     size_t deal_index) const {
   std::vector<PricePoint> points;
-  auto it = plans_.find(deal_index);
-  if (it == plans_.end()) return points;
-  const Plan& plan = it->second;
-  if (plan.hops.empty()) {
-    points.push_back(PricePoint{plan.occupancy, plan.margin});
-    return points;
-  }
-  for (const Hop& hop : plan.hops) {
-    points.push_back(PricePoint{hop.occupancy, hop.margin});
+  for (const Stake& stake : StakesOf(deal_index)) {
+    points.push_back(PricePoint{stake.occupancy, stake.margin});
   }
   return points;
 }
@@ -301,41 +277,15 @@ const DealEscrowView* BrokerPool::EscrowViewOf(DealRuntime& runtime,
 }
 
 void BrokerPool::OnDealDeployed(size_t deal_index, DealRuntime& runtime) {
-  auto it = plans_.find(deal_index);
-  if (it == plans_.end()) return;
-  const Plan& plan = it->second;
-
-  // One reservation per hop: each broker along the chain has her own float
-  // in her own escrow contract (see GenerateBrokerChainDeal). Evidence is
-  // recorded unconditionally (it models public chain state); the live book
-  // only when the broker's accounting process is up.
-  if (!plan.hops.empty()) {
-    for (const Hop& hop : plan.hops) {
-      Reservation reservation;
-      reservation.deal_index = deal_index;
-      reservation.capital = hop.capital;
-      reservation.view = EscrowViewOf(runtime, hop.asset);
-      evidence_[hop.broker].push_back(reservation);
-      if (crashed_[hop.broker] == 0) {
-        reserved_[hop.broker].push_back(reservation);
-      }
-    }
-    return;
+  for (const Stake& stake : StakesOf(deal_index)) {
+    reserved_[stake.broker].push_back(Reservation{
+        stake.capital, stake.inventory, EscrowViewOf(runtime, stake.asset)});
   }
+}
 
-  // The asset the broker deposits into: her inventory (index 0) for
-  // sell-side deals, her coin float (index 2) for buy-side — each the sole
-  // stake of its own escrow contract (see GenerateBrokerDeal).
-  uint32_t asset = plan.sell_side ? 0 : 2;
-  Reservation reservation;
-  reservation.deal_index = deal_index;
-  reservation.capital = plan.capital;
-  reservation.inventory = plan.inventory;
-  reservation.view = EscrowViewOf(runtime, asset);
-  evidence_[plan.broker].push_back(reservation);
-  if (crashed_[plan.broker] == 0) {
-    reserved_[plan.broker].push_back(reservation);
-  }
+void BrokerPool::RecordOutcome(const BrokerDealOutcome& outcome) {
+  auto it = deals_.find(outcome.deal_index);
+  if (it != deals_.end()) it->second.outcome = outcome;
 }
 
 Status BrokerPool::Checkpoint(ByteWriter* w) const {
@@ -354,8 +304,7 @@ template <typename Self>
 void BrokerPool::Transfer(Self& self, SnapshotIO& io) {
   constexpr bool kDecode = !std::is_const_v<Self>;
   for (size_t b = 0; b < self.brokers_.size(); ++b) {
-    if (!kDecode &&
-        (!self.reserved_[b].empty() || !self.evidence_[b].empty())) {
+    if (!kDecode && !self.reserved_[b].empty()) {
       io.Fail(Status::FailedPrecondition(
           "broker pool checkpoint: broker " + std::to_string(b) +
           " still holds live reservations (PruneAll before checkpointing; a "
@@ -393,35 +342,39 @@ void BrokerPool::Transfer(Self& self, SnapshotIO& io) {
     self.commodities_.assign(n, AssetRef{});
     self.crashed_.assign(n, 0);
     self.reserved_.assign(n, {});
-    self.evidence_.assign(n, {});
   }
   transfer_asset(self.coin_);
   for (auto& c : self.commodities_) transfer_asset(c);
   for (auto& c : self.crashed_) io.U8(c);
   io.Entries(
-      self.plans_,
-      [&io, &transfer_broker](auto& deal_index, auto& plan) {
+      self.deals_,
+      [&io, &transfer_broker](auto& deal_index, auto& deal) {
         io.Size(deal_index);
-        transfer_broker(plan.broker);
-        io.Bool(plan.sell_side);
-        io.U64(plan.units);
-        io.U64(plan.capital);
-        io.U64(plan.inventory);
-        io.U64(plan.margin);
-        io.U64(plan.occupancy);
-        io.List(plan.hops, [&io, &transfer_broker](auto& hop) {
-          transfer_broker(hop.broker);
-          io.U32(hop.asset);
-          io.U64(hop.capital);
-          io.U64(hop.margin);
-          io.U64(hop.occupancy);
+        io.List(deal.stakes, [&io, &transfer_broker](auto& stake) {
+          transfer_broker(stake.broker);
+          io.U32(stake.asset);
+          io.U64(stake.capital);
+          io.U64(stake.inventory);
+          io.U64(stake.margin);
+          io.U64(stake.occupancy);
         });
+        auto& outcome = deal.outcome;
+        if constexpr (kDecode) outcome.deal_index = deal_index;
+        io.U64(outcome.arrival_at);
+        io.U64(outcome.admitted_at);
+        io.U64(outcome.settle_time);
+        io.U64(outcome.latency);
+        io.U64(outcome.gas);
+        io.Bool(outcome.started);
+        io.Bool(outcome.committed);
+        io.Bool(outcome.aborted);
+        io.Bool(outcome.shed);
+        io.Bool(outcome.all_settled);
       },
       SnapshotIO::Prefix::kU64);
 }
 
-std::vector<BrokerRecord> BrokerPool::BuildRecords(
-    const std::vector<BrokerDealOutcome>& outcomes) const {
+std::vector<BrokerRecord> BrokerPool::BuildRecords() const {
   std::vector<BrokerRecord> records(brokers_.size());
 
   struct Event {
@@ -433,29 +386,13 @@ std::vector<BrokerRecord> BrokerPool::BuildRecords(
   std::vector<std::vector<Event>> events(brokers_.size());
   std::vector<std::vector<Tick>> latencies(brokers_.size());
 
-  // Per-broker attribution of each deal: a legacy deal touches one broker
-  // with its flat needs; a hop chain touches every hop broker with that
-  // hop's float. Gas and latency go to the FIRST hop only so chain deals
-  // are not multiply counted in pool-wide sums.
-  struct Stake {
-    size_t broker = 0;
-    uint64_t capital = 0;
-    uint64_t inventory = 0;
-  };
-  for (const BrokerDealOutcome& outcome : outcomes) {
-    auto it = plans_.find(outcome.deal_index);
-    if (it == plans_.end()) continue;
-    const Plan& plan = it->second;
-    std::vector<Stake> stakes;
-    if (plan.hops.empty()) {
-      stakes.push_back(Stake{plan.broker, plan.capital, plan.inventory});
-    } else {
-      for (const Hop& hop : plan.hops) {
-        stakes.push_back(Stake{hop.broker, hop.capital, 0});
-      }
-    }
-    for (size_t s = 0; s < stakes.size(); ++s) {
-      const Stake& stake = stakes[s];
+  // Every stake attributes the deal to its broker, with that stake's
+  // capital and inventory. Gas and latency go to the FIRST stake only so
+  // chain deals are not multiply counted in pool-wide sums.
+  for (const auto& [deal_index, deal] : deals_) {
+    const BrokerDealOutcome& outcome = deal.outcome;
+    for (size_t s = 0; s < deal.stakes.size(); ++s) {
+      const Stake& stake = deal.stakes[s];
       BrokerRecord& rec = records[stake.broker];
       ++rec.deals;
       if (outcome.committed) ++rec.committed;

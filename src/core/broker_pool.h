@@ -15,6 +15,11 @@
 //                     locked while sell-side deals deliver from stock and
 //                     restock from the seller.
 //
+// Each broker deal is planned as a list of STAKES, one per broker it
+// touches: the escrow asset she deposits into and the capital or inventory
+// it locks. A single-broker deal has one stake (her inventory on the sell
+// side, her coin float on the buy side); a hop chain has one per hop.
+//
 // Occupancy of those two resources is an admission input (CapitalShort,
 // read by AdmissionController::Decide): a deal whose broker lacks free
 // capital or inventory is delayed or shed instead of over-committing her.
@@ -35,8 +40,7 @@
 // inside one atomic deal, each hop fronting its own capital. margin_slope
 // prices that capital: a hop's commission scales with its broker's live
 // capital occupancy, so a sweep over load traces a market-clearing
-// margin-vs-occupancy curve. Both default off (depth 1, slope 0) and are
-// then bit-identical to the legacy pool.
+// margin-vs-occupancy curve. Both default off (depth 1, slope 0).
 //
 // With num_brokers = 0 the pool is inert: it creates no parties, tokens, or
 // state, and draws nothing from any RNG.
@@ -83,16 +87,17 @@ struct BrokerOptions {
   /// The broker's commission per unit (the buyer pays price + margin).
   uint64_t unit_margin = 5;
   /// Resale-chain depth (Figure 1 at hop depth > 1): 1 = the classic
-  /// single-broker shape, bit-identical to the legacy pool. H > 1 turns
-  /// every broker deal into a chain of H brokers — goods walk seller ->
-  /// B1 -> ... -> BH -> buyer in ONE atomic deal, each hop fronting the
-  /// capital to pay its upstream and recouping it plus margin from the
-  /// next. Clamped to num_brokers so a chain never repeats a party.
+  /// single-broker shape, one stake per deal. H > 1 turns every broker
+  /// deal into a chain of H brokers, one stake per hop — goods walk
+  /// seller -> B1 -> ... -> BH -> buyer in ONE atomic deal, each hop
+  /// fronting the capital to pay its upstream and recouping it plus margin
+  /// from the next. Clamped to num_brokers so a chain never repeats a
+  /// party.
   size_t hop_depth = 1;
-  /// Priced capital: a broker's per-unit margin grows with her capital
-  /// occupancy at pricing time — margin = unit_margin + margin_slope *
-  /// in_use / working_capital (pure integer arithmetic). 0 = flat
-  /// unit_margin, bit-identical to the legacy pool.
+  /// Priced capital: each stake's per-unit margin grows with its broker's
+  /// capital occupancy at pricing time — margin = unit_margin +
+  /// margin_slope * in_use / working_capital (pure integer arithmetic).
+  /// 0 = every stake charges the flat unit_margin.
   uint64_t margin_slope = 0;
 };
 
@@ -104,8 +109,8 @@ struct BrokerSample {
   uint64_t inventory_in_use = 0;
 };
 
-/// Per-deal outcome summary the traffic engine hands back to the pool for
-/// post-run aggregation (a protocol-independent slice of the deal record).
+/// Per-deal outcome summary the traffic engine hands back to the pool at
+/// the deal's seal (a protocol-independent slice of the deal record).
 struct BrokerDealOutcome {
   size_t deal_index = 0;
   Tick arrival_at = 0;
@@ -171,14 +176,13 @@ class BrokerPool {
 
   /// Attach-mode constructor, for a World restored from a checkpoint: binds
   /// nothing and mutates nothing (parties and token contracts already exist
-  /// in the restored world). Restore() then fills the bindings and plans
+  /// in the restored world). Restore() then fills the bindings and deals
   /// from the pool's Checkpoint blob.
   struct AttachTag {};
   BrokerPool(DealEnv* env, const BrokerOptions& options, AttachTag);
 
   /// False when num_brokers == 0: every other method is then inert.
   bool enabled() const { return options_.num_brokers > 0; }
-  const BrokerOptions& options() const { return options_; }
   size_t num_brokers() const { return brokers_.size(); }
 
   /// True when deal `deal_index` should take the broker shape.
@@ -199,7 +203,7 @@ class BrokerPool {
   }
 
   /// Generates the broker-linked spec for deal `deal_index` (buy- or
-  /// sell-side, units drawn from `seed`) and records its resource needs.
+  /// sell-side, units drawn from `seed`) and records its stakes.
   XDEAL_DETERMINISTIC DealSpec MakeDeal(size_t deal_index, uint64_t seed);
 
   /// Working capital (coins) deal `deal_index` locks while in flight;
@@ -210,72 +214,68 @@ class BrokerPool {
   uint64_t InventoryNeed(size_t deal_index) const;
 
   /// The broker admission input for deal `deal_index`: true when some
-  /// broker the deal needs cannot cover her stake right now. A single-broker
-  /// deal is short when its capital or inventory need exceeds the broker's
-  /// free amount; a hop chain is short when ANY hop's float exceeds that
-  /// hop broker's free capital — one over-committed hop blocks the whole
-  /// chain. Free = the on-chain balance minus reservations whose escrow
-  /// deposit has not landed yet, floored at 0, so a deal that locks nothing
-  /// is never short. False for non-broker deals. Prunes settled/landed
-  /// reservations as a side effect.
+  /// broker the deal needs cannot cover her stake right now, i.e. when ANY
+  /// stake's capital or inventory exceeds its broker's free amount — one
+  /// over-committed hop blocks the whole chain. Free = the on-chain
+  /// balance minus reservations whose escrow deposit has not landed yet,
+  /// floored at 0, so a stake that locks nothing is never short. False for
+  /// non-broker deals. Prunes settled/landed reservations as a side effect.
   XDEAL_DETERMINISTIC bool CapitalShort(size_t deal_index);
 
-  /// Every shared party of deal `deal_index` — all hop brokers for chains,
-  /// the single broker for legacy plans, empty for non-broker deals. The
-  /// checker must mark each one so cross-deal balance accounting nets the
-  /// whole portfolio.
+  /// Every shared party of deal `deal_index` — one broker per stake, empty
+  /// for non-broker deals. The checker must mark each one so cross-deal
+  /// balance accounting nets the whole portfolio.
   std::vector<PartyId> SharedPartiesOf(size_t deal_index) const;
 
   /// One (capital occupancy at pricing time, per-unit margin charged) point
-  /// per hop of deal `deal_index` — the raw data of the margin-vs-occupancy
-  /// market-clearing chart. Empty for non-broker deals.
+  /// per stake of deal `deal_index` — the raw data of the
+  /// margin-vs-occupancy market-clearing chart. Empty for non-broker deals.
   struct PricePoint {
     uint64_t occupancy = 0;  // capital in use when the margin was priced
     uint64_t margin = 0;     // per-unit margin the hop charged
   };
-  /// The price points quoted for deal `deal_index`, in hop order.
+  /// The price points quoted for deal `deal_index`, in stake (hop) order.
   std::vector<PricePoint> PricePointsOf(size_t deal_index) const;
 
   /// PartyFactory::OnDeployed hook: registers the deployed deal's escrow
-  /// view so the reservation it opened can be tracked until its deposit
-  /// lands (the same hook watchtowers arm through).
+  /// views, one reservation per stake, so each reservation can be tracked
+  /// until its deposit lands (the same hook watchtowers arm through).
   void OnDealDeployed(size_t deal_index, DealRuntime& runtime);
 
-  /// Post-run: folds per-deal outcomes into per-broker records (gas/latency
-  /// attribution, occupancy timeline, portfolio conformance). `outcomes`
-  /// must cover exactly the broker deals, in index order.
-  XDEAL_DETERMINISTIC std::vector<BrokerRecord> BuildRecords(
-      const std::vector<BrokerDealOutcome>& outcomes) const;
+  /// The seal hook: stores the deal's outcome beside its stakes, for
+  /// BuildRecords. Ignored for a deal the pool never planned.
+  void RecordOutcome(const BrokerDealOutcome& outcome);
+
+  /// Post-run: folds every planned deal's stakes and recorded outcome into
+  /// per-broker records (gas/latency attribution, occupancy timeline,
+  /// portfolio conformance). Call it between batches, when every planned
+  /// deal has sealed.
+  XDEAL_DETERMINISTIC std::vector<BrokerRecord> BuildRecords() const;
 
   // --- crash/restart injection ---
 
   /// Kills broker `broker`'s off-chain accounting process: her in-memory
-  /// reservation book is lost (free-capital signals then overstate what she
-  /// can safely commit — the over-commit risk a real crash creates). Her
-  /// on-chain balances and in-flight escrows are untouched.
+  /// reservation book is lost, so her free amounts count none of it and
+  /// overstate what she can safely commit (the over-commit risk a real
+  /// crash creates). Her on-chain balances and in-flight escrows are
+  /// untouched.
   void CrashBroker(size_t broker);
 
-  /// Restarts a crashed broker: rebuilds her reservation book from on-chain
-  /// evidence — the escrow views of every deployed-but-unsettled deal whose
-  /// deposit has not yet landed — exactly the entries a never-crashed book
-  /// would still hold.
+  /// Restarts a crashed broker: her book is rebuilt from on-chain evidence
+  /// — the escrow views of every deployed deal whose deposit has not yet
+  /// landed — exactly the entries a never-crashed book would still hold.
   void RecoverBroker(size_t broker);
-
-  /// True while broker `broker` is down (between Crash and Recover).
-  bool BrokerCrashed(size_t broker) const {
-    return broker < crashed_.size() && crashed_[broker] != 0;
-  }
 
   // --- checkpoint/restore ---
 
-  /// Drops every reservation (and its recovery evidence) whose deposit has
-  /// landed or whose escrow settled. The epoch seal calls this before a
+  /// Drops every reservation whose deposit has landed or whose escrow
+  /// settled. The epoch seal calls this before a
   /// checkpoint; at a quiescent boundary of a compliant run every entry
   /// prunes away.
   void PruneAll();
 
   /// Serializes the pool's bindings (broker parties, token refs), crash
-  /// flags, and deal plans into `w`. Requires a reservation-free pool
+  /// flags, and every deal's stakes and outcome into `w`. Requires a reservation-free pool
   /// (PruneAll leaves it so at any compliant quiescent boundary) — live
   /// reservations hold pointers into chain contracts that a restore
   /// retires, so they cannot cross a snapshot.
@@ -283,7 +283,7 @@ class BrokerPool {
 
   /// Fills an attach-mode pool from a Checkpoint blob. The restored World
   /// must already hold the parties and token contracts the bindings name;
-  /// plans naming a broker beyond the pool are rejected.
+  /// stakes naming a broker beyond the pool are rejected.
   XDEAL_DETERMINISTIC Status Restore(ByteReader& r);
 
  private:
@@ -293,48 +293,45 @@ class BrokerPool {
   template <typename Self>
   static void Transfer(Self& self, SnapshotIO& io);
 
-  /// One broker's stake in a hop chain, planned at MakeDeal time.
-  struct Hop {
+  /// One broker's stake in a deal, planned at MakeDeal time. A
+  /// single-broker deal has one: her inventory (asset 0) on the sell side
+  /// or her coin float (asset 2) on the buy side, each the sole stake of
+  /// its own escrow contract (see GenerateBrokerDeal). Hop i of a chain
+  /// fronts its coin float in asset 1 + i (see GenerateBrokerChainDeal).
+  struct Stake {
     size_t broker = 0;
-    uint32_t asset = 0;      // the hop's coin-float escrow asset index
-    uint64_t capital = 0;    // coins this hop fronts
-    uint64_t margin = 0;     // per-unit margin the hop charged
-    uint64_t occupancy = 0;  // capital in use when the margin was priced
-  };
-
-  /// What one broker deal locks, planned at MakeDeal time. `hops` is empty
-  /// for legacy depth-1 plans (whose float is described by the flat fields)
-  /// and carries one entry per chain hop otherwise (capital then totals the
-  /// hop floats).
-  struct Plan {
-    size_t broker = 0;
-    bool sell_side = false;
-    uint64_t units = 0;
-    uint64_t capital = 0;    // coins locked (buy-side)
-    uint64_t inventory = 0;  // units locked (sell-side)
+    uint32_t asset = 0;      // the escrow asset the broker deposits into
+    uint64_t capital = 0;    // coins locked
+    uint64_t inventory = 0;  // commodity units locked
     uint64_t margin = 0;     // per-unit margin charged (priced or flat)
     uint64_t occupancy = 0;  // capital in use when the margin was priced
-    std::vector<Hop> hops;
   };
 
-  /// An admitted deal whose escrow deposit may not have landed yet: until
+  /// The pool's whole record of one broker deal.
+  struct Deal {
+    std::vector<Stake> stakes;
+    BrokerDealOutcome outcome;  // set by RecordOutcome at the deal's seal
+  };
+
+  /// An admitted stake whose escrow deposit may not have landed yet: until
   /// it does, its need is subtracted from the broker's free balance.
   struct Reservation {
-    size_t deal_index = 0;
     uint64_t capital = 0;
     uint64_t inventory = 0;
     const DealEscrowView* view = nullptr;  // where the deposit will appear
   };
 
+  /// The stakes of deal `deal_index`; empty for non-broker deals.
+  const std::vector<Stake>& StakesOf(size_t deal_index) const;
   uint64_t BalanceOf(const AssetRef& asset, PartyId party) const;
   void Prune(size_t broker);
   const DealEscrowView* EscrowViewOf(DealRuntime& runtime,
                                      uint32_t asset) const;
-  /// Coins of `broker`'s working capital not locked by live reservations
-  /// (prunes as a side effect).
+  /// Coins of `broker`'s working capital not locked by live reservations;
+  /// while she is crashed, her whole balance (prunes as a side effect).
   uint64_t FreeCapital(size_t broker);
-  /// Units of `broker`'s inventory not locked by live reservations (prunes
-  /// as a side effect).
+  /// Units of `broker`'s inventory not locked by live reservations; while
+  /// she is crashed, her whole stock (prunes as a side effect).
   uint64_t FreeInventory(size_t broker);
   /// The occupancy-priced per-unit margin `broker` charges right now, and
   /// the capital-in-use reading it was priced from. Equals unit_margin
@@ -347,12 +344,11 @@ class BrokerPool {
   AssetRef coin_;
   std::vector<AssetRef> commodities_;  // one per broker
   std::vector<PartyId> brokers_;
-  std::map<size_t, Plan> plans_;
-  std::vector<std::vector<Reservation>> reserved_;  // per broker
-  // Recovery evidence: the same entries as reserved_, but NOT cleared by a
-  // crash — this is the on-chain-derivable record (each entry is backed by a
-  // public escrow view) a restarted broker rebuilds her book from.
-  std::vector<std::vector<Reservation>> evidence_;
+  std::map<size_t, Deal> deals_;
+  // The reservation book, per broker. Every entry is backed by a public
+  // escrow view, so the book is re-derivable from chain state: a crash only
+  // hides it from FreeCapital/FreeInventory, and recovery shows it again.
+  std::vector<std::vector<Reservation>> reserved_;
   std::vector<uint8_t> crashed_;  // per broker; 1 = accounting process down
 };
 

@@ -213,7 +213,7 @@ constexpr size_t kExtraTransfers = 2;
 /// Snapshot envelope framing.
 constexpr char kSnapshotMagic[8] = {'X', 'D', 'S', 'N', 'A', 'P', '0', '1'};
 /// Payload layout version; FromSnapshot rejects every other one.
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 
 Status ValidateServiceOptions(const TrafficOptions& options) {
   if (options.deals_per_epoch == 0) {
@@ -331,8 +331,8 @@ struct TrafficService::Impl {
   /// fingerprint.
   Batch RunBatch(size_t count);
   /// Lists the whole service on `io`: the World, the cross-batch counters,
-  /// epoch reports, violations and broker outcomes, the CBC shard epochs
-  /// and the broker book. Decoding expects a World fresh from Impl's
+  /// epoch reports and violations, the CBC shard epochs and the broker
+  /// pool (every broker deal's stakes and outcome). Decoding expects a World fresh from Impl's
   /// constructor and an attach-mode broker pool.
   void Transfer(SnapshotIO& io);
   Result<Bytes> DoCheckpoint();
@@ -369,7 +369,6 @@ struct TrafficService::Impl {
   Tick makespan = 0;
   std::vector<EpochReport> reports;
   std::vector<TrafficViolation> violations;
-  std::vector<BrokerDealOutcome> outcomes;
 
   /// Per-chain scan-start index: each seal scans only receipts its batch
   /// produced. NOT serialized — a restored chain starts with an empty
@@ -929,7 +928,7 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       outcome.shed = rec.shed;
       outcome.all_settled = rec.all_settled;
       outcome.gas = rec.gas;
-      outcomes.push_back(outcome);
+      broker_pool->RecordOutcome(outcome);
     }
 
     fp = MixFingerprint(fp, rec.index);
@@ -1249,20 +1248,6 @@ void TrafficService::Impl::Transfer(SnapshotIO& io) {
     io.Str(v.what);
   });
 
-  io.List(outcomes, [&io](BrokerDealOutcome& o) {
-    io.Size(o.deal_index);
-    io.U64(o.arrival_at);
-    io.U64(o.admitted_at);
-    io.U64(o.settle_time);
-    io.U64(o.latency);
-    io.U64(o.gas);
-    io.Bool(o.started);
-    io.Bool(o.committed);
-    io.Bool(o.aborted);
-    io.Bool(o.shed);
-    io.Bool(o.all_settled);
-  });
-
   bool has_cbc = cbc_service != nullptr;
   io.Bool(has_cbc);
   io.Check(has_cbc == any_cbc,
@@ -1415,7 +1400,7 @@ ServiceReport TrafficService::Impl::BuildFinal() const {
 
   uint64_t fp = cumulative_fp;
   if (broker_pool->enabled()) {
-    report.brokers = broker_pool->BuildRecords(outcomes);
+    report.brokers = broker_pool->BuildRecords();
     for (const BrokerRecord& broker : report.brokers) {
       if (!broker.portfolio_ok) ++report.broker_portfolio_violations;
       fp = MixFingerprint(fp, broker.index);

@@ -369,14 +369,19 @@ TEST_F(SnapshotRejectTest, UnsupportedVersion) {
 }
 
 TEST_F(SnapshotRejectTest, Version1EnvelopeIsRejected) {
-  // Version 1 also stored six service totals that version 2 derives from
-  // the epoch reports; its payload would be misread, so it is refused.
-  Bytes old = snapshot_;
-  const uint8_t kVersion1[4] = {1, 0, 0, 0};  // little-endian U32 at [8,12)
-  std::copy(kVersion1, kVersion1 + 4, old.begin() + 8);
-  EXPECT_NE(
-      RestoreError(options_, old).find("unsupported snapshot version 1 "),
-      std::string::npos);
+  // Version 1 also stored six service totals that later versions derive
+  // from the epoch reports, and version 2 kept broker outcomes apart from
+  // the pool's per-deal stakes; either payload would be misread, so both
+  // are refused.
+  for (uint8_t version : {1, 2}) {
+    Bytes old = snapshot_;
+    const uint8_t kOld[4] = {version, 0, 0, 0};  // little-endian U32 at [8,12)
+    std::copy(kOld, kOld + 4, old.begin() + 8);
+    EXPECT_NE(RestoreError(options_, old).find(
+                  "unsupported snapshot version " + std::to_string(version) +
+                  " "),
+              std::string::npos);
+  }
 }
 
 TEST_F(SnapshotRejectTest, OptionsMismatch) {
@@ -453,10 +458,10 @@ void Reseal(Bytes* snapshot) {
             snapshot->begin() + digest_at);
 }
 
-/// Offset of the first plan's `broker` field inside a broker-enabled
-/// snapshot. The broker book is the last blob of the payload, right after
-/// its presence flag; it is walked up to the first plan.
-size_t FirstPlanBrokerAt(const Bytes& snapshot) {
+/// Offset of the first deal's first stake's `broker` field inside a
+/// broker-enabled snapshot. The broker pool is the last blob of the
+/// payload, right after its presence flag; it is walked up to that stake.
+size_t FirstStakeBrokerAt(const Bytes& snapshot) {
   const size_t end = snapshot.size() - 32;
   size_t book = 0;
   for (size_t at = kPayloadAt + 5; at < end && book == 0; ++at) {
@@ -478,10 +483,15 @@ size_t FirstPlanBrokerAt(const Bytes& snapshot) {
     r.Str().value();
   }
   for (uint32_t b = 0; b < brokers; ++b) r.U8().value();  // crash flags
-  EXPECT_GT(r.U64().value(), 0u) << "the book holds no plans";
-  r.U64().value();  // the plan's deal index
+  EXPECT_GT(r.U64().value(), 0u) << "the pool holds no deals";
+  r.U64().value();  // the deal's index
+  EXPECT_GT(r.U32().value(), 0u) << "the first deal has no stakes";
   return end - r.remaining();
 }
+
+/// Encoded size of one stake: broker, asset, then capital, inventory,
+/// margin and occupancy.
+constexpr size_t kStakeBytes = 8 + 4 + 4 * 8;
 
 /// The broker-enabled service of RestoreWithBrokersIsBitIdentical
 /// (single-hop plans).
@@ -498,22 +508,23 @@ void WriteU64At(Bytes* snapshot, size_t at, uint64_t v) {
 }
 
 TEST_F(SnapshotRejectTest, ResealedPlanBrokerOutOfRange) {
-  // A plan naming broker 99 in a 2-broker pool used to restore, and the
-  // final report then indexed the per-broker records out of bounds.
+  // A single-broker deal's stake naming broker 99 in a 2-broker pool used
+  // to restore, and the final report then indexed the per-broker records
+  // out of bounds.
   const TrafficOptions options = BrokerServiceOptions();
   Bytes bad = SnapshotAfter(options, 1);
-  WriteU64At(&bad, FirstPlanBrokerAt(bad), 99);
+  WriteU64At(&bad, FirstStakeBrokerAt(bad), 99);
   Reseal(&bad);
   EXPECT_NE(RestoreError(options, bad).find("broker 99 out of range"),
             std::string::npos);
 }
 
 TEST_F(SnapshotRejectTest, ResealedHopBrokerOutOfRange) {
-  // The same for a hop of a two-hop resale chain. The first hop's broker
-  // follows the plan's broker, side flag, five amounts and hop count.
+  // The same for the second hop of a two-hop resale chain: its stake
+  // follows the first hop's.
   const TrafficOptions options = AdmissionServiceOptions();
   Bytes bad = SnapshotAfter(options, 2);
-  WriteU64At(&bad, FirstPlanBrokerAt(bad) + 8 + 1 + 5 * 8 + 4, 99);
+  WriteU64At(&bad, FirstStakeBrokerAt(bad) + kStakeBytes, 99);
   Reseal(&bad);
   EXPECT_NE(RestoreError(options, bad).find("broker 99 out of range"),
             std::string::npos);

@@ -204,22 +204,22 @@ struct SnapshotPin {
 };
 /// checkpoint_test's ServiceOptions() after epochs 1 and 3.
 inline constexpr SnapshotPin kGoldenServiceSnapshot[] = {
-    {4331, "b611b3dd8a1c7dcc7492c52c46f2c54bd484552c0eb5edf024db68dd4d269e00"},
-    {10970,
-     "3a7cb722028715686e4aee541c0f183bab173b827969be6edebf19cb2c9c7a01"}};
+    {4327, "fb7ff761ab5287f7dce72fb2ffc62dba55055be3419b02f883d0802a3fd3d0ec"},
+    {10966,
+     "085c2d02ba5a0fff88389734a244d32742bb1d4617a53d4c4e490c1e4a0c213d"}};
 /// checkpoint_test's AdmissionServiceOptions() (brokers, 2-hop chains)
 /// after epoch 2.
 inline constexpr SnapshotPin kGoldenAdmissionSnapshot = {
-    10200, "e7cd1ed0239eecd2151fd91e48dadc661ed77e8e6606e721bdde4507932ec113"};
+    9704, "0c9c27aed7c726403e5ab00405e06d5147c426013939537042bc75998e758358"};
 /// The configuration of ReconfigurationBeyondTheCheckpointSurvivesRestore
 /// after epochs 1 and 2.
 inline constexpr SnapshotPin kGoldenReconfigSnapshot[] = {
-    {5384, "b7ca51ac2e0542667fc1bc399baed04ad6179b92bbfa301dbaa1ab33786b599d"},
-    {9542, "1f6e5788f6181be17c544efc35d63b707e970a42723269a95e0f0e87bf16afed"}};
+    {5380, "e89cc50ff4007892b66b5ac90b58331c75eea50aea425475dd3ac1b967255342"},
+    {9538, "ed6a0f9b1d5c4315b78803250509a760d9692db123300d43513f6bb415e53574"}};
 /// The configuration of CrashInjectionSurvivesRestore after epochs 1 and 2.
 inline constexpr SnapshotPin kGoldenCrashSnapshot[] = {
-    {4787, "e3c9ef1b663a2b282538c5d046a27808dd6515e5a68a1416dc9e0508caa72968"},
-    {8256, "3a2871a2720ad1ba98f3eb763608f24b8fbf01d8e8ef437a7e2de7954b4f95be"}};
+    {4731, "cbe34bc7ff2e3dbbb111297aa90d06540fb9f01f0011fb4130b8a883a7ee7210"},
+    {8148, "23f37a77adf898cf3786e4de4187df3b3bdc422dbc4c3854186c52363cfccfa3"}};
 
 }  // namespace xdeal
 
