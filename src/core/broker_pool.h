@@ -269,16 +269,15 @@ class BrokerPool {
   // --- checkpoint/restore ---
 
   /// Drops every reservation whose deposit has landed or whose escrow
-  /// settled. The epoch seal calls this before a
-  /// checkpoint; at a quiescent boundary of a compliant run every entry
-  /// prunes away.
+  /// settled. The epoch seal calls this before a checkpoint; at a quiescent
+  /// boundary of a compliant run every entry prunes away.
   void PruneAll();
 
   /// Serializes the pool's bindings (broker parties, token refs), crash
-  /// flags, and every deal's stakes and outcome into `w`. Requires a reservation-free pool
-  /// (PruneAll leaves it so at any compliant quiescent boundary) — live
-  /// reservations hold pointers into chain contracts that a restore
-  /// retires, so they cannot cross a snapshot.
+  /// flags, and every deal's stakes and outcome into `w`. Requires a
+  /// reservation-free pool (PruneAll leaves it so at any compliant
+  /// quiescent boundary) — live reservations hold pointers into chain
+  /// contracts that a restore retires, so they cannot cross a snapshot.
   XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
 
   /// Fills an attach-mode pool from a Checkpoint blob. The restored World

@@ -17,6 +17,7 @@
 
 namespace xdeal {
 
+/// The shape and seed of one random deal (see GenerateRandomDeal).
 struct GenParams {
   size_t n_parties = 3;
   size_t m_assets = 2;

@@ -332,8 +332,8 @@ struct TrafficService::Impl {
   Batch RunBatch(size_t count);
   /// Lists the whole service on `io`: the World, the cross-batch counters,
   /// epoch reports and violations, the CBC shard epochs and the broker
-  /// pool (every broker deal's stakes and outcome). Decoding expects a World fresh from Impl's
-  /// constructor and an attach-mode broker pool.
+  /// pool (every broker deal's stakes and outcome). Decoding expects a
+  /// World fresh from Impl's constructor and an attach-mode broker pool.
   void Transfer(SnapshotIO& io);
   Result<Bytes> DoCheckpoint();
   ServiceReport BuildFinal() const;

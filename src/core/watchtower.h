@@ -25,6 +25,7 @@
 
 namespace xdeal {
 
+/// An always-online relay that guards one timelock deal's parties.
 class Watchtower {
  public:
   /// `operator_id` is the watchtower's own on-chain identity (any registered

@@ -471,7 +471,7 @@ size_t FirstStakeBrokerAt(const Bytes& snapshot) {
     }
     if (snapshot[at - 5] == 1 && len == end - at) book = at;
   }
-  EXPECT_NE(book, 0u) << "no broker book in the snapshot";
+  EXPECT_NE(book, 0u) << "no broker pool in the snapshot";
   Bytes blob(snapshot.begin() + book, snapshot.begin() + end);
   ByteReader r(blob);
   const uint32_t brokers = r.U32().value();

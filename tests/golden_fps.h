@@ -117,7 +117,8 @@ inline TrafficOptions GoldenBrokerHopPricedOptions() {
   options.admission.max_retries = 10;
   return options;
 }
-inline constexpr uint64_t kGoldenFpBrokerHopPricedSeed13 = 0x78489919ae278aeaULL;
+inline constexpr uint64_t kGoldenFpBrokerHopPricedSeed13 =
+    0x78489919ae278aeaULL;
 
 /// The ungated over-commit: seed 5, 16 timelock deals on 4 chains, one
 /// broker whose 100 coins cover one buy-side deal at a time and no
@@ -136,7 +137,8 @@ inline TrafficOptions GoldenBrokerOverCommitOptions() {
   options.brokers.max_units = 1;
   return options;
 }
-inline constexpr uint64_t kGoldenFpBrokerOverCommitSeed5 = 0x9df7802c0cd33765ULL;
+inline constexpr uint64_t kGoldenFpBrokerOverCommitSeed5 =
+    0x9df7802c0cd33765ULL;
 
 /// RunSweep(DefaultSweepAxes()) report fingerprints at base seeds 1, 2, 3.
 inline constexpr uint64_t kGoldenSweepFp[] = {

@@ -31,9 +31,9 @@ Metric policy (classified by name, see classify()):
   higher_better  simulated throughput (deals/goodput per kilotick): fail
                  when the fresh value drops below baseline * (1 - tol).
   wall           wall-clock rates and times (wall_ms, *_per_sec, speedup).
-                 Machine-dependent, so skipped by default; --include-wall
-                 gates them with the looser --wall-tolerance (a committed
-                 baseline from one host is only advisory on another).
+                 They depend on the host, which a baseline does not name,
+                 so rebaseline leaves them out and check never gates them;
+                 the fresh reports still carry them.
   info           everything else: carried in the baseline for reference,
                  never gated.
 
@@ -48,7 +48,6 @@ import json
 import sys
 
 TOLERANCE = 0.15
-WALL_TOLERANCE = 0.50
 
 
 def classify(name):
@@ -125,6 +124,8 @@ def rebaseline(args):
         git_rev = report.get("git_rev", git_rev)
         bench = report.get("bench", path)
         for metric in report.get("metrics", []):
+            if classify(metric["name"]) == "wall":
+                continue
             entries.append({
                 "bench": bench,
                 "name": metric["name"],
@@ -147,7 +148,7 @@ def rebaseline(args):
     gated = sum(1 for e in entries if classify(e["name"]) in
                 ("exact", "lower_better", "higher_better"))
     print(f"wrote {args.out}: {len(entries)} metrics "
-          f"({gated} gated, rest wall/info)")
+          f"({gated} gated, rest info; wall-clock metrics left out)")
     return 0
 
 
@@ -158,14 +159,9 @@ def check(args):
 
     failures = []
     checked = 0
-    skipped_wall = 0
     for entry in baseline.get("metrics", []):
-        name = entry["name"]
-        cls = classify(name)
-        if cls == "info":
-            continue
-        if cls == "wall" and not args.include_wall:
-            skipped_wall += 1
+        cls = classify(entry["name"])
+        if cls in ("info", "wall"):
             continue
         key = metric_key(entry["bench"], entry)
         base = float(entry["value"])
@@ -188,21 +184,14 @@ def check(args):
                 failures.append((key, base, value,
                                  f"regressed >{args.tolerance:.0%} (lower "
                                  "is worse)"))
-        elif cls == "wall":
-            if value > base * (1.0 + args.wall_tolerance) + 1e-9 and \
-                    "_per_sec" not in name and "speedup" not in name:
-                failures.append((key, base, value, "wall-clock regression"))
-            elif ("_per_sec" in name or "speedup" in name) and \
-                    value < base * (1.0 - args.wall_tolerance) - 1e-9:
-                failures.append((key, base, value, "wall-clock regression"))
 
-    new = [k for k in fresh if k not in
-           {metric_key(e["bench"], e) for e in baseline.get("metrics", [])}]
+    baselined = {metric_key(e["bench"], e)
+                 for e in baseline.get("metrics", [])}
+    new = [k for k in fresh
+           if k not in baselined and classify(k[1]) != "wall"]
 
     print(f"bench gate: {checked} metrics checked against "
-          f"{args.baseline} (tolerance {args.tolerance:.0%}, "
-          f"{skipped_wall} wall-clock metrics skipped"
-          f"{'' if args.include_wall else ' — use --include-wall to gate them'})")
+          f"{args.baseline} (tolerance {args.tolerance:.0%})")
     if new:
         print(f"  note: {len(new)} fresh metrics not in the baseline "
               f"(re-baseline to start tracking them), e.g. "
@@ -227,11 +216,6 @@ def main():
     p_check = sub.add_parser("check", help="diff fresh reports vs baseline")
     p_check.add_argument("--baseline", required=True)
     p_check.add_argument("--tolerance", type=float, default=TOLERANCE)
-    p_check.add_argument("--wall-tolerance", type=float,
-                         default=WALL_TOLERANCE)
-    p_check.add_argument("--include-wall", action="store_true",
-                         help="also gate machine-dependent wall-clock "
-                              "metrics")
     p_check.add_argument("files", nargs="+")
     p_check.set_defaults(func=check)
 
