@@ -105,13 +105,6 @@ Status CbcLogContract::HandleVote(CallContext& ctx, ByteReader& args,
   return Status::OK();
 }
 
-Result<const CbcLogContract::DealRecord*> CbcLogContract::RecordOf(
-    const Hash256& deal_id) const {
-  auto it = deals_.find(deal_id);
-  if (it == deals_.end()) return Status::NotFound("no such deal");
-  return &it->second;
-}
-
 DealOutcome CbcLogContract::OutcomeOf(const Hash256& deal_id) const {
   auto it = deals_.find(deal_id);
   if (it == deals_.end()) return kDealActive;

@@ -46,9 +46,6 @@ class CbcLogContract : public Contract {
                        ByteReader& args) override;
 
   // --- public state ---
-  /// Deal record, or NotFound if no startDeal was recorded.
-  Result<const DealRecord*> RecordOf(const Hash256& deal_id) const;
-
   /// The outcome implied by the current log prefix.
   DealOutcome OutcomeOf(const Hash256& deal_id) const;
 

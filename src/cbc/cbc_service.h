@@ -31,6 +31,9 @@
 
 namespace xdeal {
 
+/// The certified-blockchain backend of the CBC protocol (§6): S shards,
+/// each a certified chain with its own validator set, with deals hashed to
+/// shards by deal id.
 class CbcService {
  public:
   struct Options {
@@ -78,6 +81,7 @@ class CbcService {
 
   ChainId chain(size_t shard) const { return shards_[shard].chain; }
   ValidatorSet& validators(size_t shard) { return shards_[shard].validators; }
+  /// Read-only access to shard `shard`'s current validator set.
   const ValidatorSet& validators(size_t shard) const {
     return shards_[shard].validators;
   }

@@ -64,6 +64,7 @@ struct Block {
   Hash256 hash;                 // H(height || timestamp || parent || root)
   std::vector<uint64_t> tx_seqs;
 
+  /// The block hash H(height || timestamp || parent || root).
   static Hash256 ComputeHash(uint64_t height, Tick timestamp,
                              const Hash256& parent, const Hash256& root);
 };
@@ -81,10 +82,12 @@ class ReceiptView {
     Iterator(const std::vector<Receipt>* receipts,
              const std::vector<uint32_t>* indexes, size_t pos)
         : receipts_(receipts), indexes_(indexes), pos_(pos) {}
+    /// The receipt at the current position.
     const Receipt& operator*() const {
       return (*receipts_)[(*indexes_)[pos_]];
     }
     const Receipt* operator->() const { return &operator*(); }
+    /// Advances to the next matching receipt.
     Iterator& operator++() {
       ++pos_;
       return *this;
@@ -144,6 +147,7 @@ class Blockchain {
   /// Direct state access. Contract state is public (§3), so parties may read
   /// it off-chain at no gas cost; tests and validation logic use this.
   Contract* contract(ContractId id);
+  /// Read-only state access to the contract `id` names.
   const Contract* contract(ContractId id) const;
 
   /// Typed convenience: dynamic_cast the contract to T.
@@ -151,6 +155,7 @@ class Blockchain {
   T* As(ContractId id) {
     return dynamic_cast<T*>(contract(id));
   }
+  /// Typed read-only convenience: dynamic_cast the contract to const T.
   template <typename T>
   const T* As(ContractId id) const {
     return dynamic_cast<const T*>(contract(id));

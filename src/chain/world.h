@@ -23,6 +23,8 @@
 
 namespace xdeal {
 
+/// The simulated universe: one deterministic scheduler, the network model,
+/// the registered parties and their keys, and every blockchain.
 class World {
  public:
   /// `seed` drives every random choice; `net` supplies message delays.
@@ -41,7 +43,9 @@ class World {
   /// Creates a new independent blockchain.
   Blockchain* CreateChain(const std::string& name, Tick block_interval);
 
+  /// The chain `id` names, or nullptr if no such chain was created.
   Blockchain* chain(ChainId id);
+  /// Read-only access to the chain `id` names (nullptr if none).
   const Blockchain* chain(ChainId id) const;
   size_t num_chains() const { return chains_.size(); }
 
@@ -74,6 +78,7 @@ class World {
                              uint64_t block_height);
 
   Endpoint PartyEndpoint(PartyId p) const { return Endpoint{p.v}; }
+  /// A chain's network endpoint, offset by 2^24 from the party endpoints.
   Endpoint ChainEndpoint(ChainId c) const {
     return Endpoint{kChainEndpointBase + c.v};
   }

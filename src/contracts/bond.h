@@ -47,7 +47,6 @@ class FirstFaultBondContract : public Contract {
 
   // --- public state ---
   bool HasDeposited(PartyId p) const { return deposited_.count(p) > 0; }
-  bool HasClaimed(PartyId p) const { return claimed_.count(p) > 0; }
   uint64_t bond_amount() const { return bond_amount_; }
   /// Payout `p` would receive right now (0 if not settled / not entitled).
   uint64_t PayoutOf(const CallContext& ctx, PartyId p) const;

@@ -64,8 +64,8 @@ Tick PoissonArrivalGap(uint64_t base_seed, uint64_t deal_index,
                        double mean_gap);
 
 /// Arrival time per deal (nondecreasing, arrivals[0] may be 0). For
-/// kFixedStagger this is exactly {0, gap, 2*gap, ...} — the schedule the
-/// legacy admission_gap stagger produced.
+/// kFixedStagger this is exactly {0, gap, 2*gap, ...} with `mean_gap`
+/// rounded to the nearest tick as the gap.
 XDEAL_DETERMINISTIC
 std::vector<Tick> BuildArrivalSchedule(ArrivalProcess process,
                                        size_t num_deals, uint64_t base_seed,

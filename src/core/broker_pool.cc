@@ -118,12 +118,11 @@ DealSpec BrokerPool::MakeDeal(size_t deal_index, uint64_t seed) {
     params.commodity = commodities_[broker];
     params.coin = coin_;
     params.units = units;
-    params.unit_price = options_.unit_price;
     params.seed = seed;
     params.name_prefix = "d" + std::to_string(deal_index) + "-";
     // Hop i's float covers what it pays upstream: the seller's price for
     // the first hop, then the accumulating margins of every hop before it.
-    uint64_t upstream_cost = units * options_.unit_price;
+    uint64_t upstream_cost = units * kBrokerUnitPrice;
     for (size_t i = 0; i < depth; ++i) {
       Stake stake;
       stake.broker = (broker + i) % options_.num_brokers;
@@ -144,7 +143,7 @@ DealSpec BrokerPool::MakeDeal(size_t deal_index, uint64_t seed) {
   if (sell_side) {
     stake.inventory = units;
   } else {
-    stake.capital = units * options_.unit_price;
+    stake.capital = units * kBrokerUnitPrice;
   }
   stake.margin = PricedMarginFor(broker, &stake.occupancy);
   stakes.push_back(stake);
@@ -155,7 +154,6 @@ DealSpec BrokerPool::MakeDeal(size_t deal_index, uint64_t seed) {
   params.coin = coin_;
   params.sell_side = sell_side;
   params.units = units;
-  params.unit_price = options_.unit_price;
   params.unit_margin = stake.margin;
   params.seed = seed;
   params.name_prefix = "d" + std::to_string(deal_index) + "-";

@@ -81,9 +81,6 @@ struct BrokerOptions {
   /// with the deal's derived seed.
   size_t min_units = 1;
   size_t max_units = 3;
-  /// Coins the broker pays the seller per unit (buy-side capital need =
-  /// units * unit_price).
-  uint64_t unit_price = 100;
   /// The broker's commission per unit (the buyer pays price + margin).
   uint64_t unit_margin = 5;
   /// Resale-chain depth (Figure 1 at hop depth > 1): 1 = the classic
@@ -191,8 +188,6 @@ class BrokerPool {
   /// For hop chains this is the FIRST hop; later hops follow round-robin
   /// from it.
   size_t BrokerOf(size_t deal_index) const;
-  /// The broker's shared party identity.
-  PartyId BrokerParty(size_t broker) const { return brokers_[broker]; }
   /// Effective resale-chain depth (hop_depth clamped to the pool size).
   size_t ChainDepth() const;
   /// True when margins are occupancy-priced (margin_slope > 0): spec

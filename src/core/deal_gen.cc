@@ -102,7 +102,7 @@ DealSpec GenerateRandomDeal(DealEnv* env, const GenParams& params) {
 
 DealSpec GenerateBrokerDeal(DealEnv* env, const BrokerDealParams& params) {
   assert(params.units >= 1);
-  const uint64_t cost = params.units * params.unit_price;
+  const uint64_t cost = params.units * kBrokerUnitPrice;
   const uint64_t price = cost + params.units * params.unit_margin;
 
   DealSpec spec;
@@ -173,7 +173,7 @@ DealSpec GenerateBrokerChainDeal(DealEnv* env,
   // float (cost[0] = what the first broker pays the seller; cost[depth] =
   // the buyer's all-in price, every hop's margin stacked).
   std::vector<uint64_t> cost(depth + 1, 0);
-  cost[0] = params.units * params.unit_price;
+  cost[0] = params.units * kBrokerUnitPrice;
   for (size_t i = 0; i < depth; ++i) {
     cost[i + 1] = cost[i] + params.units * params.margins[i];
   }

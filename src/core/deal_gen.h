@@ -40,6 +40,10 @@ struct GenParams {
 /// returns a valid, well-formed DealSpec.
 DealSpec GenerateRandomDeal(DealEnv* env, const GenParams& params);
 
+/// Coins a broker pays the seller per commodity unit, in every broker deal
+/// shape (a buy-side deal's capital need is units * kBrokerUnitPrice).
+constexpr uint64_t kBrokerUnitPrice = 100;
+
 /// Shape of one Figure-1-style broker deal: a broker resells `units` of a
 /// commodity between a fresh seller and a fresh buyer, keeping a margin.
 /// Unlike GenerateRandomDeal, the commodity and coin tokens are *existing*
@@ -54,15 +58,14 @@ struct BrokerDealParams {
   /// The settlement token every price/margin is denominated in (buy-side
   /// deals front working capital from the broker's balance of it).
   AssetRef coin;
-  /// false: buy-side — the broker escrows `units * unit_price` coins to pay
-  /// the seller up front (working capital at risk). true: sell-side — the
-  /// broker escrows `units` commodity from her own inventory to deliver
-  /// immediately and restocks from the seller within the deal.
+  /// false: buy-side — the broker escrows `units * kBrokerUnitPrice` coins
+  /// to pay the seller up front (working capital at risk). true: sell-side
+  /// — the broker escrows `units` commodity from her own inventory to
+  /// deliver immediately and restocks from the seller within the deal.
   bool sell_side = false;
   uint64_t units = 1;
-  uint64_t unit_price = 100;
   /// The broker's commission per unit; the buyer pays
-  /// units * (unit_price + unit_margin).
+  /// units * (kBrokerUnitPrice + unit_margin).
   uint64_t unit_margin = 5;
   uint64_t seed = 1;
   /// Prepended to the fresh seller/buyer party names.
@@ -92,9 +95,8 @@ struct BrokerChainParams {
   AssetRef commodity;
   /// The settlement token every hop's price is denominated in.
   AssetRef coin;
+  /// brokers[0] pays the seller kBrokerUnitPrice per unit.
   uint64_t units = 1;
-  /// What brokers[0] pays the seller per unit.
-  uint64_t unit_price = 100;
   /// Per-hop commission, parallel to `brokers`: hop i resells at its buy
   /// price plus units * margins[i] (priced capital feeds occupancy-scaled
   /// margins in here).

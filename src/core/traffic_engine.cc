@@ -241,7 +241,6 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.stale_proof_deals.size());
   for (size_t d : o.stale_proof_deals) mix(d);
   mix(o.block_capacity);
-  mix(o.admission_gap);
   mix(o.delta);
   mix(static_cast<uint64_t>(o.arrival));
   mix(static_cast<uint64_t>(o.mean_interarrival * 1024.0));
@@ -250,12 +249,7 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.admission.max_chain_occupancy);
   mix(o.admission.retry_delay);
   mix(o.admission.max_retries);
-  // The slot of the broker admission switch, which was always on before it
-  // was removed: folding its old value keeps every existing snapshot (and
-  // its options stamp) restorable.
-  mix(1);
   mix(o.min_assets);
-  mix(o.nft_every);
   mix(o.protocol_mix.size());
   for (Protocol p : o.protocol_mix) mix(static_cast<uint64_t>(p));
   mix(o.double_spend_deals.size());
@@ -269,7 +263,6 @@ uint64_t OptionsFingerprint(const TrafficOptions& o) {
   mix(o.brokers.inventory);
   mix(o.brokers.min_units);
   mix(o.brokers.max_units);
-  mix(o.brokers.unit_price);
   mix(o.brokers.unit_margin);
   mix(o.brokers.hop_depth);
   mix(o.brokers.margin_slope);
@@ -487,11 +480,9 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   // the previous deal's arrival (from 0 for deal 0) after the batch's start,
   // so batch 0 keeps the schedule as built and a restored run re-derives
   // the same offsets as one that ran straight through.
-  const std::vector<Tick> arrivals = BuildArrivalSchedule(
-      options.arrival, first + count, options.base_seed,
-      options.arrival == ArrivalProcess::kFixedStagger
-          ? static_cast<double>(options.admission_gap)
-          : options.mean_interarrival);
+  const std::vector<Tick> arrivals =
+      BuildArrivalSchedule(options.arrival, first + count, options.base_seed,
+                           options.mean_interarrival);
   const Tick anchor = first == 0 ? 0 : arrivals[first - 1];
 
   // Runtimes and checkers live exactly as long as the batch: every deal in
@@ -619,7 +610,6 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
           options.min_assets + rng.Below(kMaxAssets - options.min_assets + 1);
       gen.t_transfers =
           gen.n_parties + (gen.m_assets - 1) + rng.Below(kExtraTransfers + 1);
-      gen.nft_every = options.nft_every;
       gen.seed = rec.seed;
       gen.name_prefix = "d" + std::to_string(d) + "-";
       const bool xshard = rec.protocol == Protocol::kCbc &&

@@ -102,19 +102,17 @@ struct TrafficOptions {
   /// capacity turns heavy traffic into real queueing delay — tight enough
   /// values stretch timelock deadlines past Δ and the checker catches it.
   uint64_t block_capacity = 0;
-  /// Deal i is admitted (its phase schedule shifted) at i * admission_gap.
-  /// Under kFixedStagger this IS the arrival schedule; under kPoisson it is
-  /// ignored in favour of mean_interarrival.
-  Tick admission_gap = 20;
   /// The timelock protocol's synchrony bound Δ.
   Tick delta = 120;
 
   // --- open-loop arrivals + admission control ---
-  /// How arrival times are generated: the fixed admission_gap stagger, or
-  /// kPoisson, which turns the engine into an open-loop load generator with
-  /// seeded exponential inter-arrival times.
+  /// How arrival times are generated: the fixed stagger (deal i arrives at
+  /// i * mean_interarrival, rounded to a tick), or kPoisson, which turns
+  /// the engine into an open-loop load generator with seeded exponential
+  /// inter-arrival times.
   ArrivalProcess arrival = ArrivalProcess::kFixedStagger;
-  /// Mean inter-arrival gap in ticks for kPoisson (arrival rate λ =
+  /// Mean inter-arrival gap in ticks: the exact gap under kFixedStagger,
+  /// the exponential mean under kPoisson (arrival rate λ =
   /// 1000 / mean_interarrival deals per kilotick).
   double mean_interarrival = 20.0;
   /// Backpressure policy. When enabled, deal deployment moves onto the
@@ -128,8 +126,6 @@ struct TrafficOptions {
   //     min_assets-3 assets, up to 2 transfer hops beyond the minimum ---
   /// Fewest assets a generated deal has (at most 3).
   size_t min_assets = 1;
-  /// Every `nft_every`-th asset of a deal is an NFT (0 = fungible only).
-  size_t nft_every = 0;
 
   /// Deal i runs protocol_mix[i % size]; empty = all timelock. (kHtlc has
   /// no DealRuntime and fails the deal with a start violation.)

@@ -17,11 +17,6 @@ inline Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
-/// Appends `src` to `dst`.
-inline void Append(Bytes* dst, const Bytes& src) {
-  dst->insert(dst->end(), src.begin(), src.end());
-}
-
 }  // namespace xdeal
 
 #endif  // XDEAL_UTIL_BYTES_H_

@@ -258,7 +258,7 @@ TEST(BrokerPoolTest, SecondHopBounceTaintsTheChainDeal) {
     options.base_seed = seed;
     options.num_deals = 24;
     options.num_chains = 4;
-    options.admission_gap = 20;
+    options.mean_interarrival = 20;
     options.protocol_mix = {Protocol::kTimelock};
     options.brokers.num_brokers = 3;
     options.brokers.hop_depth = 2;

@@ -56,7 +56,7 @@ inline TrafficOptions GoldenEvidenceOptions() {
   options.base_seed = 5;
   options.num_deals = 24;
   options.num_chains = 4;
-  options.admission_gap = 20;
+  options.mean_interarrival = 20;
   options.protocol_mix = {Protocol::kTimelock, Protocol::kCbc};
   options.cbc_shards = 2;
   options.brokers.num_brokers = 1;
@@ -128,7 +128,7 @@ inline TrafficOptions GoldenBrokerOverCommitOptions() {
   options.base_seed = 5;
   options.num_deals = 16;
   options.num_chains = 4;
-  options.admission_gap = 20;
+  options.mean_interarrival = 20;
   options.protocol_mix = {Protocol::kTimelock};
   options.brokers.num_brokers = 1;
   options.brokers.working_capital = 100;
@@ -206,22 +206,22 @@ struct SnapshotPin {
 };
 /// checkpoint_test's ServiceOptions() after epochs 1 and 3.
 inline constexpr SnapshotPin kGoldenServiceSnapshot[] = {
-    {4327, "fb7ff761ab5287f7dce72fb2ffc62dba55055be3419b02f883d0802a3fd3d0ec"},
+    {4327, "4cbbd4950cb41e3a902dd4925705c7e9b9b4d9b764486d339e29ddd04fad3506"},
     {10966,
-     "085c2d02ba5a0fff88389734a244d32742bb1d4617a53d4c4e490c1e4a0c213d"}};
+     "62c1ee6f5057462f2be4233f303027cfa7165065e125df328a6f92ebf397a89d"}};
 /// checkpoint_test's AdmissionServiceOptions() (brokers, 2-hop chains)
 /// after epoch 2.
 inline constexpr SnapshotPin kGoldenAdmissionSnapshot = {
-    9704, "0c9c27aed7c726403e5ab00405e06d5147c426013939537042bc75998e758358"};
+    9704, "6b0788bd9ca55291f6d11fcb11600e60b0562e2fe5202e78b25c614a53e5ccb6"};
 /// The configuration of ReconfigurationBeyondTheCheckpointSurvivesRestore
 /// after epochs 1 and 2.
 inline constexpr SnapshotPin kGoldenReconfigSnapshot[] = {
-    {5380, "e89cc50ff4007892b66b5ac90b58331c75eea50aea425475dd3ac1b967255342"},
-    {9538, "ed6a0f9b1d5c4315b78803250509a760d9692db123300d43513f6bb415e53574"}};
+    {5380, "2073358cce0532300bfa8d999931f6c04c2b098e79d25f3b8dbe376ebb711192"},
+    {9538, "323baac0d318198a757fb080ac583e035d1efbed6e70c91ceb0e66ff0127c374"}};
 /// The configuration of CrashInjectionSurvivesRestore after epochs 1 and 2.
 inline constexpr SnapshotPin kGoldenCrashSnapshot[] = {
-    {4731, "cbe34bc7ff2e3dbbb111297aa90d06540fb9f01f0011fb4130b8a883a7ee7210"},
-    {8148, "23f37a77adf898cf3786e4de4187df3b3bdc422dbc4c3854186c52363cfccfa3"}};
+    {4731, "8a35b3474bf6b9873e461d683292743b154701f1f62b783348bf28e2f19b3fea"},
+    {8148, "d795b5158b434eb660e406c879174b8a672d1653a1f7fd8e92917b5e005e8f93"}};
 
 }  // namespace xdeal
 

@@ -99,7 +99,7 @@ TEST(TrafficEngineTest, PerDealGasTaggingIsComplete) {
 
 TEST(TrafficEngineTest, StaggeredAdmissionInterleavesDeals) {
   TrafficOptions options = SmallOptions();
-  options.admission_gap = 20;
+  options.mean_interarrival = 20;
   TrafficReport report = RunTraffic(options);
   // With a 20-tick gap and deals needing hundreds of ticks to settle, many
   // deals are admitted before the first one finishes: concurrency is real.
@@ -180,7 +180,7 @@ TEST(TrafficEngineTest, TightBlockCapacityStretchesDeadlines) {
   options.num_deals = 20;
   options.num_chains = 2;
   options.block_capacity = 1;
-  options.admission_gap = 5;
+  options.mean_interarrival = 5;
   options.protocol_mix = {Protocol::kTimelock};
   TrafficReport report = RunTraffic(options);
 
@@ -390,13 +390,12 @@ AdmissionOptions StockController() {
 
 TEST(TrafficEngineTest, ExplicitFixedStaggerIsTheLegacySchedule) {
   // kFixedStagger + controller off: deal i arrives and deploys at exactly
-  // i * admission_gap, with no admission fate to record.
+  // i * mean_interarrival, with no admission fate to record.
   TrafficOptions options = GoldenMixedOptions();
   options.arrival = ArrivalProcess::kFixedStagger;  // explicit, not default
-  options.mean_interarrival = 999.0;                // ignored in this mode
   TrafficReport report = RunTraffic(options);
   for (const TrafficDealRecord& rec : report.deals) {
-    EXPECT_EQ(rec.arrival_at, rec.index * 20);  // admission_gap stagger
+    EXPECT_EQ(rec.arrival_at, rec.index * 20);  // the 20-tick stagger
     EXPECT_EQ(rec.admitted_at, rec.arrival_at);
     EXPECT_FALSE(rec.shed);
     EXPECT_EQ(rec.admission_retries, 0u);
@@ -543,7 +542,7 @@ TEST(TrafficEngineTest, BacklogThresholdIgnoresTheEnginesOwnArrivalEvents) {
   options.num_deals = 900;
   options.num_chains = 8;
   options.arrival = ArrivalProcess::kFixedStagger;
-  options.admission_gap = 700;
+  options.mean_interarrival = 700;
   options.protocol_mix = {Protocol::kTimelock};
   options.admission.enabled = true;
   options.admission.max_scheduler_backlog = 800;  // < num_deals

@@ -30,7 +30,8 @@ Metric policy (classified by name, see classify()):
                  value exceeds baseline * (1 + tolerance).
   higher_better  simulated throughput (deals/goodput per kilotick): fail
                  when the fresh value drops below baseline * (1 - tol).
-  wall           wall-clock rates and times (wall_ms, *_per_sec, speedup).
+  wall           wall-clock rates and times (wall_ms, *_per_sec) and the
+                 ratios of such rates (speedup, *_speedup, *scaling_ratio).
                  They depend on the host, which a baseline does not name,
                  so rebaseline leaves them out and check never gates them;
                  the fresh reports still carry them.
@@ -51,7 +52,11 @@ TOLERANCE = 0.15
 
 
 def classify(name):
-    if "wall_ms" in name or name.endswith("_per_sec") or name == "speedup":
+    # Ratios of two wall-clock rates (speedups, big-D scaling) are as
+    # host- and load-dependent as the rates themselves.
+    if "wall_ms" in name or name.endswith("_per_sec") or \
+            name == "speedup" or name.endswith("_speedup") or \
+            name.endswith("scaling_ratio"):
         return "wall"
     # DPOR reduction counters (bench_explore): the number of inequivalent
     # orders, pruned re-executions, and violating orders of a fixed cell are
