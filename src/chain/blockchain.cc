@@ -54,6 +54,8 @@ uint64_t Blockchain::SubmitAt(Tick arrival, PartyId sender,
   mempool_[boundary].push_back(PendingTx{seq, sender, contract,
                                          std::move(call), std::move(tag),
                                          deal_tag});
+  // The transaction keeps its deal in flight until it executes.
+  world_->scheduler().AddInFlight(deal_tag);
   if (schedule) {
     world_->scheduler().ScheduleAt(boundary, EventLabel::BlockProduction(id_.v),
                                    [this, boundary] { ProduceBlock(boundary); });
@@ -62,53 +64,45 @@ uint64_t Blockchain::SubmitAt(Tick arrival, PartyId sender,
 }
 
 void Blockchain::Subscribe(Endpoint who, Observer cb) {
-  unfiltered_observers_.push_back(observers_.size());
-  observers_.push_back(ObserverRec{who, std::move(cb), 0, false});
+  unfiltered_observers_.push_back(ObserverRec{who, std::move(cb)});
 }
 
 void Blockchain::Subscribe(Endpoint who, uint64_t deal_tag, Observer cb) {
-  observers_by_tag_[deal_tag].push_back(observers_.size());
-  observers_.push_back(ObserverRec{who, std::move(cb), deal_tag, true});
+  logs_[deal_tag].observers.push_back(ObserverRec{who, std::move(cb)});
 }
 
 ReceiptView Blockchain::TaggedReceipts(uint64_t deal_tag) const {
-  auto it = tag_index_.find(deal_tag);
-  if (it == tag_index_.end()) return ReceiptView();
-  return ReceiptView(&receipts_, &it->second);
+  auto it = logs_.find(deal_tag);
+  if (it == logs_.end()) return ReceiptView();
+  return ReceiptView(&it->second.receipts, nullptr);
 }
 
 ReceiptView Blockchain::ContractReceipts(uint64_t deal_tag,
                                          ContractId contract) const {
-  auto it = tag_contract_index_.find(std::make_pair(deal_tag, contract.v));
-  if (it == tag_contract_index_.end()) return ReceiptView();
-  return ReceiptView(&receipts_, &it->second);
+  auto it = logs_.find(deal_tag);
+  if (it == logs_.end()) return ReceiptView();
+  auto c = it->second.by_contract.find(contract.v);
+  if (c == it->second.by_contract.end()) return ReceiptView();
+  return ReceiptView(&it->second.receipts, &c->second);
 }
 
-bool Blockchain::TagIndexMatchesFullScan() const {
-  // std::map, not unordered: this oracle's mismatch path feeds test
-  // diagnostics, and det-lint forbids unordered iteration anywhere under a
-  // deterministic root. Sorted order costs nothing here (test-only oracle).
-  std::map<uint64_t, std::vector<uint32_t>> scan_tags;
-  std::map<std::pair<uint64_t, uint32_t>, std::vector<uint32_t>> scan_pairs;
-  for (size_t i = 0; i < receipts_.size(); ++i) {
-    const Receipt& r = receipts_[i];
-    scan_tags[r.deal_tag].push_back(static_cast<uint32_t>(i));
-    scan_pairs[std::make_pair(r.deal_tag, r.contract.v)].push_back(
-        static_cast<uint32_t>(i));
+size_t Blockchain::ObserverCount(uint64_t deal_tag) const {
+  auto it = logs_.find(deal_tag);
+  return it == logs_.end() ? 0 : it->second.observers.size();
+}
+
+bool Blockchain::TagIndexMatchesFullScan(uint64_t deal_tag) const {
+  auto it = logs_.find(deal_tag);
+  if (it == logs_.end()) return true;
+  const TagLog& log = it->second;
+  std::map<uint32_t, std::vector<uint32_t>> scan;
+  for (size_t i = 0; i < log.receipts.size(); ++i) {
+    const Receipt& r = log.receipts[i];
+    if (r.deal_tag != deal_tag) return false;
+    if (i > 0 && r.tx_seq <= log.receipts[i - 1].tx_seq) return false;
+    scan[r.contract.v].push_back(static_cast<uint32_t>(i));
   }
-  if (scan_tags.size() != tag_index_.size() ||
-      scan_pairs.size() != tag_contract_index_.size()) {
-    return false;
-  }
-  for (const auto& [tag, indexes] : scan_tags) {
-    auto it = tag_index_.find(tag);
-    if (it == tag_index_.end() || it->second != indexes) return false;
-  }
-  for (const auto& [key, indexes] : scan_pairs) {
-    auto it = tag_contract_index_.find(key);
-    if (it == tag_contract_index_.end() || it->second != indexes) return false;
-  }
-  return true;
+  return scan == log.by_contract;
 }
 
 Receipt Blockchain::Execute(const PendingTx& tx, Tick now, uint64_t height) {
@@ -149,18 +143,14 @@ Receipt Blockchain::Execute(const PendingTx& tx, Tick now, uint64_t height) {
 }
 
 void Blockchain::ScheduleDelivery(const ObserverRec& obs, Tick delay,
-                                  size_t receipt_index) {
-  // Copy the receipt into the closure: the vector may grow later.
-  Receipt snapshot = receipts_[receipt_index];
-  Observer observer = obs.cb;
+                                  const Receipt& receipt) {
+  // The closure owns a copy of the receipt: the log may be released first.
   world_->scheduler().ScheduleAfter(
-      delay, EventLabel::Observation(id_.v, obs.who.id),
-      [observer = std::move(observer), snapshot = std::move(snapshot)] {
-        observer(snapshot);
-      });
+      delay, EventLabel::Observation(id_.v, obs.who.id, receipt.deal_tag),
+      [observer = obs.cb, snapshot = receipt] { observer(snapshot); });
 }
 
-void Blockchain::DeliverIndexed(const std::vector<size_t>& receipt_indexes,
+void Blockchain::DeliverIndexed(const std::vector<Receipt>& block_receipts,
                                 uint64_t height) {
   // Each receipt reaches only the observers subscribed to its deal_tag (plus
   // unfiltered observers), so per-block delivery is O(receipts × interested
@@ -169,34 +159,32 @@ void Blockchain::DeliverIndexed(const std::vector<size_t>& receipt_indexes,
   // RNG, so skipping uninterested observers draws nothing and cannot perturb
   // anyone else's schedule.
   std::map<uint64_t, std::vector<size_t>> by_tag;
-  for (size_t idx : receipt_indexes) {
-    by_tag[receipts_[idx].deal_tag].push_back(idx);
+  for (size_t i = 0; i < block_receipts.size(); ++i) {
+    by_tag[block_receipts[i].deal_tag].push_back(i);
   }
   for (const auto& [tag, idxs] : by_tag) {
-    auto it = observers_by_tag_.find(tag);
-    if (it == observers_by_tag_.end()) continue;
-    for (size_t oi : it->second) {
-      const ObserverRec& obs = observers_[oi];
+    auto it = logs_.find(tag);
+    if (it == logs_.end()) continue;
+    for (const ObserverRec& obs : it->second.observers) {
       Tick delay = world_->KeyedObservationDelay(id_, obs.who, height);
-      for (size_t idx : idxs) ScheduleDelivery(obs, delay, idx);
+      for (size_t i : idxs) ScheduleDelivery(obs, delay, block_receipts[i]);
     }
   }
-  for (size_t oi : unfiltered_observers_) {
-    const ObserverRec& obs = observers_[oi];
+  for (const ObserverRec& obs : unfiltered_observers_) {
     Tick delay = world_->KeyedObservationDelay(id_, obs.who, height);
-    for (size_t idx : receipt_indexes) ScheduleDelivery(obs, delay, idx);
+    for (const Receipt& r : block_receipts) ScheduleDelivery(obs, delay, r);
   }
 }
 
 namespace {
 
-// Placeholder installed at restore for per-deal contracts whose deals had
-// settled by the checkpoint boundary. It keeps ContractId numbering intact
-// (later deployments land on the same ids as the uninterrupted run) while
-// rejecting any invocation — nothing legitimately calls a settled deal's
-// contracts, and the differential checkpoint tests prove it. It reports the
-// original type, so a restored chain checkpoints to the uninterrupted run's
-// bytes and the name does not grow with every restore.
+// Placeholder for a settled deal's contract: installed by Retire when the
+// deal retires, and by a restore for every contract that does not snapshot
+// its state. It keeps ContractId numbering intact (later deployments land
+// on the same ids in a straight and a restored run) while rejecting any
+// invocation — nothing legitimately calls a settled deal's contracts. It
+// reports the original type, so a chain checkpoints to the same bytes
+// whether its contracts were retired in place or by a restore.
 class RetiredContract : public Contract {
  public:
   explicit RetiredContract(std::string original_type)
@@ -215,6 +203,14 @@ class RetiredContract : public Contract {
 };
 
 }  // namespace
+
+void Blockchain::Retire(ContractId id) {
+  Contract* target = contract(id);
+  if (target == nullptr || target->SupportsSnapshot()) return;
+  auto retired = std::make_unique<RetiredContract>(target->TypeName());
+  retired->OnDeployed(id);
+  contracts_[id.v] = std::move(retired);
+}
 
 Status Blockchain::Checkpoint(ByteWriter* w) const {
   SnapshotIO io(w);
@@ -237,7 +233,7 @@ void Blockchain::Transfer(Self& self, SnapshotIO& io,
         "chain " + self.name_ + ": checkpoint requires an empty mempool (" +
         std::to_string(self.pending_txs()) + " txs pending)"));
   }
-  if (kDecode && (!self.contracts_.empty() || !self.blocks_.empty() ||
+  if (kDecode && (!self.contracts_.empty() || self.num_blocks_ != 0 ||
                   self.next_seq_ != 0)) {
     io.Fail(Status::FailedPrecondition(
         "chain " + self.name_ +
@@ -248,22 +244,19 @@ void Blockchain::Transfer(Self& self, SnapshotIO& io,
   io.U64(self.total_gas_);
   // Blocks are sealed only at positive multiples of the interval, at most
   // once each, and never past the clock.
-  uint64_t n_blocks = self.blocks_.size();
+  uint64_t n_blocks = self.num_blocks_;
   io.U64(n_blocks);
   io.Check(n_blocks <= self.world_->now() / self.block_interval_,
            "chain snapshot: more blocks than block boundaries so far");
-  Hash256 last_hash =
-      self.blocks_.empty() ? Hash256{} : self.blocks_.back().hash;
+  Hash256 last_hash = self.last_block_.hash;
   if (n_blocks > 0) io.Raw(last_hash.bytes.data(), last_hash.bytes.size());
   if constexpr (kDecode) {
-    if (io.ok()) {
-      // Pad the block list with header-only placeholders so heights (which
-      // feed keyed observation delays) and the parent link of the next
-      // real block match the uninterrupted run; only the back() hash is
-      // load-bearing.
-      self.blocks_.resize(n_blocks);
-      for (uint64_t h = 0; h < n_blocks; ++h) self.blocks_[h].height = h;
-      if (!self.blocks_.empty()) self.blocks_.back().hash = last_hash;
+    if (io.ok() && n_blocks > 0) {
+      // Heights feed keyed observation delays and the last hash is the
+      // next block's parent; nothing reads the rest of the header.
+      self.num_blocks_ = n_blocks;
+      self.last_block_.height = n_blocks - 1;
+      self.last_block_.hash = last_hash;
     }
   }
 
@@ -333,17 +326,20 @@ void Blockchain::ProduceBlock(Tick boundary) {
     }
   }
 
-  uint64_t height = blocks_.size();
+  uint64_t height = num_blocks_;
   Block block;
   block.height = height;
   block.timestamp = boundary;
-  block.parent_hash = blocks_.empty() ? Hash256{} : blocks_.back().hash;
+  block.parent_hash = num_blocks_ == 0 ? Hash256{} : last_block_.hash;
 
+  const World::SealObserver& seal_observer = world_->seal_observer();
   std::vector<Hash256> leaf_hashes;
-  std::vector<size_t> receipt_indexes;
+  std::vector<Receipt> block_receipts;
   leaf_hashes.reserve(txs.size());
+  block_receipts.reserve(txs.size());
   for (const PendingTx& tx : txs) {
     Receipt r = Execute(tx, boundary, height);
+    world_->scheduler().RemoveInFlight(tx.deal_tag);
     total_gas_ += r.gas_used;
     block.tx_seqs.push_back(r.tx_seq);
 
@@ -351,20 +347,22 @@ void Blockchain::ProduceBlock(Tick boundary) {
     w.U64(r.tx_seq).U32(r.sender.v).Str(r.function).Blob(r.ret);
     w.U8(static_cast<uint8_t>(r.status.code()));
     leaf_hashes.push_back(Sha256Digest(w.bytes()));
-
-    uint32_t pos = static_cast<uint32_t>(receipts_.size());
-    tag_index_[r.deal_tag].push_back(pos);
-    tag_contract_index_[std::make_pair(r.deal_tag, r.contract.v)].push_back(
-        pos);
-    receipt_indexes.push_back(pos);
-    receipts_.push_back(std::move(r));
+    if (seal_observer) seal_observer(r);
+    block_receipts.push_back(std::move(r));
   }
   block.entries_root = MerkleRoot(leaf_hashes);
   block.hash = Block::ComputeHash(block.height, block.timestamp,
                                   block.parent_hash, block.entries_root);
-  blocks_.push_back(block);
+  last_block_ = std::move(block);
+  ++num_blocks_;
 
-  DeliverIndexed(receipt_indexes, height);
+  DeliverIndexed(block_receipts, height);
+  for (Receipt& r : block_receipts) {
+    TagLog& log = logs_[r.deal_tag];
+    log.by_contract[r.contract.v].push_back(
+        static_cast<uint32_t>(log.receipts.size()));
+    log.receipts.push_back(std::move(r));
+  }
 }
 
 }  // namespace xdeal

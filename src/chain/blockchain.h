@@ -8,11 +8,16 @@
 // network-model observation delay — this is the only way information leaves
 // a chain.
 //
-// Receipts are indexed at block-seal time by deal_tag and by
-// (deal_tag, contract), so observation is O(own receipts): consumers read
-// their slice through ReceiptView (a whole filtered history) instead of
-// scanning the world. The unfiltered receipts() vector remains available as
-// the differential-testing oracle for the index.
+// Storage follows live deals, not history. Receipts and tag-filtered
+// observers are kept per deal_tag: each tag has one log of its receipts in
+// chain order, indexed by contract, so observation is O(own receipts) and
+// consumers read their slice through ReceiptView. A multi-deal engine
+// releases a settled deal's log and observers in one erase (ReleaseTag) and
+// swaps its contracts for retired placeholders (Retire); a single-deal
+// (untagged) world never releases anything and keeps its full history in
+// the tag-0 log. Block history is the count and the last header: block
+// heights and the parent link of the next block are all that later blocks
+// read.
 
 #ifndef XDEAL_CHAIN_BLOCKCHAIN_H_
 #define XDEAL_CHAIN_BLOCKCHAIN_H_
@@ -69,11 +74,12 @@ struct Block {
                              const Hash256& parent, const Hash256& root);
 };
 
-/// A read-only, index-backed view over the subset of a chain's receipts
-/// matching a deal_tag (optionally narrowed to one contract). Obtained from
-/// Blockchain::TaggedReceipts / ContractReceipts in O(log #keys); iteration
-/// costs O(matching receipts), never O(chain length). Views are invalidated
-/// only by destroying the chain; producing more blocks simply extends them.
+/// A read-only view over one deal_tag's receipt log (optionally narrowed to
+/// one contract through the log's index). Obtained from
+/// Blockchain::TaggedReceipts / ContractReceipts in O(1) / O(log #contracts);
+/// iteration costs O(matching receipts), never O(chain length). Producing
+/// more blocks simply extends a view; releasing its tag (or destroying the
+/// chain) invalidates it.
 class ReceiptView {
  public:
   /// Forward iterator dereferencing to the underlying Receipt.
@@ -84,7 +90,7 @@ class ReceiptView {
         : receipts_(receipts), indexes_(indexes), pos_(pos) {}
     /// The receipt at the current position.
     const Receipt& operator*() const {
-      return (*receipts_)[(*indexes_)[pos_]];
+      return (*receipts_)[indexes_ == nullptr ? pos_ : (*indexes_)[pos_]];
     }
     const Receipt* operator->() const { return &operator*(); }
     /// Advances to the next matching receipt.
@@ -104,11 +110,15 @@ class ReceiptView {
   /// An empty view (no matching receipts).
   ReceiptView() = default;
 
-  size_t size() const { return indexes_ == nullptr ? 0 : indexes_->size(); }
+  /// Number of matching receipts.
+  size_t size() const {
+    if (indexes_ != nullptr) return indexes_->size();
+    return receipts_ == nullptr ? 0 : receipts_->size();
+  }
   bool empty() const { return size() == 0; }
   /// The i-th matching receipt, in chain order.
   const Receipt& operator[](size_t i) const {
-    return (*receipts_)[(*indexes_)[i]];
+    return (*receipts_)[indexes_ == nullptr ? i : (*indexes_)[i]];
   }
   Iterator begin() const { return Iterator(receipts_, indexes_, 0); }
   Iterator end() const { return Iterator(receipts_, indexes_, size()); }
@@ -119,8 +129,8 @@ class ReceiptView {
               const std::vector<uint32_t>* indexes)
       : receipts_(receipts), indexes_(indexes) {}
 
-  const std::vector<Receipt>* receipts_ = nullptr;
-  const std::vector<uint32_t>* indexes_ = nullptr;  // nullptr = empty view
+  const std::vector<Receipt>* receipts_ = nullptr;  // nullptr = empty view
+  const std::vector<uint32_t>* indexes_ = nullptr;  // nullptr = every receipt
 };
 
 /// An append-only contract-hosting ledger.
@@ -168,6 +178,12 @@ class Blockchain {
   XDEAL_DETERMINISTIC uint64_t SubmitAt(Tick arrival, PartyId sender, ContractId contract,
                     CallData call, std::string tag, uint64_t deal_tag = 0);
 
+  /// Replaces contract `id` with an inert placeholder that keeps its type
+  /// name and ContractId and rejects every call with a "Retired:"
+  /// FailedPrecondition — the contract a snapshot restore installs for it.
+  /// Contracts that snapshot their state (token ledgers) are kept.
+  void Retire(ContractId id);
+
   /// Caps how many transactions one block may include; overflow rolls over
   /// to the next boundary in arrival order. 0 (the default) = unlimited.
   /// Finite capacity is how traffic workloads create real queueing delay.
@@ -183,31 +199,46 @@ class Blockchain {
   /// O(all observers).
   void Subscribe(Endpoint who, uint64_t deal_tag, Observer cb);
 
-  const std::vector<Block>& blocks() const { return blocks_; }
-  const std::vector<Receipt>& receipts() const { return receipts_; }
+  /// Blocks sealed so far (restored chains count the blocks before the
+  /// snapshot).
+  uint64_t num_blocks() const { return num_blocks_; }
+  /// The newest block's header (default-constructed before the first
+  /// block). On a restored chain only its height and hash are known.
+  const Block& last_block() const { return last_block_; }
 
-  /// All receipts carrying `deal_tag`, in chain order — O(log #tags), backed
-  /// by the index built at block-seal time.
+  /// The untagged receipts (deal_tag 0) in chain order: a single-deal
+  /// world's whole history.
+  ReceiptView receipts() const { return TaggedReceipts(0); }
+
+  /// All receipts carrying `deal_tag`, in chain order — one hash lookup
+  /// into the per-tag logs appended at block-seal time.
   ReceiptView TaggedReceipts(uint64_t deal_tag) const;
 
   /// All receipts carrying `deal_tag` that executed on `contract`.
   ReceiptView ContractReceipts(uint64_t deal_tag, ContractId contract) const;
 
-  /// Differential oracle: recomputes every tag/(tag, contract) bucket by
-  /// full scan and compares against the incremental index. Returns true iff
-  /// the index is exactly the scan. O(chain length) — test/debug only.
-  XDEAL_DETERMINISTIC bool TagIndexMatchesFullScan() const;
+  /// Observers subscribed to `deal_tag` (tag-filtered subscriptions only).
+  size_t ObserverCount(uint64_t deal_tag) const;
 
-  /// Test hook: forces both unordered indexes to at least `bucket_count`
-  /// buckets, permuting their internal iteration order. Rehashing a
-  /// node-based unordered_map moves no elements, so ReceiptView pointers
-  /// into the bucket vectors stay valid; only bucket traversal order
-  /// changes. Determinism tests call this between runs to prove no
-  /// observable result depends on that order.
-  void RehashIndexes(size_t bucket_count) {
-    tag_index_.rehash(bucket_count);
-    observers_by_tag_.rehash(bucket_count);
-  }
+  /// Drops everything the chain keeps for `deal_tag`: its receipt log, its
+  /// contract index and its observers. Views of the tag are invalidated.
+  /// Call it once nothing of the tag is in flight; a later receipt of the
+  /// tag would start a fresh log that no observer hears.
+  void ReleaseTag(uint64_t deal_tag) { logs_.erase(deal_tag); }
+
+  /// Differential oracle for one tag: recomputes the tag log's per-contract
+  /// index by full scan of the log and checks that every receipt in it
+  /// carries the tag, in strictly increasing tx_seq (chain) order. Returns
+  /// true iff all hold. O(tag's receipts) — test/debug only.
+  XDEAL_DETERMINISTIC bool TagIndexMatchesFullScan(uint64_t deal_tag) const;
+
+  /// Test hook: forces the per-tag map to at least `bucket_count` buckets,
+  /// permuting its internal iteration order. Rehashing a node-based
+  /// unordered_map moves no elements, so ReceiptView pointers into the logs
+  /// stay valid; only bucket traversal order changes. Determinism tests
+  /// call this between runs to prove no observable result depends on that
+  /// order.
+  void RehashIndexes(size_t bucket_count) { logs_.rehash(bucket_count); }
 
   /// Total gas consumed by all executed transactions.
   uint64_t total_gas() const { return total_gas_; }
@@ -230,19 +261,21 @@ class Blockchain {
   /// Serializes the chain's durable state into `w`. Only valid at a
   /// quiescent boundary: the mempool must be empty (every submitted tx
   /// already sealed into a block), otherwise FailedPrecondition. The
-  /// snapshot is slim by design: block headers are carried as (count,
-  /// last-hash) so heights and parent-chaining continue correctly; receipts
-  /// are NOT carried (the restored chain's receipt history restarts empty —
-  /// every deal that produced them has settled, and all cross-epoch
-  /// accounting lives in the engine's cumulative counters, not in the
-  /// chain).
+  /// snapshot carries what the chain keeps: the block count and the last
+  /// block's hash, so heights and parent-chaining continue correctly, and
+  /// every contract — token ledgers with their state, every other contract
+  /// as its type name only. Receipts and observers are NOT carried: at a
+  /// quiescent boundary every deal has settled and released its tag, and
+  /// all cross-epoch accounting lives in the engine's cumulative counters.
   XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
 
   /// Restores a freshly constructed chain (same name/id/interval, its
   /// World's clock already restored) from a Checkpoint. Contracts that
   /// snapshot their state are rebuilt via `factory` + TransferState; the
-  /// rest become inert retired placeholders that preserve ContractId
-  /// numbering and reject invocation.
+  /// rest become the retired placeholders Retire installs, which preserve
+  /// ContractId numbering and reject invocation. The restored chain's
+  /// header state (num_blocks, last_block's height and hash) equals the
+  /// straight run's.
   XDEAL_DETERMINISTIC Status Restore(ByteReader& r,
                                      const ContractFactory& factory);
 
@@ -265,16 +298,23 @@ class Blockchain {
   struct ObserverRec {
     Endpoint who;
     Observer cb;
-    uint64_t deal_tag = 0;
-    bool filtered = false;
+  };
+
+  /// Everything the chain keeps for one deal_tag.
+  struct TagLog {
+    std::vector<Receipt> receipts;  // chain order
+    // Positions in `receipts` per contract. A node-based map: ReceiptView
+    // caches pointers to these vectors, which stay valid as they grow.
+    std::map<uint32_t, std::vector<uint32_t>> by_contract;
+    std::vector<ObserverRec> observers;  // tag-filtered, subscription order
   };
 
   XDEAL_DETERMINISTIC void ProduceBlock(Tick boundary);
   Receipt Execute(const PendingTx& tx, Tick now, uint64_t height);
-  void DeliverIndexed(const std::vector<size_t>& receipt_indexes,
+  void DeliverIndexed(const std::vector<Receipt>& block_receipts,
                       uint64_t height);
   void ScheduleDelivery(const ObserverRec& obs, Tick delay,
-                        size_t receipt_index);
+                        const Receipt& receipt);
 
   World* world_;
   ChainId id_;
@@ -286,20 +326,14 @@ class Blockchain {
 
   std::vector<std::unique_ptr<Contract>> contracts_;
   std::map<Tick, std::vector<PendingTx>> mempool_;  // keyed by boundary
-  std::vector<Block> blocks_;
-  std::vector<Receipt> receipts_;
-  // Receipt indexes, appended at block-seal time in chain order. Values are
-  // positions in receipts_. Node-based maps: ReceiptView caches pointers to
-  // the bucket vectors, which stay valid as buckets grow.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> tag_index_;
-  std::map<std::pair<uint64_t, uint32_t>, std::vector<uint32_t>>
-      tag_contract_index_;
-  std::vector<ObserverRec> observers_;
-  // Observer positions by subscription tag (filtered subscriptions only) —
-  // lets delivery fan a receipt out to exactly the observers that
-  // asked for its deal, independent of how many others watch the chain.
-  std::unordered_map<uint64_t, std::vector<size_t>> observers_by_tag_;
-  std::vector<size_t> unfiltered_observers_;
+  uint64_t num_blocks_ = 0;
+  Block last_block_;
+  // Per-tag receipt logs and tag-filtered observers, appended at block-seal
+  // time. Node-based: ReceiptView caches pointers into the logs, which stay
+  // valid across rehashing. Delivery fans a receipt out to exactly the
+  // observers of its tag, however many others watch the chain.
+  std::unordered_map<uint64_t, TagLog> logs_;
+  std::vector<ObserverRec> unfiltered_observers_;
 };
 
 }  // namespace xdeal

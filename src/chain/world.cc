@@ -40,7 +40,7 @@ void World::Submit(PartyId from, ChainId chain_id, ContractId contract,
       SampleDelay(PartyEndpoint(from), ChainEndpoint(chain_id));
   Tick arrival_offset = delay;
   scheduler_.ScheduleAfter(
-      arrival_offset, EventLabel::TxArrival(chain_id.v, from.v),
+      arrival_offset, EventLabel::TxArrival(chain_id.v, from.v, deal_tag),
       [this, target, from, contract, call = std::move(call),
        tag = std::move(tag), deal_tag]() mutable {
         target->SubmitAt(scheduler_.now(), from, contract, std::move(call),

@@ -10,6 +10,7 @@
 #ifndef XDEAL_CHAIN_WORLD_H_
 #define XDEAL_CHAIN_WORLD_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,7 +62,8 @@ class World {
   /// at the following block boundary. Returns immediately (fire and forget);
   /// results arrive through chain subscription or direct state reads.
   /// `deal_tag` labels the resulting receipt so multi-deal workloads can
-  /// attribute gas/latency per deal (0 = untagged).
+  /// attribute gas/latency per deal (0 = untagged); the transaction counts
+  /// as in flight for that tag (Scheduler::InFlight) until it executes.
   XDEAL_DETERMINISTIC void Submit(PartyId from, ChainId chain_id, ContractId contract,
               CallData call, std::string tag = "", uint64_t deal_tag = 0);
 
@@ -85,6 +87,16 @@ class World {
 
   /// Sum of gas across all chains (global cost, Figure 4 rows).
   uint64_t TotalGas() const;
+
+  /// A passive hook every chain calls with each receipt as its block seals,
+  /// before any observer sees it. It must not schedule events or submit
+  /// transactions.
+  using SealObserver = std::function<void(const Receipt&)>;
+  /// Installs (or clears, with nullptr) the seal hook.
+  void SetSealObserver(SealObserver observer) {
+    seal_observer_ = std::move(observer);
+  }
+  const SealObserver& seal_observer() const { return seal_observer_; }
 
   /// Serializes the World's durable state into `w`: RNG stream position,
   /// scheduler clock + pending durable events, party registry, and every
@@ -118,6 +130,7 @@ class World {
   std::unique_ptr<NetworkModel> network_;
   KeyDirectory key_directory_;
   std::vector<std::unique_ptr<Blockchain>> chains_;
+  SealObserver seal_observer_;
 };
 
 }  // namespace xdeal

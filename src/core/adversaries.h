@@ -137,7 +137,7 @@ class LateVotingParty : public TimelockParty {
     if (!satisfied()) return;
     auto* self_ptr = this;
     world().scheduler().ScheduleAfter(
-        lateness_, EventLabel::Timer(self().v),
+        lateness_, EventLabel::Timer(self().v, config().deal_tag),
         [self_ptr] { self_ptr->TimelockParty::OnCommitPhase(); });
   }
 

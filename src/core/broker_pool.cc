@@ -186,23 +186,40 @@ uint64_t BrokerPool::BalanceOf(const AssetRef& asset, PartyId party) const {
   return token->BalanceOf(Holder::Party(party));
 }
 
+bool BrokerPool::Done(const Reservation& r, PartyId broker) {
+  // Once the deposit is on chain the broker's balance already reflects it
+  // (and a settled escrow has been paid back out), so the reservation's job
+  // is done. A frozen one (no view) never lands.
+  return r.view != nullptr &&
+         (r.view->Settled() || r.view->escrow_core().EscrowedOf(broker) > 0);
+}
+
 void BrokerPool::Prune(size_t broker) {
   PartyId party = brokers_[broker];
-  auto done = [party](const Reservation& r) {
-    // Once the deposit is on chain the broker's balance already reflects it
-    // (and a settled escrow has been paid back out), so the reservation's
-    // job is done.
-    return r.view == nullptr || r.view->Settled() ||
-           r.view->escrow_core().EscrowedOf(party) > 0;
-  };
   std::vector<Reservation>& reservations = reserved_[broker];
   reservations.erase(
-      std::remove_if(reservations.begin(), reservations.end(), done),
+      std::remove_if(reservations.begin(), reservations.end(),
+                     [party](const Reservation& r) { return Done(r, party); }),
       reservations.end());
 }
 
-void BrokerPool::PruneAll() {
-  for (size_t b = 0; b < brokers_.size(); ++b) Prune(b);
+void BrokerPool::OnDealRetired(size_t deal_index, DealRuntime& runtime) {
+  for (const Stake& stake : StakesOf(deal_index)) {
+    const DealEscrowView* view = EscrowViewOf(runtime, stake.asset);
+    std::vector<Reservation>& book = reserved_[stake.broker];
+    auto it = std::find_if(book.begin(), book.end(),
+                           [view](const Reservation& r) {
+                             return view != nullptr && r.view == view;
+                           });
+    if (it == book.end()) continue;
+    // The escrow is about to be retired and nothing can change it any
+    // more: a landed deposit is done, one that never landed stays locked.
+    if (Done(*it, brokers_[stake.broker])) {
+      book.erase(it);
+    } else {
+      it->view = nullptr;
+    }
+  }
 }
 
 void BrokerPool::CrashBroker(size_t broker) {
@@ -305,7 +322,7 @@ void BrokerPool::Transfer(Self& self, SnapshotIO& io) {
     if (!kDecode && !self.reserved_[b].empty()) {
       io.Fail(Status::FailedPrecondition(
           "broker pool checkpoint: broker " + std::to_string(b) +
-          " still holds live reservations (PruneAll before checkpointing; a "
+          " still holds reservations (deposits that never landed; a "
           "compliant quiescent boundary leaves none)"));
     }
   }

@@ -237,6 +237,13 @@ class BrokerPool {
   /// until its deposit lands (the same hook watchtowers arm through).
   void OnDealDeployed(size_t deal_index, DealRuntime& runtime);
 
+  /// Called when deal `deal_index` retires, before its escrows are retired:
+  /// drops the deal's escrow-view pointers. A reservation whose deposit
+  /// landed (or whose escrow settled) is dropped; one whose deposit never
+  /// landed is frozen, and keeps its capital or inventory locked for good
+  /// (its escrow can no longer change).
+  void OnDealRetired(size_t deal_index, DealRuntime& runtime);
+
   /// The seal hook: stores the deal's outcome beside its stakes, for
   /// BuildRecords. Ignored for a deal the pool never planned.
   void RecordOutcome(const BrokerDealOutcome& outcome);
@@ -263,16 +270,11 @@ class BrokerPool {
 
   // --- checkpoint/restore ---
 
-  /// Drops every reservation whose deposit has landed or whose escrow
-  /// settled. The epoch seal calls this before a checkpoint; at a quiescent
-  /// boundary of a compliant run every entry prunes away.
-  void PruneAll();
-
   /// Serializes the pool's bindings (broker parties, token refs), crash
   /// flags, and every deal's stakes and outcome into `w`. Requires a
-  /// reservation-free pool (PruneAll leaves it so at any compliant
-  /// quiescent boundary) — live reservations hold pointers into chain
-  /// contracts that a restore retires, so they cannot cross a snapshot.
+  /// reservation-free pool: at a quiescent boundary every deal has retired
+  /// (OnDealRetired), which leaves none in a compliant run; a frozen
+  /// reservation of a deposit that never landed cannot cross a snapshot.
   XDEAL_DETERMINISTIC Status Checkpoint(ByteWriter* w) const;
 
   /// Fills an attach-mode pool from a Checkpoint blob. The restored World
@@ -312,8 +314,12 @@ class BrokerPool {
   struct Reservation {
     uint64_t capital = 0;
     uint64_t inventory = 0;
-    const DealEscrowView* view = nullptr;  // where the deposit will appear
+    // Where the deposit will appear; nullptr once the deal retired without
+    // it (frozen: locked for good).
+    const DealEscrowView* view = nullptr;
   };
+  /// True when `r`'s deposit by `broker` has landed or its escrow settled.
+  static bool Done(const Reservation& r, PartyId broker);
 
   /// The stakes of deal `deal_index`; empty for non-broker deals.
   const std::vector<Stake>& StakesOf(size_t deal_index) const;

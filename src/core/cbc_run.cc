@@ -120,7 +120,8 @@ bool CbcParty::OwnEscrowLanded(uint32_t asset) const {
 
 void CbcParty::RetryDecideAfterOwnEscrow(uint32_t asset) {
   world().scheduler().ScheduleAfter(
-      run_->config().delta, EventLabel::Timer(self_.v), [this, asset] {
+      run_->config().delta,
+      EventLabel::Timer(self_.v, run_->config().deal_tag), [this, asset] {
         const CbcEscrowContract* esc = EscrowOfAsset(asset);
         if (esc == nullptr || esc->settled()) return;
         if (!OwnEscrowLanded(asset)) {
@@ -380,7 +381,7 @@ void CbcRun::SetupApprovals() {
       w.U8(static_cast<uint8_t>(spender.kind));
       w.U32(spender.id);
       world_->scheduler().ScheduleAt(
-          config_.setup_time, EventLabel::Timer(e.party.v),
+          config_.setup_time, EventLabel::Timer(e.party.v, config_.deal_tag),
           [this, e, args = w.Take()]() mutable {
             world_->Submit(e.party, spec_.assets[e.asset].chain,
                            spec_.assets[e.asset].token,
@@ -400,7 +401,7 @@ void CbcRun::SetupApprovals() {
     uint32_t asset_copy = asset_index;
     uint32_t party_copy = party_id;
     world_->scheduler().ScheduleAt(
-        config_.setup_time, EventLabel::Timer(party_copy),
+        config_.setup_time, EventLabel::Timer(party_copy, config_.deal_tag),
         [this, asset_copy, party_copy, args = w.Take()]() mutable {
           world_->Submit(PartyId{party_copy}, spec_.assets[asset_copy].chain,
                          spec_.assets[asset_copy].token,
@@ -414,20 +415,24 @@ void CbcRun::SchedulePhases() {
   // Clearing: the first party records startDeal.
   CbcParty* starter = parties_.at(spec_.parties.front().v).get();
   world_->scheduler().ScheduleAt(config_.start_deal_time,
-                                 EventLabel::Timer(spec_.parties.front().v),
+                                 EventLabel::Timer(spec_.parties.front().v,
+                                                   config_.deal_tag),
                                  [starter] { starter->OnStartDealPhase(); });
 
   for (const auto& [pid, strategy] : parties_) {
     CbcParty* raw = strategy.get();
-    world_->scheduler().ScheduleAt(config_.escrow_time, EventLabel::Timer(pid),
+    world_->scheduler().ScheduleAt(config_.escrow_time,
+                                   EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnEscrowPhase(); });
     world_->scheduler().ScheduleAt(deployment_.validation_time,
-                                   EventLabel::Timer(pid), [raw] {
+                                   EventLabel::Timer(pid, config_.deal_tag),
+                                   [raw] {
       raw->OnValidatePhase();
       raw->OnVotePhase();
     });
     world_->scheduler().ScheduleAt(
-        deployment_.vote_time + config_.abort_patience, EventLabel::Timer(pid),
+        deployment_.vote_time + config_.abort_patience,
+        EventLabel::Timer(pid, config_.deal_tag),
         [raw] { raw->OnAbortDeadline(); });
   }
   for (size_t i = 0; i < spec_.transfers.size(); ++i) {
@@ -437,17 +442,30 @@ void CbcRun::SchedulePhases() {
                      : static_cast<Tick>(i) * config_.step_gap);
     CbcParty* actor = parties_.at(spec_.transfers[i].from.v).get();
     world_->scheduler().ScheduleAt(when,
-                                   EventLabel::Timer(spec_.transfers[i].from.v),
+                                   EventLabel::Timer(spec_.transfers[i].from.v,
+                                                     config_.deal_tag),
                                    [actor, i] { actor->OnTransferStep(i); });
   }
   // Optional mid-deal validator reconfigurations — routed through the
   // service so its per-shard history (the source of decide-proof chains)
   // records them.
   for (size_t k = 0; k < config_.reconfigs_before_claim; ++k) {
-    world_->scheduler().ScheduleAt(config_.reconfig_time + k, [this] {
+    world_->scheduler().ScheduleAt(config_.reconfig_time + k,
+                                   EventLabel::Internal(config_.deal_tag),
+                                   [this] {
       reconfig_chain_.push_back(service_->Reconfigure(home_shard()));
     });
   }
+}
+
+std::vector<std::pair<ChainId, ContractId>> CbcRun::DeployedContracts()
+    const {
+  std::vector<std::pair<ChainId, ContractId>> deployed =
+      DealRuntime::DeployedContracts();
+  if (deployment_.cbc_log.valid()) {
+    deployed.emplace_back(cbc_chain_, deployment_.cbc_log);
+  }
+  return deployed;
 }
 
 DealResult CbcRun::Collect() const {

@@ -154,6 +154,9 @@ class CbcRun : public DealRuntime {
   const std::vector<ContractId>& escrow_contracts() const override {
     return deployment_.escrow_contracts;
   }
+  /// The escrows plus the deal's CBC log.
+  std::vector<std::pair<ChainId, ContractId>> DeployedContracts()
+      const override;
 
   /// The log and escrow contracts; valid after Deploy.
   const CbcDeployment& deployment() const { return deployment_; }

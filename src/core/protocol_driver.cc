@@ -52,6 +52,17 @@ std::unique_ptr<CbcParty> PartyFactory::MakeCbcParty(PartyId) {
 
 void PartyFactory::OnDeployed(DealRuntime&) {}
 
+std::vector<std::pair<ChainId, ContractId>> DealRuntime::DeployedContracts()
+    const {
+  std::vector<std::pair<ChainId, ContractId>> deployed;
+  const std::vector<ContractId>& escrows = escrow_contracts();
+  deployed.reserve(escrows.size() + 1);
+  for (size_t a = 0; a < escrows.size(); ++a) {
+    deployed.emplace_back(spec().assets[a].chain, escrows[a]);
+  }
+  return deployed;
+}
+
 std::unique_ptr<TimelockParty> SingleDeviantFactory::MakeTimelockParty(
     PartyId p) {
   if (timelock_maker_ && p.v == deviant_) return timelock_maker_();

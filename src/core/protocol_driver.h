@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cbc/types.h"
@@ -168,6 +169,12 @@ class DealRuntime {
   /// Escrow contract per asset index (parallel to spec().assets); valid
   /// after Deploy.
   virtual const std::vector<ContractId>& escrow_contracts() const = 0;
+
+  /// Every contract the run deployed, as (chain, contract): the escrows
+  /// Deploy got to (one per asset once it succeeds) and, for a CBC run, its
+  /// log. A multi-deal engine retires each of them when the deal retires.
+  virtual std::vector<std::pair<ChainId, ContractId>> DeployedContracts()
+      const;
 
   /// Non-null only for the timelock protocol: watchtowers need its
   /// deployment.

@@ -281,7 +281,7 @@ void TimelockRun::SetupApprovals() {
       w.U8(static_cast<uint8_t>(spender.kind));
       w.U32(spender.id);
       world_->scheduler().ScheduleAt(
-          config_.setup_time, EventLabel::Timer(e.party.v),
+          config_.setup_time, EventLabel::Timer(e.party.v, config_.deal_tag),
           [this, e, args = w.Take()]() mutable {
             world_->Submit(e.party, spec_.assets[e.asset].chain,
                            spec_.assets[e.asset].token,
@@ -301,7 +301,7 @@ void TimelockRun::SetupApprovals() {
     uint32_t asset_copy = asset_index;
     uint32_t party_copy = party_id;
     world_->scheduler().ScheduleAt(
-        config_.setup_time, EventLabel::Timer(party_copy),
+        config_.setup_time, EventLabel::Timer(party_copy, config_.deal_tag),
         [this, asset_copy, party_copy, args = w.Take()]() mutable {
           world_->Submit(PartyId{party_copy}, spec_.assets[asset_copy].chain,
                          spec_.assets[asset_copy].token,
@@ -315,7 +315,8 @@ void TimelockRun::SchedulePhases() {
   // Escrow phase.
   for (const auto& [pid, strategy] : parties_) {
     TimelockParty* raw = strategy.get();
-    world_->scheduler().ScheduleAt(config_.escrow_time, EventLabel::Timer(pid),
+    world_->scheduler().ScheduleAt(config_.escrow_time,
+                                   EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnEscrowPhase(); });
   }
   // Transfer phase: sequential steps (or all at once).
@@ -326,14 +327,16 @@ void TimelockRun::SchedulePhases() {
                      : static_cast<Tick>(i) * config_.step_gap);
     TimelockParty* actor = parties_.at(spec_.transfers[i].from.v).get();
     world_->scheduler().ScheduleAt(when,
-                                   EventLabel::Timer(spec_.transfers[i].from.v),
+                                   EventLabel::Timer(spec_.transfers[i].from.v,
+                                                     config_.deal_tag),
                                    [actor, i] { actor->OnTransferStep(i); });
   }
   // Validation + commit phases.
   for (const auto& [pid, strategy] : parties_) {
     TimelockParty* raw = strategy.get();
     world_->scheduler().ScheduleAt(deployment_.validation_time,
-                                   EventLabel::Timer(pid), [raw] {
+                                   EventLabel::Timer(pid, config_.deal_tag),
+                                   [raw] {
       raw->OnValidatePhase();
       raw->OnCommitPhase();
     });
@@ -342,7 +345,8 @@ void TimelockRun::SchedulePhases() {
   Tick watch = deployment_.info.RefundTime() + config_.refund_margin;
   for (const auto& [pid, strategy] : parties_) {
     TimelockParty* raw = strategy.get();
-    world_->scheduler().ScheduleAt(watch, EventLabel::Timer(pid),
+    world_->scheduler().ScheduleAt(watch,
+                                   EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnRefundWatch(); });
   }
 }

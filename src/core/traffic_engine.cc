@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -19,7 +18,6 @@
 #include "core/timelock_run.h"
 #include "core/watchtower.h"
 #include "crypto/sha256.h"
-#include "sim/worker_pool.h"
 #include "util/fingerprint.h"
 #include "util/percentile.h"
 #include "util/rng.h"
@@ -39,7 +37,8 @@ class TrafficPartyFactory : public PartyFactory {
   bool arm_tower = false;
   World* world = nullptr;
   PartyId tower_operator;
-  std::vector<std::unique_ptr<Watchtower>>* towers = nullptr;
+  /// The tower OnDeployed armed; it lives and dies with the deal.
+  std::unique_ptr<Watchtower> tower;
 
   /// Tower crash injection (default off): every `tower_crash_every`-th
   /// armed tower is killed `tower_crash_after` ticks after arming, and
@@ -84,20 +83,23 @@ class TrafficPartyFactory : public PartyFactory {
     if (!arm_tower) return;
     TimelockRun* run = runtime.timelock_run();
     if (run == nullptr) return;  // towers relay timelock votes only
-    auto tower = std::make_unique<Watchtower>(
-        world, runtime.spec(), run->deployment(), tower_operator,
-        runtime.spec().parties, run->config().deal_tag);
+    const uint64_t tag = run->config().deal_tag;
+    tower = std::make_unique<Watchtower>(world, runtime.spec(),
+                                         run->deployment(), tower_operator,
+                                         runtime.spec().parties, tag);
     tower->Arm();
-    towers->push_back(std::move(tower));
     uint64_t seq = towers_armed != nullptr ? (*towers_armed)++ : 0;
     if (tower_crash_every > 0 && tower_crash_after > 0 &&
         seq % tower_crash_every == 0) {
-      Watchtower* t = towers->back().get();
+      // Tagged with the deal, so the deal stays live until both fire.
+      Watchtower* t = tower.get();
       world->scheduler().ScheduleAfter(tower_crash_after,
+                                       EventLabel::Internal(tag),
                                        [t] { t->Crash(); });
       if (tower_recover_after > 0) {
         world->scheduler().ScheduleAfter(
-            tower_crash_after + tower_recover_after, [t] { t->Recover(); });
+            tower_crash_after + tower_recover_after,
+            EventLabel::Internal(tag), [t] { t->Recover(); });
       }
     }
   }
@@ -115,15 +117,14 @@ std::unique_ptr<Contract> RestoredContract(const std::string& type) {
   return nullptr;
 }
 
-/// One deal's full lifetime inside the shared World.
-struct DealSlot {
-  TrafficDealRecord rec;
+/// Everything a deal holds from generation until it retires.
+struct LiveDeal {
   DealSpec spec;
   std::unique_ptr<DealRuntime> runtime;
   std::unique_ptr<DealChecker> checker;
   /// Configured at generation time; must outlive Deploy, which may fire from
-  /// an admission event mid-run, so it lives in the slot. Declared after
-  /// the runtime and checker, so it is destroyed before them.
+  /// an admission event mid-run. Declared after the runtime and checker, so
+  /// it (and the tower it armed) is destroyed before them.
   TrafficPartyFactory factory;
   /// Set on deals touched by injection (double-spend or offline party): the
   /// deviating party, excluded from this deal's compliant set.
@@ -135,21 +136,29 @@ struct DealSlot {
   bool deferred_broker = false;
 };
 
-std::vector<PartyId> CompliantPartiesOf(const DealSlot& slot) {
+/// One deal of a batch: its record, and its live state until it retires
+/// (null afterwards).
+struct DealSlot {
+  TrafficDealRecord rec;
+  std::unique_ptr<LiveDeal> live = std::make_unique<LiveDeal>();
+};
+
+std::vector<PartyId> CompliantPartiesOf(const LiveDeal& live) {
   std::vector<PartyId> compliant;
-  for (PartyId p : slot.spec.parties) {
-    if (!slot.has_adversary || p != slot.adversary) compliant.push_back(p);
+  for (PartyId p : live.spec.parties) {
+    if (!live.has_adversary || p != live.adversary) compliant.push_back(p);
   }
   return compliant;
 }
 
-/// Post-run evaluation of one deal; read-only on the World, safe to run
-/// concurrently for distinct slots.
+/// Judges one quiet deal from its contracts and receipts, before they are
+/// retired and released.
 void ValidateDeal(DealSlot* slot) {
   TrafficDealRecord& rec = slot->rec;
   if (!rec.started) return;
 
-  DealResult result = slot->runtime->Collect();
+  const LiveDeal& live = *slot->live;
+  DealResult result = live.runtime->Collect();
   rec.settle_time = result.settle_time;
   // Open-loop sojourn time: measured from arrival, so any admission wait
   // the controller imposed is part of the latency the workload observed.
@@ -157,7 +166,7 @@ void ValidateDeal(DealSlot* slot) {
       rec.settle_time > rec.arrival_at ? rec.settle_time - rec.arrival_at : 0;
   // Property 3 presumes every party compliant; injection-touched deals are
   // exempt (their abort is the expected defense, not a liveness failure).
-  JudgeDeal(result, *slot->checker, CompliantPartiesOf(*slot), !rec.tainted,
+  JudgeDeal(result, *live.checker, CompliantPartiesOf(live), !rec.tainted,
             &rec);
 }
 
@@ -168,15 +177,16 @@ DealSpec BuildDoubleSpendSpec(DealEnv* env, const DealSlot& host,
                               size_t deal_index, uint64_t seed,
                               size_t num_chains, Rng* rng) {
   const std::string prefix = "d" + std::to_string(deal_index) + "-";
-  PartyId spender = host.spec.escrows[0].party;
-  uint64_t amount = host.spec.escrows[0].value;
+  const DealSpec& host_spec = host.live->spec;
+  PartyId spender = host_spec.escrows[0].party;
+  uint64_t amount = host_spec.escrows[0].value;
 
   DealSpec spec;
   spec.deal_id = MakeDealId(prefix + "doublespend", seed);
   PartyId mark = env->AddParty(prefix + "mark");
   spec.parties = {spender, mark};
   // Asset 0: the host deal's asset 0 — same token contract, same chain.
-  spec.assets.push_back(host.spec.assets[0]);
+  spec.assets.push_back(host_spec.assets[0]);
   // Asset 1: a fresh token the counterparty actually owns.
   ChainId chain = ChainId{static_cast<uint32_t>(rng->Below(num_chains))};
   uint32_t fresh =
@@ -192,8 +202,8 @@ DealSpec BuildDoubleSpendSpec(DealEnv* env, const DealSlot& host,
 
 /// Marks `slot` as touched by its deviating party `adversary`.
 void Taint(DealSlot* slot, PartyId adversary) {
-  slot->has_adversary = true;
-  slot->adversary = adversary;
+  slot->live->has_adversary = true;
+  slot->live->adversary = adversary;
   slot->rec.tainted = true;
 }
 
@@ -225,9 +235,9 @@ Status ValidateServiceOptions(const TrafficOptions& options) {
 
 /// Order-sensitive fold over every workload-defining option. Stamped into
 /// the snapshot envelope so a restore under different options is rejected
-/// instead of silently diverging. num_threads is deliberately excluded:
-/// validation threading must not affect results, and restoring under a
-/// different thread count is a supported (and tested) configuration.
+/// instead of silently diverging. num_threads is excluded: nothing reads
+/// it, and restoring under a different thread count is a supported (and
+/// tested) configuration.
 uint64_t OptionsFingerprint(const TrafficOptions& o) {
   uint64_t fp = 0x9E3779B97F4A7C15ULL;
   auto mix = [&fp](uint64_t v) { fp = MixFingerprint(fp, v); };
@@ -319,9 +329,9 @@ struct TrafficService::Impl {
 
   /// Runs deals [next_deal, next_deal + count): generates them, deploys
   /// them (inline, or through admission events when the controller is on),
-  /// drives the World to its quiescent boundary, reads this batch's
-  /// receipts for evidence in one pass, validates, and folds the epoch
-  /// fingerprint.
+  /// and drives the World to its quiescent boundary. Between steps, each
+  /// deal that went quiet is judged from its own receipts and retired. The
+  /// seal folds the kept records into the epoch fingerprint.
   Batch RunBatch(size_t count);
   /// Lists the whole service on `io`: the World, the cross-batch counters,
   /// epoch reports and violations, the CBC shard epochs and the broker
@@ -343,9 +353,8 @@ struct TrafficService::Impl {
   std::vector<ChainId> pool;
   std::unique_ptr<BrokerPool> broker_pool;
   std::unique_ptr<CbcService> cbc_service;
-  /// Towers armed this session; old towers stay subscribed but are inert
-  /// (their tags never recur).
-  std::vector<std::unique_ptr<Watchtower>> towers;
+  /// One operator identity for every watchtower; each tower lives in its
+  /// deal's factory and is released when the deal retires.
   PartyId tower_operator;
 
   // --- cross-batch state (everything here lands in the checkpoint) ---
@@ -362,11 +371,6 @@ struct TrafficService::Impl {
   Tick makespan = 0;
   std::vector<EpochReport> reports;
   std::vector<TrafficViolation> violations;
-
-  /// Per-chain scan-start index: each seal scans only receipts its batch
-  /// produced. NOT serialized — a restored chain starts with an empty
-  /// receipt vector, so both paths scan exactly the new batch's receipts.
-  std::vector<size_t> receipt_cursor;
 };
 
 TrafficService::Impl::Impl(const TrafficOptions& o) : options(o) {
@@ -409,7 +413,6 @@ void TrafficService::Impl::BuildFresh() {
   if (options.watchtower_every > 0) {
     tower_operator = env->AddParty("watchtower");
   }
-  receipt_cursor.assign(world.num_chains(), 0);
   RegisterHandlers();
 
   Scheduler& sched = world.scheduler();
@@ -485,16 +488,19 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
                            options.mean_interarrival);
   const Tick anchor = first == 0 ? 0 : arrivals[first - 1];
 
-  // Runtimes and checkers live exactly as long as the batch: every deal in
-  // it settles before the seal, and the broker pool prunes every escrow-view
-  // pointer at the boundary, so nothing dangles into the next batch.
+  // A slot's live state (spec, runtime, checker, factory, tower) lasts from
+  // generation until the deal retires; only its record reaches the seal.
   std::vector<DealSlot> slots(count);
+  // Slots whose fate is decided outside their own events (shed, start
+  // failed): they retire at the next point between steps.
+  std::vector<size_t> ready;
 
   // Anchors slot i's schedule at `admit_time` and deploys it: inline during
   // generation, or from an admission event when the controller is on.
-  auto deploy_deal = [this, &world, &slots, first](size_t i,
-                                                   Tick admit_time) {
+  auto deploy_deal = [this, &world, &slots, &ready, first](size_t i,
+                                                           Tick admit_time) {
     DealSlot& slot = slots[i];
+    LiveDeal& live = *slot.live;
     TrafficDealRecord& rec = slot.rec;
     rec.admitted_at = admit_time;
 
@@ -512,19 +518,20 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       // workload asks for a Δ above the stock patience.
       CbcConfig config(timings);
       config.abort_patience = std::max(config.abort_patience, options.delta);
-      slot.runtime = std::make_unique<CbcRun>(
-          &world, slot.spec, config, cbc_service.get(), &slot.factory);
+      live.runtime = std::make_unique<CbcRun>(
+          &world, live.spec, config, cbc_service.get(), &live.factory);
     } else {
-      slot.runtime = std::make_unique<TimelockRun>(
-          &world, slot.spec, TimelockConfig(timings), &slot.factory);
+      live.runtime = std::make_unique<TimelockRun>(
+          &world, live.spec, TimelockConfig(timings), &live.factory);
     }
-    Status started = slot.runtime->Deploy();
+    Status started = live.runtime->Deploy();
     if (!started.ok()) {
       rec.violation = "start-failed: " + started.ToString();
+      ready.push_back(i);
       return;
     }
-    slot.checker = std::make_unique<DealChecker>(
-        &world, slot.spec, slot.runtime->escrow_contracts(),
+    live.checker = std::make_unique<DealChecker>(
+        &world, live.spec, live.runtime->escrow_contracts(),
         timings.deal_tag);
     if (rec.broker != 0) {
       // The brokers' balances move with every concurrent deal they are in;
@@ -532,10 +539,10 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       // asserted across the whole deal set by the portfolio check — every
       // hop of a chain deal is such a shared party.
       for (PartyId p : broker_pool->SharedPartiesOf(first + i)) {
-        slot.checker->MarkSharedParty(p);
+        live.checker->MarkSharedParty(p);
       }
     }
-    slot.checker->CaptureInitial();
+    live.checker->CaptureInitial();
     rec.started = true;
   };
 
@@ -546,18 +553,19 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   auto set_spec = [this, &slots](size_t i, DealSpec spec) {
     DealSlot& slot = slots[i];
     TrafficDealRecord& rec = slot.rec;
-    slot.spec = std::move(spec);
-    rec.parties = slot.spec.NumParties();
-    rec.assets = slot.spec.NumAssets();
-    rec.transfers = slot.spec.NumTransfers();
+    DealSpec& installed = slot.live->spec;
+    installed = std::move(spec);
+    rec.parties = installed.NumParties();
+    rec.assets = installed.NumAssets();
+    rec.transfers = installed.NumTransfers();
     if (rec.protocol != Protocol::kCbc || cbc_service == nullptr ||
-        slot.spec.assets.empty()) {
+        installed.assets.empty()) {
       return;
     }
     std::vector<ChainId> asset_chains;
-    asset_chains.reserve(slot.spec.assets.size());
-    for (const AssetRef& a : slot.spec.assets) asset_chains.push_back(a.chain);
-    rec.cross_shard = cbc_service->PlaceAssets(slot.spec.deal_id, asset_chains)
+    asset_chains.reserve(installed.assets.size());
+    for (const AssetRef& a : installed.assets) asset_chains.push_back(a.chain);
+    rec.cross_shard = cbc_service->PlaceAssets(installed.deal_id, asset_chains)
                           .cross_shard();
   };
   // A broker deal's spec, priced from the pool's live state.
@@ -595,13 +603,13 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
     if (inject) {
       set_spec(i, BuildDoubleSpendSpec(env.get(), slots[i - 1], d, rec.seed,
                                        num_chains, &rng));
-      Taint(&slot, slot.spec.parties[0]);
-      Taint(&slots[i - 1], slot.spec.parties[0]);
+      Taint(&slot, slot.live->spec.parties[0]);
+      Taint(&slots[i - 1], slot.live->spec.parties[0]);
     } else if (broker_pool->IsBrokerDeal(d)) {
       // Figure-1 shape: this deal's middle party is a shared broker (or a
       // chain of them) whose capital/inventory the deal locks in flight.
       rec.broker = broker_pool->BrokerOf(d) + 1;
-      slot.deferred_broker = defer_broker;  // spec built at first admission
+      slot.live->deferred_broker = defer_broker;  // spec at first admission
       if (!defer_broker) set_broker_spec(i);
     } else {
       GenParams gen;
@@ -635,25 +643,27 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
 
     if (rec.protocol == Protocol::kHtlc) {
       rec.violation = "start-failed: htlc has no traffic driver";
+      ready.push_back(i);
       continue;
     }
 
     // The per-deal factory: injections, watchtower arming, broker hooks.
-    TrafficPartyFactory& factory = slot.factory;
+    const DealSpec& spec = slot.live->spec;
+    TrafficPartyFactory& factory = slot.live->factory;
     if (offline.count(d) > 0 && !inject &&
-        rec.protocol == Protocol::kTimelock && !slot.spec.escrows.empty()) {
+        rec.protocol == Protocol::kTimelock && !spec.escrows.empty()) {
       factory.offline = true;
-      factory.offline_party = slot.spec.escrows[0].party;
+      factory.offline_party = spec.escrows[0].party;
       Taint(&slot, factory.offline_party);
     }
     if (stale_proof.count(d) > 0 && !inject && rec.broker == 0 &&
-        rec.protocol == Protocol::kCbc && !slot.spec.escrows.empty()) {
+        rec.protocol == Protocol::kCbc && !spec.escrows.empty()) {
       // Cross-shard replay: the first escrower presents the home shard's
       // decide evidence re-declared for the wrong shard. The escrows must
       // reject it ("decide: shard mismatch"); the replayer is this deal's
       // deviating party.
       factory.stale_proof = true;
-      factory.stale_party = slot.spec.escrows[0].party;
+      factory.stale_party = spec.escrows[0].party;
       Taint(&slot, factory.stale_party);
     }
     if (options.watchtower_every > 0 &&
@@ -662,7 +672,6 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       factory.arm_tower = true;
       factory.world = &world;
       factory.tower_operator = tower_operator;
-      factory.towers = &towers;
       factory.tower_crash_every = options.tower_crash_every;
       factory.tower_crash_after = options.tower_crash_after;
       factory.tower_recover_after = options.tower_recover_after;
@@ -691,9 +700,9 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   if (options.admission.enabled) {
     const Tick retry_delay =
         options.admission.retry_delay > 0 ? options.admission.retry_delay : 1;
-    admission_event = [this, &sched, &slots, &controller, &admission_event,
-                       &deploy_deal, &own_admission_events, &set_broker_spec,
-                       first, retry_delay](size_t i) {
+    admission_event = [this, &sched, &slots, &ready, &controller,
+                       &admission_event, &deploy_deal, &own_admission_events,
+                       &set_broker_spec, first, retry_delay](size_t i) {
       --own_admission_events;  // this event just fired
       const size_t d = first + i;
       DealSlot& slot = slots[i];
@@ -701,7 +710,7 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       // Dynamic pricing: the deferred broker spec is built at the deal's
       // FIRST admission attempt, so each hop's margin is priced from live
       // capital occupancy; retries keep the first-arrival price.
-      if (slot.deferred_broker && slot.spec.parties.empty()) {
+      if (slot.live->deferred_broker && slot.live->spec.parties.empty()) {
         set_broker_spec(i);
       }
       // A broker deal is held back while any broker it needs is short.
@@ -721,6 +730,7 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
       rec.admission_wait = sched.now() - rec.arrival_at;
       if (decision == AdmissionDecision::kShed) {
         rec.shed = true;
+        ready.push_back(i);
         return;
       }
       deploy_deal(i, sched.now());
@@ -733,40 +743,11 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
     }
   }
 
-  // --- drive to the quiescent boundary: every non-durable event fires
-  //     (admission events, tower watches and crash closures included); only
-  //     future durable events may remain pending. Durable events whose time
-  //     falls inside the batch fire in time order like any other. The step
-  //     hook tracks when the backlog peaks. ---
-  Batch result;
-  sched.SetStepObserver([&result](Tick now, size_t pending) {
-    if (pending > result.peak_backlog) {
-      result.peak_backlog = pending;
-      result.peak_backlog_at = now;
-    }
-  });
-  while (sched.pending() > sched.pending_durable()) sched.Step();
-  sched.SetStepObserver(nullptr);
-  const Tick sealed_at = world.now();
-  receipt_cursor.resize(world.num_chains(), 0);
-
-  // --- differential oracle: the incrementally built receipt indexes must
-  //     agree with a from-scratch full scan on every chain ---
-  std::vector<uint32_t> index_mismatch_chains;
-  if (options.fullscan_oracle) {
-    for (uint32_t c = 0; c < world.num_chains(); ++c) {
-      if (!world.chain(ChainId{c})->TagIndexMatchesFullScan()) {
-        index_mismatch_chains.push_back(c);
-      }
-    }
-  }
-
-  // --- one pass over the receipts this batch sealed, chain by chain in
-  //     receipt order. Each receipt is matched to the deal and asset whose
-  //     escrow it hit ((chain, escrow) -> (slot, asset)) and read for:
-  //     - gas attribution: tags outside the batch's global range are
-  //       leakage (a conformant engine keeps it zero: every deal settles
-  //       before its batch seals);
+  // --- per-deal evidence, folded as each deal retires. A receipt is read
+  //     for:
+  //     - gas attribution: tags outside the batch (or of a retired deal)
+  //       are leakage, counted as untagged when their block seals (a
+  //       conformant engine keeps it zero);
   //     - cross-shard replay: decide submissions rejected on the escrow's
   //       shard-binding check are counted, and the replaying party's CBC
   //       deal is tainted;
@@ -774,103 +755,205 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   //       escrow pull bounced promised the same finite capital/inventory to
   //       too many deals at once, so she is that deal's deviating party;
   //     - double-spend evidence: who funded or bounced an escrow of which
-  //       token, in which deal.
+  //       token, in which deal. Incidents need every deal, so the pulls
+  //       stay, as slot indexes, until the seal.
   //     Stale-proof injection skips broker deals, so the two taint sources
-  //     never hit one deal. Taints land before validation, so a tainted
-  //     deal's clean abort is judged as the defense it is; everything here
-  //     comes from receipts, so any replay of the same seed reads the same.
-  //     The maps live in this block only, so they are freed before
-  //     validation allocates. ---
+  //     never hit one deal. Taints land before the deal is judged, so a
+  //     tainted deal's clean abort is judged as the defense it is;
+  //     everything here comes from receipts, so any replay of the same seed
+  //     reads the same. ---
   size_t stale = 0;
   uint64_t untagged = 0;
-  {
-    std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, uint32_t>> sites;
-    for (size_t i = 0; i < count; ++i) {
-      const DealSlot& slot = slots[i];
-      // A deal whose Deploy() failed may have deployed only a prefix of its
-      // escrow contracts; it submitted nothing, so it has no evidence to add.
-      if (!slot.rec.started) continue;
-      const std::vector<ContractId>& escrows = slot.runtime->escrow_contracts();
-      for (uint32_t a = 0; a < slot.spec.NumAssets(); ++a) {
-        sites[{slot.spec.assets[a].chain.v, escrows[a].v}] = {i, a};
-      }
+  // One escrow pull: whose pull of which token, in which slot, and whether
+  // it funded the escrow or bounced.
+  struct EscrowPull {
+    uint32_t chain = 0;  // the token's chain
+    uint32_t token = 0;  // the token contract
+    uint32_t party = 0;
+    uint32_t slot = 0;
+    bool funded = false;
+    std::tuple<uint32_t, uint32_t, uint32_t> key() const {
+      return {chain, token, party};
     }
-    // (token chain, token contract, party) -> slots where its escrow pull
-    // succeeded / failed.
-    struct EscrowPulls {
-      std::vector<size_t> funded;
-      std::vector<size_t> bounced;
-    };
-    std::map<std::tuple<uint32_t, uint32_t, uint32_t>, EscrowPulls> by_token;
-    for (uint32_t c = 0; c < world.num_chains(); ++c) {
-      const std::vector<Receipt>& receipts =
-          world.chain(ChainId{c})->receipts();
-      for (size_t ri = receipt_cursor[c]; ri < receipts.size(); ++ri) {
-        const Receipt& r = receipts[ri];
-        if (r.deal_tag <= first || r.deal_tag > first + count) {
-          untagged += r.gas_used;
-        } else {
-          TrafficDealRecord& rec = slots[r.deal_tag - first - 1].rec;
-          rec.gas += r.gas_used;
-          ++rec.messages;
-        }
+  };
+  std::vector<EscrowPull> pulls;
+  // Differential oracle: chains whose receipt index of a retiring deal
+  // disagreed with a full scan of its log.
+  std::set<uint32_t> index_mismatch_chains;
+  // Tags that had work in flight after their deal retired (or that name no
+  // deal of the batch).
+  std::set<uint64_t> touched_after_retire;
+
+  // Reads deal i's own receipts (its chains in id order, each in chain
+  // order: the order one pass over the whole batch would meet them) into
+  // its record and the batch evidence.
+  auto fold_evidence = [this, &world, &slots, &stale, &pulls](
+                           size_t i, uint64_t tag,
+                           const std::vector<uint32_t>& chains) {
+    DealSlot& slot = slots[i];
+    TrafficDealRecord& rec = slot.rec;
+    const DealSpec& spec = slot.live->spec;
+    const std::vector<ContractId>& escrows =
+        slot.live->runtime->escrow_contracts();
+    for (uint32_t c : chains) {
+      for (const Receipt& r : world.chain(ChainId{c})->TaggedReceipts(tag)) {
+        rec.gas += r.gas_used;
+        ++rec.messages;
         const bool stale_decide =
             cbc_service != nullptr && r.tag == "decide" && !r.status.ok() &&
             r.status.ToString().find("shard mismatch") != std::string::npos;
         if (stale_decide) ++stale;
         if (!stale_decide && r.tag != "escrow") continue;
-        auto site = sites.find({r.chain.v, r.contract.v});
-        if (site == sites.end()) continue;
-        const auto [i, asset] = site->second;
-        DealSlot& slot = slots[i];
+        uint32_t asset = 0;
+        while (asset < escrows.size() &&
+               (spec.assets[asset].chain != r.chain ||
+                escrows[asset] != r.contract)) {
+          ++asset;
+        }
+        if (asset == escrows.size()) continue;
         if (stale_decide) {
-          if (slot.rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
+          if (rec.protocol == Protocol::kCbc) Taint(&slot, r.sender);
           continue;
         }
-        if (!r.status.ok() && slot.rec.broker != 0) {
+        if (!r.status.ok() && rec.broker != 0) {
           // Any hop of a chain deal can be the one that over-committed.
           const std::vector<PartyId> shared =
-              broker_pool->SharedPartiesOf(slot.rec.index);
+              broker_pool->SharedPartiesOf(rec.index);
           if (std::find(shared.begin(), shared.end(), r.sender) !=
               shared.end()) {
             Taint(&slot, r.sender);
           }
         }
-        const AssetRef& token = slot.spec.assets[asset];
-        EscrowPulls& pulls =
-            by_token[{token.chain.v, token.token.v, r.sender.v}];
-        (r.status.ok() ? pulls.funded : pulls.bounced).push_back(i);
+        const AssetRef& token = spec.assets[asset];
+        pulls.push_back(EscrowPull{token.chain.v, token.token.v, r.sender.v,
+                                   static_cast<uint32_t>(i), r.status.ok()});
       }
     }
+  };
 
-    // --- cross-deal double-spends: a party whose escrow pull failed in one
-    //     deal while the same token funded its escrow in another. Evidence-
-    //     based, independent of injection. ---
-    std::set<std::pair<size_t, size_t>> seen;
-    for (const auto& [key, pulls] : by_token) {
-      for (size_t loser : pulls.bounced) {
-        for (size_t winner : pulls.funded) {
-          if (winner == loser || !seen.insert({loser, winner}).second) continue;
-          DoubleSpendIncident incident;
-          incident.loser_deal = slots[loser].rec.index;
-          incident.winner_deal = slots[winner].rec.index;
-          incident.party = std::get<2>(key);
-          incident.seed = slots[loser].rec.seed;
-          result.double_spends.push_back(incident);
+  // Retires deal i: judge it from its own receipts, then release all it
+  // holds — broker escrow views, its receipt logs and observers, the
+  // contracts it deployed (replaced by the placeholders a restore installs)
+  // and its live state. Only its record stays. Its asset contracts are
+  // token ledgers (traffic deals hold no NFTs), which stay.
+  auto retire = [this, &world, &slots, &index_mismatch_chains, &fold_evidence,
+                 first](size_t i) {
+    DealSlot& slot = slots[i];
+    LiveDeal& live = *slot.live;
+    const uint64_t tag = static_cast<uint64_t>(first + i) + 1;
+    if (live.runtime != nullptr) {
+      const std::vector<std::pair<ChainId, ContractId>> deployed =
+          live.runtime->DeployedContracts();
+      std::vector<uint32_t> chains;
+      chains.reserve(deployed.size());
+      for (const auto& [chain, contract] : deployed) chains.push_back(chain.v);
+      std::sort(chains.begin(), chains.end());
+      chains.erase(std::unique(chains.begin(), chains.end()), chains.end());
+      if (slot.rec.started) {
+        fold_evidence(i, tag, chains);
+        ValidateDeal(&slot);
+        if (slot.rec.broker != 0) {
+          broker_pool->OnDealRetired(slot.rec.index, *live.runtime);
         }
       }
+      for (uint32_t c : chains) {
+        Blockchain* chain = world.chain(ChainId{c});
+        if (options.fullscan_oracle && !chain->TagIndexMatchesFullScan(tag)) {
+          index_mismatch_chains.insert(c);
+        }
+        chain->ReleaseTag(tag);
+      }
+      for (const auto& [chain, contract] : deployed) {
+        world.chain(chain)->Retire(contract);
+      }
     }
-    std::sort(result.double_spends.begin(), result.double_spends.end(),
-              [](const DoubleSpendIncident& x, const DoubleSpendIncident& y) {
-                return std::tie(x.loser_deal, x.winner_deal) <
-                       std::tie(y.loser_deal, y.winner_deal);
-              });
-  }
+    slot.live.reset();
+  };
+  auto retire_ready = [&ready, &slots, &retire] {
+    if (ready.empty()) return;
+    std::sort(ready.begin(), ready.end());
+    ready.erase(std::unique(ready.begin(), ready.end()), ready.end());
+    for (size_t i : ready) {
+      if (slots[i].live != nullptr) retire(i);
+    }
+    ready.clear();
+  };
 
-  // --- validate: independent per deal, read-only on the World; workers
-  //     write into their own slots, so any thread count folds identically ---
-  WorkerPool workers(options.num_threads);
-  workers.ParallelFor(count, [&slots](size_t i) { ValidateDeal(&slots[i]); });
+  // --- drive to the quiescent boundary: every non-durable event fires
+  //     (admission events, tower watches and crash closures included); only
+  //     future durable events may remain pending. Durable events whose time
+  //     falls inside the batch fire in time order like any other. Between
+  //     steps, every deployed deal with nothing left in flight (no pending
+  //     event or mempool transaction of its tag) retires, in index order.
+  //     The step hook tracks when the backlog peaks. ---
+  Batch result;
+  sched.SetStepObserver([&result](Tick now, size_t pending) {
+    if (pending > result.peak_backlog) {
+      result.peak_backlog = pending;
+      result.peak_backlog_at = now;
+    }
+  });
+  world.SetSealObserver([&untagged, &slots, first, count](const Receipt& r) {
+    const bool live_deal = r.deal_tag > first && r.deal_tag <= first + count &&
+                           slots[r.deal_tag - first - 1].live != nullptr;
+    if (!live_deal) untagged += r.gas_used;
+  });
+  retire_ready();
+  while (sched.pending() > sched.pending_durable()) {
+    sched.Step();
+    for (uint64_t tag : sched.TakeDrainedTags()) {
+      if (sched.InFlight(tag) > 0) continue;
+      if (tag <= first || tag > first + count ||
+          slots[tag - first - 1].live == nullptr) {
+        touched_after_retire.insert(tag);
+      } else if (slots[tag - first - 1].rec.started) {
+        ready.push_back(tag - first - 1);
+      }
+    }
+    retire_ready();
+  }
+  sched.SetStepObserver(nullptr);
+  world.SetSealObserver(nullptr);
+  // Deals with no event of their own left to drain retire at the boundary.
+  for (size_t i = 0; i < count; ++i) {
+    if (slots[i].live != nullptr) retire(i);
+  }
+  const Tick sealed_at = world.now();
+
+  // --- cross-deal double-spends: a party whose escrow pull failed in one
+  //     deal while the same token funded its escrow in another. Evidence-
+  //     based, independent of injection.
+  //     A pair found under several tokens keeps the first token's party. ---
+  std::sort(pulls.begin(), pulls.end(),
+            [](const EscrowPull& x, const EscrowPull& y) {
+              return x.key() < y.key();
+            });
+  std::set<std::pair<size_t, size_t>> seen;
+  for (size_t g = 0, end = 0; g < pulls.size(); g = end) {
+    while (end < pulls.size() && pulls[end].key() == pulls[g].key()) ++end;
+    for (size_t x = g; x < end; ++x) {
+      if (pulls[x].funded) continue;
+      const size_t loser = pulls[x].slot;
+      for (size_t y = g; y < end; ++y) {
+        const size_t winner = pulls[y].slot;
+        if (!pulls[y].funded || winner == loser ||
+            !seen.insert({loser, winner}).second) {
+          continue;
+        }
+        DoubleSpendIncident incident;
+        incident.loser_deal = slots[loser].rec.index;
+        incident.winner_deal = slots[winner].rec.index;
+        incident.party = pulls[g].party;
+        incident.seed = slots[loser].rec.seed;
+        result.double_spends.push_back(incident);
+      }
+    }
+  }
+  std::sort(result.double_spends.begin(), result.double_spends.end(),
+            [](const DoubleSpendIncident& x, const DoubleSpendIncident& y) {
+              return std::tie(x.loser_deal, x.winner_deal) <
+                     std::tie(y.loser_deal, y.winner_deal);
+            });
 
   // --- seal: fold the epoch fingerprint (a batch header, then every
   //     deal's record, then the batch's evidence), chain it into the
@@ -958,6 +1041,13 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
         "receipt-index-mismatch: chain " + std::to_string(c) +
             " tag index disagrees with full scan"});
   }
+  for (uint64_t tag : touched_after_retire) {
+    const size_t d = static_cast<size_t>(tag - 1);
+    violations.push_back(TrafficViolation{
+        d, TrafficDealSeed(options.base_seed, d), mix[d % mix.size()],
+        "retired-deal-touched: work for deal tag " + std::to_string(tag) +
+            " ran after the deal retired"});
+  }
 
   epoch.violations = violations.size() - violations_before;
   epoch.double_spends = result.double_spends.size();
@@ -972,14 +1062,6 @@ TrafficService::Impl::Batch TrafficService::Impl::RunBatch(size_t count) {
   epoch.cumulative_fingerprint = cumulative_fp;
   result.admission = controller.stats();
 
-  // --- boundary hygiene: every reservation's deposit has landed or settled
-  //     by quiescence, so the pool drops its runtime pointers before the
-  //     batch's slots (and their runtimes) die; cursors advance so the next
-  //     seal scans only its own window. ---
-  broker_pool->PruneAll();
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
-  }
   ++epochs_run;
   next_deal = first + count;
   reports.push_back(epoch);
@@ -1280,7 +1362,6 @@ void TrafficService::Impl::Transfer(SnapshotIO& io) {
 }
 
 Result<Bytes> TrafficService::Impl::DoCheckpoint() {
-  broker_pool->PruneAll();
   ByteWriter body;
   SnapshotIO io(&body);
   Transfer(io);
@@ -1350,15 +1431,6 @@ Result<std::unique_ptr<TrafficService>> TrafficService::FromSnapshot(
         "snapshot rejected: " + std::to_string(body.remaining()) +
         " unread payload bytes");
   }
-  World& world = im.env->world();
-
-  // Cursors start at the restored chains' receipt counts (empty: restored
-  // chains carry no receipt history), so the next epoch seal scans exactly
-  // the receipts it produces — the same window the uninterrupted run scans.
-  im.receipt_cursor.assign(world.num_chains(), 0);
-  for (uint32_t c = 0; c < world.num_chains(); ++c) {
-    im.receipt_cursor[c] = world.chain(ChainId{c})->receipts().size();
-  }
   // Durable events were re-imported by World::Restore at their original
   // (time, seq) positions; only their handlers need re-binding.
   im.RegisterHandlers();
@@ -1425,6 +1497,7 @@ uint64_t TrafficService::cumulative_fingerprint() const {
 const std::vector<EpochReport>& TrafficService::epoch_reports() const {
   return impl_->reports;
 }
+World& TrafficService::world() { return impl_->env->world(); }
 
 std::string ServiceReport::Summary() const {
   std::string s;

@@ -27,6 +27,20 @@
 // (a party whose escrow pull failed in one deal while the same token funded
 // its escrow in another).
 //
+// Memory follows live deals, not history. A deal's lifecycle is arrive ->
+// admit (or delay, or shed) -> deploy -> quiet -> judge -> retire. It is
+// quiet once nothing of its deal tag is in flight: no pending event (timer,
+// observation delivery, tower watch, tower crash or recover) and no mempool
+// transaction (Scheduler::InFlight). Nothing can wake it again, so between
+// scheduler steps the engine judges it from its own receipts and retires
+// it: it keeps the deal's TrafficDealRecord and releases everything else —
+// runtime, checker, spec, party factory and tower, broker escrow views,
+// receipt logs and observers, and its contracts, which become the retired
+// placeholders a snapshot restore installs. A shed or start-failed deal
+// retires when that is decided. The batch seal folds only what needs every
+// deal: double-spend incidents, the epoch fingerprint and the broker
+// outcomes. Work that reaches a retired deal is reported as a violation.
+//
 // With the admission controller enabled the engine becomes an open-loop
 // load generator with backpressure: deal deployment moves onto the
 // scheduler itself, and each arrival event consults an AdmissionController
@@ -35,12 +49,11 @@
 // (arrival vs admission time, retries, shed) lands in its record so the
 // report charts what the policy cost and what it saved.
 //
-// Determinism contract (matches ScenarioSweep): the simulation itself is
-// single-threaded and seed-driven; worker threads only parallelize the
-// post-run per-deal validation, writing into per-deal slots that are folded
-// in index order. A TrafficReport is therefore bit-identical across thread
-// counts, and re-running the same options + base_seed replays every
-// violation and incident exactly.
+// Determinism contract: the simulation, judging included, is single-threaded
+// and seed-driven, and deals retire in index order between steps. A
+// TrafficReport is therefore a pure function of the options (num_threads is
+// read by nothing), and re-running the same options + base_seed replays
+// every violation and incident exactly.
 //
 // One engine serves both entry points: RunTraffic is a single batch of
 // num_deals deals, and a TrafficService runs the same batch step once per
@@ -161,13 +174,14 @@ struct TrafficOptions {
   /// 0 brokers (the default) disables the subsystem.
   BrokerOptions brokers;
 
-  /// Differential-testing oracle: after the run, recompute every chain's
-  /// per-tag receipt index by full scan and require it to match the
-  /// incrementally built one; any mismatch is reported as a violation.
-  /// Costs a full receipt sweep — for tests, not for big-D benches.
+  /// Differential-testing oracle: as each deal retires, recompute its
+  /// per-contract receipt index on each of its chains by full scan of its
+  /// receipt log and require it to match the incrementally built one; any
+  /// mismatch is reported as a violation. For tests, not for big-D benches.
   bool fullscan_oracle = false;
 
-  /// Worker threads for post-run per-deal validation (0 = hardware).
+  /// Unread: deals are judged one by one as they retire, so nothing is left
+  /// to parallelise. Kept because benchmark drivers still set it.
   size_t num_threads = 1;
 
   // --- long-lived service mode (TrafficService) + crash injection ---
@@ -353,8 +367,8 @@ XDEAL_DETERMINISTIC
 uint64_t TrafficDealSeed(uint64_t base_seed, uint64_t deal_index);
 
 /// The whole pipeline: generate D deals in one World over a shared chain
-/// pool, drive the scheduler to quiescence, validate every deal (in
-/// parallel), and fold the deterministic report.
+/// pool, drive the scheduler to quiescence while judging and retiring each
+/// deal as it goes quiet, and fold the deterministic report.
 XDEAL_DETERMINISTIC
 TrafficReport RunTraffic(const TrafficOptions& options);
 
@@ -423,8 +437,9 @@ struct ServiceReport {
 /// boundary, and emits a streaming EpochReport.
 ///
 /// At any epoch boundary the whole run can be serialized by Checkpoint()
-/// into a versioned snapshot — chains (token ledgers in full, settled deals'
-/// contracts retired in place so ContractId numbering survives), the
+/// into a versioned snapshot — chains (token ledgers in full, and every
+/// settled deal's contract as the retired placeholder it already is, so
+/// ContractId numbering survives), the
 /// scheduler clock and its pending durable events (cross-epoch validator
 /// reconfigurations and broker crash/recovery schedules), CbcService shard
 /// epochs (validator keys and reconfig certificates replay from seeds),
@@ -474,6 +489,9 @@ class TrafficService {
   uint64_t cumulative_fingerprint() const;
   /// Per-epoch reports in seal order, including epochs before a restore.
   const std::vector<EpochReport>& epoch_reports() const;
+  /// The service's World (chains, scheduler, parties), for inspection and
+  /// fault injection between epochs.
+  World& world();
 
  private:
   struct Impl;

@@ -28,8 +28,9 @@ void Watchtower::Arm() {
         world_->PartyEndpoint(operator_id_), deal_tag_,
         [this](const Receipt& r) { OnObservedReceipt(r); });
   }
-  world_->scheduler().ScheduleAt(
-      deployment_.info.RefundTime() + 1, [this] { OnRefundWatch(); });
+  world_->scheduler().ScheduleAt(deployment_.info.RefundTime() + 1,
+                                 EventLabel::Internal(deal_tag_),
+                                 [this] { OnRefundWatch(); });
 }
 
 void Watchtower::Crash() {

@@ -31,8 +31,9 @@ class Watchtower {
   /// `operator_id` is the watchtower's own on-chain identity (any registered
   /// party; it needs no deal membership). `clients` are the parties whose
   /// deposits it guards for refund purposes; vote relaying helps everyone.
-  /// `deal_tag` labels the tower's transactions so multi-deal worlds can
-  /// attribute its gas to the deal it guards (0 = untagged).
+  /// `deal_tag` labels the tower's transactions and its refund watch, so
+  /// multi-deal worlds attribute its gas to the deal it guards and count
+  /// its pending work as that deal's (0 = untagged).
   Watchtower(World* world, const DealSpec& spec,
              const TimelockDeployment& deployment, PartyId operator_id,
              std::vector<PartyId> clients, uint64_t deal_tag = 0);

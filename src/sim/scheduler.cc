@@ -20,7 +20,22 @@ size_t ScriptedChoicePolicy::Choose(const std::vector<EnabledEvent>& enabled) {
   return choice < enabled.size() ? choice : 0;
 }
 
+void Scheduler::AddInFlight(uint64_t deal_tag) {
+  if (deal_tag != 0) ++in_flight_[deal_tag];
+}
+
+void Scheduler::RemoveInFlight(uint64_t deal_tag) {
+  if (deal_tag == 0) return;
+  auto it = in_flight_.find(deal_tag);
+  if (it == in_flight_.end()) return;
+  if (--it->second == 0) {
+    in_flight_.erase(it);
+    drained_.push_back(deal_tag);
+  }
+}
+
 void Scheduler::Push(Event ev) {
+  AddInFlight(ev.label.deal_tag);
   queue_.push(std::move(ev));
   if (queue_.size() > stats_.max_pending) {
     stats_.max_pending = queue_.size();
@@ -127,16 +142,20 @@ bool Scheduler::PolicyStep() {
   if (choice >= enabled.size()) choice = 0;
   size_t chosen_tie = tie_index[choice];
   Event ev = std::move(ties[chosen_tie]);
+  // Re-queued ties were counted when first pushed, and the queue is no
+  // deeper than before the gather, so they bypass Push.
   for (size_t i = 0; i < ties.size(); ++i) {
-    if (i != chosen_tie) Push(std::move(ties[i]));
+    if (i != chosen_tie) queue_.push(std::move(ties[i]));
   }
 
   now_ = ev.time;
   if (policy_->ShouldDrop(enabled[choice])) {
     ++stats_.dropped;
+    Consume(ev);
     return true;
   }
   ev.fn();
+  Consume(ev);
   ++stats_.executed;
   if (step_observer_) step_observer_(now_, queue_.size());
   return true;
@@ -151,6 +170,9 @@ bool Scheduler::Step() {
   queue_.pop();
   now_ = ev.time;
   ev.fn();
+  // Counted out after the callback, so work it hands on under the same tag
+  // (a transaction entering a mempool) keeps the tag busy.
+  Consume(ev);
   ++stats_.executed;
   if (step_observer_) step_observer_(now_, queue_.size());
   return true;

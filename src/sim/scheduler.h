@@ -22,6 +22,14 @@
 //   - Same policy decisions => same execution, because all other scheduler
 //     state is deterministic.
 //
+// In-flight work per deal tag: every event whose label carries a nonzero
+// deal_tag, and every unit of tagged work held outside the queue (a
+// transaction waiting in a chain's mempool, see AddInFlight), counts toward
+// its tag until it is consumed. Each time a tag's count falls to zero,
+// TakeDrainedTags reports it. Nothing can wake a tag with no work in flight, so
+// a multi-deal engine reads a drained tag as a deal gone quiet for good.
+// Untagged (tag 0) events are not counted and cost one branch.
+//
 // Channel discipline: same-tick events with identical non-internal labels
 // (same kind, chain, actor) form a FIFO chain — only the lowest-seq member
 // is presented as enabled, the rest become eligible after it fires. This
@@ -38,6 +46,8 @@
 #include <map>
 #include <queue>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/det.h"
@@ -63,7 +73,9 @@ enum class EventKind : uint8_t {
 
 /// Dependence metadata for one scheduled event: which chain's queue/state the
 /// callback touches and which actor's (party's/observer's) local state it
-/// mutates. kNoId marks a dimension as not applicable.
+/// mutates. kNoId marks a dimension as not applicable. `deal_tag` names the
+/// deal the event works for (0 = none); it feeds the in-flight count, never
+/// the dependence relation.
 struct EventLabel {
   /// Sentinel for "no chain" / "no actor".
   static constexpr uint32_t kNoId = 0xFFFFFFFFu;
@@ -71,22 +83,30 @@ struct EventLabel {
   EventKind kind = EventKind::kInternal;
   uint32_t chain = kNoId;  // chain whose mempool/ledger the event touches
   uint32_t actor = kNoId;  // party/endpoint whose local state it mutates
+  uint64_t deal_tag = 0;   // deal the event works for (0 = untagged)
 
   /// A transaction from party `sender` arriving at `chain`'s mempool.
-  static EventLabel TxArrival(uint32_t chain, uint32_t sender) {
-    return EventLabel{EventKind::kTxArrival, chain, sender};
+  static EventLabel TxArrival(uint32_t chain, uint32_t sender,
+                              uint64_t deal_tag = 0) {
+    return EventLabel{EventKind::kTxArrival, chain, sender, deal_tag};
   }
   /// `chain` producing the block at a boundary.
   static EventLabel BlockProduction(uint32_t chain) {
     return EventLabel{EventKind::kBlockProduction, chain, kNoId};
   }
-  /// A receipt of `chain` delivered to observer endpoint `observer`.
-  static EventLabel Observation(uint32_t chain, uint32_t observer) {
-    return EventLabel{EventKind::kObservation, chain, observer};
+  /// A receipt of `chain` carrying `deal_tag`, delivered to observer
+  /// endpoint `observer`.
+  static EventLabel Observation(uint32_t chain, uint32_t observer,
+                                uint64_t deal_tag = 0) {
+    return EventLabel{EventKind::kObservation, chain, observer, deal_tag};
   }
-  /// A protocol phase hook owned by `actor` (a party id).
-  static EventLabel Timer(uint32_t actor) {
-    return EventLabel{EventKind::kTimer, EventLabel::kNoId, actor};
+  /// A protocol phase hook owned by `actor` (a party id) of deal `deal_tag`.
+  static EventLabel Timer(uint32_t actor, uint64_t deal_tag = 0) {
+    return EventLabel{EventKind::kTimer, EventLabel::kNoId, actor, deal_tag};
+  }
+  /// Unlabeled work (kInternal) done for deal `deal_tag`.
+  static EventLabel Internal(uint64_t deal_tag) {
+    return EventLabel{EventKind::kInternal, kNoId, kNoId, deal_tag};
   }
 };
 
@@ -232,6 +252,28 @@ class Scheduler {
   /// checkpoint. Only valid on a scheduler with an empty queue.
   void RestoreClock(Tick now, uint64_t next_seq, const SchedulerStats& stats);
 
+  /// Events plus held work (AddInFlight) still in flight for `deal_tag`;
+  /// always 0 for tag 0.
+  size_t InFlight(uint64_t deal_tag) const {
+    auto it = in_flight_.find(deal_tag);
+    return it == in_flight_.end() ? 0 : it->second;
+  }
+  /// Counts one unit of work for `deal_tag` that lives outside the event
+  /// queue (a chain counts each pending transaction this way). No-op for
+  /// tag 0.
+  void AddInFlight(uint64_t deal_tag);
+  /// Ends one unit counted by AddInFlight or by a tagged event. No-op for
+  /// tag 0 or a tag with nothing in flight.
+  void RemoveInFlight(uint64_t deal_tag);
+  /// The tags whose in-flight count fell to zero since the last call, in
+  /// the order they drained (a tag may repeat, and may be busy again by
+  /// now: re-check InFlight).
+  std::vector<uint64_t> TakeDrainedTags() {
+    std::vector<uint64_t> drained;
+    drained.swap(drained_);
+    return drained;
+  }
+
   /// Runs a single event; returns false if the queue is empty.
   XDEAL_DETERMINISTIC bool Step();
 
@@ -253,7 +295,10 @@ class Scheduler {
     }
   };
 
+  /// Queues a new event, counting it toward its deal tag.
   void Push(Event ev);
+  /// Counts one consumed (run or dropped) event out of its deal tag.
+  void Consume(const Event& ev) { RemoveInFlight(ev.label.deal_tag); }
   bool PolicyStep();
 
   Tick now_ = 0;
@@ -266,6 +311,10 @@ class Scheduler {
   // when the queued wrapper fires) and the name -> handler registry.
   std::map<uint64_t, DurableEvent> durable_;
   std::map<std::string, DurableHandler> durable_handlers_;
+  // In-flight work per nonzero deal tag (absent = 0), and the tags that
+  // drained since the last TakeDrainedTags.
+  std::unordered_map<uint64_t, size_t> in_flight_;
+  std::vector<uint64_t> drained_;
 };
 
 }  // namespace xdeal

@@ -45,20 +45,22 @@ class ByteWriter {
   /// Length-prefixed (u32) string.
   ByteWriter& Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-    return *this;
+    return Raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
   /// Length-prefixed (u32) byte blob.
   ByteWriter& Blob(const Bytes& b) {
     U32(static_cast<uint32_t>(b.size()));
-    buf_.insert(buf_.end(), b.begin(), b.end());
-    return *this;
+    return Raw(b.data(), b.size());
   }
 
   /// Raw bytes, no length prefix (for fixed-width fields like hashes).
+  /// Every append is one resize plus one copy.
   ByteWriter& Raw(const uint8_t* data, size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
+    if (len == 0) return *this;
+    const size_t at = buf_.size();
+    buf_.resize(at + len);
+    std::memcpy(buf_.data() + at, data, len);
     return *this;
   }
   ByteWriter& Raw(const Bytes& b) { return Raw(b.data(), b.size()); }
@@ -69,10 +71,11 @@ class ByteWriter {
  private:
   template <typename T>
   ByteWriter& AppendLe(T v) {
+    uint8_t le[sizeof(T)];
     for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<uint8_t>(v >> (8 * i));
     }
-    return *this;
+    return Raw(le, sizeof(T));
   }
 
   Bytes buf_;

@@ -5,6 +5,8 @@ Coverage:
 
   * metrics derived from wall-clock rates (speedups, big-D scaling ratios)
     classify as `wall`, like the rates themselves;
+  * the scheduler counters `events_executed` and `max_backlog` classify as
+    `exact`, so `check` gates the number of events a run schedules;
   * every metric in the committed BENCH_baseline.json classifies as
     non-wall, so the baseline names no host-dependent number;
   * `rebaseline` of a small fresh report leaves every wall metric out and
@@ -37,6 +39,10 @@ class ClassifyTest(unittest.TestCase):
     def test_wall_rate_ratios_are_wall(self):
         self.assertEqual(classify("bigd_scaling_ratio"), "wall")
         self.assertEqual(classify("crypto_batch_speedup"), "wall")
+
+    def test_scheduler_counters_are_exact(self):
+        self.assertEqual(classify("events_executed"), "exact")
+        self.assertEqual(classify("max_backlog"), "exact")
 
     def test_committed_baseline_has_no_wall_metric(self):
         with open(os.path.join(ROOT, "BENCH_baseline.json")) as f:

@@ -41,8 +41,8 @@ TEST(BlockchainTest, ProducesBlocksAtBoundaries) {
   world->Submit(alice, chain->id(), token, TransferCall(Holder::Party(bob), 20));
   world->scheduler().Run();
 
-  ASSERT_EQ(chain->blocks().size(), 1u);
-  const Block& block = chain->blocks()[0];
+  ASSERT_EQ(chain->num_blocks(), 1u);
+  const Block& block = chain->last_block();
   EXPECT_EQ(block.height, 0u);
   EXPECT_EQ(block.timestamp % 10, 0u);
   EXPECT_FALSE(block.hash.IsZero());
@@ -66,17 +66,19 @@ TEST(BlockchainTest, BlockChainingAndHashes) {
   world->Submit(alice, chain->id(), token,
                 TransferCall(Holder::Party(alice), 1));
   world->scheduler().Run();
+  const Block first = chain->last_block();
   world->scheduler().ScheduleAt(500, [&] {
     world->Submit(alice, chain->id(), token,
                   TransferCall(Holder::Party(alice), 1));
   });
   world->scheduler().Run();
 
-  ASSERT_EQ(chain->blocks().size(), 2u);
-  EXPECT_EQ(chain->blocks()[1].parent_hash, chain->blocks()[0].hash);
-  EXPECT_EQ(chain->blocks()[1].height, 1u);
+  ASSERT_EQ(chain->num_blocks(), 2u);
+  EXPECT_EQ(first.height, 0u);
+  EXPECT_EQ(chain->last_block().parent_hash, first.hash);
+  EXPECT_EQ(chain->last_block().height, 1u);
   // Hash recomputes from header fields.
-  const Block& b = chain->blocks()[1];
+  const Block& b = chain->last_block();
   EXPECT_EQ(b.hash, Block::ComputeHash(b.height, b.timestamp, b.parent_hash,
                                        b.entries_root));
 }
@@ -336,6 +338,48 @@ TEST(WorldSnapshotTest, RestoredWorldCheckpointsToTheSameBytes) {
                 ->As<FungibleToken>(token)
                 ->BalanceOf(Holder::Party(bob)),
             20u);
+}
+
+TEST(WorldSnapshotTest, RestoredChainKeepsTheStraightHeaderState) {
+  // A chain keeps only its block count and last header. Restored at a
+  // boundary, it must hold the straight run's header state, and its next
+  // block must chain to the same parent at the same height.
+  auto straight = MakeWorld();
+  PartyId alice = straight->RegisterParty("alice");
+  Blockchain* chain = straight->CreateChain("c", 10);
+  ContractId token =
+      chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
+  chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 50);
+  auto run_three = [&](World* world) {
+    for (int i = 0; i < 3; ++i) {
+      world->Submit(alice, chain->id(), token,
+                    TransferCall(Holder::Party(alice), 1));
+    }
+    world->scheduler().Run();
+  };
+  run_three(straight.get());
+  ByteWriter snapshot;
+  ASSERT_TRUE(straight->Checkpoint(&snapshot).ok());
+
+  auto restored = MakeWorld();
+  ByteReader r(snapshot.bytes());
+  Status s = restored->Restore(r, TokenFactory);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const Blockchain* copy = restored->chain(chain->id());
+  auto expect_same_headers = [&](const char* when) {
+    EXPECT_EQ(copy->num_blocks(), chain->num_blocks()) << when;
+    EXPECT_EQ(copy->last_block().height, chain->last_block().height) << when;
+    EXPECT_EQ(copy->last_block().hash, chain->last_block().hash) << when;
+  };
+  ASSERT_GT(chain->num_blocks(), 0u);
+  expect_same_headers("at the boundary");
+
+  run_three(straight.get());
+  run_three(restored.get());
+  expect_same_headers("after the next blocks");
+  EXPECT_EQ(copy->last_block().parent_hash, chain->last_block().parent_hash);
+  EXPECT_EQ(copy->last_block().entries_root,
+            chain->last_block().entries_root);
 }
 
 TEST(WorldSnapshotTest, RejectsZeroBlockInterval) {

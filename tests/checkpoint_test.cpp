@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "contracts/fungible_token.h"
 #include "core/traffic_engine.h"
 #include "crypto/sha256.h"
 #include "golden_fps.h"
@@ -285,6 +287,106 @@ TEST(CheckpointTest, CrashInjectionSurvivesRestore) {
     ExpectBitIdentical(RunWithRestore(options, options, boundary, 3),
                        straight);
   }
+}
+
+// --- retirement: a settled deal leaves only its record ---------------------
+
+/// Runs one epoch of `options` and checks that every deal of it retired:
+/// nothing of its tag in flight, no receipt log and no observer left on any
+/// chain, and every contract that is not a token ledger a retired
+/// placeholder rejecting calls.
+void ExpectEpochLeftNothingBehind(TrafficOptions options) {
+  options.deals_per_epoch = std::max<size_t>(options.deals_per_epoch, 1);
+  Result<std::unique_ptr<TrafficService>> service =
+      TrafficService::Create(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EpochReport epoch = service.value()->RunEpoch();
+  World& world = service.value()->world();
+  for (size_t d = epoch.first_deal; d < epoch.first_deal + epoch.num_deals;
+       ++d) {
+    const uint64_t tag = d + 1;
+    EXPECT_EQ(world.scheduler().InFlight(tag), 0u) << "deal " << d;
+    for (uint32_t c = 0; c < world.num_chains(); ++c) {
+      const Blockchain* chain = world.chain(ChainId{c});
+      EXPECT_TRUE(chain->TaggedReceipts(tag).empty())
+          << "deal " << d << " chain " << c;
+      EXPECT_EQ(chain->ObserverCount(tag), 0u)
+          << "deal " << d << " chain " << c;
+    }
+  }
+  size_t retired = 0;
+  for (uint32_t c = 0; c < world.num_chains(); ++c) {
+    Blockchain* chain = world.chain(ChainId{c});
+    for (uint32_t k = 0; chain->contract(ContractId{k}) != nullptr; ++k) {
+      Contract* contract = chain->contract(ContractId{k});
+      if (chain->As<FungibleToken>(ContractId{k}) != nullptr) continue;
+      GasMeter gas;
+      CallContext ctx;
+      ctx.world = &world;
+      ctx.chain = chain;
+      ctx.gas = &gas;
+      ByteReader args(Bytes{});
+      Result<Bytes> call = contract->Invoke(ctx, "escrow", args);
+      ASSERT_FALSE(call.ok()) << contract->TypeName() << " on chain " << c;
+      EXPECT_EQ(call.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(call.status().ToString().find("Retired:"), std::string::npos)
+          << call.status().ToString();
+      ++retired;
+    }
+  }
+  EXPECT_GT(retired, 0u);
+}
+
+TEST(RetireTest, SettledDealsLeaveNothingBehind) {
+  // Broker bounces, a double-spend pair, a stale-proof replay and the
+  // receipt-index oracle, in one epoch.
+  TrafficOptions evidence = GoldenEvidenceOptions();
+  evidence.deals_per_epoch = evidence.num_deals;
+  ExpectEpochLeftNothingBehind(evidence);
+  // Towers killed and recovered: their crash and recover closures keep the
+  // guarded deal live until both fire.
+  ExpectEpochLeftNothingBehind(CrashServiceOptions());
+}
+
+TEST(RetireTest, TouchingARetiredDealFailsLoudly) {
+  Result<std::unique_ptr<TrafficService>> service =
+      TrafficService::Create(ServiceOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  TrafficService& s = *service.value();
+  EpochReport first = s.RunEpoch();
+  ASSERT_EQ(first.violations, 0u);
+  World& world = s.world();
+
+  // A timer of retired deal 0, and a transaction of retired deal 1 aimed at
+  // a retired contract.
+  world.scheduler().ScheduleAfter(5, EventLabel::Timer(0, /*deal_tag=*/1),
+                                  [] {});
+  Blockchain* chain = world.chain(ChainId{0});
+  ContractId target;
+  for (uint32_t k = 0; chain->contract(ContractId{k}) != nullptr; ++k) {
+    if (chain->As<FungibleToken>(ContractId{k}) == nullptr) {
+      target = ContractId{k};
+      break;
+    }
+  }
+  ASSERT_TRUE(target.valid());
+  world.Submit(PartyId{0}, chain->id(), target, CallData{"commit", {}},
+               "probe", /*deal_tag=*/2);
+
+  EpochReport second = s.RunEpoch();
+  EXPECT_EQ(second.violations, 2u);
+  std::vector<size_t> touched;
+  for (const TrafficViolation& v : s.Finish().violations) {
+    if (v.what.find("retired-deal-touched") != std::string::npos) {
+      touched.push_back(v.deal_index);
+    }
+  }
+  EXPECT_EQ(touched, (std::vector<size_t>{0, 1}));
+  // The stray call reached a placeholder and failed with a Status.
+  ASSERT_EQ(chain->TaggedReceipts(2).size(), 1u);
+  const Status& status = chain->TaggedReceipts(2)[0].status;
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.ToString().find("Retired:"), std::string::npos);
 }
 
 // --- the wire format, byte for byte ---------------------------------------

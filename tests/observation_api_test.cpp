@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -54,21 +55,22 @@ TEST(ObservationApiTest, ReceiptViewMatchesManualScanByTagAndContract) {
   SubmitTagged(world.get(), chain, alice, tok_a, /*deal_tag=*/9, 4);
   SubmitTagged(world.get(), chain, alice, tok_a, /*deal_tag=*/0, 1);
   world->scheduler().Run();
-  ASSERT_EQ(chain->receipts().size(), 10u);
 
-  // Each view is exactly the manual filter of the unfiltered history, in
-  // chain order.
+  // Every receipt lands in exactly its own tag's log, in chain (tx_seq)
+  // order; the untagged log is receipts().
+  std::set<uint64_t> seqs;
   for (uint64_t tag : {0u, 7u, 9u, 999u}) {
-    std::vector<uint64_t> manual;
-    for (const Receipt& r : chain->receipts()) {
-      if (r.deal_tag == tag) manual.push_back(r.tx_seq);
-    }
     std::vector<uint64_t> view;
     for (const Receipt& r : chain->TaggedReceipts(tag)) {
+      EXPECT_EQ(r.deal_tag, tag);
       view.push_back(r.tx_seq);
+      seqs.insert(r.tx_seq);
     }
-    EXPECT_EQ(view, manual) << "tag " << tag;
+    EXPECT_TRUE(std::is_sorted(view.begin(), view.end())) << "tag " << tag;
+    EXPECT_TRUE(chain->TagIndexMatchesFullScan(tag)) << "tag " << tag;
   }
+  EXPECT_EQ(seqs.size(), 10u);
+  EXPECT_EQ(chain->receipts().size(), 1u);
   EXPECT_EQ(chain->TaggedReceipts(7).size(), 5u);
   EXPECT_EQ(chain->ContractReceipts(7, tok_a).size(), 3u);
   EXPECT_EQ(chain->ContractReceipts(7, tok_b).size(), 2u);
@@ -78,7 +80,32 @@ TEST(ObservationApiTest, ReceiptViewMatchesManualScanByTagAndContract) {
     EXPECT_EQ(r.deal_tag, 9u);
     EXPECT_EQ(r.contract.v, tok_a.v);
   }
-  EXPECT_TRUE(chain->TagIndexMatchesFullScan());
+}
+
+TEST(ObservationApiTest, ReleaseTagDropsOnlyThatTag) {
+  auto world = MakeWorld();
+  PartyId alice = world->RegisterParty("alice");
+  Blockchain* chain = world->CreateChain("c", 10);
+  ContractId token =
+      chain->Deploy(std::make_unique<FungibleToken>("A", alice));
+  chain->As<FungibleToken>(token)->Mint(Holder::Party(alice), 100);
+  size_t heard = 0;
+  for (uint64_t tag : {7u, 9u}) {
+    chain->Subscribe(world->PartyEndpoint(alice), tag,
+                     [&heard](const Receipt&) { ++heard; });
+  }
+  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/7, 3);
+  SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/9, 2);
+  world->scheduler().Run();
+  EXPECT_EQ(heard, 5u);
+  EXPECT_EQ(world->scheduler().InFlight(7), 0u);
+
+  chain->ReleaseTag(7);
+  EXPECT_TRUE(chain->TaggedReceipts(7).empty());
+  EXPECT_TRUE(chain->ContractReceipts(7, token).empty());
+  EXPECT_EQ(chain->ObserverCount(7), 0u);
+  EXPECT_EQ(chain->TaggedReceipts(9).size(), 2u);
+  EXPECT_EQ(chain->ObserverCount(9), 1u);
 }
 
 TEST(ObservationApiTest, IndexedDeliveryRoutesByTag) {
@@ -188,12 +215,17 @@ TEST(ObservationApiTest, FingerprintsInvariantUnderBucketPermutation) {
   SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/9, 4);
   SubmitTagged(world.get(), chain, alice, token, /*deal_tag=*/0, 1);
   world->scheduler().Run();
-  ASSERT_EQ(chain->receipts().size(), 8u);
+  ASSERT_EQ(chain->TaggedReceipts(7).size() + chain->TaggedReceipts(9).size() +
+                chain->receipts().size(),
+            8u);
 
   const uint64_t baseline = fold_observations(chain);
   for (size_t buckets : {1u, 2u, 17u, 64u, 1031u}) {
     chain->RehashIndexes(buckets);
-    EXPECT_TRUE(chain->TagIndexMatchesFullScan()) << "buckets=" << buckets;
+    for (uint64_t tag : {7u, 9u, 0u}) {
+      EXPECT_TRUE(chain->TagIndexMatchesFullScan(tag))
+          << "buckets=" << buckets << " tag=" << tag;
+    }
     EXPECT_EQ(fold_observations(chain), baseline) << "buckets=" << buckets;
   }
 }
