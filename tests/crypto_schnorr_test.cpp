@@ -1,10 +1,11 @@
-// Schnorr signature round-trips, forgery rejection, determinism, and
-// serialization.
+// Schnorr signature round-trips, forgery rejection, determinism,
+// serialization, batched verification, and verification from many threads.
 
 #include "crypto/schnorr.h"
 
 #include <gtest/gtest.h>
 
+#include "sim/worker_pool.h"
 #include "util/hex.h"
 #include "util/rng.h"
 
@@ -322,6 +323,76 @@ TEST(SchnorrBatchTest, QuorumShapedBatchesAgreeWithPerSigOverManySeeds) {
     EXPECT_EQ(verdict.first_bad, first_bad) << "round " << round;
     EXPECT_EQ(verdict.used_fallback, corrupted >= 0) << "round " << round;
   }
+}
+
+TEST(SchnorrTest, ConcurrentVerifyMatchesSerial) {
+  // The shape of a multithreaded check run: Verify and BatchVerify on 4
+  // WorkerPool threads at once. Every verdict, on valid and on corrupted
+  // inputs alike, must equal the serial one, so the exponentiation keeps
+  // no shared mutable state.
+  const U256& n = SchnorrGroup::N();
+  struct Single {
+    PublicKey key;
+    Bytes message;
+    Signature sig;
+  };
+  std::vector<Single> singles;
+  for (int i = 0; i < 12; ++i) {
+    KeyPair kp = KeyPair::FromSeed("concurrent-" + std::to_string(i));
+    Bytes msg = ToBytes("path vote " + std::to_string(i));
+    Single single{kp.public_key(), msg, kp.Sign(msg)};
+    switch (i % 4) {
+      case 1: single.sig.s = U256::AddMod(single.sig.s, U256(1), n); break;
+      case 2: single.sig.s = single.sig.s.Add(n); break;  // still valid
+      case 3: single.message = ToBytes("another vote"); break;
+      default: break;
+    }
+    singles.push_back(single);
+  }
+  std::vector<std::vector<BatchItem>> batches;
+  for (size_t k : {1u, 3u, 5u, 7u}) {
+    batches.push_back(MakeBatch(k, "concurrent-ok-" + std::to_string(k)));
+    std::vector<BatchItem> bad =
+        MakeBatch(k, "concurrent-bad-" + std::to_string(k));
+    bad[k / 2].sig.s = U256::AddMod(bad[k / 2].sig.s, U256(1), n);
+    batches.push_back(bad);
+  }
+
+  std::vector<int> serial_single;
+  for (const Single& s : singles) {
+    serial_single.push_back(Verify(s.key, s.message, s.sig) ? 1 : 0);
+  }
+  std::vector<int> serial_batch;
+  for (const auto& batch : batches) {
+    BatchVerifyResult verdict = BatchVerify(batch);
+    serial_batch.push_back(verdict.ok ? -1 : verdict.first_bad);
+  }
+
+  // Each task verifies one input; every input is verified 8 times.
+  constexpr size_t kRepeats = 8;
+  const size_t per_round = singles.size() + batches.size();
+  std::vector<int> concurrent(per_round * kRepeats, -2);
+  WorkerPool pool(4);
+  pool.ParallelFor(concurrent.size(), [&](size_t task) {
+    const size_t index = task % per_round;
+    if (index < singles.size()) {
+      const Single& s = singles[index];
+      concurrent[task] = Verify(s.key, s.message, s.sig) ? 1 : 0;
+    } else {
+      BatchVerifyResult verdict = BatchVerify(batches[index - singles.size()]);
+      concurrent[task] = verdict.ok ? -1 : verdict.first_bad;
+    }
+  });
+  for (size_t task = 0; task < concurrent.size(); ++task) {
+    const size_t index = task % per_round;
+    const int expect = index < singles.size()
+                           ? serial_single[index]
+                           : serial_batch[index - singles.size()];
+    EXPECT_EQ(concurrent[task], expect) << "task " << task;
+  }
+  EXPECT_EQ(serial_single, (std::vector<int>{1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+                                             1, 0}));
+  EXPECT_EQ(serial_batch, (std::vector<int>{-1, 0, -1, 1, -1, 2, -1, 3}));
 }
 
 }  // namespace

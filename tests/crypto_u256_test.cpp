@@ -238,6 +238,142 @@ TEST(U256Test, FoldReductionMatchesKnuthDivision) {
   }
 }
 
+// The exponentiation oracle: left-to-right square-and-multiply over every
+// bit of `exp`, one MulMod per step.
+U256 SquareAndMultiply(const U256& base, const U256& exp, const U256& m) {
+  if (m == U256(1)) return U256();
+  U256 result(1);
+  const U256 b = U256::Mod(base, m);
+  for (int i = exp.BitLength() - 1; i >= 0; --i) {
+    result = U256::MulMod(result, result, m);
+    if (exp.Bit(i)) result = U256::MulMod(result, b, m);
+  }
+  return result;
+}
+
+// Moduli for the exponentiation tests: the two fold-path Schnorr moduli,
+// moduli that take Knuth division (a full-width odd one, one a bit too far
+// below 2^255 to fold, a 64-bit prime), and m = 1.
+std::vector<U256> ExponentiationModuli() {
+  return {SchnorrGroup::P(),
+          SchnorrGroup::N(),
+          U256::FromHex("f3a1c07d5e2b6498a7c3e1d0b5f49286"
+                        "3d7e1a0c9b8f6e5d4c3b2a1908f7e6d5"),
+          U256(1).ShiftLeft(255).Sub(U256(1).ShiftLeft(40)),
+          U256(1000000007),
+          U256(1)};
+}
+
+// Exponents that stress a windowed scan: the ends of the range, runs of
+// ones longer than any window, windows straddling the limb boundaries, and
+// one exponent of every length from 1 to 256 bits.
+std::vector<U256> ExponentiationExponents(Rng* rng) {
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<U256> exps = {U256(), U256(1), U256(2), U256(3), max,
+                            max.ShiftRight(1)};
+  for (unsigned run : {6u, 7u, 11u, 64u, 130u}) {
+    for (unsigned shift : {0u, 1u, 60u, 125u, 250u}) {
+      exps.push_back(max.ShiftRight(256 - run).ShiftLeft(shift));
+    }
+  }
+  for (unsigned boundary : {64u, 128u, 192u}) {
+    for (unsigned below = 1; below <= 6; ++below) {
+      // 0b1...1 (6 bits) and 0b10001 patterns whose low end sits `below`
+      // bits under the limb boundary.
+      exps.push_back(U256(0x3F).ShiftLeft(boundary - below));
+      exps.push_back(U256(0x11).ShiftLeft(boundary - below));
+      exps.push_back(U256(0x11).ShiftLeft(boundary - below).Add(U256(1)));
+    }
+  }
+  for (unsigned length = 1; length <= 256; ++length) {
+    U256 e = RandomU256(rng).ShiftRight(256 - length);
+    if (!e.Bit(length - 1)) e = e.Add(U256(1).ShiftLeft(length - 1));
+    exps.push_back(e);
+  }
+  return exps;
+}
+
+// Bases for modulus m: the edges of [0, m], and unreduced values above m.
+std::vector<U256> ExponentiationBases(const U256& m, Rng* rng) {
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<U256> bases = {U256(), U256(1), m.Sub(U256(1)), m,
+                             m.Add(U256(1)), max, RandomU256(rng)};
+  if (max.Sub(m) >= m) bases.push_back(m.Add(m).Add(U256(2)));
+  return bases;
+}
+
+TEST(U256Test, PowModMatchesSquareAndMultiply) {
+  for (const U256& m : ExponentiationModuli()) {
+    Rng rng(m.Low64() ^ 0x9E3779B97F4A7C15ULL);
+    const std::vector<U256> exps = ExponentiationExponents(&rng);
+    for (const U256& base : ExponentiationBases(m, &rng)) {
+      for (const U256& exp : exps) {
+        ASSERT_EQ(U256::PowMod(base, exp, m), SquareAndMultiply(base, exp, m))
+            << base.ToHex() << " ^ " << exp.ToHex() << " mod " << m.ToHex();
+      }
+    }
+    for (int i = 0; i < 300; ++i) {
+      const U256 base = (i % 2 == 0) ? RandomU256(&rng) : EdgyU256(&rng);
+      const U256 exp = (i % 3 == 0) ? RandomU256(&rng) : EdgyU256(&rng);
+      ASSERT_EQ(U256::PowMod(base, exp, m), SquareAndMultiply(base, exp, m))
+          << base.ToHex() << " ^ " << exp.ToHex() << " mod " << m.ToHex();
+    }
+  }
+}
+
+// The product of every base^exp by the oracle, one term at a time.
+U256 ProductOfPowers(const std::vector<std::pair<U256, U256>>& terms,
+                     const U256& m) {
+  U256 product = U256::Mod(U256(1), m);
+  for (const auto& [base, exp] : terms) {
+    product = U256::MulMod(product, SquareAndMultiply(base, exp, m), m);
+  }
+  return product;
+}
+
+TEST(U256Test, MultiExpModMatchesProductOfPowMods) {
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<U256> moduli = ExponentiationModuli();
+  moduli.resize(3);  // p, n and the full-width Knuth modulus
+  for (const U256& m : moduli) {
+    Rng rng(m.Low64() + 3);
+    auto random_below = [&rng](unsigned bits) {
+      return RandomU256(&rng).ShiftRight(256 - bits);
+    };
+    std::vector<std::vector<std::pair<U256, U256>>> cases;
+    cases.push_back({});
+    cases.push_back({{RandomU256(&rng), RandomU256(&rng)}});
+    cases.push_back({{RandomU256(&rng), U256()}, {RandomU256(&rng), U256()}});
+    for (size_t items : {1u, 2u, 3u, 5u, 9u, 17u, 20u}) {
+      // Batch-shaped: per item one 128-bit and one 256-bit exponent.
+      std::vector<std::pair<U256, U256>> terms;
+      for (size_t i = 0; i < items; ++i) {
+        terms.emplace_back(random_below(255), random_below(128));
+        terms.emplace_back(random_below(255), RandomU256(&rng));
+      }
+      cases.push_back(terms);
+    }
+    const U256 shared = RandomU256(&rng);
+    cases.push_back({{shared, random_below(128)},
+                     {shared, RandomU256(&rng)},
+                     {shared, max}});
+    cases.push_back({{m, RandomU256(&rng)},
+                     {m.Add(U256(1)), RandomU256(&rng)},
+                     {max, random_below(128)},
+                     {U256(), U256()},
+                     {U256(), U256(1)}});
+    cases.push_back({{EdgyU256(&rng), EdgyU256(&rng)},
+                     {EdgyU256(&rng), U256(0x3F).ShiftLeft(61)},
+                     {EdgyU256(&rng), U256(1).ShiftLeft(255)},
+                     {U256(1), max}});
+    for (const auto& terms : cases) {
+      ASSERT_EQ(U256::MultiExpMod(terms, m), ProductOfPowers(terms, m))
+          << terms.size() << " terms mod " << m.ToHex();
+    }
+  }
+  EXPECT_EQ(U256::MultiExpMod({{U256(5), U256(7)}}, U256(1)), U256());
+}
+
 TEST(U256Test, U512MulMatchesInt128) {
   Rng rng(43);
   for (int i = 0; i < 100; ++i) {
