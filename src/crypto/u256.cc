@@ -1,5 +1,6 @@
 #include "crypto/u256.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace xdeal {
@@ -156,8 +157,13 @@ uint64_t FoldConstant(const U256& m) {
   return c < (1ULL << 32) ? c : 0;
 }
 
-// t (8 limbs, little-endian) mod m, where m = 2^255 - c (see above).
-U256 FoldMod(const uint64_t* t, uint64_t c, const U256& m) {
+// t (8 limbs, little-endian) folded to a value below 2^255 + 2^67 < 2m
+// that is congruent to it mod m = 2^255 - c (see above): FoldMod without
+// the final subtraction. Exponentiation keeps its chain in this form, as a
+// product of two such values still fits in 512 bits, and reduces once at
+// the end. Always inlined: a call would pass the 512 bits through memory.
+[[gnu::always_inline]] inline U256 FoldPartial(const uint64_t* t,
+                                               uint64_t c) {
   constexpr uint64_t kLow63 = 0x7FFFFFFFFFFFFFFFULL;
   uint64_t r[4];
   uint64_t carry = 0;
@@ -176,9 +182,142 @@ U256 FoldMod(const uint64_t* t, uint64_t c, const U256& m) {
     r[i] = static_cast<uint64_t>(add);
     add >>= 64;
   }
-  U256 out = U256::FromLimbsBigEndian(r[3], r[2], r[1], r[0]);
+  return U256::FromLimbsBigEndian(r[3], r[2], r[1], r[0]);
+}
+
+// t (8 limbs, little-endian) mod m, where m = 2^255 - c.
+U256 FoldMod(const uint64_t* t, uint64_t c, const U256& m) {
+  U256 out = FoldPartial(t, c);
   if (out >= m) out = out.Sub(m);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Windowed exponentiation.
+//
+// An exponent is read as sliding windows: scanning down from the top, each
+// set bit opens a window of at most W bits that ends on a set bit, so its
+// value (the digit) is odd and below 2^W, and every bit outside a window is
+// zero. base^exp is then a product of the odd powers base^digit, each
+// squared up to its window's position; a table of the 2^(W-1) odd powers
+// takes one squaring and 2^(W-1) - 1 multiplies. Every intermediate is
+// congruent to the exact power mod m, and the result is reduced to [0, m)
+// once, so it is exactly square-and-multiply's.
+// ---------------------------------------------------------------------------
+
+constexpr int kPowWindow = 5;       // PowMod: one base, 16 odd powers
+constexpr int kMultiExpWindow = 4;  // MultiExpMod: 8 odd powers per term
+constexpr size_t kStrausTerms = 32;  // MultiExpMod terms per squaring chain
+
+// a * a in 10 word multiplies (U512::Square). Always inlined, as is
+// FoldPartial: a call would pass the 512-bit value through memory on every
+// step of an exponentiation's chain.
+[[gnu::always_inline]] inline U512 SquareWide(const U256& a) {
+  using u128 = __uint128_t;
+  const uint64_t a0 = a.limb(0), a1 = a.limb(1), a2 = a.limb(2),
+                 a3 = a.limb(3);
+  // The six cross products a_i * a_j, i < j, each formed once ...
+  u128 t = static_cast<u128>(a0) * a1;
+  uint64_t r1 = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a0) * a2 + static_cast<uint64_t>(t >> 64);
+  uint64_t r2 = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a0) * a3 + static_cast<uint64_t>(t >> 64);
+  uint64_t r3 = static_cast<uint64_t>(t);
+  uint64_t r4 = static_cast<uint64_t>(t >> 64);
+  t = static_cast<u128>(a1) * a2 + r3;
+  r3 = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a1) * a3 + r4 + static_cast<uint64_t>(t >> 64);
+  r4 = static_cast<uint64_t>(t);
+  uint64_t r5 = static_cast<uint64_t>(t >> 64);
+  t = static_cast<u128>(a2) * a3 + r5;
+  r5 = static_cast<uint64_t>(t);
+  uint64_t r6 = static_cast<uint64_t>(t >> 64);
+  // ... then doubled ...
+  const uint64_t r7 = r6 >> 63;
+  r6 = (r6 << 1) | (r5 >> 63);
+  r5 = (r5 << 1) | (r4 >> 63);
+  r4 = (r4 << 1) | (r3 >> 63);
+  r3 = (r3 << 1) | (r2 >> 63);
+  r2 = (r2 << 1) | (r1 >> 63);
+  r1 <<= 1;
+  // ... plus the four squares a_i^2 on the diagonal.
+  U512 out;
+  t = static_cast<u128>(a0) * a0;
+  out.limbs[0] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(r1) + static_cast<uint64_t>(t >> 64);
+  out.limbs[1] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a1) * a1 + r2 + static_cast<uint64_t>(t >> 64);
+  out.limbs[2] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(r3) + static_cast<uint64_t>(t >> 64);
+  out.limbs[3] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a2) * a2 + r4 + static_cast<uint64_t>(t >> 64);
+  out.limbs[4] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(r5) + static_cast<uint64_t>(t >> 64);
+  out.limbs[5] = static_cast<uint64_t>(t);
+  t = static_cast<u128>(a3) * a3 + r6 + static_cast<uint64_t>(t >> 64);
+  out.limbs[6] = static_cast<uint64_t>(t);
+  out.limbs[7] = r7 + static_cast<uint64_t>(t >> 64);
+  return out;
+}
+
+// Multiplication and squaring mod one modulus, with the reduction path
+// (fold or Knuth division) chosen once, in the constructor. On the fold
+// path the results are only partly reduced (FoldPartial); Canonical gives
+// the residue in [0, m).
+class Reducer {
+ public:
+  explicit Reducer(const U256& m) : m_(m), c_(FoldConstant(m)) {}
+
+  U256 Mul(const U256& a, const U256& b) const {
+    return Reduce(U512::Mul(a, b));
+  }
+  U256 Square(const U256& a) const { return Reduce(SquareWide(a)); }
+  U256 Canonical(const U256& a) const { return U256::Mod(a, m_); }
+
+ private:
+  U256 Reduce(const U512& t) const {
+    return c_ != 0 ? FoldPartial(t.limbs.data(), c_) : t.Mod(m_);
+  }
+
+  const U256& m_;
+  uint64_t c_;
+};
+
+// b, b^3, b^5, ..., b^(2^W - 1) mod m, indexed by digit: (*this)[d] = b^d.
+template <int W>
+class OddPowers {
+ public:
+  OddPowers() = default;
+  OddPowers(const U256& b, const Reducer& r) {
+    const U256 b2 = r.Square(b);
+    powers_[0] = b;
+    for (size_t i = 1; i < powers_.size(); ++i) {
+      powers_[i] = r.Mul(powers_[i - 1], b2);
+    }
+  }
+  const U256& operator[](unsigned digit) const { return powers_[digit >> 1]; }
+
+ private:
+  std::array<U256, size_t{1} << (W - 1)> powers_;
+};
+
+// Calls visit(low, digit) for each window of `exp`, highest first, where
+// `low` is the window's lowest bit and `digit` its odd value.
+template <int W, typename Visit>
+void ForEachWindow(const U256& exp, Visit visit) {
+  for (int i = exp.BitLength() - 1; i >= 0; --i) {
+    if (!exp.Bit(i)) continue;
+    int low = i - W + 1 < 0 ? 0 : i - W + 1;
+    while (!exp.Bit(low)) ++low;
+    // Bits low..i, which may straddle two limbs.
+    const int limb = low / 64;
+    const int shift = low % 64;
+    uint64_t bits = exp.limb(limb) >> shift;
+    if (shift + (i - low) >= 64) bits |= exp.limb(limb + 1) << (64 - shift);
+    const uint64_t mask = (uint64_t{1} << (i - low + 1)) - 1;
+    visit(low, static_cast<unsigned>(bits & mask));
+    i = low;
+  }
 }
 
 }  // namespace
@@ -337,6 +476,8 @@ U512 U512::Mul(const U256& a, const U256& b) {
   return out;
 }
 
+U512 U512::Square(const U256& a) { return SquareWide(a); }
+
 U256 U512::Mod(const U256& m) const {
   uint32_t digits[16];
   ToDigits(limbs.data(), 8, digits);
@@ -385,42 +526,69 @@ U256 U256::MulMod(const U256& a, const U256& b, const U256& m) {
 
 U256 U256::PowMod(const U256& base, const U256& exp, const U256& m) {
   if (m == U256(1)) return U256();
-  U256 result(1);
-  U256 b = Mod(base, m);
-  int bits = exp.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = MulMod(result, result, m);
-    if (exp.Bit(i)) {
-      result = MulMod(result, b, m);
+  if (exp.IsZero()) return U256(1);
+  const Reducer r(m);
+  const OddPowers<kPowWindow> powers(Mod(base, m), r);
+  // Horner over the windows: between two windows, square once per bit.
+  U256 result;
+  int at = -1;  // the bit position `result` stands for; -1 before the first
+  ForEachWindow<kPowWindow>(exp, [&](int low, unsigned digit) {
+    if (at < 0) {
+      result = powers[digit];
+    } else {
+      for (; at > low; --at) result = r.Square(result);
+      result = r.Mul(result, powers[digit]);
     }
-  }
-  return result;
+    at = low;
+  });
+  for (; at > 0; --at) result = r.Square(result);
+  return r.Canonical(result);
 }
 
 U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                        const U256& m) {
   if (m == U256(1)) return U256();
+  const Reducer r(m);
   U256 result(1);
-  if (terms.empty()) return result;
-
-  std::vector<U256> bases;
-  bases.reserve(terms.size());
-  int bits = 0;
-  for (const auto& [base, exp] : terms) {
-    bases.push_back(Mod(base, m));
-    if (exp.BitLength() > bits) bits = exp.BitLength();
-  }
-  // One shared squaring chain over the longest exponent; at each bit
-  // position, multiply in every base whose exponent has that bit set.
-  for (int i = bits - 1; i >= 0; --i) {
-    result = MulMod(result, result, m);
-    for (size_t t = 0; t < terms.size(); ++t) {
-      if (terms[t].second.Bit(i)) {
-        result = MulMod(result, bases[t], m);
+  bool result_is_one = true;
+  // Terms go in chunks of kStrausTerms, each over its own squaring chain,
+  // so every table lives on the stack.
+  for (size_t begin = 0; begin < terms.size(); begin += kStrausTerms) {
+    const size_t count = std::min(kStrausTerms, terms.size() - begin);
+    OddPowers<kMultiExpWindow> powers[kStrausTerms];
+    // digit[t][i]: term t's window digit whose lowest bit is i; read only
+    // where bit t of starts[i] is set.
+    uint8_t digit[kStrausTerms][256];
+    uint32_t starts[256] = {};
+    int top = -1;
+    for (size_t t = 0; t < count; ++t) {
+      const auto& [base, exp] = terms[begin + t];
+      if (exp.IsZero()) continue;
+      powers[t] = OddPowers<kMultiExpWindow>(Mod(base, m), r);
+      ForEachWindow<kMultiExpWindow>(exp, [&](int low, unsigned d) {
+        digit[t][low] = static_cast<uint8_t>(d);
+        starts[low] |= 1u << t;
+        if (low > top) top = low;
+      });
+    }
+    // One shared squaring chain from the highest window down; at each bit,
+    // multiply in the table entry of every window that ends there.
+    U256 acc;
+    bool acc_is_one = true;
+    for (int i = top; i >= 0; --i) {
+      if (!acc_is_one) acc = r.Square(acc);
+      for (uint32_t pending = starts[i]; pending != 0; pending &= pending - 1) {
+        const int t = __builtin_ctz(pending);
+        const U256& power = powers[t][digit[t][i]];
+        acc = acc_is_one ? power : r.Mul(acc, power);
+        acc_is_one = false;
       }
     }
+    if (acc_is_one) continue;
+    result = result_is_one ? acc : r.Mul(result, acc);
+    result_is_one = false;
   }
-  return result;
+  return r.Canonical(result);
 }
 
 }  // namespace xdeal

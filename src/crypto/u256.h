@@ -111,20 +111,25 @@ class U256 {
   static U256 SubMod(const U256& a, const U256& b, const U256& m);
   /// (a * b) mod m, from the full 512-bit product.
   static U256 MulMod(const U256& a, const U256& b, const U256& m);
-  /// base^exp mod m by left-to-right square-and-multiply over every bit of
-  /// `exp`; exp = 0 gives 1 mod m.
+  /// base^exp mod m, reading every bit of `exp` in sliding windows of up to
+  /// 5 bits: a table of the 16 odd powers base^1 .. base^31, then one
+  /// squaring per bit of `exp` and one multiply per window. For a 256-bit
+  /// exponent that is about 255 squarings and 58 multiplies. exp = 0 gives
+  /// 1 mod m. The result is exactly left-to-right square-and-multiply's.
   static U256 PowMod(const U256& base, const U256& exp, const U256& m);
   /// a mod m; returns `a` unchanged when a < m.
   static U256 Mod(const U256& a, const U256& m);
 
   /// Simultaneous multi-exponentiation: Π base_i^{exp_i} mod m over all
-  /// (base, exp) pairs in `terms`, via an interleaved square-and-multiply
-  /// that shares ONE squaring chain across every term (Shamir's trick
-  /// generalized to k bases). For k terms of b-bit exponents this costs
-  /// b squarings + (set bits) multiplies instead of k·b squarings — the
-  /// kernel behind batched Schnorr certificate verification. `m` must be
-  /// nonzero; bases may be unreduced; an empty `terms` yields 1 mod m. The
-  /// result is canonical, in [0, m).
+  /// (base, exp) pairs in `terms`, via interleaved (Straus) sliding windows
+  /// of up to 4 bits that share ONE squaring chain across up to 32 terms.
+  /// Each term with a nonzero exponent gets a table of its 8 odd powers
+  /// (one squaring and 7 multiplies) and one multiply per window, about
+  /// b/5 for a b-bit exponent; the chain costs b squarings for the longest
+  /// one. This is the kernel behind batched Schnorr certificate
+  /// verification. `m` must be nonzero; bases may be unreduced; an empty
+  /// `terms` yields 1 mod m. The result is canonical, in [0, m), and equal
+  /// to the product of the terms' PowMods. No heap allocation.
   static U256 MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
                           const U256& m);
 
@@ -140,6 +145,11 @@ struct U512 {
 
   /// The exact 512-bit product a * b.
   static U512 Mul(const U256& a, const U256& b);
+
+  /// The exact 512-bit square a * a, equal to Mul(a, a) in 10 word
+  /// multiplies instead of 16: each cross product a_i * a_j is formed once
+  /// and doubled. The squaring step of PowMod and MultiExpMod.
+  static U512 Square(const U256& a);
 
   /// Remainder of this 512-bit value modulo a nonzero 256-bit modulus,
   /// canonical in [0, m), via Knuth Algorithm D with 32-bit digits. Always

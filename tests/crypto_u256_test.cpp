@@ -374,6 +374,27 @@ TEST(U256Test, MultiExpModMatchesProductOfPowMods) {
   EXPECT_EQ(U256::MultiExpMod({{U256(5), U256(7)}}, U256(1)), U256());
 }
 
+// U512::Square against U512::Mul(a, a), and squaring mod p and n (the
+// fold path, also inside PowMod's chain) against Knuth division.
+TEST(U256Test, SquareMatchesMulThenFold) {
+  const U256 max = U256::FromLimbsBigEndian(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<U256> operands = {U256(), U256(1), U256(~0ULL), max,
+                                max.ShiftRight(1), U256(1).ShiftLeft(255),
+                                SchnorrGroup::P(), SchnorrGroup::N()};
+  Rng rng(53);
+  for (int i = 0; i < 20000; ++i) {
+    operands.push_back((i % 2 == 0) ? RandomU256(&rng) : EdgyU256(&rng));
+  }
+  for (const U256& a : operands) {
+    const U512 square = U512::Square(a);
+    ASSERT_EQ(square.limbs, U512::Mul(a, a).limbs) << a.ToHex();
+    for (const U256& m : {SchnorrGroup::P(), SchnorrGroup::N()}) {
+      ASSERT_EQ(U256::MulMod(a, a, m), square.Mod(m)) << a.ToHex();
+      ASSERT_EQ(U256::PowMod(a, U256(2), m), square.Mod(m)) << a.ToHex();
+    }
+  }
+}
+
 TEST(U256Test, U512MulMatchesInt128) {
   Rng rng(43);
   for (int i = 0; i < 100; ++i) {
