@@ -13,12 +13,18 @@
 // JSON family (crypto_* metrics; wall-clock, so never baseline-gated — the
 // conformance_ok bit is the exact-gated part).
 //
+// A single-signature row times Verify alone, the cost of a timelock path
+// vote (every Verify call of a traffic run is one), and fails if Verify and
+// a one-item BatchVerify disagree on any sampled signature: valid, with s
+// lifted to s + n (still valid), or with s corrupted.
+//
 // It also measures SHA-256 throughput on 64-byte and 1 MiB messages, through
 // the portable compress and through the dispatched one (the SHA-NI kernel
 // where the CPU has it), and fails if the two paths ever disagree.
 //
 // Usage:  bench_crypto_micro [--fs=1,2,4] [--certs=200]
 //                            [--json=BENCH_crypto_micro.json] [--seed=1]
+// --certs is the number of certificates per f and of single signatures.
 
 #include <algorithm>
 #include <chrono>
@@ -146,6 +152,57 @@ bool RunMicro(size_t f, size_t num_certs, uint64_t seed,
   return ok;
 }
 
+/// Verify throughput on `num_sigs` single signatures from distinct keys,
+/// written as crypto_verify_sigs_per_sec; then Verify and a one-item
+/// BatchVerify must agree on each signature in three forms.
+bool RunSingle(size_t num_sigs, uint64_t seed, bench::JsonReport* json) {
+  const U256& n = SchnorrGroup::N();
+  std::vector<BatchItem> votes;
+  votes.reserve(num_sigs);
+  for (size_t i = 0; i < num_sigs; ++i) {
+    KeyPair kp = KeyPair::FromSeed("crypto-micro-" + std::to_string(seed) +
+                                   "-voter-" + std::to_string(i));
+    std::string message = "path-vote-" + std::to_string(seed) + "-" +
+                          std::to_string(i);
+    Bytes bytes(message.begin(), message.end());
+    votes.push_back({kp.public_key(), bytes, kp.Sign(bytes)});
+  }
+
+  auto start = std::chrono::steady_clock::now();
+  size_t valid = 0;
+  for (const BatchItem& vote : votes) {
+    if (Verify(vote.key, vote.message, vote.sig)) ++valid;
+  }
+  const double ms = WallMs(start);
+  const double sigs_per_sec = static_cast<double>(num_sigs) / (ms / 1000.0);
+  std::printf("%7zu %14.1f %11.0f\n", num_sigs, ms, sigs_per_sec);
+  json->AddMetric("crypto_verify_sigs_per_sec", sigs_per_sec, "1/s");
+
+  bool ok = valid == num_sigs;
+  if (!ok) {
+    std::printf("CRYPTO MICRO FAILURE: %zu of %zu single signatures "
+                "verify\n", valid, num_sigs);
+  }
+  for (size_t i = 0; i < num_sigs; ++i) {
+    BatchItem lifted = votes[i];
+    lifted.sig.s = lifted.sig.s.Add(n);
+    BatchItem corrupted = votes[i];
+    corrupted.sig.s = U256::AddMod(corrupted.sig.s, U256(1), n);
+    for (const BatchItem& item : {votes[i], lifted, corrupted}) {
+      const bool single = Verify(item.key, item.message, item.sig);
+      const bool batch = BatchVerify({item}).ok;
+      if (single != batch) {
+        std::printf("CRYPTO MICRO FAILURE: signature %zu (s=%s): Verify %d, "
+                    "one-item BatchVerify %d\n",
+                    i, item.sig.s.ToHex().c_str(), single ? 1 : 0,
+                    batch ? 1 : 0);
+        ok = false;
+      }
+    }
+  }
+  return ok;
+}
+
 /// SHA-256 MB/s on the portable and the dispatched compress, for 64-byte
 /// and 1 MiB messages. Each digest is written into the next message, so
 /// equal final digests mean the two paths agreed on every message.
@@ -230,10 +287,14 @@ int main(int argc, char** argv) {
     if (f == 0) continue;
     ok = RunMicro(f, num_certs, seed, &json) && ok;
   }
+  std::printf("\n=== Schnorr single-signature verification (a path vote) "
+              "===\n");
+  std::printf("%7s %14s %11s\n", "sigs", "Verify (ms)", "sigs/s");
+  ok = RunSingle(num_certs, seed, &json) && ok;
   ok = RunSha256(&json) && ok;
   // The exact-gated conformance bit: both verification paths agreed on
-  // every cert, blame attribution worked, and both SHA-256 compress paths
-  // agreed. The wall-clock metrics above are advisory.
+  // every cert and every single signature, blame attribution worked, and
+  // both SHA-256 compress paths agreed. The wall-clock metrics above are advisory.
   json.AddMetric("conformance_ok", ok ? 1 : 0);
 
   if (json_path != nullptr && !json.WriteFile(json_path)) ok = false;
