@@ -5,9 +5,8 @@
 // so every run writes the same (name, labels) keys and the baseline diff
 // compares values only.
 //
-//   scale sweep    D ∈ {1, 10, 100, 1000}, each validated at 1 and 8
-//                  threads. Gated on identical fingerprints across thread
-//                  counts and on the benign workload being fully conformant.
+//   scale sweep    D ∈ {1, 10, 100, 1000}. Gated on the benign workload
+//                  being fully conformant.
 //
 //   shard sweep    CbcService shard count S ∈ {1, 2, 4, 8} on a CBC-only
 //                  D=1000 workload. Gated on full conformance at every S;
@@ -74,8 +73,8 @@
 //                  checkpoint/restore wall-time percentiles.
 //
 // A soak mode, --soak=N, replaces all sections with one long open-loop
-// run (controller on) gated on full conformance and on equal fingerprints
-// at 1 and 8 threads; the nightly workflow runs it.
+// run (controller on) gated on full conformance; the nightly workflow runs
+// it.
 //
 // An epoch-soak mode, --epoch_soak=E (with --epoch_deals=D, default 5000),
 // replaces all sections with a long-lived service run of E epochs × D
@@ -209,29 +208,6 @@ Run RunCell(bench::JsonReport* json, const std::string& prefix,
   return run;
 }
 
-/// Runs `options` as two cells, at 1 and at 8 validation threads (labelled
-/// `threads`), and requires their fingerprints to agree: validation
-/// threading must not change a result.
-std::vector<Run> RunAcrossThreads(bench::JsonReport* json,
-                                  const std::string& prefix,
-                                  const Labels& labels,
-                                  TrafficOptions options,
-                                  const std::vector<Column<Run>>& columns,
-                                  bool* ok) {
-  std::vector<Run> runs;
-  for (size_t threads : {1, 8}) {
-    options.num_threads = threads;
-    Labels cell = labels;
-    cell.emplace_back("threads", std::to_string(threads));
-    runs.push_back(RunCell(json, prefix, cell, options, columns));
-  }
-  Gate(ok, runs[0].fingerprint == runs[1].fingerprint,
-       "  FINGERPRINT MISMATCH across thread counts: %016" PRIx64
-       " != %016" PRIx64 "\n",
-       runs[1].fingerprint, runs[0].fingerprint);
-  return runs;
-}
-
 /// D deals on a pool scaled with the workload (≈8 deals per chain, at
 /// least 4 chains), so load per chain stays heavy but bounded as D grows.
 TrafficOptions PoolOptions(size_t deals, uint64_t base_seed) {
@@ -254,7 +230,7 @@ AdmissionOptions StockController() {
 }
 
 // ---------------------------------------------------------------------------
-// Section 1: scale sweep (D × threads) — fingerprint + conformance gate.
+// Section 1: scale sweep (D) — conformance gate.
 // ---------------------------------------------------------------------------
 bool ScaleSweep(uint64_t base_seed, bench::JsonReport* json) {
   const std::vector<Column<Run>> columns = {
@@ -269,20 +245,17 @@ bool ScaleSweep(uint64_t base_seed, bench::JsonReport* json) {
       {"events_executed", "", Field<Run, &TrafficReport::events_executed>},
       {"max_backlog", "", Field<Run, &TrafficReport::max_backlog>},
       kViolations};
-  std::printf("=== scale sweep: D deals on D/8 chains, validated at 1 and 8 "
-              "threads ===\n");
+  std::printf("=== scale sweep: D deals on D/8 chains ===\n");
   bool ok = true;
   for (size_t deals : {1, 10, 100, 1000}) {
-    for (const Run& run :
-         RunAcrossThreads(json, "", {{"deals", std::to_string(deals)}},
-                          PoolOptions(deals, base_seed), columns, &ok)) {
-      // Conformance: this benign workload (no injection, unlimited block
-      // capacity) must commit every deal with zero property violations.
-      Gate(&ok, run.committed == deals && run.violations.empty() &&
-                run.double_spends.empty(),
-           "  CONFORMANCE FAILURE at deals=%zu\n%s", deals,
-           run.Summary().c_str());
-    }
+    const Run run = RunCell(json, "", {{"deals", std::to_string(deals)}},
+                            PoolOptions(deals, base_seed), columns);
+    // Conformance: this benign workload (no injection, unlimited block
+    // capacity) must commit every deal with zero property violations.
+    Gate(&ok, run.committed == deals && run.violations.empty() &&
+              run.double_spends.empty(),
+         "  CONFORMANCE FAILURE at deals=%zu\n%s", deals,
+         run.Summary().c_str());
   }
   return ok;
 }
@@ -791,7 +764,7 @@ bool BigD(uint64_t base_seed, bench::JsonReport* json) {
 
 // ---------------------------------------------------------------------------
 // Soak mode (--soak=N): one long open-loop run, controller on, gated on
-// full conformance + cross-thread-count fingerprint equality.
+// full conformance.
 // ---------------------------------------------------------------------------
 bool Soak(size_t deals, uint64_t base_seed, bench::JsonReport* json) {
   const std::vector<Column<Run>> columns = {
@@ -807,14 +780,11 @@ bool Soak(size_t deals, uint64_t base_seed, bench::JsonReport* json) {
   options.admission = StockController();
 
   bool ok = true;
-  for (const Run& run :
-       RunAcrossThreads(json, "soak_", {{"deals", std::to_string(deals)}},
-                        options, columns, &ok)) {
-    Gate(&ok, run.committed == deals && run.violations.empty() &&
-              run.shed == 0 && run.double_spends.empty(),
-         "SOAK FAILURE: non-conformant run\n%s",
-         run.Summary().c_str());
-  }
+  const Run run = RunCell(json, "soak_", {{"deals", std::to_string(deals)}},
+                          options, columns);
+  Gate(&ok, run.committed == deals && run.violations.empty() &&
+            run.shed == 0 && run.double_spends.empty(),
+       "SOAK FAILURE: non-conformant run\n%s", run.Summary().c_str());
   return ok;
 }
 
@@ -1019,10 +989,8 @@ bool EpochSoak(size_t epochs, size_t per_epoch, uint64_t base_seed,
               epochs, per_epoch, total);
 
   TrafficOptions options = EpochOptions(base_seed, per_epoch);
-  // Scale the pool with the per-epoch load (≈8 concurrent deals per chain)
-  // and validate on all cores; the fingerprint is thread-count-invariant.
+  // Scale the pool with the per-epoch load (≈8 concurrent deals per chain).
   options.num_chains = std::max<size_t>(4, per_epoch / 8);
-  options.num_threads = 0;
 
   Result<ServiceRun> straight = RunService(options, epochs, {});
   Result<ServiceRun> restored = RunService(options, epochs, {kill_at});
@@ -1114,8 +1082,7 @@ int main(int argc, char** argv) {
                 "knee/frontier, or an ineffective admission controller\n");
     return 1;
   }
-  std::printf("\nall gates passed: thread counts agree bit-for-bit, benign "
-              "workloads conform, the knee and frontier are where the "
-              "engine can chart them\n");
+  std::printf("\nall gates passed: benign workloads conform, the knee and "
+              "frontier are where the engine can chart them\n");
   return 0;
 }
