@@ -208,6 +208,7 @@ U256 FoldMod(const uint64_t* t, uint64_t c, const U256& m) {
 constexpr int kPowWindow = 5;       // PowMod: one base, 16 odd powers
 constexpr int kMultiExpWindow = 4;  // MultiExpMod: 8 odd powers per term
 constexpr size_t kStrausTerms = 32;  // MultiExpMod terms per squaring chain
+static_assert(kStrausTerms <= 32, "MultiExpMod marks terms in a uint32_t");
 
 // a * a in 10 word multiplies (U512::Square). Always inlined, as is
 // FoldPartial: a call would pass the 512-bit value through memory on every
@@ -301,22 +302,34 @@ class OddPowers {
   std::array<U256, size_t{1} << (W - 1)> powers_;
 };
 
+// The highest set bit of `exp` below bit `end`, or -1 if there is none.
+int HighestSetBitBelow(const U256& exp, int end) {
+  if (end <= 0) return -1;
+  int limb = (end - 1) / 64;
+  uint64_t word = exp.limb(limb) & (~0ULL >> (63 - (end - 1) % 64));
+  while (word == 0) {
+    if (--limb < 0) return -1;
+    word = exp.limb(limb);
+  }
+  return limb * 64 + 63 - __builtin_clzll(word);
+}
+
 // Calls visit(low, digit) for each window of `exp`, highest first, where
-// `low` is the window's lowest bit and `digit` its odd value.
+// `low` is the window's lowest bit and `digit` its odd value. Runs of zero
+// bits are skipped a limb at a time.
 template <int W, typename Visit>
 void ForEachWindow(const U256& exp, Visit visit) {
-  for (int i = exp.BitLength() - 1; i >= 0; --i) {
-    if (!exp.Bit(i)) continue;
-    int low = i - W + 1 < 0 ? 0 : i - W + 1;
-    while (!exp.Bit(low)) ++low;
-    // Bits low..i, which may straddle two limbs.
-    const int limb = low / 64;
-    const int shift = low % 64;
+  for (int top = HighestSetBitBelow(exp, 256); top >= 0;) {
+    const int start = top - W + 1 < 0 ? 0 : top - W + 1;
+    // Bits start..top, which may straddle two limbs; bit top is set.
+    const int limb = start / 64;
+    const int shift = start % 64;
     uint64_t bits = exp.limb(limb) >> shift;
-    if (shift + (i - low) >= 64) bits |= exp.limb(limb + 1) << (64 - shift);
-    const uint64_t mask = (uint64_t{1} << (i - low + 1)) - 1;
-    visit(low, static_cast<unsigned>(bits & mask));
-    i = low;
+    if (shift + (top - start) >= 64) bits |= exp.limb(limb + 1) << (64 - shift);
+    bits &= (uint64_t{1} << (top - start + 1)) - 1;
+    const int low = start + __builtin_ctzll(bits);  // a window ends on a 1
+    visit(low, static_cast<unsigned>(bits >> (low - start)));
+    top = HighestSetBitBelow(exp, low);
   }
 }
 
@@ -550,15 +563,16 @@ U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
   if (m == U256(1)) return U256();
   const Reducer r(m);
   U256 result(1);
-  bool result_is_one = true;
   // Terms go in chunks of kStrausTerms, each over its own squaring chain,
   // so every table lives on the stack.
   for (size_t begin = 0; begin < terms.size(); begin += kStrausTerms) {
     const size_t count = std::min(kStrausTerms, terms.size() - begin);
     OddPowers<kMultiExpWindow> powers[kStrausTerms];
-    // digit[t][i]: term t's window digit whose lowest bit is i; read only
-    // where bit t of starts[i] is set.
-    uint8_t digit[kStrausTerms][256];
+    // Each term's window digits, highest first. Windows start at least W
+    // bits apart, so a 256-bit exponent has at most 256 / W of them.
+    uint8_t digits[kStrausTerms][256 / kMultiExpWindow] = {};
+    uint8_t num_digits[kStrausTerms] = {};
+    // Bit t of starts[i]: term t has a window whose lowest bit is i.
     uint32_t starts[256] = {};
     int top = -1;
     for (size_t t = 0; t < count; ++t) {
@@ -566,27 +580,24 @@ U256 U256::MultiExpMod(const std::vector<std::pair<U256, U256>>& terms,
       if (exp.IsZero()) continue;
       powers[t] = OddPowers<kMultiExpWindow>(Mod(base, m), r);
       ForEachWindow<kMultiExpWindow>(exp, [&](int low, unsigned d) {
-        digit[t][low] = static_cast<uint8_t>(d);
+        digits[t][num_digits[t]++] = static_cast<uint8_t>(d);
         starts[low] |= 1u << t;
         if (low > top) top = low;
       });
     }
-    // One shared squaring chain from the highest window down; at each bit,
-    // multiply in the table entry of every window that ends there.
-    U256 acc;
-    bool acc_is_one = true;
+    // One shared squaring chain from the highest window down; at each bit
+    // i, multiply in every window whose lowest bit is i, which is the next
+    // unused digit of its term.
+    uint8_t next_digit[kStrausTerms] = {};
+    U256 acc(1);
     for (int i = top; i >= 0; --i) {
-      if (!acc_is_one) acc = r.Square(acc);
+      acc = r.Square(acc);
       for (uint32_t pending = starts[i]; pending != 0; pending &= pending - 1) {
         const int t = __builtin_ctz(pending);
-        const U256& power = powers[t][digit[t][i]];
-        acc = acc_is_one ? power : r.Mul(acc, power);
-        acc_is_one = false;
+        acc = r.Mul(acc, powers[t][digits[t][next_digit[t]++]]);
       }
     }
-    if (acc_is_one) continue;
-    result = result_is_one ? acc : r.Mul(result, acc);
-    result_is_one = false;
+    result = r.Mul(result, acc);
   }
   return r.Canonical(result);
 }
