@@ -294,7 +294,8 @@ int main(int argc, char** argv) {
   ok = RunSha256(&json) && ok;
   // The exact-gated conformance bit: both verification paths agreed on
   // every cert and every single signature, blame attribution worked, and
-  // both SHA-256 compress paths agreed. The wall-clock metrics above are advisory.
+  // both SHA-256 compress paths agreed. The wall-clock metrics above are
+  // advisory.
   json.AddMetric("conformance_ok", ok ? 1 : 0);
 
   if (json_path != nullptr && !json.WriteFile(json_path)) ok = false;
