@@ -16,7 +16,7 @@
 #include "cbc/cbc_service.h"
 #include "core/cbc_run.h"
 #include "core/deal_gen.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "core/timelock_run.h"
 
 namespace xdeal {

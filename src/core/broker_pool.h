@@ -55,7 +55,7 @@
 
 #include "core/deal_gen.h"
 #include "core/env.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "util/det.h"
 
 namespace xdeal {

@@ -26,7 +26,7 @@
 #include "chain/world.h"
 #include "contracts/cbc_escrow.h"
 #include "core/deal_spec.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "util/det.h"
 
 namespace xdeal {

@@ -29,7 +29,7 @@
 #include "chain/world.h"
 #include "contracts/escrow_view.h"
 #include "core/deal_spec.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "util/det.h"
 
 namespace xdeal {

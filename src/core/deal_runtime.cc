@@ -1,4 +1,4 @@
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 
 #include "core/cbc_run.h"
 #include "core/timelock_run.h"

@@ -19,8 +19,8 @@
 //                   engine its protocol needs and drives it through this
 //                   interface.
 
-#ifndef XDEAL_CORE_PROTOCOL_DRIVER_H_
-#define XDEAL_CORE_PROTOCOL_DRIVER_H_
+#ifndef XDEAL_CORE_DEAL_RUNTIME_H_
+#define XDEAL_CORE_DEAL_RUNTIME_H_
 
 #include <cstdint>
 #include <functional>
@@ -183,4 +183,4 @@ class DealRuntime {
 
 }  // namespace xdeal
 
-#endif  // XDEAL_CORE_PROTOCOL_DRIVER_H_
+#endif  // XDEAL_CORE_DEAL_RUNTIME_H_

@@ -12,7 +12,7 @@
 #include "core/checker.h"
 #include "core/deal_gen.h"
 #include "core/env.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "core/timelock_run.h"
 #include "sim/worker_pool.h"
 #include "util/fingerprint.h"

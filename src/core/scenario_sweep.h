@@ -32,7 +32,7 @@
 
 #include "core/checker.h"
 #include "core/explore.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "sim/scheduler.h"
 #include "util/det.h"
 

@@ -32,7 +32,7 @@
 #include "chain/world.h"
 #include "contracts/timelock_escrow.h"
 #include "core/deal_spec.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "util/det.h"
 
 namespace xdeal {

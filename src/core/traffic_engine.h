@@ -72,7 +72,7 @@
 #include "core/admission.h"
 #include "core/broker_pool.h"
 #include "core/checker.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "sim/scheduler.h"
 #include "util/bytes.h"
 #include "util/det.h"

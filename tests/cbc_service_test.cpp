@@ -15,7 +15,7 @@
 #include "core/checker.h"
 #include "core/deal_gen.h"
 #include "core/env.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 
 namespace xdeal {
 namespace {

@@ -12,7 +12,7 @@
 #include "core/adversaries.h"
 #include "core/cbc_run.h"
 #include "core/checker.h"
-#include "core/protocol_driver.h"
+#include "core/deal_runtime.h"
 #include "core/timelock_run.h"
 #include "core/watchtower.h"
 #include "tests/scenario_util.h"

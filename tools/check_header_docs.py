@@ -7,7 +7,7 @@ declaration in the given headers must carry a doc comment: a `///` (or
 runs this over the core API headers so new public surface cannot land
 undocumented:
 
-  python3 tools/check_header_docs.py src/core/protocol_driver.h \\
+  python3 tools/check_header_docs.py src/core/deal_runtime.h \\
       src/core/traffic_engine.h src/core/admission.h src/core/broker_pool.h
 
 Deliberately pragmatic (regex, not a C++ parser). Skipped, by policy:
