@@ -201,23 +201,17 @@ Status HtlcSwapRun::Start() {
   for (size_t i = 0; i < spec_.legs.size(); ++i) {
     const SwapLeg& leg = spec_.legs[i];
     Holder spender = Holder::OfContract(contracts_[i]);
-    ByteWriter args;
-    if (leg.asset.kind == AssetKind::kFungible) {
-      args.U8(static_cast<uint8_t>(spender.kind));
-      args.U32(spender.id);
-      args.U64(leg.value);
-    } else {
-      args.U64(leg.value);
-      args.U8(static_cast<uint8_t>(spender.kind));
-      args.U32(spender.id);
-    }
+    CallData approve =
+        leg.asset.kind == AssetKind::kFungible
+            ? FungibleToken::ApproveCall(spender, leg.value)
+            : TicketRegistry::ApproveCall(leg.value, spender);
     size_t leg_copy = i;
     world_->scheduler().ScheduleAt(
         config_.setup_time, EventLabel::Timer(spec_.legs[i].from.v),
-        [this, leg_copy, a = args.Take()]() mutable {
+        [this, leg_copy, call = std::move(approve)]() mutable {
           const SwapLeg& l = spec_.legs[leg_copy];
           world_->Submit(l.from, l.asset.chain, l.asset.token,
-                         CallData{"approve", std::move(a)}, "setup");
+                         std::move(call), "setup");
         });
   }
 

@@ -32,6 +32,14 @@ Result<Bytes> FungibleToken::Invoke(CallContext& ctx, const std::string& fn,
   return Status::NotFound("FungibleToken: unknown function " + fn);
 }
 
+CallData FungibleToken::ApproveCall(const Holder& spender, uint64_t amount) {
+  ByteWriter w;
+  w.U8(static_cast<uint8_t>(spender.kind));
+  w.U32(spender.id);
+  w.U64(amount);
+  return CallData{"approve", w.Take()};
+}
+
 uint64_t FungibleToken::BalanceOf(const Holder& h) const {
   auto it = balances_.find(h);
   return it == balances_.end() ? 0 : it->second;

@@ -44,6 +44,10 @@ class FungibleToken : public Contract {
   uint64_t total_supply() const { return total_supply_; }
   const std::string& symbol() const { return symbol_; }
 
+  /// The on-chain "approve" call that sets `spender`'s allowance from the
+  /// sender to `amount` (args: holder kind u8, holder id u32, amount u64).
+  static CallData ApproveCall(const Holder& spender, uint64_t amount);
+
   // --- sibling-contract / harness entry points ---
 
   /// Mints new tokens to `to` (test/scenario setup; issuer authority).

@@ -31,6 +31,15 @@ Result<Bytes> TicketRegistry::Invoke(CallContext& ctx, const std::string& fn,
   return Status::NotFound("TicketRegistry: unknown function " + fn);
 }
 
+CallData TicketRegistry::ApproveCall(uint64_t ticket_id,
+                                     const Holder& spender) {
+  ByteWriter w;
+  w.U64(ticket_id);
+  w.U8(static_cast<uint8_t>(spender.kind));
+  w.U32(spender.id);
+  return CallData{"approve", w.Take()};
+}
+
 Holder TicketRegistry::OwnerOf(uint64_t ticket_id) const {
   auto it = owners_.find(ticket_id);
   return it == owners_.end() ? Holder{} : it->second;

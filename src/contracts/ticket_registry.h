@@ -40,6 +40,10 @@ class TicketRegistry : public Contract {
   std::vector<uint64_t> TicketsOwnedBy(const Holder& h) const;
   bool IsApproved(uint64_t ticket_id, const Holder& spender) const;
 
+  /// The on-chain "approve" call that lets `spender` move `ticket_id` once
+  /// (args: ticket u64, holder kind u8, holder id u32).
+  static CallData ApproveCall(uint64_t ticket_id, const Holder& spender);
+
   // --- harness / sibling-contract entry points ---
 
   /// Issues a new ticket to `to`; returns its id.

@@ -145,6 +145,51 @@ TEST_F(TokenFixture, TicketApprovalSingleUse) {
   EXPECT_FALSE(registry.IsApproved(t1, escrow));
 }
 
+TEST_F(TokenFixture, ApproveCallsDecodeThroughInvoke) {
+  // Each encoder writes the layout its contract's Invoke("approve") reads.
+  Holder escrow = Holder::OfContract(ContractId{3});
+  FungibleToken token("TOK", alice);
+  CallData call = FungibleToken::ApproveCall(escrow, 70);
+  EXPECT_EQ(call.function, "approve");
+  ByteReader args(call.args);
+  ASSERT_TRUE(token.Invoke(ctx, call.function, args).ok());
+  EXPECT_EQ(token.Allowance(A(), escrow), 70u);
+
+  TicketRegistry registry(alice);
+  uint64_t t1 = registry.Mint(A(), {"play", "A1", 90});
+  CallData ticket_call = TicketRegistry::ApproveCall(t1, escrow);
+  EXPECT_EQ(ticket_call.function, "approve");
+  ByteReader ticket_args(ticket_call.args);
+  ASSERT_TRUE(registry.Invoke(ctx, ticket_call.function, ticket_args).ok());
+  EXPECT_TRUE(registry.IsApproved(t1, escrow));
+}
+
+TEST_F(TokenFixture, TruncatedApproveArgsAreRejected) {
+  Holder escrow = Holder::OfContract(ContractId{3});
+  FungibleToken token("TOK", alice);
+  TicketRegistry registry(alice);
+  uint64_t t1 = registry.Mint(A(), {"play", "A1", 90});
+  const Bytes coin_args = FungibleToken::ApproveCall(escrow, 70).args;
+  const Bytes ticket_args = TicketRegistry::ApproveCall(t1, escrow).args;
+  // Every proper prefix of each encoding misses a field.
+  for (size_t n = 0; n < coin_args.size(); ++n) {
+    Bytes prefix(coin_args.begin(), coin_args.begin() + n);
+    ByteReader r(prefix);
+    Result<Bytes> out = token.Invoke(ctx, "approve", r);
+    ASSERT_FALSE(out.ok()) << n;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << n;
+  }
+  for (size_t n = 0; n < ticket_args.size(); ++n) {
+    Bytes prefix(ticket_args.begin(), ticket_args.begin() + n);
+    ByteReader r(prefix);
+    Result<Bytes> out = registry.Invoke(ctx, "approve", r);
+    ASSERT_FALSE(out.ok()) << n;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << n;
+  }
+  EXPECT_EQ(token.Allowance(A(), escrow), 0u);
+  EXPECT_FALSE(registry.IsApproved(t1, escrow));
+}
+
 TEST_F(TokenFixture, OnChainInvokeTransfer) {
   // Exercise the serialized Invoke path end-to-end through the chain.
   ContractId token_id =
