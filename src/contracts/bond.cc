@@ -46,10 +46,10 @@ Status FirstFaultBondContract::HandleDeposit(CallContext& ctx) {
 uint64_t FirstFaultBondContract::PayoutOf(const CallContext& ctx,
                                           PartyId p) const {
   const TimelockEscrowContract* escrow = Escrow(ctx);
-  if (escrow == nullptr || !escrow->settled()) return 0;
+  if (escrow == nullptr || !escrow->Settled()) return 0;
   if (deposited_.count(p) == 0) return 0;
 
-  if (escrow->released()) return bond_amount_;  // deal committed: full refund
+  if (escrow->Released()) return bond_amount_;  // deal committed: full refund
 
   // Deal timed out here: blame the depositors whose votes never arrived.
   std::vector<PartyId> innocent, guilty;
@@ -71,7 +71,7 @@ uint64_t FirstFaultBondContract::PayoutOf(const CallContext& ctx,
 
 Status FirstFaultBondContract::HandleClaim(CallContext& ctx) {
   const TimelockEscrowContract* escrow = Escrow(ctx);
-  if (escrow == nullptr || !escrow->settled()) {
+  if (escrow == nullptr || !escrow->Settled()) {
     return Status::FailedPrecondition("bond: deal not settled yet");
   }
   if (deposited_.count(ctx.sender) == 0) {

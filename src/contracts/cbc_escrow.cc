@@ -129,7 +129,7 @@ Status CbcEscrowContract::HandleDecide(CallContext& ctx, ByteReader& args) {
   if (!initialized_ || !(deal_id_ == deal_id.value())) {
     return Status::NotFound("decide: unknown deal");
   }
-  if (settled()) {
+  if (Settled()) {
     return Status::FailedPrecondition("decide: already settled");
   }
   auto proof_bytes = args.Blob();

@@ -43,14 +43,12 @@ class CbcEscrowContract : public Contract, public DealEscrowView {
                        ByteReader& args) override;
 
   // --- public state ---
-  const EscrowCore& core() const { return core_; }
   bool initialized() const { return initialized_; }
   const DealId& deal_id() const { return deal_id_; }
   const Hash256& start_hash() const { return start_hash_; }
   const std::vector<PartyId>& plist() const { return plist_; }
   const std::vector<PublicKey>& validators() const { return validators_; }
   DealOutcome outcome() const { return outcome_; }
-  bool settled() const { return outcome_ != kDealActive; }
   uint32_t home_shard() const { return home_shard_; }
 
   // DealEscrowView:

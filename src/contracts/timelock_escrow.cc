@@ -186,7 +186,7 @@ Status TimelockEscrowContract::HandleCommit(CallContext& ctx,
   if (!initialized_ || !(deal_.deal_id == deal_id.value())) {
     return Status::NotFound("commit: unknown deal");
   }
-  if (settled()) {
+  if (Settled()) {
     return Status::FailedPrecondition("commit: already settled");
   }
   auto vote = PathVote::Parse(&args);
@@ -215,7 +215,7 @@ Status TimelockEscrowContract::HandleClaimRefund(CallContext& ctx,
   if (!initialized_ || !(deal_.deal_id == deal_id.value())) {
     return Status::NotFound("claimRefund: unknown deal");
   }
-  if (settled()) {
+  if (Settled()) {
     return Status::FailedPrecondition("claimRefund: already settled");
   }
   // Missing votes can no longer arrive after t0 + N·Δ (§5): every vote's

@@ -52,7 +52,6 @@ class TimelockEscrowContract : public Contract, public DealEscrowView {
                        ByteReader& args) override;
 
   // --- public state (off-chain readable, §3) ---
-  const EscrowCore& core() const { return core_; }
   bool initialized() const { return initialized_; }
   const DealInfo& deal() const { return deal_; }
   bool HasVoted(PartyId p) const { return voted_.count(p) > 0; }
@@ -62,9 +61,6 @@ class TimelockEscrowContract : public Contract, public DealEscrowView {
   const std::map<uint32_t, PathVote>& accepted_votes() const {
     return accepted_votes_;
   }
-  bool released() const { return released_; }
-  bool refunded() const { return refunded_; }
-  bool settled() const { return released_ || refunded_; }
 
   // DealEscrowView:
   const EscrowCore& escrow_core() const override { return core_; }

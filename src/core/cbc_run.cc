@@ -123,7 +123,7 @@ void CbcParty::RetryDecideAfterOwnEscrow(uint32_t asset) {
       run_->config().delta,
       EventLabel::Timer(self_.v, run_->config().deal_tag), [this, asset] {
         const CbcEscrowContract* esc = EscrowOfAsset(asset);
-        if (esc == nullptr || esc->settled()) return;
+        if (esc == nullptr || esc->Settled()) return;
         if (!OwnEscrowLanded(asset)) {
           RetryDecideAfterOwnEscrow(asset);
           return;
@@ -154,7 +154,7 @@ bool CbcParty::RunValidationChecks() const {
     Blockchain* chain = run_->world().chain(asset.chain);
     Holder escrow_holder = Holder::OfContract(esc->self_id());
     if (asset.kind == AssetKind::kFungible) {
-      if (esc->core().OnCommitOf(self_) != expect[a].fungible_amount) {
+      if (esc->escrow_core().OnCommitOf(self_) != expect[a].fungible_amount) {
         return false;
       }
       const auto* token = chain->As<FungibleToken>(asset.token);
@@ -166,7 +166,7 @@ bool CbcParty::RunValidationChecks() const {
       const auto* registry = chain->As<TicketRegistry>(asset.token);
       if (registry == nullptr) return false;
       for (uint64_t ticket : expect[a].tickets) {
-        if (!(esc->core().NftCommitOwner(ticket) == self_)) return false;
+        if (!(esc->escrow_core().NftCommitOwner(ticket) == self_)) return false;
         if (!(registry->OwnerOf(ticket) == escrow_holder)) return false;
       }
     }
@@ -185,7 +185,7 @@ void CbcParty::ClaimAll(DealOutcome outcome) {
     for (uint32_t a : spec().IncomingAssetsOf(self_)) {
       if (decided_assets_.count(a) > 0) continue;
       const CbcEscrowContract* esc = EscrowOfAsset(a);
-      if (esc != nullptr && !esc->settled()) todo.push_back(a);
+      if (esc != nullptr && !esc->Settled()) todo.push_back(a);
     }
   } else {
     // Motivated to recover deposits.
@@ -194,7 +194,7 @@ void CbcParty::ClaimAll(DealOutcome outcome) {
         continue;
       }
       const CbcEscrowContract* esc = EscrowOfAsset(a);
-      if (esc != nullptr && !esc->settled()) todo.push_back(a);
+      if (esc != nullptr && !esc->Settled()) todo.push_back(a);
     }
   }
   if (todo.empty()) return;
@@ -486,8 +486,8 @@ DealResult CbcRun::Collect() const {
     if (esc->Released()) ++result.released_contracts;
     if (esc->Refunded()) ++result.refunded_contracts;
     // A contract nobody deposited into is vacuously settled.
-    bool vacuous = esc->core().Depositors().empty();
-    result.all_settled = result.all_settled && (esc->settled() || vacuous);
+    bool vacuous = esc->escrow_core().Depositors().empty();
+    result.all_settled = result.all_settled && (esc->Settled() || vacuous);
   }
   const bool any_released = result.released_contracts > 0;
   const bool any_refunded = result.refunded_contracts > 0;

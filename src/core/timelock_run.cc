@@ -90,7 +90,7 @@ bool TimelockParty::RunValidationChecks() const {
     Blockchain* chain = run_->world().chain(asset.chain);
     Holder escrow_holder = Holder::OfContract(esc->self_id());
     if (asset.kind == AssetKind::kFungible) {
-      if (esc->core().OnCommitOf(self_) != expect[a].fungible_amount) {
+      if (esc->escrow_core().OnCommitOf(self_) != expect[a].fungible_amount) {
         return false;
       }
       // "properly escrowed (so they cannot be double-spent)": the escrow
@@ -104,7 +104,7 @@ bool TimelockParty::RunValidationChecks() const {
       const auto* registry = chain->As<TicketRegistry>(asset.token);
       if (registry == nullptr) return false;
       for (uint64_t ticket : expect[a].tickets) {
-        if (!(esc->core().NftCommitOwner(ticket) == self_)) return false;
+        if (!(esc->escrow_core().NftCommitOwner(ticket) == self_)) return false;
         if (!(registry->OwnerOf(ticket) == escrow_holder)) return false;
       }
     }
@@ -185,7 +185,7 @@ void TimelockParty::OnRefundWatch() {
   for (uint32_t a = 0; a < spec().NumAssets(); ++a) {
     if (!spec().Deposits(self_, a)) continue;
     const TimelockEscrowContract* esc = EscrowOfAsset(a);
-    if (esc == nullptr || esc->settled()) continue;
+    if (esc == nullptr || esc->Settled()) continue;
     ByteWriter w;
     w.Raw(deployment().info.deal_id.bytes.data(), 32);
     world().Submit(self_, spec().assets[a].chain,
@@ -360,10 +360,10 @@ DealResult TimelockRun::Collect() const {
     const auto* esc = chain->As<TimelockEscrowContract>(
         deployment_.escrow_contracts[a]);
     if (esc == nullptr) continue;
-    if (esc->released()) ++result.released_contracts;
-    if (esc->refunded()) ++result.refunded_contracts;
-    bool vacuous = esc->core().Depositors().empty();
-    result.all_settled = result.all_settled && (esc->settled() || vacuous);
+    if (esc->Released()) ++result.released_contracts;
+    if (esc->Refunded()) ++result.refunded_contracts;
+    bool vacuous = esc->escrow_core().Depositors().empty();
+    result.all_settled = result.all_settled && (esc->Settled() || vacuous);
   }
   result.committed = result.released_contracts == spec_.NumAssets();
   result.aborted = result.released_contracts == 0;

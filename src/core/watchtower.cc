@@ -82,7 +82,7 @@ void Watchtower::RelayMissingVotes(uint32_t observed) {
     for (uint32_t b = 0; b < spec_.NumAssets(); ++b) {
       if (b == observed) continue;
       const TimelockEscrowContract* target = EscrowOfAsset(b);
-      if (target == nullptr || target->settled()) continue;
+      if (target == nullptr || target->Settled()) continue;
       if (target->HasVoted(PartyId{voter_id})) continue;
       if (!relayed_votes_.insert({b, voter_id}).second) continue;
       ByteWriter w;
@@ -100,11 +100,11 @@ void Watchtower::OnRefundWatch() {
   if (crashed_) return;
   for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {
     const TimelockEscrowContract* esc = EscrowOfAsset(a);
-    if (esc == nullptr || esc->settled()) continue;
+    if (esc == nullptr || esc->Settled()) continue;
     // Refund on behalf of any client with a deposit here.
     bool client_stake = false;
     for (PartyId client : clients_) {
-      client_stake = client_stake || esc->core().EscrowedOf(client) > 0;
+      client_stake = client_stake || esc->escrow_core().EscrowedOf(client) > 0;
     }
     if (!client_stake) continue;
     ByteWriter w;

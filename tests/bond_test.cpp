@@ -146,7 +146,7 @@ TEST_F(BondFixture, CommitReturnsAllBonds) {
   ASSERT_TRUE(Vote(a, info.t0 + 10).ok());
   ASSERT_TRUE(Vote(b, info.t0 + 10).ok());
   ASSERT_TRUE(Vote(c, info.t0 + 10).ok());
-  ASSERT_TRUE(escrow->released());
+  ASSERT_TRUE(escrow->Released());
 
   for (PartyId p : {a, b, c}) {
     EXPECT_TRUE(BondCall(p, "claim", info.t0 + 20).ok());

@@ -206,7 +206,7 @@ TEST_F(CbcEscrowFixture, NonPlistEscrowerRejected) {
 
 TEST_F(CbcEscrowFixture, TransferRules) {
   EXPECT_TRUE(InvokeTransfer(a, b, 60).ok());
-  EXPECT_EQ(contract->core().OnCommitOf(b), 60u);
+  EXPECT_EQ(contract->escrow_core().OnCommitOf(b), 60u);
   // Target outside the plist rejected.
   EXPECT_EQ(InvokeTransfer(a, outsider, 1).code(),
             StatusCode::kPermissionDenied);
@@ -253,7 +253,7 @@ TEST_F(CbcEscrowFixture, UnderQuorumProofRejected) {
   CbcProof proof = MakeProof(kDealCommitted);
   proof.status.sigs.resize(2);  // below 2f+1 = 3
   EXPECT_EQ(InvokeDecide(a, proof, deal).code(), StatusCode::kUnverified);
-  EXPECT_FALSE(contract->settled());
+  EXPECT_FALSE(contract->Settled());
 }
 
 TEST_F(CbcEscrowFixture, GarbageProofBytesRejectedCleanly) {
@@ -263,7 +263,7 @@ TEST_F(CbcEscrowFixture, GarbageProofBytesRejectedCleanly) {
   CallContext ctx = Ctx(a);
   ByteReader args(w.bytes());
   EXPECT_FALSE(contract->Invoke(ctx, "decide", args).ok());
-  EXPECT_FALSE(contract->settled());
+  EXPECT_FALSE(contract->Settled());
 }
 
 TEST_F(CbcEscrowFixture, BareProofDecideRejected) {
@@ -273,7 +273,7 @@ TEST_F(CbcEscrowFixture, BareProofDecideRejected) {
   Status st = InvokeDecideBytes(b, MakeProof(kDealCommitted).Serialize(), deal);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(contract->settled());
+  EXPECT_FALSE(contract->Settled());
   EXPECT_EQ(gas->sig_verifies(), 0u);
 }
 

@@ -125,12 +125,12 @@ TEST_F(TimelockEscrowFixture, ForwardedVoteGetsExtraDelta) {
   // A third hop would be allowed even later.
   PathVote twice = MakeVote(carol, {carol, bob, alice});
   EXPECT_TRUE(InvokeCommit(alice, info.t0 + 250, twice).ok());
-  EXPECT_FALSE(contract->released());  // Alice's own vote still missing
+  EXPECT_FALSE(contract->Released());  // Alice's own vote still missing
   // Alice's own vote at this late hour needs a length-3 path (t0 + 3Δ).
   EXPECT_TRUE(InvokeCommit(alice, info.t0 + 260,
                            MakeVote(alice, {alice, bob, carol})).ok());
   // All three votes in: the escrow released.
-  EXPECT_TRUE(contract->released());
+  EXPECT_TRUE(contract->Released());
 }
 
 TEST_F(TimelockEscrowFixture, ForwardedVotePastItsDeadlineRejected) {
@@ -212,10 +212,10 @@ TEST_F(TimelockEscrowFixture, SignatureGasChargedPerPathElement) {
 TEST_F(TimelockEscrowFixture, ReleaseOnlyAfterAllVotes) {
   ASSERT_TRUE(InvokeCommit(alice, info.t0 + 10, MakeVote(alice, {alice})).ok());
   ASSERT_TRUE(InvokeCommit(bob, info.t0 + 10, MakeVote(bob, {bob})).ok());
-  EXPECT_FALSE(contract->released());
+  EXPECT_FALSE(contract->Released());
   ASSERT_TRUE(
       InvokeCommit(carol, info.t0 + 10, MakeVote(carol, {carol})).ok());
-  EXPECT_TRUE(contract->released());
+  EXPECT_TRUE(contract->Released());
   // The escrowed 50 returned to Alice (no tentative transfers were made).
   EXPECT_EQ(chain->As<FungibleToken>(token_id)->BalanceOf(
                 Holder::Party(alice)),
@@ -227,7 +227,7 @@ TEST_F(TimelockEscrowFixture, RefundOnlyAfterFullTimeout) {
   EXPECT_EQ(InvokeRefund(alice, info.t0 + 299).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(InvokeRefund(alice, info.t0 + 300).ok());
-  EXPECT_TRUE(contract->refunded());
+  EXPECT_TRUE(contract->Refunded());
   EXPECT_EQ(chain->As<FungibleToken>(token_id)->BalanceOf(
                 Holder::Party(alice)),
             50u);
@@ -238,7 +238,7 @@ TEST_F(TimelockEscrowFixture, RefundOnlyAfterFullTimeout) {
 
 TEST_F(TimelockEscrowFixture, AnyoneMayTriggerRefund) {
   EXPECT_TRUE(InvokeRefund(outsider, info.t0 + 300).ok());
-  EXPECT_TRUE(contract->refunded());
+  EXPECT_TRUE(contract->Refunded());
 }
 
 TEST_F(TimelockEscrowFixture, EscrowDealInfoMismatchRejected) {
