@@ -1,29 +1,26 @@
 #include "core/cbc_run.h"
 
-#include <cassert>
-
 namespace xdeal {
 
 // ---------------------------------------------------------------------------
 // CbcParty (compliant behaviour)
 // ---------------------------------------------------------------------------
 
-World& CbcParty::world() { return run_->world(); }
-const DealSpec& CbcParty::spec() const { return run_->spec(); }
+CbcRun& CbcParty::run() const { return static_cast<CbcRun&>(*runtime_); }
 const CbcDeployment& CbcParty::deployment() const {
-  return run_->deployment();
+  return run().deployment();
 }
 
 const CbcLogContract* CbcParty::Log() const {
-  return run_->world()
-      .chain(run_->deployment().cbc_chain)
-      ->As<CbcLogContract>(run_->deployment().cbc_log);
+  return world()
+      .chain(deployment().cbc_chain)
+      ->As<CbcLogContract>(deployment().cbc_log);
 }
 
 CbcEscrowContract* CbcParty::EscrowOfAsset(uint32_t asset) const {
-  return run_->world()
-      .chain(run_->spec().assets[asset].chain)
-      ->As<CbcEscrowContract>(run_->deployment().escrow_contracts[asset]);
+  return world()
+      .chain(spec().assets[asset].chain)
+      ->As<CbcEscrowContract>(deployment().escrow_contracts[asset]);
 }
 
 void CbcParty::SubmitStartDeal() {
@@ -33,7 +30,7 @@ void CbcParty::SubmitStartDeal() {
   for (PartyId p : spec().parties) w.U32(p.v);
   world().Submit(self_, deployment().cbc_chain, deployment().cbc_log,
                  CallData{"startDeal", w.Take()}, "cbc-start",
-                 run_->config().deal_tag);
+                 run().config().deal_tag);
 }
 
 void CbcParty::SubmitEscrow(const EscrowStep& step) {
@@ -42,29 +39,18 @@ void CbcParty::SubmitEscrow(const EscrowStep& step) {
   w.U32(static_cast<uint32_t>(spec().parties.size()));
   for (PartyId p : spec().parties) w.U32(p.v);
   w.Raw(start_hash_.bytes.data(), 32);
-  const auto& validators = run_->escrow_validators();
+  const auto& validators = run().escrow_validators();
   w.U32(static_cast<uint32_t>(validators.size()));
   for (const PublicKey& v : validators) w.Raw(v.Serialize());
-  w.U32(run_->escrow_epoch());
+  w.U32(run().escrow_epoch());
   w.U64(step.value);
   // Bind the escrow to the deal's home shard: decide proofs replayed from
   // any other shard are rejected before signature verification.
-  w.U32(static_cast<uint32_t>(run_->home_shard()));
+  w.U32(static_cast<uint32_t>(run().home_shard()));
   world().Submit(self_, spec().assets[step.asset].chain,
                  deployment().escrow_contracts[step.asset],
                  CallData{"escrow", w.Take()}, "escrow",
-                 run_->config().deal_tag);
-}
-
-void CbcParty::SubmitTransfer(const TransferStep& step) {
-  ByteWriter w;
-  w.Raw(deployment().deal_id.bytes.data(), 32);
-  w.U32(step.to.v);
-  w.U64(step.value);
-  world().Submit(self_, spec().assets[step.asset].chain,
-                 deployment().escrow_contracts[step.asset],
-                 CallData{"transfer", w.Take()}, "transfer",
-                 run_->config().deal_tag);
+                 run().config().deal_tag);
 }
 
 void CbcParty::SubmitCbcVote(bool abort) {
@@ -76,7 +62,7 @@ void CbcParty::SubmitCbcVote(bool abort) {
   w.Raw(start_hash_.bytes.data(), 32);
   world().Submit(self_, deployment().cbc_chain, deployment().cbc_log,
                  CallData{abort ? "abort" : "commit", w.Take()}, "cbc-vote",
-                 run_->config().deal_tag);
+                 run().config().deal_tag);
   if (abort) {
     voted_abort_ = true;
   } else {
@@ -86,7 +72,7 @@ void CbcParty::SubmitCbcVote(bool abort) {
 
 void CbcParty::SubmitDecide(uint32_t asset, const CbcProof& proof) {
   DecideProof dp;
-  dp.shard = static_cast<uint32_t>(run_->home_shard());
+  dp.shard = static_cast<uint32_t>(run().home_shard());
   dp.proof = proof;
   SubmitDecideProof(asset, dp);
 }
@@ -99,7 +85,7 @@ void CbcParty::SubmitDecideProof(uint32_t asset, const DecideProof& proof) {
   world().Submit(self_, spec().assets[asset].chain,
                  deployment().escrow_contracts[asset],
                  CallData{"decide", w.Take()}, "decide",
-                 run_->config().deal_tag);
+                 run().config().deal_tag);
   // Under pre-GST asynchrony our own escrow into this asset can still be in
   // flight. A decide that lands first is rejected ("unknown deal"), and once
   // the deposit lands nobody would decide again, so decide once more after
@@ -110,9 +96,9 @@ void CbcParty::SubmitDecideProof(uint32_t asset, const DecideProof& proof) {
 }
 
 bool CbcParty::OwnEscrowLanded(uint32_t asset) const {
-  const Blockchain* chain = run_->world().chain(spec().assets[asset].chain);
+  const Blockchain* chain = world().chain(spec().assets[asset].chain);
   for (const Receipt& r : chain->ContractReceipts(
-           run_->config().deal_tag, deployment().escrow_contracts[asset])) {
+           run().config().deal_tag, deployment().escrow_contracts[asset])) {
     if (r.sender == self_ && r.function == "escrow") return true;
   }
   return false;
@@ -120,8 +106,8 @@ bool CbcParty::OwnEscrowLanded(uint32_t asset) const {
 
 void CbcParty::RetryDecideAfterOwnEscrow(uint32_t asset) {
   world().scheduler().ScheduleAfter(
-      run_->config().delta,
-      EventLabel::Timer(self_.v, run_->config().deal_tag), [this, asset] {
+      run().config().delta,
+      EventLabel::Timer(self_.v, run().config().deal_tag), [this, asset] {
         const CbcEscrowContract* esc = EscrowOfAsset(asset);
         if (esc == nullptr || esc->Settled()) return;
         if (!OwnEscrowLanded(asset)) {
@@ -134,44 +120,17 @@ void CbcParty::RetryDecideAfterOwnEscrow(uint32_t asset) {
 }
 
 bool CbcParty::RunValidationChecks() const {
-  if (!start_hash_known_) return false;
-  const DealSpec& s = spec();
-  std::vector<DealSpec::Expectation> expect = s.ExpectationsOf(self_);
-  for (uint32_t a : s.IncomingAssetsOf(self_)) {
-    const CbcEscrowContract* esc = EscrowOfAsset(a);
-    if (esc == nullptr || !esc->initialized()) return false;
-    if (!(esc->deal_id() == deployment().deal_id)) return false;
-    if (!(esc->start_hash() == start_hash_)) return false;
-    // "they must check their correctness before voting to commit" — the
-    // pinned validators must match the CBC's real validator set.
-    const auto& pinned = esc->validators();
-    const auto& real = run_->escrow_validators();
-    if (pinned.size() != real.size()) return false;
-    for (size_t i = 0; i < pinned.size(); ++i) {
-      if (!(pinned[i] == real[i])) return false;
-    }
-    const AssetRef& asset = s.assets[a];
-    Blockchain* chain = run_->world().chain(asset.chain);
-    Holder escrow_holder = Holder::OfContract(esc->self_id());
-    if (asset.kind == AssetKind::kFungible) {
-      if (esc->escrow_core().OnCommitOf(self_) != expect[a].fungible_amount) {
-        return false;
-      }
-      const auto* token = chain->As<FungibleToken>(asset.token);
-      if (token == nullptr ||
-          token->BalanceOf(escrow_holder) < expect[a].fungible_amount) {
-        return false;
-      }
-    } else {
-      const auto* registry = chain->As<TicketRegistry>(asset.token);
-      if (registry == nullptr) return false;
-      for (uint64_t ticket : expect[a].tickets) {
-        if (!(esc->escrow_core().NftCommitOwner(ticket) == self_)) return false;
-        if (!(registry->OwnerOf(ticket) == escrow_holder)) return false;
-      }
-    }
-  }
-  return true;
+  return start_hash_known_ && DealParty::RunValidationChecks();
+}
+
+bool CbcParty::EscrowIsForThisDeal(uint32_t asset) const {
+  const CbcEscrowContract* esc = EscrowOfAsset(asset);
+  if (esc == nullptr || !esc->initialized()) return false;
+  if (!(esc->deal_id() == deployment().deal_id)) return false;
+  if (!(esc->start_hash() == start_hash_)) return false;
+  // "they must check their correctness before voting to commit" — the
+  // pinned validators must match the CBC's real validator set.
+  return esc->validators() == run().escrow_validators();
 }
 
 void CbcParty::ClaimAll(DealOutcome outcome) {
@@ -203,8 +162,8 @@ void CbcParty::ClaimAll(DealOutcome outcome) {
   // service records every rotation, including ones scheduled outside this
   // run) + a fresh status certificate from the current validator set,
   // stamped with the home shard so escrows on other shards accept it.
-  DecideProof proof = run_->service().IssueDecideProof(
-      *Log(), deployment().deal_id, run_->escrow_epoch());
+  DecideProof proof = run().service().IssueDecideProof(
+      *Log(), deployment().deal_id, run().escrow_epoch());
   if (proof.proof.status.outcome != outcome) return;  // view changed; stale
   for (uint32_t a : todo) SubmitDecideProof(a, proof);
 }
@@ -219,13 +178,6 @@ void CbcParty::OnEscrowPhase() {
     if (step.party == self_) SubmitEscrow(step);
   }
 }
-
-void CbcParty::OnTransferStep(size_t step_index) {
-  const TransferStep& step = spec().transfers[step_index];
-  if (step.from == self_) SubmitTransfer(step);
-}
-
-void CbcParty::OnValidatePhase() { satisfied_ = RunValidationChecks(); }
 
 void CbcParty::OnVotePhase() {
   // "they vote to commit if validation succeeds, and they vote to abort if
@@ -255,7 +207,7 @@ void CbcParty::OnObservedCbcReceipt(const Receipt& receipt) {
       // already decided: under pre-GST asynchrony the decisive outcome can
       // be observed before startDeal, and a deposit made after everyone
       // else claimed would have no one left to refund it.
-      if (world().now() >= run_->config().escrow_time && !escrowed_ &&
+      if (world().now() >= run().config().escrow_time && !escrowed_ &&
           log->OutcomeOf(deployment().deal_id) == kDealActive) {
         OnEscrowPhase();
       }
@@ -290,11 +242,9 @@ void CbcParty::OnAbortDeadline() {
 
 CbcRun::CbcRun(World* world, DealSpec spec, CbcConfig config,
                CbcService* service, PartyFactory* factory)
-    : world_(world),
-      spec_(std::move(spec)),
+    : DealRuntime(world, std::move(spec), factory),
       config_(config),
-      service_(service),
-      factory_(factory) {
+      service_(service) {
   std::vector<ChainId> asset_chains;
   asset_chains.reserve(spec_.assets.size());
   for (const AssetRef& asset : spec_.assets) {
@@ -303,19 +253,7 @@ CbcRun::CbcRun(World* world, DealSpec spec, CbcConfig config,
   placement_ = service->PlaceAssets(spec_.deal_id, asset_chains);
   cbc_chain_ = service->chain(placement_.home_shard);
   validators_ = &service->validators(placement_.home_shard);
-  for (PartyId p : spec_.parties) {
-    std::unique_ptr<CbcParty> strategy;
-    if (factory_ != nullptr) strategy = factory_->MakeCbcParty(p);
-    if (!strategy) strategy = std::make_unique<CbcParty>();
-    strategy->run_ = this;
-    strategy->self_ = p;
-    parties_[p.v] = std::move(strategy);
-  }
-}
-
-CbcParty* CbcRun::party(PartyId p) {
-  auto it = parties_.find(p.v);
-  return it == parties_.end() ? nullptr : it->second.get();
+  AddParties(&PartyFactory::MakeCbcParty);
 }
 
 Status CbcRun::Deploy() {
@@ -340,12 +278,8 @@ Status CbcRun::Deploy() {
   escrow_validators_ = validators_->CurrentPublicKeys();
   escrow_epoch_ = validators_->epoch();
 
-  for (const AssetRef& asset : spec_.assets) {
-    Blockchain* chain = world_->chain(asset.chain);
-    if (chain == nullptr) return Status::NotFound("asset chain missing");
-    deployment_.escrow_contracts.push_back(chain->Deploy(
-        std::make_unique<CbcEscrowContract>(asset.kind, asset.token)));
-  }
+  XDEAL_RETURN_IF_ERROR(
+      DeployEscrows<CbcEscrowContract>(&deployment_.escrow_contracts));
 
   deployment_.validation_time =
       config_.ValidationTime(spec_.transfers.size());
@@ -357,7 +291,7 @@ Status CbcRun::Deploy() {
   // receipt of our deal (the vote that flips the log's outcome) always
   // carries our tag, so claim liveness is preserved.
   for (const auto& [pid, strategy] : parties_) {
-    CbcParty* raw = strategy.get();
+    auto* raw = static_cast<CbcParty*>(strategy.get());
     cbc->Subscribe(world_->PartyEndpoint(PartyId{pid}), config_.deal_tag,
                    [raw](const Receipt& r) { raw->OnObservedCbcReceipt(r); });
   }
@@ -368,59 +302,17 @@ Status CbcRun::Deploy() {
   return Status::OK();
 }
 
-void CbcRun::SetupApprovals() {
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> fungible_totals;
-  for (const EscrowStep& e : spec_.escrows) {
-    const AssetRef& asset = spec_.assets[e.asset];
-    Holder spender = Holder::OfContract(deployment_.escrow_contracts[e.asset]);
-    if (asset.kind == AssetKind::kFungible) {
-      fungible_totals[{e.asset, e.party.v}] += e.value;
-    } else {
-      ByteWriter w;
-      w.U64(e.value);
-      w.U8(static_cast<uint8_t>(spender.kind));
-      w.U32(spender.id);
-      world_->scheduler().ScheduleAt(
-          config_.setup_time, EventLabel::Timer(e.party.v, config_.deal_tag),
-          [this, e, args = w.Take()]() mutable {
-            world_->Submit(e.party, spec_.assets[e.asset].chain,
-                           spec_.assets[e.asset].token,
-                           CallData{"approve", std::move(args)}, "setup",
-                           config_.deal_tag);
-          });
-    }
-  }
-  for (const auto& [key, total] : fungible_totals) {
-    auto [asset_index, party_id] = key;
-    Holder spender =
-        Holder::OfContract(deployment_.escrow_contracts[asset_index]);
-    ByteWriter w;
-    w.U8(static_cast<uint8_t>(spender.kind));
-    w.U32(spender.id);
-    w.U64(total);
-    uint32_t asset_copy = asset_index;
-    uint32_t party_copy = party_id;
-    world_->scheduler().ScheduleAt(
-        config_.setup_time, EventLabel::Timer(party_copy, config_.deal_tag),
-        [this, asset_copy, party_copy, args = w.Take()]() mutable {
-          world_->Submit(PartyId{party_copy}, spec_.assets[asset_copy].chain,
-                         spec_.assets[asset_copy].token,
-                         CallData{"approve", std::move(args)}, "setup",
-                         config_.deal_tag);
-        });
-  }
-}
-
 void CbcRun::SchedulePhases() {
   // Clearing: the first party records startDeal.
-  CbcParty* starter = parties_.at(spec_.parties.front().v).get();
+  auto* starter =
+      static_cast<CbcParty*>(parties_.at(spec_.parties.front().v).get());
   world_->scheduler().ScheduleAt(config_.start_deal_time,
                                  EventLabel::Timer(spec_.parties.front().v,
                                                    config_.deal_tag),
                                  [starter] { starter->OnStartDealPhase(); });
 
   for (const auto& [pid, strategy] : parties_) {
-    CbcParty* raw = strategy.get();
+    auto* raw = static_cast<CbcParty*>(strategy.get());
     world_->scheduler().ScheduleAt(config_.escrow_time,
                                    EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnEscrowPhase(); });
@@ -435,17 +327,7 @@ void CbcRun::SchedulePhases() {
         EventLabel::Timer(pid, config_.deal_tag),
         [raw] { raw->OnAbortDeadline(); });
   }
-  for (size_t i = 0; i < spec_.transfers.size(); ++i) {
-    Tick when = config_.transfer_start +
-                (config_.parallel_transfers
-                     ? 0
-                     : static_cast<Tick>(i) * config_.step_gap);
-    CbcParty* actor = parties_.at(spec_.transfers[i].from.v).get();
-    world_->scheduler().ScheduleAt(when,
-                                   EventLabel::Timer(spec_.transfers[i].from.v,
-                                                     config_.deal_tag),
-                                   [actor, i] { actor->OnTransferStep(i); });
-  }
+  ScheduleTransferSteps();
   // Optional mid-deal validator reconfigurations — routed through the
   // service so its per-shard history (the source of decide-proof chains)
   // records them.
@@ -477,18 +359,7 @@ DealResult CbcRun::Collect() const {
   result.committed = result.outcome == kDealCommitted;
   result.aborted = result.outcome == kDealAborted;
 
-  result.all_settled = true;
-  for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {
-    const Blockchain* chain = world_->chain(spec_.assets[a].chain);
-    const auto* esc =
-        chain->As<CbcEscrowContract>(deployment_.escrow_contracts[a]);
-    if (esc == nullptr) continue;
-    if (esc->Released()) ++result.released_contracts;
-    if (esc->Refunded()) ++result.refunded_contracts;
-    // A contract nobody deposited into is vacuously settled.
-    bool vacuous = esc->escrow_core().Depositors().empty();
-    result.all_settled = result.all_settled && (esc->Settled() || vacuous);
-  }
+  TallyEscrows(&result);
   const bool any_released = result.released_contracts > 0;
   const bool any_refunded = result.refunded_contracts > 0;
   result.atomic = !(any_released && any_refunded);

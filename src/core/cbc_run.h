@@ -16,9 +16,8 @@
 #ifndef XDEAL_CORE_CBC_RUN_H_
 #define XDEAL_CORE_CBC_RUN_H_
 
-#include <map>
-#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cbc/cbc_service.h"
@@ -61,12 +60,8 @@ struct CbcDeployment {
 class CbcRun;
 
 /// Per-party strategy for the CBC protocol; default is compliant.
-class CbcParty {
+class CbcParty : public DealParty {
  public:
-  virtual ~CbcParty() = default;
-
-  PartyId self() const { return self_; }
-  bool satisfied() const { return satisfied_; }
   bool voted_commit() const { return voted_commit_; }
   bool voted_abort() const { return voted_abort_; }
 
@@ -75,28 +70,20 @@ class CbcParty {
   /// Escrow phase: escrows this party's outgoing assets once startDeal is
   /// known.
   virtual void OnEscrowPhase();
-  /// Transfer step `step_index` of the spec, if this party is its sender.
-  virtual void OnTransferStep(size_t step_index);
-  /// Validation: records whether the incoming escrows satisfy us.
-  virtual void OnValidatePhase();
   virtual void OnVotePhase();          // commit if satisfied, abort otherwise
   /// Observation of this deal's receipt on the CBC chain.
   virtual void OnObservedCbcReceipt(const Receipt& receipt);
   virtual void OnAbortDeadline();      // rescind if still undecided
 
  protected:
-  friend class CbcRun;
-
-  World& world();
-  const DealSpec& spec() const;
   const CbcDeployment& deployment() const;
-  CbcRun& run() { return *run_; }
+  /// The run this party belongs to.
+  CbcRun& run() const;
   const CbcLogContract* Log() const;
   CbcEscrowContract* EscrowOfAsset(uint32_t asset) const;
 
   void SubmitStartDeal();
   void SubmitEscrow(const EscrowStep& step);
-  void SubmitTransfer(const TransferStep& step);
   void SubmitCbcVote(bool abort);
   /// Wraps `proof` into a DecideProof declaring this deal's home shard and
   /// presents it to asset `a`'s escrow.
@@ -104,7 +91,11 @@ class CbcParty {
   /// Presents an explicit DecideProof (adversaries use this to declare the
   /// wrong shard; compliant code goes through SubmitDecide).
   void SubmitDecideProof(uint32_t asset, const DecideProof& proof);
-  bool RunValidationChecks() const;
+  /// Nothing validates before this party has learned startDeal's hash.
+  bool RunValidationChecks() const override;
+  /// The escrow pins this deal's id, startDeal hash and the CBC's real
+  /// validator set.
+  bool EscrowIsForThisDeal(uint32_t asset) const override;
   /// Claims every escrow this party cares about, given a decisive outcome.
   void ClaimAll(DealOutcome outcome);
   /// Whether this party's own escrow call into `asset` has a receipt.
@@ -113,9 +104,6 @@ class CbcParty {
   /// again unless it has settled meanwhile.
   void RetryDecideAfterOwnEscrow(uint32_t asset);
 
-  CbcRun* run_ = nullptr;
-  PartyId self_;
-  bool satisfied_ = false;
   bool start_hash_known_ = false;
   Hash256 start_hash_;
   bool voted_commit_ = false;
@@ -150,7 +138,7 @@ class CbcRun : public DealRuntime {
   /// log's; votes are the CBC's startDeal and vote writes.
   XDEAL_DETERMINISTIC DealResult Collect() const override;
 
-  const DealSpec& spec() const override { return spec_; }
+  const DealTimings& timings() const override { return config_; }
   const std::vector<ContractId>& escrow_contracts() const override {
     return deployment_.escrow_contracts;
   }
@@ -162,8 +150,6 @@ class CbcRun : public DealRuntime {
   const CbcDeployment& deployment() const { return deployment_; }
   /// The phase schedule and protocol knobs this run executes.
   const CbcConfig& config() const { return config_; }
-  /// The World this deal lives in.
-  World& world() { return *world_; }
   /// The certified backend this deal runs against.
   CbcService& service() { return *service_; }
   /// This deal's home-shard validators (via the service).
@@ -172,8 +158,6 @@ class CbcRun : public DealRuntime {
   const CbcService::Placement& placement() const { return placement_; }
   /// The shard whose log certifies this deal.
   size_t home_shard() const { return placement_.home_shard; }
-  /// The strategy object of party `p` (nullptr if `p` is not in the deal).
-  CbcParty* party(PartyId p);
 
   /// Validator keys pinned by escrows (epoch at escrow time).
   const std::vector<PublicKey>& escrow_validators() const {
@@ -189,14 +173,10 @@ class CbcRun : public DealRuntime {
   }
 
  private:
-  void SetupApprovals();
   void SchedulePhases();
 
-  World* world_;
-  DealSpec spec_;
   CbcConfig config_;
   CbcService* service_;
-  PartyFactory* factory_;
   CbcService::Placement placement_;
   ChainId cbc_chain_;
   ValidatorSet* validators_;
@@ -204,7 +184,6 @@ class CbcRun : public DealRuntime {
   std::vector<PublicKey> escrow_validators_;
   uint32_t escrow_epoch_ = 0;
   std::vector<ReconfigCertificate> reconfig_chain_;
-  std::map<uint32_t, std::unique_ptr<CbcParty>> parties_;
 };
 
 }  // namespace xdeal

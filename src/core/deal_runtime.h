@@ -1,4 +1,5 @@
-// The one deal-execution API both commit protocols sit behind.
+// The one deal-execution API both commit protocols sit behind, and the
+// protocol-independent half of a deal, written once.
 //
 //   Protocol        one enum for {timelock, cbc, htlc-baseline}, shared by
 //                   traffic, sweeps, and bench reports.
@@ -13,17 +14,25 @@
 //                   watchtowers arm).
 //   DealRuntime     one live deal: Deploy (contracts + schedule + wiring),
 //                   Collect (a protocol-independent DealResult). The two
-//                   protocol engines implement it: TimelockRun
+//                   protocol engines derive from it: TimelockRun
 //                   (core/timelock_run.h) and CbcRun (core/cbc_run.h), which
 //                   executes against a CbcService shard. A harness builds the
 //                   engine its protocol needs and drives it through this
 //                   interface.
+//   DealParty       the base of both protocols' party strategies.
+//
+// DealRuntime and DealParty hold what every deal does the same way (§4.1):
+// the parties, one escrow per asset, setup approvals, the transfer steps,
+// validation with its backing check, and Collect's escrow tally. Each engine
+// keeps its clearing, escrow calls, escrow identity check, commit protocol
+// (§5 or §6) and the order in which it schedules its phases.
 
 #ifndef XDEAL_CORE_DEAL_RUNTIME_H_
 #define XDEAL_CORE_DEAL_RUNTIME_H_
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,6 +44,7 @@
 namespace xdeal {
 
 class CbcParty;
+class DealRuntime;
 class TimelockParty;
 class TimelockRun;
 
@@ -107,8 +117,6 @@ struct DealResult {
   uint64_t sig_verifies = 0;  // in the commit/decide phase
 };
 
-class DealRuntime;
-
 /// Supplies the parties (and hangers-on) of one deal. The default factory is
 /// all-compliant; adversarial harnesses override Make*Party for the
 /// deviating position, and watchtower-style observers attach in OnDeployed
@@ -151,7 +159,54 @@ class SingleDeviantFactory : public PartyFactory {
   CbcMaker cbc_maker_;
 };
 
-/// One live deal: implemented by TimelockRun and CbcRun.
+/// The §4.1 backing check ("properly escrowed (so they cannot be
+/// double-spent)"): true iff the escrow contract `escrow` on `asset`'s chain
+/// records `p` as the onCommit owner of exactly what `expect` promises, and
+/// the asset's token ledger shows the escrow itself holding it.
+bool EscrowBacksExpectation(const World& world, const AssetRef& asset,
+                            ContractId escrow, PartyId p,
+                            const DealSpec::Expectation& expect);
+
+/// The protocol-independent half of a party's strategy; TimelockParty and
+/// CbcParty derive from it. Strategies act only through `Submit*` helpers
+/// and public chain state — the same interface a real party would have.
+class DealParty {
+ public:
+  virtual ~DealParty() = default;
+
+  PartyId self() const { return self_; }
+  /// Validation verdict reached by this party (valid after validation).
+  bool satisfied() const { return satisfied_; }
+
+  /// Transfer step `step_index` of the spec, if this party is its sender.
+  virtual void OnTransferStep(size_t step_index);
+  /// Validation: records whether the incoming escrows satisfy us.
+  virtual void OnValidatePhase();
+
+ protected:
+  friend class DealRuntime;
+
+  /// The World the deal lives in.
+  World& world() const;
+  /// The deal being executed.
+  const DealSpec& spec() const;
+  /// Submits a "transfer" call for one TransferStep (must be ours).
+  void SubmitTransfer(const TransferStep& step);
+  /// The §4.1 validation checks: every incoming asset's escrow is this
+  /// deal's (EscrowIsForThisDeal) and backs what the spec promises us.
+  virtual bool RunValidationChecks() const;
+  /// The protocol's own check that asset `asset`'s escrow is deployed and
+  /// was initialized for this very deal.
+  virtual bool EscrowIsForThisDeal(uint32_t asset) const = 0;
+
+  DealRuntime* runtime_ = nullptr;
+  PartyId self_;
+  bool satisfied_ = false;
+};
+
+/// One live deal: the base of TimelockRun and CbcRun. It holds the World,
+/// the spec and the parties, and runs the phases both protocols share; each
+/// engine adds its own commit protocol.
 class DealRuntime {
  public:
   virtual ~DealRuntime();
@@ -165,10 +220,16 @@ class DealRuntime {
   virtual DealResult Collect() const = 0;
 
   /// The deal being executed.
-  virtual const DealSpec& spec() const = 0;
+  const DealSpec& spec() const { return spec_; }
+  /// The World this deal lives in.
+  World& world() const { return *world_; }
+  /// The phase schedule this run executes (its protocol config's base).
+  virtual const DealTimings& timings() const = 0;
   /// Escrow contract per asset index (parallel to spec().assets); valid
   /// after Deploy.
   virtual const std::vector<ContractId>& escrow_contracts() const = 0;
+  /// The strategy object of party `p` (nullptr if `p` is not in the deal).
+  DealParty* party(PartyId p);
 
   /// Every contract the run deployed, as (chain, contract): the escrows
   /// Deploy got to (one per asset once it succeeds) and, for a CBC run, its
@@ -179,7 +240,60 @@ class DealRuntime {
   /// Non-null only for the timelock protocol: watchtowers need its
   /// deployment.
   virtual TimelockRun* timelock_run() { return nullptr; }
+
+ protected:
+  /// `spec` must Validate() by Deploy time. `factory` supplies each party's
+  /// strategy and gets the OnDeployed hook (nullptr = all compliant); it
+  /// must outlive Deploy().
+  DealRuntime(World* world, DealSpec spec, PartyFactory* factory);
+
+  /// Gives every party of the spec its strategy: `make` on the factory, or a
+  /// compliant `Party` when there is no factory or it returns null.
+  template <class Party>
+  void AddParties(std::unique_ptr<Party> (PartyFactory::*make)(PartyId));
+  /// Deploys one `Escrow` per asset, on that asset's chain, into `escrows`.
+  template <class Escrow>
+  Status DeployEscrows(std::vector<ContractId>* escrows);
+  /// Setup: each depositor approves the escrow contract to pull its outgoing
+  /// assets, at setup_time.
+  void SetupApprovals();
+  /// Transfer phase: each step at its sender, step_gap apart (or all at
+  /// transfer_start when transfers are parallel).
+  void ScheduleTransferSteps();
+  /// Counts released and refunded escrows into `result` and sets
+  /// all_settled (an escrow nobody deposited into is vacuously settled).
+  void TallyEscrows(DealResult* result) const;
+
+  World* world_;
+  DealSpec spec_;
+  PartyFactory* factory_;
+  std::map<uint32_t, std::unique_ptr<DealParty>> parties_;
 };
+
+template <class Party>
+void DealRuntime::AddParties(
+    std::unique_ptr<Party> (PartyFactory::*make)(PartyId)) {
+  for (PartyId p : spec_.parties) {
+    std::unique_ptr<Party> strategy;
+    if (factory_ != nullptr) strategy = (factory_->*make)(p);
+    if (!strategy) strategy = std::make_unique<Party>();
+    strategy->runtime_ = this;
+    strategy->self_ = p;
+    parties_[p.v] = std::move(strategy);
+  }
+}
+
+template <class Escrow>
+Status DealRuntime::DeployEscrows(std::vector<ContractId>* escrows) {
+  escrows->clear();
+  for (const AssetRef& asset : spec_.assets) {
+    Blockchain* chain = world_->chain(asset.chain);
+    if (chain == nullptr) return Status::NotFound("asset chain missing");
+    escrows->push_back(
+        chain->Deploy(std::make_unique<Escrow>(asset.kind, asset.token)));
+  }
+  return Status::OK();
+}
 
 }  // namespace xdeal
 

@@ -1,27 +1,23 @@
 #include "core/timelock_run.h"
 
-#include <cassert>
-
 namespace xdeal {
 
 // ---------------------------------------------------------------------------
 // TimelockParty (compliant behaviour)
 // ---------------------------------------------------------------------------
 
-World& TimelockParty::world() { return run_->world(); }
-const DealSpec& TimelockParty::spec() const { return run_->spec(); }
+TimelockRun& TimelockParty::run() const {
+  return static_cast<TimelockRun&>(*runtime_);
+}
 const TimelockDeployment& TimelockParty::deployment() const {
-  return run_->deployment();
+  return run().deployment();
 }
-const TimelockConfig& TimelockParty::config() const { return run_->config(); }
-
-Blockchain* TimelockParty::ChainOfAsset(uint32_t asset) const {
-  return run_->world().chain(run_->spec().assets[asset].chain);
-}
+const TimelockConfig& TimelockParty::config() const { return run().config(); }
 
 TimelockEscrowContract* TimelockParty::EscrowOfAsset(uint32_t asset) const {
-  return ChainOfAsset(asset)->As<TimelockEscrowContract>(
-      run_->deployment().escrow_contracts[asset]);
+  return world()
+      .chain(spec().assets[asset].chain)
+      ->As<TimelockEscrowContract>(deployment().escrow_contracts[asset]);
 }
 
 void TimelockParty::SubmitEscrow(const EscrowStep& step) {
@@ -38,19 +34,8 @@ void TimelockParty::SubmitEscrow(const EscrowStep& step) {
                  CallData{"escrow", w.Take()}, "escrow", config().deal_tag);
 }
 
-void TimelockParty::SubmitTransfer(const TransferStep& step) {
-  ByteWriter w;
-  w.Raw(deployment().info.deal_id.bytes.data(), 32);
-  w.U32(step.to.v);
-  w.U64(step.value);
-  world().Submit(self_, spec().assets[step.asset].chain,
-                 deployment().escrow_contracts[step.asset],
-                 CallData{"transfer", w.Take()}, "transfer",
-                 config().deal_tag);
-}
-
 PathVote TimelockParty::MakeOwnVote() const {
-  const KeyPair& keys = run_->world().KeyPairOf(self_);
+  const KeyPair& keys = world().KeyPairOf(self_);
   PathVote vote;
   vote.voter = self_;
   vote.path.emplace_back(
@@ -60,7 +45,7 @@ PathVote TimelockParty::MakeOwnVote() const {
 }
 
 PathVote TimelockParty::ExtendVote(const PathVote& vote) const {
-  const KeyPair& keys = run_->world().KeyPairOf(self_);
+  const KeyPair& keys = world().KeyPairOf(self_);
   PathVote extended = vote;
   extended.path.emplace_back(
       self_, keys.Sign(TimelockVoteMessage(
@@ -79,52 +64,16 @@ void TimelockParty::SubmitVote(uint32_t asset, const PathVote& vote) {
                  CallData{"commit", w.Take()}, "commit", config().deal_tag);
 }
 
-bool TimelockParty::RunValidationChecks() const {
-  const DealSpec& s = spec();
-  std::vector<DealSpec::Expectation> expect = s.ExpectationsOf(self_);
-  for (uint32_t a : s.IncomingAssetsOf(self_)) {
-    const TimelockEscrowContract* esc = EscrowOfAsset(a);
-    if (esc == nullptr || !esc->initialized()) return false;
-    if (!(esc->deal() == deployment().info)) return false;
-    const AssetRef& asset = s.assets[a];
-    Blockchain* chain = run_->world().chain(asset.chain);
-    Holder escrow_holder = Holder::OfContract(esc->self_id());
-    if (asset.kind == AssetKind::kFungible) {
-      if (esc->escrow_core().OnCommitOf(self_) != expect[a].fungible_amount) {
-        return false;
-      }
-      // "properly escrowed (so they cannot be double-spent)": the escrow
-      // contract must actually own the tokens backing our claim.
-      const auto* token = chain->As<FungibleToken>(asset.token);
-      if (token == nullptr ||
-          token->BalanceOf(escrow_holder) < expect[a].fungible_amount) {
-        return false;
-      }
-    } else {
-      const auto* registry = chain->As<TicketRegistry>(asset.token);
-      if (registry == nullptr) return false;
-      for (uint64_t ticket : expect[a].tickets) {
-        if (!(esc->escrow_core().NftCommitOwner(ticket) == self_)) return false;
-        if (!(registry->OwnerOf(ticket) == escrow_holder)) return false;
-      }
-    }
-  }
-  return true;
+bool TimelockParty::EscrowIsForThisDeal(uint32_t asset) const {
+  const TimelockEscrowContract* esc = EscrowOfAsset(asset);
+  return esc != nullptr && esc->initialized() &&
+         esc->deal() == deployment().info;
 }
 
 void TimelockParty::OnEscrowPhase() {
   for (const EscrowStep& step : spec().escrows) {
     if (step.party == self_) SubmitEscrow(step);
   }
-}
-
-void TimelockParty::OnTransferStep(size_t step_index) {
-  const TransferStep& step = spec().transfers[step_index];
-  if (step.from == self_) SubmitTransfer(step);
-}
-
-void TimelockParty::OnValidatePhase() {
-  satisfied_ = RunValidationChecks();
 }
 
 void TimelockParty::OnCommitPhase() {
@@ -201,23 +150,8 @@ void TimelockParty::OnRefundWatch() {
 
 TimelockRun::TimelockRun(World* world, DealSpec spec, TimelockConfig config,
                          PartyFactory* factory)
-    : world_(world),
-      spec_(std::move(spec)),
-      config_(config),
-      factory_(factory) {
-  for (PartyId p : spec_.parties) {
-    std::unique_ptr<TimelockParty> strategy;
-    if (factory_ != nullptr) strategy = factory_->MakeTimelockParty(p);
-    if (!strategy) strategy = std::make_unique<TimelockParty>();
-    strategy->run_ = this;
-    strategy->self_ = p;
-    parties_[p.v] = std::move(strategy);
-  }
-}
-
-TimelockParty* TimelockRun::party(PartyId p) {
-  auto it = parties_.find(p.v);
-  return it == parties_.end() ? nullptr : it->second.get();
+    : DealRuntime(world, std::move(spec), factory), config_(config) {
+  AddParties(&PartyFactory::MakeTimelockParty);
 }
 
 Status TimelockRun::Deploy() {
@@ -233,14 +167,8 @@ Status TimelockRun::Deploy() {
   deployment_.info.delta = config_.delta;
   deployment_.validation_time = validation_time;
 
-  // Deploy one escrow contract per asset on that asset's chain.
-  deployment_.escrow_contracts.clear();
-  for (const AssetRef& asset : spec_.assets) {
-    Blockchain* chain = world_->chain(asset.chain);
-    if (chain == nullptr) return Status::NotFound("asset chain missing");
-    deployment_.escrow_contracts.push_back(chain->Deploy(
-        std::make_unique<TimelockEscrowContract>(asset.kind, asset.token)));
-  }
+  XDEAL_RETURN_IF_ERROR(
+      DeployEscrows<TimelockEscrowContract>(&deployment_.escrow_contracts));
 
   // Wire observation: each party subscribes to every chain hosting one of
   // its outgoing assets (and, for simplicity, incoming too — parties may
@@ -253,7 +181,7 @@ Status TimelockRun::Deploy() {
       chains.insert(spec_.assets[a].chain);
     }
     for (ChainId c : chains) {
-      TimelockParty* raw = strategy.get();
+      auto* raw = static_cast<TimelockParty*>(strategy.get());
       world_->chain(c)->Subscribe(
           world_->PartyEndpoint(PartyId{pid}), config_.deal_tag,
           [raw](const Receipt& r) { raw->OnObservedReceipt(r); });
@@ -266,74 +194,18 @@ Status TimelockRun::Deploy() {
   return Status::OK();
 }
 
-void TimelockRun::SetupApprovals() {
-  // Each depositor approves the escrow contract to pull its outgoing assets.
-  // Setup cost is not part of the paper's phase accounting (tag "setup").
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> fungible_totals;
-  for (const EscrowStep& e : spec_.escrows) {
-    const AssetRef& asset = spec_.assets[e.asset];
-    Holder spender = Holder::OfContract(deployment_.escrow_contracts[e.asset]);
-    if (asset.kind == AssetKind::kFungible) {
-      fungible_totals[{e.asset, e.party.v}] += e.value;
-    } else {
-      ByteWriter w;
-      w.U64(e.value);  // ticket id
-      w.U8(static_cast<uint8_t>(spender.kind));
-      w.U32(spender.id);
-      world_->scheduler().ScheduleAt(
-          config_.setup_time, EventLabel::Timer(e.party.v, config_.deal_tag),
-          [this, e, args = w.Take()]() mutable {
-            world_->Submit(e.party, spec_.assets[e.asset].chain,
-                           spec_.assets[e.asset].token,
-                           CallData{"approve", std::move(args)}, "setup",
-                           config_.deal_tag);
-          });
-    }
-  }
-  for (const auto& [key, total] : fungible_totals) {
-    auto [asset_index, party_id] = key;
-    Holder spender =
-        Holder::OfContract(deployment_.escrow_contracts[asset_index]);
-    ByteWriter w;
-    w.U8(static_cast<uint8_t>(spender.kind));
-    w.U32(spender.id);
-    w.U64(total);
-    uint32_t asset_copy = asset_index;
-    uint32_t party_copy = party_id;
-    world_->scheduler().ScheduleAt(
-        config_.setup_time, EventLabel::Timer(party_copy, config_.deal_tag),
-        [this, asset_copy, party_copy, args = w.Take()]() mutable {
-          world_->Submit(PartyId{party_copy}, spec_.assets[asset_copy].chain,
-                         spec_.assets[asset_copy].token,
-                         CallData{"approve", std::move(args)}, "setup",
-                         config_.deal_tag);
-        });
-  }
-}
-
 void TimelockRun::SchedulePhases() {
   // Escrow phase.
   for (const auto& [pid, strategy] : parties_) {
-    TimelockParty* raw = strategy.get();
+    auto* raw = static_cast<TimelockParty*>(strategy.get());
     world_->scheduler().ScheduleAt(config_.escrow_time,
                                    EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnEscrowPhase(); });
   }
-  // Transfer phase: sequential steps (or all at once).
-  for (size_t i = 0; i < spec_.transfers.size(); ++i) {
-    Tick when = config_.transfer_start +
-                (config_.parallel_transfers
-                     ? 0
-                     : static_cast<Tick>(i) * config_.step_gap);
-    TimelockParty* actor = parties_.at(spec_.transfers[i].from.v).get();
-    world_->scheduler().ScheduleAt(when,
-                                   EventLabel::Timer(spec_.transfers[i].from.v,
-                                                     config_.deal_tag),
-                                   [actor, i] { actor->OnTransferStep(i); });
-  }
+  ScheduleTransferSteps();
   // Validation + commit phases.
   for (const auto& [pid, strategy] : parties_) {
-    TimelockParty* raw = strategy.get();
+    auto* raw = static_cast<TimelockParty*>(strategy.get());
     world_->scheduler().ScheduleAt(deployment_.validation_time,
                                    EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] {
@@ -344,7 +216,7 @@ void TimelockRun::SchedulePhases() {
   // Refund watchdogs.
   Tick watch = deployment_.info.RefundTime() + config_.refund_margin;
   for (const auto& [pid, strategy] : parties_) {
-    TimelockParty* raw = strategy.get();
+    auto* raw = static_cast<TimelockParty*>(strategy.get());
     world_->scheduler().ScheduleAt(watch,
                                    EventLabel::Timer(pid, config_.deal_tag),
                                    [raw] { raw->OnRefundWatch(); });
@@ -354,17 +226,7 @@ void TimelockRun::SchedulePhases() {
 DealResult TimelockRun::Collect() const {
   DealResult result;
   result.protocol = Protocol::kTimelock;
-  result.all_settled = true;
-  for (uint32_t a = 0; a < spec_.NumAssets(); ++a) {
-    const Blockchain* chain = world_->chain(spec_.assets[a].chain);
-    const auto* esc = chain->As<TimelockEscrowContract>(
-        deployment_.escrow_contracts[a]);
-    if (esc == nullptr) continue;
-    if (esc->Released()) ++result.released_contracts;
-    if (esc->Refunded()) ++result.refunded_contracts;
-    bool vacuous = esc->escrow_core().Depositors().empty();
-    result.all_settled = result.all_settled && (esc->Settled() || vacuous);
-  }
+  TallyEscrows(&result);
   result.committed = result.released_contracts == spec_.NumAssets();
   result.aborted = result.released_contracts == 0;
   result.mixed = !result.committed && !result.aborted;

@@ -23,10 +23,8 @@
 #ifndef XDEAL_CORE_TIMELOCK_RUN_H_
 #define XDEAL_CORE_TIMELOCK_RUN_H_
 
-#include <map>
-#include <memory>
 #include <set>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/world.h"
@@ -60,21 +58,12 @@ struct TimelockDeployment {
 class TimelockRun;
 
 /// Per-party strategy. The default implementation is the compliant party;
-/// adversaries override hooks. Strategies act only through `Submit*` helpers
-/// and public chain state — the same interface a real party would have.
-class TimelockParty {
+/// adversaries override hooks.
+class TimelockParty : public DealParty {
  public:
-  virtual ~TimelockParty() = default;
-
-  PartyId self() const { return self_; }
-
   // --- phase hooks (called by the run at scheduled times) ---
   /// Escrow phase: escrows this party's outgoing assets.
   virtual void OnEscrowPhase();
-  /// Transfer step `step_index` of the spec, if this party is its sender.
-  virtual void OnTransferStep(size_t step_index);
-  /// Validation at t0: records whether the incoming escrows satisfy us.
-  virtual void OnValidatePhase();
   /// Commit vote at t0, on incoming assets (every asset if direct_votes).
   virtual void OnCommitPhase();
   /// Observation of a receipt on a chain this party monitors.
@@ -82,36 +71,25 @@ class TimelockParty {
   /// Refund watchdog at t0 + N·Δ + margin.
   virtual void OnRefundWatch();
 
-  /// Validation verdict reached by this party (valid after validation).
-  bool satisfied() const { return satisfied_; }
-
  protected:
-  friend class TimelockRun;
-
   // --- helpers available to strategies ---
-  World& world();
-  const DealSpec& spec() const;
+  /// The run this party belongs to.
+  TimelockRun& run() const;
   const TimelockDeployment& deployment() const;
   const TimelockConfig& config() const;
-  Blockchain* ChainOfAsset(uint32_t asset) const;
   TimelockEscrowContract* EscrowOfAsset(uint32_t asset) const;
 
   /// Submits an "escrow" call for one EscrowStep of this party.
   void SubmitEscrow(const EscrowStep& step);
-  /// Submits a "transfer" call for one TransferStep (must be ours).
-  void SubmitTransfer(const TransferStep& step);
   /// Builds this party's own commit vote (path length 1).
   PathVote MakeOwnVote() const;
   /// Extends `vote` with our signature at the next depth.
   PathVote ExtendVote(const PathVote& vote) const;
   /// Submits a commit vote to asset `a`'s escrow contract.
   void SubmitVote(uint32_t asset, const PathVote& vote);
-  /// Runs the §4.1 validation checks; true if everything is satisfactory.
-  bool RunValidationChecks() const;
+  /// The escrow is initialized with this deal's DealInfo.
+  bool EscrowIsForThisDeal(uint32_t asset) const override;
 
-  TimelockRun* run_ = nullptr;
-  PartyId self_;
-  bool satisfied_ = false;
   // (voter, asset) pairs we have already sent/forwarded, to avoid duplicates.
   std::set<std::pair<uint32_t, uint32_t>> sent_votes_;
 };
@@ -135,7 +113,7 @@ class TimelockRun : public DealRuntime {
   /// escrow released; votes are the commit calls.
   XDEAL_DETERMINISTIC DealResult Collect() const override;
 
-  const DealSpec& spec() const override { return spec_; }
+  const DealTimings& timings() const override { return config_; }
   const std::vector<ContractId>& escrow_contracts() const override {
     return deployment_.escrow_contracts;
   }
@@ -145,21 +123,12 @@ class TimelockRun : public DealRuntime {
   const TimelockDeployment& deployment() const { return deployment_; }
   /// The phase schedule and protocol knobs this run executes.
   const TimelockConfig& config() const { return config_; }
-  /// The World this deal lives in.
-  World& world() { return *world_; }
-  /// The strategy object of party `p` (nullptr if `p` is not in the deal).
-  TimelockParty* party(PartyId p);
 
  private:
-  void SetupApprovals();
   void SchedulePhases();
 
-  World* world_;
-  DealSpec spec_;
   TimelockConfig config_;
-  PartyFactory* factory_;
   TimelockDeployment deployment_;
-  std::map<uint32_t, std::unique_ptr<TimelockParty>> parties_;
 };
 
 }  // namespace xdeal

@@ -1,8 +1,9 @@
 // The unified deal-execution API. One DealTimings schedule drives either
-// protocol's DealRuntime (TimelockRun or CbcRun); the PartyFactory hook
-// injects adversaries and watchtowers uniformly; and unsafe CBC configs
-// (abort_patience < Δ) are rejected at deploy time instead of silently
-// running.
+// protocol's DealRuntime (TimelockRun or CbcRun); the shared §4.1 backing
+// check rejects escrows that do not hold what a party was promised; the
+// PartyFactory hook injects adversaries and watchtowers uniformly; and
+// unsafe CBC configs (abort_patience < Δ) are rejected at deploy time
+// instead of silently running.
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,130 @@ TEST(ProtocolTest, ToStringNamesEveryProtocol) {
   EXPECT_STREQ(ToString(Protocol::kTimelock), "timelock");
   EXPECT_STREQ(ToString(Protocol::kCbc), "cbc");
   EXPECT_STREQ(ToString(Protocol::kHtlc), "htlc");
+}
+
+// The shared §4.1 backing check on a hand-built chain: one token ledger,
+// one ticket registry, and a timelock escrow for each holding what alice
+// deposited.
+struct BackingFixture : public ::testing::Test {
+  void SetUp() override {
+    world = std::make_unique<World>(
+        1, std::make_unique<SynchronousNetwork>(1, 5));
+    alice = world->RegisterParty("alice");
+    bob = world->RegisterParty("bob");
+    chain = world->CreateChain("c", 10);
+    coin.chain = chain->id();
+    coin.token = chain->Deploy(std::make_unique<FungibleToken>("TOK", alice));
+    coin.kind = AssetKind::kFungible;
+    seats.chain = chain->id();
+    seats.token = chain->Deploy(std::make_unique<TicketRegistry>(alice));
+    seats.kind = AssetKind::kNft;
+    coin_escrow = chain->Deploy(
+        std::make_unique<TimelockEscrowContract>(coin.kind, coin.token));
+    seat_escrow = chain->Deploy(
+        std::make_unique<TimelockEscrowContract>(seats.kind, seats.token));
+
+    token()->Mint(Holder::Party(alice), 50);
+    ticket = registry()->Mint(Holder::Party(alice), {"play", "A1", 90});
+    GasMeter gas;
+    CallContext ctx = Ctx(&gas);
+    ASSERT_TRUE(token()
+                    ->Approve(ctx, Holder::Party(alice), Holder::Party(alice),
+                              Holder::OfContract(coin_escrow), 50)
+                    .ok());
+    ASSERT_TRUE(registry()
+                    ->Approve(ctx, Holder::Party(alice), ticket,
+                              Holder::OfContract(seat_escrow))
+                    .ok());
+    ASSERT_TRUE(Escrow(coin_escrow, 50).ok());
+    ASSERT_TRUE(Escrow(seat_escrow, ticket).ok());
+  }
+
+  CallContext Ctx(GasMeter* gas) {
+    CallContext ctx;
+    ctx.world = world.get();
+    ctx.chain = chain;
+    ctx.sender = alice;
+    ctx.gas = gas;
+    return ctx;
+  }
+
+  Status Escrow(ContractId escrow, uint64_t value) {
+    ByteWriter w;
+    w.Raw(MakeDealId("backing", 1).bytes.data(), 32);
+    w.U32(2);
+    w.U32(alice.v);
+    w.U32(bob.v);
+    w.U64(/*t0=*/1000);
+    w.U64(/*delta=*/100);
+    w.U64(value);
+    Bytes args = w.Take();
+    ByteReader r(args);
+    GasMeter gas;
+    CallContext ctx = Ctx(&gas);
+    auto out = chain->As<TimelockEscrowContract>(escrow)->Invoke(ctx, "escrow",
+                                                                 r);
+    return out.ok() ? Status::OK() : out.status();
+  }
+
+  FungibleToken* token() { return chain->As<FungibleToken>(coin.token); }
+  TicketRegistry* registry() { return chain->As<TicketRegistry>(seats.token); }
+
+  std::unique_ptr<World> world;
+  PartyId alice, bob;
+  Blockchain* chain = nullptr;
+  AssetRef coin, seats;
+  ContractId coin_escrow, seat_escrow;
+  uint64_t ticket = 0;
+};
+
+TEST_F(BackingFixture, EscrowThatHoldsThePromiseBacksIt) {
+  DealSpec::Expectation amount;
+  amount.fungible_amount = 50;
+  EXPECT_TRUE(
+      EscrowBacksExpectation(*world, coin, coin_escrow, alice, amount));
+  DealSpec::Expectation seat;
+  seat.tickets = {ticket};
+  EXPECT_TRUE(
+      EscrowBacksExpectation(*world, seats, seat_escrow, alice, seat));
+}
+
+TEST_F(BackingFixture, WrongOnCommitAmountIsNotBacked) {
+  DealSpec::Expectation amount;
+  amount.fungible_amount = 40;  // the escrow records 50 for alice
+  EXPECT_FALSE(
+      EscrowBacksExpectation(*world, coin, coin_escrow, alice, amount));
+  amount.fungible_amount = 50;  // bob was promised nothing here
+  EXPECT_FALSE(
+      EscrowBacksExpectation(*world, coin, coin_escrow, bob, amount));
+}
+
+TEST_F(BackingFixture, EscrowHoldingLessThanPromisedIsNotBacked) {
+  // The escrow's books still say 50 for alice, but 10 of the tokens left
+  // it behind the books' back: the ledger is what counts.
+  GasMeter gas;
+  CallContext ctx = Ctx(&gas);
+  Holder escrow = Holder::OfContract(coin_escrow);
+  ASSERT_TRUE(
+      token()->Transfer(ctx, escrow, escrow, Holder::Party(bob), 10).ok());
+  DealSpec::Expectation amount;
+  amount.fungible_amount = 50;
+  EXPECT_FALSE(
+      EscrowBacksExpectation(*world, coin, coin_escrow, alice, amount));
+}
+
+TEST_F(BackingFixture, TicketTheRegistryDoesNotGiveTheEscrowIsNotBacked) {
+  GasMeter gas;
+  CallContext ctx = Ctx(&gas);
+  Holder escrow = Holder::OfContract(seat_escrow);
+  ASSERT_TRUE(registry()
+                  ->TransferFrom(ctx, escrow, escrow, Holder::Party(bob),
+                                 ticket)
+                  .ok());
+  DealSpec::Expectation seat;
+  seat.tickets = {ticket};
+  EXPECT_FALSE(
+      EscrowBacksExpectation(*world, seats, seat_escrow, alice, seat));
 }
 
 TEST(ProtocolDriverTest, CbcDriverCommitsTheBrokerDeal) {
